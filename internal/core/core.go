@@ -16,8 +16,10 @@
 // algorithm variants are provided for SGB-All — All-Pairs (Procedure 2),
 // Bounds-Checking with the ε-All rectangle (Procedure 4), and on-the-fly
 // Index Bounds-Checking with an R-tree over group rectangles (Procedure 5) —
-// and two for SGB-Any — All-Pairs and the R-tree + Union-Find index method
-// (Procedures 7–9).
+// and two for SGB-Any — All-Pairs and the point-index + Union-Find method
+// (Procedures 7–9), whose on-the-fly index of points is an ε-grid
+// (internal/grid) while a point's ε-block of cells stays small and the
+// paper's R-tree above that (high dimensionality).
 package core
 
 import (
@@ -85,9 +87,10 @@ const (
 	// scans the group list linearly (Procedure 4). SGB-Any has no
 	// rectangle formulation (§7.1), so BoundsChecking is SGB-All only.
 	BoundsChecking
-	// IndexBounds additionally indexes the group rectangles (SGB-All,
-	// Procedure 5) or the processed points (SGB-Any, Procedure 8) in an
-	// on-the-fly R-tree.
+	// IndexBounds additionally keeps an on-the-fly index: an R-tree of the
+	// group rectangles for SGB-All (Procedure 5); for SGB-Any an index of the
+	// processed points (Procedure 8) — an ε-grid up to the block cap, an
+	// R-tree otherwise (see AnyGrouper).
 	IndexBounds
 )
 
@@ -207,29 +210,23 @@ func (r *Result) Sizes() []int {
 type Stats struct {
 	// Points is the number of input points processed.
 	Points int
-	// DistanceComps counts similarity-predicate evaluations δ(p,q) ≤ ε.
+	// DistanceComps counts similarity-predicate evaluations δ(p,q) ≤ ε. Pairs
+	// joined without evaluating it — two points of one certified ε-grid cell
+	// — count nothing.
 	DistanceComps int64
 	// RectTests counts ε-All rectangle containment/overlap tests.
 	RectTests int64
 	// HullTests counts convex-hull refinement probes (L2 only).
 	HullTests int64
-	// WindowQueries counts R-tree window queries issued.
+	// WindowQueries counts window queries issued to the on-the-fly index:
+	// one per probed point, whether the index is an R-tree or SGB-Any's
+	// ε-grid.
 	WindowQueries int64
-	// IndexUpdates counts R-tree insert/delete operations.
+	// IndexUpdates counts insert/delete operations on the on-the-fly index.
 	IndexUpdates int64
 	// Rounds is 1 plus the FORM-NEW-GROUP recursion depth (the number of
 	// grouping passes over ever-smaller S′ sets).
 	Rounds int
 	// GroupsMerged counts SGB-Any group merges performed by Union-Find.
 	GroupsMerged int64
-}
-
-func (s *Stats) add(o Stats) {
-	s.Points += o.Points
-	s.DistanceComps += o.DistanceComps
-	s.RectTests += o.RectTests
-	s.HullTests += o.HullTests
-	s.WindowQueries += o.WindowQueries
-	s.IndexUpdates += o.IndexUpdates
-	s.GroupsMerged += o.GroupsMerged
 }

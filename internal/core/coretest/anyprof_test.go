@@ -1,9 +1,10 @@
-// Package coretest holds core benchmarks that need the checkin generator,
-// which cannot be imported from core's own tests (checkin depends on engine,
-// engine depends on core).
+// Package coretest holds core tests and benchmarks that need the checkin
+// generator, which cannot be imported from core's own tests (checkin depends
+// on engine, engine depends on core).
 package coretest
 
 import (
+	"reflect"
 	"testing"
 
 	"sgb/internal/checkin"
@@ -11,18 +12,55 @@ import (
 	"sgb/internal/geom"
 )
 
-// BenchmarkAnyIndexCheckin runs the SGB-Any Index-Bounds grouper over the
-// clustered check-in dataset — the same shape as the sgbbench sgb_any_l2_index
-// probe, minus the engine. The clustered distribution matters: window-query
-// candidate sets grow with every insertion into a hotspot, which is exactly
-// the access pattern that exposed quadratic scratch reallocation and the
-// probe-buffer aliasing bug in the verification path.
-func BenchmarkAnyIndexCheckin(b *testing.B) {
-	cs := checkin.Generate(checkin.Config{N: 5000, Seed: 1})
-	pts := make([]geom.Point, len(cs))
-	for i, c := range cs {
-		pts[i] = geom.Point{c.Lat, c.Lon}
+func checkinPoints(n int) []geom.Point {
+	return checkin.Points(checkin.Generate(checkin.Config{N: n, Seed: 1}))
+}
+
+// TestAnyGridBudget is the first row of the counter budgets (ROADMAP 5a): the
+// benchmark's any_hotspot shape — 8000 skewed check-ins, ε = 0.25, L2 — must
+// stay within 10 % of the distance work the ε-grid measured when it landed
+// (0.127 verified pairs per point against the R-tree path's 329), probe once
+// per point, and agree with the all-pairs oracle. The budget only ratchets
+// down.
+func TestAnyGridBudget(t *testing.T) {
+	const (
+		n                  = 8000
+		compsPerPoint      = 0.127
+		rtreeCompsPerPoint = 329.0
+	)
+	pts := checkinPoints(n)
+	opt := core.Options{Metric: geom.L2, Eps: 0.25, Algorithm: core.IndexBounds}
+	got, err := core.SGBAny(pts, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
+	opt.Algorithm = core.AllPairs
+	want, err := core.SGBAny(pts, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Groups, want.Groups) {
+		t.Fatalf("grid forms %d groups, all-pairs %d, or different ones", len(got.Groups), len(want.Groups))
+	}
+	if got.Stats.WindowQueries != n || got.Stats.IndexUpdates != n {
+		t.Errorf("WindowQueries = %d, IndexUpdates = %d, want %d each", got.Stats.WindowQueries, got.Stats.IndexUpdates, n)
+	}
+	perPoint := float64(got.Stats.DistanceComps) / n
+	t.Logf("DistanceComps/point = %.3f", perPoint)
+	if perPoint > 1.1*compsPerPoint {
+		t.Errorf("DistanceComps/point = %.3f, budget %.3f", perPoint, 1.1*compsPerPoint)
+	}
+	if perPoint > rtreeCompsPerPoint/10 {
+		t.Errorf("DistanceComps/point = %.3f is not 10× below the R-tree path's %.0f", perPoint, rtreeCompsPerPoint)
+	}
+}
+
+// BenchmarkAnyIndexCheckin runs the SGB-Any IndexBounds grouper over the
+// clustered check-in dataset — the same shape as the benchmark's core.any_ms
+// probe. The clustered distribution matters: hotspots are where a point has
+// hundreds of ε-neighbours and the index has to avoid looking at them.
+func BenchmarkAnyIndexCheckin(b *testing.B) {
+	pts := checkinPoints(5000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,7 +10,7 @@ import (
 )
 
 // TestParallelAnyMatchesSequential is the defining property of the parallel
-// extension: byte-for-byte identical groupings to the sequential SGB-Any.
+// entry points: byte-for-byte identical groupings to the sequential SGB-Any.
 func TestParallelAnyMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(100))
 	for _, m := range []geom.Metric{geom.L2, geom.LInf, geom.L1} {
@@ -79,8 +79,8 @@ func TestParallelAnyDegenerate(t *testing.T) {
 	if err != nil || len(res.Groups) != 1 {
 		t.Fatalf("singleton: %v %v", res, err)
 	}
-	if _, err := SGBAnyParallel([]geom.Point{{1, 1}, {1}}, Options{Metric: geom.L2, Eps: 1}, 0); err == nil {
-		t.Error("mixed dimensions accepted")
+	if _, err := SGBAnyParallel([]geom.Point{{1, 1}, {1}}, Options{Metric: geom.L2, Eps: 1}, 0); !errors.Is(err, ErrDimensionMismatch) {
+		t.Errorf("mixed dimensions: err = %v, want ErrDimensionMismatch", err)
 	}
 	if _, err := SGBAnyParallel(nil, Options{Metric: geom.L2, Eps: 0}, 0); err == nil {
 		t.Error("eps=0 accepted")
@@ -93,7 +93,8 @@ func TestParallelAnyDegenerate(t *testing.T) {
 func TestParallelAnyStats(t *testing.T) {
 	r := rand.New(rand.NewSource(101))
 	pts := randomPoints(r, 500, 2, 5)
-	res, parts, err := sgbAnyParallel(context.Background(), pts, Options{Metric: geom.L2, Eps: 0.5}, 4)
+	opt := Options{Metric: geom.L2, Eps: 0.5}
+	res, err := SGBAnyParallel(pts, opt, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,56 +105,15 @@ func TestParallelAnyStats(t *testing.T) {
 	if int64(len(res.Groups)) != int64(500)-res.Stats.GroupsMerged {
 		t.Fatalf("%d groups but %d merges over 500 points", len(res.Groups), res.Stats.GroupsMerged)
 	}
-
-	// Stats.add over the per-partition (per-worker) stats must reproduce the
-	// result's aggregate exactly: the cells partition the input, so worker
-	// counters are disjoint and their sum is the whole.
-	if len(parts) != 4 {
-		t.Fatalf("%d partitions, want 4", len(parts))
+	// The entry point is a shim over the serial grouper: its counters are the
+	// serial IndexBounds counters, whatever Algorithm the caller left set.
+	opt.Algorithm = IndexBounds
+	want, err := SGBAny(pts, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var merged Stats
-	for _, p := range parts {
-		merged.add(p)
-	}
-	if merged.Points != res.Stats.Points {
-		t.Errorf("merged Points = %d, result reports %d", merged.Points, res.Stats.Points)
-	}
-	if merged.DistanceComps != res.Stats.DistanceComps {
-		t.Errorf("merged DistanceComps = %d, result reports %d", merged.DistanceComps, res.Stats.DistanceComps)
-	}
-	// The driver-side merge phase is the only source of GroupsMerged; the
-	// workers must not have claimed any.
-	if merged.GroupsMerged != 0 {
-		t.Errorf("workers reported %d merges; merging happens on the driver", merged.GroupsMerged)
-	}
-}
-
-// TestStatsAddCoversAllFields locks the contract between Stats.add and the
-// parallel executor: every counter field must be summed when partition stats
-// are folded together. Rounds is the one deliberate exception (it counts
-// grouping passes, not per-partition work). Reflection catches any future
-// Stats field that is added to the struct but forgotten in add.
-func TestStatsAddCoversAllFields(t *testing.T) {
-	var sum, part Stats
-	pv := reflect.ValueOf(&part).Elem()
-	for i := 0; i < pv.NumField(); i++ {
-		pv.Field(i).SetInt(int64(i + 1))
-	}
-	sum.add(part)
-	sum.add(part)
-	sv := reflect.ValueOf(&sum).Elem()
-	for i := 0; i < sv.NumField(); i++ {
-		name := sv.Type().Field(i).Name
-		got := sv.Field(i).Int()
-		if name == "Rounds" {
-			if got != 0 {
-				t.Errorf("Rounds must not be summed across partitions, got %d", got)
-			}
-			continue
-		}
-		if want := int64(2 * (i + 1)); got != want {
-			t.Errorf("Stats.add drops or miscounts field %s: got %d, want %d", name, got, want)
-		}
+	if res.Stats != want.Stats {
+		t.Fatalf("shim stats %+v, serial stats %+v", res.Stats, want.Stats)
 	}
 }
 

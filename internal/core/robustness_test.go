@@ -111,6 +111,12 @@ func TestParallelCtxCancel(t *testing.T) {
 	if res != nil {
 		t.Fatal("canceled run returned a partial result")
 	}
+	// Fewer points than one poll stride: only the checks around the grouping
+	// can see the cancellation.
+	few := geom.ColsFromPoints(pts[:ctxCheckStride/2])
+	if res, err := SGBAnyParallelColsCtx(ctx, few, Options{Metric: geom.L2, Eps: 0.5}, 4); res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("columnar entry point on a canceled context: %v, %v", res, err)
+	}
 	// A live context behaves exactly like the ctx-free API.
 	want, err := SGBAnyParallel(pts, Options{Metric: geom.L2, Eps: 0.5}, 4)
 	if err != nil {

@@ -50,10 +50,14 @@ func TestAutoAnalyzeSeedsAndRefreshes(t *testing.T) {
 	}
 
 	// Churn past half the analyzed rows: Fresh() flips false and the worker
-	// refreshes. The final state has every inserted row analyzed.
+	// refreshes. The refresh may run at any point of the churn — an ANALYZE
+	// that lands mid-stream leaves statistics the policy itself calls fresh,
+	// and nothing re-triggers — so the postcondition is the policy's, not
+	// "every row analyzed": fresh statistics, newer than the seed, that
+	// account for every inserted row.
 	insertN(t, db, autoAnalyzeMinRows, 2*autoAnalyzeMinRows)
 	waitForStats(t, db, "pts", func(s *TableStats) bool {
-		return s != nil && s.AnalyzedRows == 2*autoAnalyzeMinRows && s.Fresh()
+		return s.Fresh() && s.AnalyzedRows > autoAnalyzeMinRows && s.AnalyzedRows+s.Stale == 2*autoAnalyzeMinRows
 	})
 }
 

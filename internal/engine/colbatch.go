@@ -28,9 +28,9 @@ type colPlan struct {
 	frag *morselFragment
 	// colIdx maps each grouping dimension to its scan-row column index.
 	colIdx []int
-	// workers is the worker count for collection and grouping: >1 only when
-	// the grouping itself may run on the grid-parallel SGB-Any path, so the
-	// serial/parallel decision is identical to the row path's.
+	// workers is the worker count for collection: >1 only when the grouping
+	// may go through core.SGBAnyParallelColsCtx (today a serial shim), so
+	// the serial/parallel decision is identical to the row path's.
 	workers int
 }
 

@@ -707,8 +707,8 @@ type sgbAggOp struct {
 
 	// frag and workers are set by the planner for SGB-Any plans whose input
 	// pipeline is parallel-safe and large enough: input collection runs
-	// morsel-parallel and the grouping itself routes through the core's
-	// grid-partition SGBAnyParallelCtx instead of the serial grouper.
+	// morsel-parallel and the grouping routes through the core's
+	// SGBAnyParallelColsCtx — today a shim over the serial ε-grid grouper.
 	frag    *morselFragment
 	workers int
 

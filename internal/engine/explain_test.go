@@ -174,8 +174,8 @@ func TestExplainGolden(t *testing.T) {
 			sql:  "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1.5",
 			alg:  "index",
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=319.5)",
-				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [on-the-fly Index] (1 aggregate(s)) (est_rows=1 est_cost=318.3)",
+				"Project (count) (est_rows=1 est_cost=762.8)",
+				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [on-the-fly Index] (1 aggregate(s)) (est_rows=1 est_cost=761.5)",
 				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5)",
 			},
 		},

@@ -553,11 +553,13 @@ func (pc *planContext) markParallelHashAgg(op *hashAggOp, groupExprs []Expr, rw 
 	pc.parOps = append(pc.parOps, op)
 }
 
-// markParallelSGB flags an SGB operator for parallel execution. Only SGB-Any
-// under the default on-the-fly-index algorithm routes through the core's
-// grid-partition SGBAnyParallelCtx: its output is provably identical to the
-// serial grouper's (connected components are order-free), whereas SGB-All's
-// group formation is input-order- and overlap-clause-sensitive. Keeping the
+// markParallelSGB flags an SGB operator for parallel execution: morsel-
+// parallel input collection, then the core's SGBAnyParallelColsCtx (today a
+// shim over the serial ε-grid grouper). Only SGB-Any under the default
+// on-the-fly-index algorithm qualifies: its output does not depend on the
+// order collection delivers the points in (connected components are
+// order-free), whereas SGB-All's group formation is input-order- and
+// overlap-clause-sensitive. Keeping the
 // explicitly selected All-Pairs/Bounds-Checking variants serial also
 // preserves their meaning as benchmark baselines.
 func (pc *planContext) markParallelSGB(op *sgbAggOp, groupExprs []Expr, rw *aggRewriter) {

@@ -481,23 +481,26 @@ func (c *conn) runQuery(q *wire.Query, decodeDur time.Duration) bool {
 		resCh <- execResult{res, err}
 	}()
 
-	// finish streams the outcome (rows or error) and records the statement in
-	// the latency histograms and, past the threshold, the slowlog.
+	// finish streams the outcome and records the statement in the latency
+	// histograms and, past the threshold, the slowlog. The terminal frame
+	// (Done or Error) acknowledges the statement: a client holding the trace
+	// ID may ask for its slowlog entry the moment that frame arrives, so the
+	// entry is recorded first and the acknowledgement sent last.
 	finish := func(res *engine.Result, execErr error, connFatal bool) bool {
 		execDur := time.Since(start)
 		m.Histogram("server_wire_execute_seconds", obs.DefBuckets).Observe(execDur.Seconds())
+		var terminal wire.Message
 		var werr error
 		var rows int64
 		if execErr != nil {
-			if !connFatal {
-				werr = c.writeQueryError(execErr)
-			}
+			terminal = c.queryError(execErr)
 		} else {
 			rows = int64(len(res.Rows))
+			terminal = &wire.Done{RowsAffected: int64(res.RowsAffected), RowCount: rows}
 			if !connFatal {
 				tr.SetState("streaming")
 				span := tr.StartSpan("stream")
-				werr = c.streamResult(res)
+				werr = c.streamRows(res)
 				span.End()
 				m.Histogram("server_wire_stream_seconds", obs.DefBuckets).
 					Observe(span.Duration().Seconds())
@@ -505,7 +508,7 @@ func (c *conn) runQuery(q *wire.Query, decodeDur time.Duration) bool {
 		}
 		tr.SetState("done")
 		c.srv.recordFinished(entry, c.settingsString(), time.Since(start), rows, execErr)
-		return !connFatal && werr == nil
+		return !connFatal && werr == nil && c.writeMsg(terminal) == nil
 	}
 
 	connFatal := false
@@ -549,38 +552,37 @@ func (c *conn) runQuery(q *wire.Query, decodeDur time.Duration) bool {
 	}
 }
 
-// streamResult sends a completed statement result: RowHeader (when the
-// statement produces columns), RowBatch frames at the session's batch size,
-// then Done. This is where the wire maps onto the engine's batch layer — the
-// same row granularity the vectorized executor uses internally.
-func (c *conn) streamResult(res *engine.Result) error {
-	if len(res.Columns) > 0 {
-		if err := c.writeMsg(&wire.RowHeader{Columns: res.Columns}); err != nil {
+// streamRows sends a completed statement's rows: RowHeader (when the
+// statement produces columns), then RowBatch frames at the session's batch
+// size. This is where the wire maps onto the engine's batch layer — the same
+// row granularity the vectorized executor uses internally. The caller sends
+// Done.
+func (c *conn) streamRows(res *engine.Result) error {
+	if len(res.Columns) == 0 {
+		return nil
+	}
+	if err := c.writeMsg(&wire.RowHeader{Columns: res.Columns}); err != nil {
+		return err
+	}
+	batch := c.sess.Settings().BatchSize
+	if batch <= 0 {
+		batch = engine.DefaultBatchSize()
+	}
+	for off := 0; off < len(res.Rows); off += batch {
+		end := off + batch
+		if end > len(res.Rows) {
+			end = len(res.Rows)
+		}
+		if err := c.writeMsg(&wire.RowBatch{Rows: res.Rows[off:end]}); err != nil {
 			return err
 		}
-		batch := c.sess.Settings().BatchSize
-		if batch <= 0 {
-			batch = engine.DefaultBatchSize()
-		}
-		for off := 0; off < len(res.Rows); off += batch {
-			end := off + batch
-			if end > len(res.Rows) {
-				end = len(res.Rows)
-			}
-			if err := c.writeMsg(&wire.RowBatch{Rows: res.Rows[off:end]}); err != nil {
-				return err
-			}
-		}
 	}
-	return c.writeMsg(&wire.Done{
-		RowsAffected: int64(res.RowsAffected),
-		RowCount:     int64(len(res.Rows)),
-	})
+	return nil
 }
 
-// writeQueryError maps an engine failure onto a typed wire error. The
-// connection survives query errors; only write failures are fatal.
-func (c *conn) writeQueryError(err error) error {
+// queryError maps an engine failure onto a typed wire error. The connection
+// survives query errors; only write failures are fatal.
+func (c *conn) queryError(err error) *wire.Error {
 	code := wire.CodeQuery
 	var retryMS uint32
 	var rle *engine.ResourceLimitError
@@ -605,7 +607,7 @@ func (c *conn) writeQueryError(err error) error {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		code = wire.CodeCanceled
 	}
-	return c.writeMsg(&wire.Error{Code: code, Message: err.Error(), RetryAfterMS: retryMS})
+	return &wire.Error{Code: code, Message: err.Error(), RetryAfterMS: retryMS}
 }
 
 // applySetting maps a Set frame onto the connection's engine session.

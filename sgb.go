@@ -70,8 +70,9 @@ const (
 	AllPairs = core.AllPairs
 	// BoundsChecking filters with per-group ε-All bounding rectangles.
 	BoundsChecking = core.BoundsChecking
-	// IndexBounds adds an on-the-fly R-tree over the group rectangles
-	// (SGB-All) or the processed points (SGB-Any).
+	// IndexBounds adds an on-the-fly index: an R-tree over the group
+	// rectangles (SGB-All), or over the processed points (SGB-Any) an ε-grid
+	// in low dimensionality and an R-tree above it.
 	IndexBounds = core.IndexBounds
 )
 
@@ -133,16 +134,16 @@ type Row = engine.Row
 // then query with the similarity-extended SQL dialect.
 func NewDB() *DB { return engine.NewDB() }
 
-// GroupAnyParallel computes the DISTANCE-TO-ANY grouping with a grid-
-// partitioned parallel algorithm (an extension beyond the paper; the result
-// is identical to GroupAny). workers <= 0 selects GOMAXPROCS.
+// GroupAnyParallel is a serial shim kept for its callers: it returns exactly
+// GroupAny's result under IndexBounds (the ε-grid). workers and
+// Options.Algorithm are ignored; the former grid-partition worker pool was
+// slower than the serial operator and is gone.
 func GroupAnyParallel(points []Point, opt Options, workers int) (*Result, error) {
 	return core.SGBAnyParallel(points, opt, workers)
 }
 
 // GroupAnyParallelCtx is GroupAnyParallel with a cancellation context: once
-// ctx is done the workers drain out and the call returns ctx.Err() instead of
-// a partial result.
+// ctx is done the call returns ctx.Err() instead of a partial result.
 func GroupAnyParallelCtx(ctx context.Context, points []Point, opt Options, workers int) (*Result, error) {
 	return core.SGBAnyParallelCtx(ctx, points, opt, workers)
 }
