@@ -37,10 +37,9 @@ import (
 // Schema v3 raises the rep count and records the p50/p95/p99 wall times
 // (nearest-rank over the parallel variant's samples) next to the minimum, so
 // tail-latency regressions are visible even when the best-case time holds.
-// Two additive extensions track the columnar execution layer: each SGB probe
-// also runs with the columnar fast path disabled (wall_rowpath_ms /
-// columnar_speedup), and a kernel_probes section times the geom batch kernels
-// against an equivalent scalar geom.Within loop over the same column.
+// One additive extension tracks the columnar kernels: a kernel_probes section
+// times the geom batch kernels against an equivalent scalar geom.Within loop
+// over the same column.
 
 // probeResult is one probe run in the JSON document.
 type probeResult struct {
@@ -55,8 +54,6 @@ type probeResult struct {
 	P99MS         float64 `json:"p99_ms"`
 	WallSerialMS  float64 `json:"wall_serial_ms"`
 	Speedup       float64 `json:"speedup_vs_serial"`
-	WallRowMS     float64 `json:"wall_rowpath_ms,omitempty"`
-	ColSpeedup    float64 `json:"columnar_speedup,omitempty"`
 	Workers       int     `json:"workers"`
 	Batch         int     `json:"batch"`
 	Rows          int     `json:"rows"`
@@ -324,24 +321,6 @@ func writeBenchJSON(path string, n int, seed int64, timeout time.Duration, worke
 		}
 		serialWall := serialSamples[0]
 
-		// SGB probes additionally run serially with the columnar fast path
-		// disabled, so the snapshot separates the layout effect (row vs
-		// columnar at one worker) from the parallelism effect.
-		var rowWall time.Duration
-		if p.eps > 0 {
-			db.SetColumnar(false)
-			rowSamples, rowRes, err := timeQuery(p.query, timeout)
-			db.SetColumnar(true)
-			if err != nil {
-				return nil, fmt.Errorf("probe %s (row path): %w", p.name, err)
-			}
-			if len(rowRes.Rows) != len(serialRes.Rows) {
-				return nil, fmt.Errorf("probe %s: row path returned %d rows, columnar %d",
-					p.name, len(rowRes.Rows), len(serialRes.Rows))
-			}
-			rowWall = rowSamples[0]
-		}
-
 		db.SetParallelism(workers)
 		samples, res, err := timeQuery(p.query, timeout)
 		if err != nil {
@@ -370,10 +349,6 @@ func writeBenchJSON(path string, n int, seed int64, timeout time.Duration, worke
 		}
 		if wall > 0 {
 			run.Speedup = float64(serialWall) / float64(wall)
-		}
-		if rowWall > 0 && serialWall > 0 {
-			run.WallRowMS = float64(rowWall.Nanoseconds()) / 1e6
-			run.ColSpeedup = float64(rowWall) / float64(serialWall)
 		}
 		if s := db.LastSGBStats(); s != nil {
 			run.DistanceComps = s.DistanceComps

@@ -61,43 +61,23 @@ func TestAddColsMatchesAdd(t *testing.T) {
 	}
 }
 
-// TestParallelColsMatchesSerial pins the columnar parallel path against the
-// serial reference across worker counts on adversarial cell-boundary inputs.
-// Run under -race this also exercises the shared-slab read paths.
+// TestParallelColsMatchesSerial pins the columnar feed of the ε-grid against
+// the All-Pairs reference on adversarial cell-boundary inputs.
 func TestParallelColsMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(78))
 	for _, m := range []geom.Metric{geom.L2, geom.LInf, geom.L1} {
 		for _, eps := range []float64{0.25, 1.5} {
 			pts := adversarialPoints(r, 120+r.Intn(80), 2, eps)
-			cols := geom.ColsFromPoints(pts)
-			opt := Options{Metric: m, Eps: eps}
-			seqOpt := opt
-			seqOpt.Algorithm = AllPairs
-			want, err := SGBAny(pts, seqOpt)
+			want, err := SGBAny(pts, Options{Metric: m, Eps: eps, Algorithm: AllPairs})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2, 4} {
-				got, err := SGBAnyParallelCols(cols, opt, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got.Groups, want.Groups) {
-					t.Fatalf("%v/eps%g/workers%d: columnar parallel grouping differs", m, eps, workers)
-				}
-			}
-			// The row-major wrapper and the columnar entry point must agree
-			// exactly, stats included (they share one implementation).
-			a, err := SGBAnyParallel(pts, opt, 3)
+			got, err := SGBAnyCols(geom.ColsFromPoints(pts), Options{Metric: m, Eps: eps, Algorithm: IndexBounds})
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := SGBAnyParallelCols(cols, opt, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(a.Groups, b.Groups) || a.Stats != b.Stats {
-				t.Fatalf("%v/eps%g: Point wrapper and Cols entry point disagree", m, eps)
+			if !reflect.DeepEqual(got.Groups, want.Groups) {
+				t.Fatalf("%v/eps%g: columnar grid grouping differs from All-Pairs", m, eps)
 			}
 		}
 	}

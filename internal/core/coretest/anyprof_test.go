@@ -9,6 +9,7 @@ import (
 
 	"sgb/internal/checkin"
 	"sgb/internal/core"
+	"sgb/internal/engine"
 	"sgb/internal/geom"
 )
 
@@ -72,6 +73,36 @@ func BenchmarkAnyIndexCheckin(b *testing.B) {
 		}
 		if _, err := g.Finish(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestAnyStatementAllocBudget is the second row (ROADMAP 5a): what one SGB-Any
+// statement over the same 8000 check-ins allocates, end to end through the
+// engine's SGB operator, within 5 % of the 6,869 and 23,724 measured when that
+// operator became the only one. The first statement folds nothing but
+// count(*) — every allocation is the operator's own — and the second is the
+// benchmark's any_hotspot. Budgets only ratchet down.
+func TestAnyStatementAllocBudget(t *testing.T) {
+	db := engine.NewDB()
+	if err := checkin.Load(db, "checkins", checkin.Generate(checkin.Config{N: 8000, Seed: 1})); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sql    string
+		budget float64
+	}{
+		{"SELECT lat, lon, count(*) FROM checkins GROUP BY lat, lon DISTANCE-TO-ANY L2 WITHIN 0.25", 7200},
+		{"SELECT count(*), avg(lat), avg(lon) FROM checkins GROUP BY lat, lon DISTANCE-TO-ANY L2 WITHIN 0.25", 24900},
+	} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := db.Exec(c.sql); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%.0f allocs: %s", allocs, c.sql)
+		if allocs > c.budget {
+			t.Errorf("%.0f allocs, budget %.0f: %s", allocs, c.budget, c.sql)
 		}
 	}
 }

@@ -125,27 +125,6 @@ func TestFormNewGroupRoundsBounded(t *testing.T) {
 	partitionOK(t, len(pts), res)
 }
 
-// TestAnyParallelWorkerCountIrrelevant: the parallel grouping is identical
-// for any worker count, including more workers than cells.
-func TestAnyParallelWorkerCountIrrelevant(t *testing.T) {
-	r := rand.New(rand.NewSource(143))
-	pts := randomPoints(r, 200, 2, 4)
-	opt := Options{Metric: geom.L2, Eps: 0.7}
-	base, err := SGBAnyParallel(pts, opt, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 7, 64} {
-		res, err := SGBAnyParallel(pts, opt, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(base.Groups, res.Groups) {
-			t.Fatalf("workers=%d changed the grouping", workers)
-		}
-	}
-}
-
 // TestGroupSizesHelper covers Result.Sizes ordering.
 func TestGroupSizesHelper(t *testing.T) {
 	res := &Result{Groups: []Group{{IDs: []int{0, 2, 4}}, {IDs: []int{1}}, {IDs: []int{3, 5}}}}

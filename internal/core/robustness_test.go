@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -30,8 +31,9 @@ func adversarialPoints(r *rand.Rand, n, dim int, eps float64) []geom.Point {
 	return pts
 }
 
-// TestParallelAnyAdversarialCellBoundaries pins SGBAnyParallel == SGBAny on
-// boundary-straddling inputs across metrics, dimensions and worker counts.
+// TestParallelAnyAdversarialCellBoundaries runs every SGB-Any path against the
+// brute-force components on boundary-straddling inputs across metrics,
+// dimensions and ε values.
 func TestParallelAnyAdversarialCellBoundaries(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for _, m := range []geom.Metric{geom.L2, geom.LInf, geom.L1} {
@@ -39,24 +41,49 @@ func TestParallelAnyAdversarialCellBoundaries(t *testing.T) {
 			for _, eps := range []float64{0.25, 1, 3.7} {
 				for trial := 0; trial < 4; trial++ {
 					pts := adversarialPoints(r, 80+r.Intn(120), dim, eps)
-					opt := Options{Metric: m, Eps: eps}
-					seqOpt := opt
-					seqOpt.Algorithm = AllPairs
-					want, err := SGBAny(pts, seqOpt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := SGBAnyParallel(pts, opt, 1+r.Intn(7))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got.Groups, want.Groups) {
-						t.Fatalf("%v/dim%d/eps%g: parallel grouping differs on boundary points",
-							m, dim, eps)
-					}
+					checkAnyAgainstOracle(t, fmt.Sprintf("dim%d/eps%g", dim, eps), pts, m, eps)
 				}
 			}
 		}
+	}
+}
+
+// TestParallelAnyNegativeCoordinates: cells around the origin exercise the
+// floor-division boundary.
+func TestParallelAnyNegativeCoordinates(t *testing.T) {
+	pts := []geom.Point{
+		{-0.1, -0.1}, {0.1, 0.1}, // adjacent cells across the origin, within eps
+		{-5, -5}, {-5.2, -5.2}, // negative-quadrant pair
+		{3, 3}, // isolated
+	}
+	checkAnyAgainstOracle(t, "origin", pts, geom.L2, 0.5)
+}
+
+// TestParallelAnyExactCellBoundary: points exactly eps apart land in adjacent
+// cells and must connect (the predicate is <=).
+func TestParallelAnyExactCellBoundary(t *testing.T) {
+	pts := []geom.Point{{0, 0}, {1, 0}, {2, 0}}
+	got, err := SGBAny(pts, Options{Metric: geom.L2, Eps: 1, Algorithm: IndexBounds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Groups) != 1 || len(got.Groups[0].IDs) != 3 {
+		t.Fatalf("boundary chain split: %v", got.Groups)
+	}
+}
+
+// TestParallelAnyDegenerate: bad input is rejected before the grid sees it.
+func TestParallelAnyDegenerate(t *testing.T) {
+	opt := Options{Metric: geom.L2, Eps: 1, Algorithm: IndexBounds}
+	if _, err := SGBAny([]geom.Point{{1, 1}, {1}}, opt); !errors.Is(err, ErrDimensionMismatch) {
+		t.Errorf("mixed dimensions: err = %v, want ErrDimensionMismatch", err)
+	}
+	if _, err := SGBAny([]geom.Point{{}}, opt); err == nil {
+		t.Error("zero-dimensional point accepted")
+	}
+	opt.Eps = 0
+	if _, err := SGBAny(nil, opt); err == nil {
+		t.Error("eps=0 accepted")
 	}
 }
 
@@ -72,12 +99,10 @@ func TestNonFiniteCoordinatesRejected(t *testing.T) {
 	if _, err := SGBAll(bad, opt); !errors.Is(err, ErrNonFiniteCoordinate) {
 		t.Fatalf("SGBAll: err = %v, want ErrNonFiniteCoordinate", err)
 	}
-	if _, err := SGBAnyParallel(bad, opt, 2); !errors.Is(err, ErrNonFiniteCoordinate) {
-		t.Fatalf("SGBAnyParallel: err = %v, want ErrNonFiniteCoordinate", err)
-	}
-	for _, v := range []float64{math.Inf(1), math.Inf(-1)} {
-		if _, err := SGBAnyParallel([]geom.Point{{v, 0}}, opt, 2); !errors.Is(err, ErrNonFiniteCoordinate) {
-			t.Fatalf("SGBAnyParallel(%v): err = %v, want ErrNonFiniteCoordinate", v, err)
+	opt.Algorithm = IndexBounds
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := SGBAnyCols(geom.ColsFromPoints([]geom.Point{{1, 2}, {v, 0}}), opt); !errors.Is(err, ErrNonFiniteCoordinate) {
+			t.Fatalf("SGBAnyCols(%v) on the grid: err = %v, want ErrNonFiniteCoordinate", v, err)
 		}
 	}
 
@@ -97,37 +122,38 @@ func TestNonFiniteCoordinatesRejected(t *testing.T) {
 	}
 }
 
-// TestParallelCtxCancel: a canceled context aborts the parallel grouping and
-// surfaces ctx.Err() instead of a partial result.
+// TestParallelCtxCancel: the batch feed the engine uses — AddCols on the
+// ε-grid — aborts on a canceled context instead of grouping on, and a live
+// context changes nothing.
 func TestParallelCtxCancel(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	pts := randomPoints(r, 5000, 2, 3)
+	cols := geom.ColsFromPoints(randomPoints(r, 5000, 2, 3))
+	opt := Options{Metric: geom.L2, Eps: 0.5, Algorithm: IndexBounds}
+	run := func(ctx context.Context) (*Result, error) {
+		g, err := NewAnyGrouper(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.WithContext(ctx).AddCols(cols); err != nil {
+			return nil, err
+		}
+		return g.Finish()
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := SGBAnyParallelCtx(ctx, pts, Options{Metric: geom.L2, Eps: 0.5}, 4)
-	if !errors.Is(err, context.Canceled) {
+	if _, err := run(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if res != nil {
-		t.Fatal("canceled run returned a partial result")
-	}
-	// Fewer points than one poll stride: only the checks around the grouping
-	// can see the cancellation.
-	few := geom.ColsFromPoints(pts[:ctxCheckStride/2])
-	if res, err := SGBAnyParallelColsCtx(ctx, few, Options{Metric: geom.L2, Eps: 0.5}, 4); res != nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("columnar entry point on a canceled context: %v, %v", res, err)
-	}
-	// A live context behaves exactly like the ctx-free API.
-	want, err := SGBAnyParallel(pts, Options{Metric: geom.L2, Eps: 0.5}, 4)
+	want, err := SGBAnyCols(cols, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SGBAnyParallelCtx(context.Background(), pts, Options{Metric: geom.L2, Eps: 0.5}, 4)
+	got, err := run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Groups, want.Groups) {
-		t.Fatal("ctx variant diverged from SGBAnyParallel")
+	if !reflect.DeepEqual(got.Groups, want.Groups) || got.Stats != want.Stats {
+		t.Fatal("a live context changed the grouping")
 	}
 }
 

@@ -429,8 +429,9 @@ func TestAnyMergeStats(t *testing.T) {
 	if len(res.Groups) != 1 {
 		t.Fatalf("groups = %v", res.Groups)
 	}
-	if res.Stats.GroupsMerged == 0 {
-		t.Fatal("no merges recorded")
+	// Every point starts as its own group: n - merges = number of groups.
+	if st := res.Stats; st.Points != len(pts) || st.Rounds != 1 || st.GroupsMerged != int64(len(pts)-len(res.Groups)) {
+		t.Fatalf("stats = %+v over %d points in %d groups", st, len(pts), len(res.Groups))
 	}
 }
 

@@ -447,15 +447,21 @@ type groupAccumulator struct {
 }
 
 func newGroupAccumulator(calls []*aggCall) (*groupAccumulator, error) {
-	acc := &groupAccumulator{states: make([]aggState, len(calls))}
-	for i, c := range calls {
+	acc := &groupAccumulator{states: make([]aggState, 0, len(calls))}
+	return acc, acc.reset(calls)
+}
+
+// reset starts a new group: a fresh state per call in the reused states slice.
+func (g *groupAccumulator) reset(calls []*aggCall) error {
+	g.states = g.states[:0]
+	for _, c := range calls {
 		st, err := c.newState()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		acc.states[i] = st
+		g.states = append(g.states, st)
 	}
-	return acc, nil
+	return nil
 }
 
 func (g *groupAccumulator) add(calls []*aggCall, r Row) error {
@@ -481,12 +487,12 @@ func (g *groupAccumulator) merge(o *groupAccumulator) error {
 	return nil
 }
 
-func (g *groupAccumulator) results() []Value {
-	out := make([]Value, len(g.states))
-	for i, st := range g.states {
-		out[i] = st.result()
+// appendResults appends each call's result to dst, in call order.
+func (g *groupAccumulator) appendResults(dst []Value) []Value {
+	for _, st := range g.states {
+		dst = append(dst, st.result())
 	}
-	return out
+	return dst
 }
 
 // exprEqual reports structural equality of two expressions, used to match

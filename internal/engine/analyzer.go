@@ -8,11 +8,11 @@ package engine
 // rewrite the physical operator tree after lowering (limit pushdown). Two
 // more rules live inside the lowering itself because they need its
 // intermediate state: index-scan selection and predicate pushdown in
-// planSelect, and cost-based SGB algorithm / columnar-path selection in
-// planAggregate. Every applied rule is recorded on the planContext, and
-// DB.SetOptimizer(false) disables the whole pipeline except predicate
-// pushdown (which is semantic: it fixes which source an ambiguous-looking
-// column resolves against and keeps cross joins from exploding).
+// planSelect, and cost-based SGB algorithm selection in planAggregate. Every
+// applied rule is recorded on the planContext, and DB.SetOptimizer(false)
+// disables the whole pipeline except predicate pushdown (which is semantic:
+// it fixes which source an ambiguous-looking column resolves against and
+// keeps cross joins from exploding).
 
 // ruleApplied records that a named analyzer rule changed the plan, for
 // introspection and the rule-pipeline tests.
@@ -242,11 +242,11 @@ func (pc *planContext) applyTreeRules(op operator) (operator, bool) {
 		l, chL := pc.applyTreeRules(o.left)
 		r, chR := pc.applyTreeRules(o.right)
 		o.left, o.right, changed = l, r, changed || chL || chR
-		// Aggregation operators' children are deliberately left alone: their
-		// morsel fragments and columnar plans were extracted from the child
-		// chain at lowering time, and rewriting underneath them would
-		// invalidate those. No tree rule targets those chains anyway (limits
-		// never occur below an aggregation).
+		// Aggregation operators' children are deliberately left alone: a hash
+		// aggregation's morsel fragment was extracted from the child chain at
+		// lowering time, and rewriting underneath it would invalidate that. No
+		// tree rule targets those chains anyway (limits never occur below an
+		// aggregation).
 	}
 	return out, changed
 }

@@ -10,7 +10,7 @@ import (
 
 // analyzerQueries is the workload for the rewrite-equivalence property: every
 // shape an analyzer rule can touch (projection pruning, limit pushdown, index
-// scan selection, predicate pushdown, SGB algorithm and columnar selection),
+// scan selection, predicate pushdown, SGB algorithm selection),
 // plus SGB variants across metrics, ε, and overlap modes.
 var analyzerQueries = []string{
 	"SELECT id, x FROM nums WHERE k = 7 ORDER BY id",
@@ -127,8 +127,6 @@ func TestAnalyzerRulesRecorded(t *testing.T) {
 		{"SELECT s.a, s.b FROM (SELECT id AS a, x AS b FROM nums) s", "prune_subquery_projection", false},
 		{"SELECT n.id FROM nums n, dim d WHERE n.k = d.k AND n.v > 5", "predicate_pushdown", true},
 		{"SELECT count(*) FROM nums GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 5", "sgb_algorithm_selection", true},
-		{"SELECT x, y, count(*) FROM nums GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 5", "columnar_selection", true},
-		{"SELECT x, y, sum(v) FROM nums GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 5", "columnar_selection", false}, // sum needs tuples
 		{"SELECT k, count(*) FROM nums GROUP BY k", "sgb_algorithm_selection", false},
 	}
 	for _, c := range cases {

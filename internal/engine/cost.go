@@ -184,11 +184,6 @@ func (pc *planContext) estimateTree(op operator) (rows, cost float64) {
 		r, c := pc.estimateTree(op.child)
 		n, g, k := pc.sgbShape(op.child, &op.spec)
 		groupCost := sgbCost(op.spec.Mode, op.algorithm, n, g, k)
-		if op.colPlan != nil {
-			// The tuple-free columnar path skips per-row materialization on
-			// collection; the grouping work is identical.
-			c *= 0.6
-		}
 		op.setEst(g, c+r*costHashRow+groupCost)
 
 	default:

@@ -47,7 +47,6 @@ type DB struct {
 	// count; 0 = defaultBatchSize.
 	parallelism int
 	batchSize   int
-	noColumnar  bool
 
 	metrics atomic.Pointer[obs.Registry]
 
@@ -307,23 +306,6 @@ func (db *DB) SetBatchSize(n int) {
 	db.stateMu.Unlock()
 }
 
-// SetColumnar enables or disables the columnar SGB fast path for subsequent
-// statements. It is enabled by default; disabling is mainly useful for
-// benchmarks comparing against the row-at-a-time path.
-func (db *DB) SetColumnar(on bool) {
-	db.stateMu.Lock()
-	db.noColumnar = !on
-	db.stateMu.Unlock()
-}
-
-// Columnar reports whether the columnar SGB fast path is enabled for new
-// statements.
-func (db *DB) Columnar() bool {
-	db.stateMu.Lock()
-	defer db.stateMu.Unlock()
-	return !db.noColumnar
-}
-
 // BatchSize reports the resolved batch/morsel row count for new statements.
 func (db *DB) BatchSize() int {
 	db.stateMu.Lock()
@@ -378,7 +360,6 @@ func (db *DB) settings() Settings {
 		Limits:       db.limits,
 		Parallelism:  db.parallelism,
 		BatchSize:    db.batchSize,
-		NoColumnar:   db.noColumnar,
 		NoOptimize:   db.noOptimize,
 	}
 }
@@ -477,7 +458,6 @@ func (db *DB) execTraced(ctx context.Context, stmt Statement, tr *obs.Trace, set
 		qc.batch = set.BatchSize
 		qc.alg = set.SGBAlgorithm
 		qc.algAuto = set.SGBAuto
-		qc.noColumnar = set.NoColumnar
 		qc.noOpt = set.NoOptimize
 		if qc.analyze = db.sampleNow(); qc.analyze {
 			m.Counter("engine_statements_sampled_total").Inc()

@@ -611,8 +611,7 @@ func (a *hashAggOp) open() error {
 		b := tbl.buckets[key]
 		out := make(Row, 0, len(a.groupExprs)+len(a.calls))
 		out = append(out, b.keyVals...)
-		out = append(out, b.acc.results()...)
-		a.rows = append(a.rows, out)
+		a.rows = append(a.rows, b.acc.appendResults(out))
 	}
 	sortRowsStable(a.rows, len(a.groupExprs))
 	a.pos = 0
@@ -684,14 +683,15 @@ func (a *hashAggOp) next() (Row, error) {
 
 // ---- similarity group-by aggregation ----
 
-// sgbAggOp is the physical SGB operator: it consumes the child in input
-// order, maps the grouping expressions to a multi-dimensional point per
-// tuple, groups the points with the core SGB-All/SGB-Any machinery, and
-// evaluates the aggregate calls over each group's member tuples. The output
-// rows are [representativeGroupValues..., aggResults...], where the
-// representative values come from the group's first member (similarity
-// groups have no single key value). ELIMINATE'd tuples contribute to no
-// group. Output order follows the smallest member position per group.
+// sgbAggOp is the physical SGB operator, and the only way a similarity
+// aggregate runs: it buffers the child's tuples in input order, transposes the
+// grouping expressions into one coordinate column each (colsOf), groups the
+// points with the core SGB-All/SGB-Any machinery, and folds the aggregate
+// calls over each group's member tuples. The output rows are
+// [representativeGroupValues..., aggResults...], where the representative
+// values come from the group's first member (similarity groups have no single
+// key value). ELIMINATE'd tuples contribute to no group. Output order follows
+// the smallest member position per group.
 type sgbAggOp struct {
 	planEst
 	child      operator
@@ -705,99 +705,19 @@ type sgbAggOp struct {
 	algAuto bool
 	qc      *queryCtx
 
-	// frag and workers are set by the planner for SGB-Any plans whose input
-	// pipeline is parallel-safe and large enough: input collection runs
-	// morsel-parallel and the grouping routes through the core's
-	// SGBAnyParallelColsCtx — today a shim over the serial ε-grid grouper.
-	frag    *morselFragment
-	workers int
-
-	// colPlan, when set by the planner, routes open() through the tuple-free
-	// columnar fast path (see colbatch.go). It subsumes frag/workers: its own
-	// worker count decides the serial/parallel grouping split.
-	colPlan *colPlan
-
 	rows []Row
 	pos  int
 
 	// LastStats exposes the core grouper's cost counters for the most
 	// recent execution, used by the benchmark harness, the metrics
 	// registry, and EXPLAIN ANALYZE. lastDropped counts the tuples
-	// discarded by ON-OVERLAP ELIMINATE. lastWorkers/lastMorsels record
-	// the parallel shape (0 when the serial path ran).
+	// discarded by ON-OVERLAP ELIMINATE.
 	lastStats   core.Stats
 	lastDropped int
-	lastWorkers int
-	lastMorsels int
 }
 
 func (a *sgbAggOp) schema() Schema { return a.sch }
 func (a *sgbAggOp) close() error   { return nil }
-
-func (a *sgbAggOp) parallelRun() (int, int) { return a.lastWorkers, a.lastMorsels }
-
-// collectSerial drains the child operator batch-wise into a tuple buffer.
-func (a *sgbAggOp) collectSerial() ([]Row, error) {
-	if err := a.child.open(); err != nil {
-		return nil, err
-	}
-	defer a.child.close()
-	var tuples []Row
-	buf := make([]Row, 0, a.qc.batchSize())
-	for {
-		batch, err := fetchBatch(a.child, buf, a.qc)
-		if err == io.EOF {
-			return tuples, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if err := a.qc.poll(); err != nil {
-			return nil, err
-		}
-		if err := a.qc.addRows(len(batch)); err != nil {
-			return nil, err
-		}
-		if len(batch) > 0 {
-			if err := a.qc.growMem(int64(len(batch)) * memRowBytes(len(batch[0]))); err != nil {
-				return nil, err
-			}
-		}
-		tuples = append(tuples, batch...)
-	}
-}
-
-// collectParallel evaluates the morsel fragment across the worker pool and
-// reassembles the surviving tuples in ascending morsel order, which — morsels
-// being contiguous input ranges — reproduces the serial input order exactly.
-func (a *sgbAggOp) collectParallel() ([]Row, error) {
-	chunks := make([][]Row, a.frag.morselCount(a.qc))
-	morsels, used, err := a.frag.run(a.qc, a.workers, func(m int, rows []Row) error {
-		if err := a.qc.addRows(len(rows)); err != nil {
-			return err
-		}
-		if len(rows) > 0 {
-			if err := a.qc.growMem(int64(len(rows)) * memRowBytes(len(rows[0]))); err != nil {
-				return err
-			}
-		}
-		chunks[m] = append([]Row(nil), rows...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var total int
-	for _, c := range chunks {
-		total += len(c)
-	}
-	tuples := make([]Row, 0, total)
-	for _, c := range chunks {
-		tuples = append(tuples, c...)
-	}
-	a.lastWorkers, a.lastMorsels = used, morsels
-	return tuples, nil
-}
 
 // colsOf maps the tuples onto the columnar grouping-space point set: one flat
 // float64 column per grouping expression, carved out of a single arena. The
@@ -827,9 +747,9 @@ func (a *sgbAggOp) colsOf(tuples []Row) (geom.Cols, error) {
 	return cols, nil
 }
 
-// groupSerial feeds the columnar point set through the single-threaded core
-// grouper matching the spec's mode and the session's algorithm.
-func (a *sgbAggOp) groupSerial(pts geom.Cols, opt core.Options) (*core.Result, error) {
+// group feeds the columnar point set through the core grouper matching the
+// spec's mode and the session's algorithm.
+func (a *sgbAggOp) group(pts geom.Cols, opt core.Options) (*core.Result, error) {
 	if a.spec.Mode == SGBAllMode {
 		g, err := core.NewAllGrouper(opt)
 		if err != nil {
@@ -856,42 +776,24 @@ func (a *sgbAggOp) groupSerial(pts geom.Cols, opt core.Options) (*core.Result, e
 }
 
 func (a *sgbAggOp) open() error {
-	a.lastWorkers, a.lastMorsels = 0, 0
-	if a.colPlan != nil {
-		return a.openColumnar()
-	}
-	parallel := a.frag != nil && a.workers > 1 && a.spec.Mode == SGBAnyMode
-	var tuples []Row
-	var err error
-	if parallel {
-		tuples, err = a.collectParallel()
-	} else {
-		tuples, err = a.collectSerial()
-	}
+	tuples, err := materialize(a.child, a.qc)
 	if err != nil {
 		return err
 	}
-	a.rows = a.rows[:0]
+	a.rows, a.pos = a.rows[:0], 0
 	if len(tuples) == 0 {
-		a.pos = 0
 		return nil
 	}
 	cols, err := a.colsOf(tuples)
 	if err != nil {
 		return err
 	}
-	opt := core.Options{
+	res, err := a.group(cols, core.Options{
 		Metric:    a.spec.Metric,
 		Eps:       a.spec.Eps,
 		Overlap:   a.spec.Overlap,
 		Algorithm: a.algorithm,
-	}
-	var res *core.Result
-	if parallel {
-		res, err = core.SGBAnyParallelColsCtx(a.qc.context(), cols, opt, a.workers)
-	} else {
-		res, err = a.groupSerial(cols, opt)
-	}
+	})
 	if err != nil {
 		return err
 	}
@@ -903,9 +805,10 @@ func (a *sgbAggOp) open() error {
 	if err := a.qc.growMem(int64(len(res.Groups)) * (memBucketOverheadBytes + memRowBytes(outWidth))); err != nil {
 		return err
 	}
+	// Groups are folded one at a time, so one accumulator serves them all.
+	var acc groupAccumulator
 	for _, grp := range res.Groups {
-		acc, err := newGroupAccumulator(a.calls)
-		if err != nil {
+		if err := acc.reset(a.calls); err != nil {
 			return err
 		}
 		for _, id := range grp.IDs {
@@ -914,7 +817,7 @@ func (a *sgbAggOp) open() error {
 			}
 		}
 		rep := tuples[grp.IDs[0]]
-		out := make(Row, 0, len(a.groupExprs)+len(a.calls))
+		out := make(Row, 0, outWidth)
 		for _, g := range a.groupExprs {
 			v, err := g(rep)
 			if err != nil {
@@ -922,10 +825,8 @@ func (a *sgbAggOp) open() error {
 			}
 			out = append(out, v)
 		}
-		out = append(out, acc.results()...)
-		a.rows = append(a.rows, out)
+		a.rows = append(a.rows, acc.appendResults(out))
 	}
-	a.pos = 0
 	return nil
 }
 

@@ -62,12 +62,8 @@ func describeOp(op operator) (label string, children []operator, known bool) {
 		if op.spec.Mode == SGBAnyMode {
 			mode = "DISTANCE-TO-ANY"
 		}
-		prefix := ""
-		if op.frag != nil && op.workers > 1 {
-			prefix = "Parallel "
-		}
-		return fmt.Sprintf("%sSimilarityGroupBy %s %s WITHIN %g [%s] (%d aggregate(s))",
-			prefix, mode, op.spec.Metric, op.spec.Eps, op.algorithm, len(op.calls)), []operator{op.child}, true
+		return fmt.Sprintf("SimilarityGroupBy %s %s WITHIN %g [%s] (%d aggregate(s))",
+			mode, op.spec.Metric, op.spec.Eps, op.algorithm, len(op.calls)), []operator{op.child}, true
 	}
 	return fmt.Sprintf("%T", op), nil, false
 }

@@ -136,8 +136,8 @@ func TestExplainGolden(t *testing.T) {
 			name: "sgb all join-any l2",
 			sql:  "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL L2 WITHIN 3 ON-OVERLAP JOIN-ANY",
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=19.0)",
-				"  SimilarityGroupBy DISTANCE-TO-ALL JOIN-ANY L2 WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=17.8)",
+				"Project (count) (est_rows=1 est_cost=20.0)",
+				"  SimilarityGroupBy DISTANCE-TO-ALL JOIN-ANY L2 WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=18.8)",
 				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5)",
 			},
 		},
@@ -145,8 +145,8 @@ func TestExplainGolden(t *testing.T) {
 			name: "sgb all eliminate linf",
 			sql:  "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 3 ON-OVERLAP ELIMINATE",
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=19.0)",
-				"  SimilarityGroupBy DISTANCE-TO-ALL ELIMINATE LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=17.8)",
+				"Project (count) (est_rows=1 est_cost=20.0)",
+				"  SimilarityGroupBy DISTANCE-TO-ALL ELIMINATE LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=18.8)",
 				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5)",
 			},
 		},
@@ -154,8 +154,8 @@ func TestExplainGolden(t *testing.T) {
 			name: "sgb all form-new-group linf",
 			sql:  "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 3 ON-OVERLAP FORM-NEW-GROUP",
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=19.0)",
-				"  SimilarityGroupBy DISTANCE-TO-ALL FORM-NEW-GROUP LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=17.8)",
+				"Project (count) (est_rows=1 est_cost=20.0)",
+				"  SimilarityGroupBy DISTANCE-TO-ALL FORM-NEW-GROUP LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=18.8)",
 				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5)",
 			},
 		},
@@ -163,8 +163,8 @@ func TestExplainGolden(t *testing.T) {
 			name: "sgb any l2",
 			sql:  "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1.5",
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=25.2)",
-				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=24.0)",
+				"Project (count) (est_rows=1 est_cost=26.2)",
+				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=25.0)",
 				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5)",
 			},
 		},
@@ -174,8 +174,8 @@ func TestExplainGolden(t *testing.T) {
 			sql:  "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1.5",
 			alg:  "index",
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=762.8)",
-				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [on-the-fly Index] (1 aggregate(s)) (est_rows=1 est_cost=761.5)",
+				"Project (count) (est_rows=1 est_cost=763.8)",
+				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [on-the-fly Index] (1 aggregate(s)) (est_rows=1 est_cost=762.5)",
 				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5)",
 			},
 		},
@@ -285,8 +285,8 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			name: "sgb all join-any linf",
 			sql:  "EXPLAIN ANALYZE SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 3 ON-OVERLAP JOIN-ANY",
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=19.0) (actual rows=2 loops=1 time=X ms)",
-				"  SimilarityGroupBy DISTANCE-TO-ALL JOIN-ANY LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=17.8) (actual rows=2 loops=1 time=X ms)",
+				"Project (count) (est_rows=1 est_cost=20.0) (actual rows=2 loops=1 time=X ms)",
+				"  SimilarityGroupBy DISTANCE-TO-ALL JOIN-ANY LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=18.8) (actual rows=2 loops=1 time=X ms)",
 				"    SGB Stats: points=5 distance_comps=8 rect_tests=0 hull_tests=0 window_queries=0 index_updates=0 rounds=1 merged=0 dropped=0",
 				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5) (actual rows=5 loops=1 time=X ms)",
 				"Planning Time: X ms",
@@ -297,8 +297,8 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			name: "sgb all eliminate linf",
 			sql:  "EXPLAIN ANALYZE SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 3 ON-OVERLAP ELIMINATE",
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=19.0) (actual rows=2 loops=1 time=X ms)",
-				"  SimilarityGroupBy DISTANCE-TO-ALL ELIMINATE LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=17.8) (actual rows=2 loops=1 time=X ms)",
+				"Project (count) (est_rows=1 est_cost=20.0) (actual rows=2 loops=1 time=X ms)",
+				"  SimilarityGroupBy DISTANCE-TO-ALL ELIMINATE LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=18.8) (actual rows=2 loops=1 time=X ms)",
 				"    SGB Stats: points=5 distance_comps=10 rect_tests=0 hull_tests=0 window_queries=0 index_updates=0 rounds=1 merged=0 dropped=1",
 				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5) (actual rows=5 loops=1 time=X ms)",
 				"Planning Time: X ms",
@@ -309,8 +309,8 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			name: "sgb any l2",
 			sql:  "EXPLAIN ANALYZE SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1.5",
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=25.2) (actual rows=3 loops=1 time=X ms)",
-				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=24.0) (actual rows=3 loops=1 time=X ms)",
+				"Project (count) (est_rows=1 est_cost=26.2) (actual rows=3 loops=1 time=X ms)",
+				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=25.0) (actual rows=3 loops=1 time=X ms)",
 				"    SGB Stats: points=5 distance_comps=10 rect_tests=0 hull_tests=0 window_queries=0 index_updates=0 rounds=1 merged=2 dropped=0",
 				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5) (actual rows=5 loops=1 time=X ms)",
 				"Planning Time: X ms",
@@ -466,4 +466,25 @@ func TestExplainAnalyzeMatchesDirectExecution(t *testing.T) {
 
 func itoa(n int) string {
 	return string(rune('0' + n%10)) // test fixture row counts are single-digit
+}
+
+// TestExplainAnalyzeCountsBelowSGB: EXPLAIN ANALYZE runs the operator tree it
+// prints, so the scan below a SimilarityGroupBy reports the rows it produced
+// at any worker count, on a table larger than one batch.
+func TestExplainAnalyzeCountsBelowSGB(t *testing.T) {
+	db := NewDB()
+	loadNums(t, db, 3000, 23)
+	db.SetParallelism(4)
+	lines := planLines(t, db, "EXPLAIN ANALYZE SELECT count(*), avg(x) FROM nums WHERE v >= 0 GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 2")
+	for i, l := range lines {
+		if !strings.Contains(l, "SimilarityGroupBy") {
+			continue
+		}
+		below := strings.Join(lines[i+1:], "\n")
+		if !regexp.MustCompile(`SeqScan on nums .*actual rows=3000 loops=1 `).MatchString(below) {
+			t.Fatalf("the scan below SimilarityGroupBy did not report its 3000 rows:\n%s", strings.Join(lines, "\n"))
+		}
+		return
+	}
+	t.Fatalf("no SimilarityGroupBy node:\n%s", strings.Join(lines, "\n"))
 }

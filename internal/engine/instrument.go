@@ -67,10 +67,6 @@ func instrument(op operator) *instrumentedOp {
 		op.child = instrument(op.child)
 	case *sgbAggOp:
 		op.child = instrument(op.child)
-		// EXPLAIN ANALYZE observes the fully general row path so the child
-		// chain's actual row counts mean what the rendered tree says; the
-		// tuple-free fast path would bypass the instrumented operators.
-		op.colPlan = nil
 	case *distinctOp:
 		op.child = instrument(op.child)
 	}
@@ -112,12 +108,8 @@ func (a *hashAggOp) actuals() string {
 // paper's cost analysis reasons about — under the SimilarityGroupBy node.
 func (a *sgbAggOp) actuals() string {
 	s := a.lastStats
-	line := fmt.Sprintf(
+	return fmt.Sprintf(
 		"SGB Stats: points=%d distance_comps=%d rect_tests=%d hull_tests=%d window_queries=%d index_updates=%d rounds=%d merged=%d dropped=%d",
 		s.Points, s.DistanceComps, s.RectTests, s.HullTests,
 		s.WindowQueries, s.IndexUpdates, s.Rounds, s.GroupsMerged, a.lastDropped)
-	if a.lastWorkers > 1 {
-		line += fmt.Sprintf(" workers=%d batches=%d", a.lastWorkers, a.lastMorsels)
-	}
-	return line
 }

@@ -98,11 +98,8 @@ type queryCtx struct {
 	// instrumented operators and stashes the EXPLAIN ANALYZE tree on the
 	// statement trace (see DB.SetTraceSampling).
 	analyze bool
-	// noColumnar disables the columnar SGB fast path for this statement
-	// (session setting, see DB.SetColumnar). The zero value keeps it on.
-	noColumnar bool
-	rows       atomic.Int64
-	calls      atomic.Uint64
+	rows    atomic.Int64
+	calls   atomic.Uint64
 	// mem is the statement's memory account with the process governor; nil
 	// when no budget or per-query memory limit is configured.
 	mem *memAccount
@@ -186,13 +183,6 @@ func (q *queryCtx) parallelism() int {
 		return 1
 	}
 	return q.workers
-}
-
-// columnar reports whether the statement may take the columnar SGB fast
-// path. Plan-only contexts keep it enabled (the gate has further structural
-// requirements anyway).
-func (q *queryCtx) columnar() bool {
-	return q == nil || !q.noColumnar
 }
 
 // algorithm is the statement's SGB physical algorithm. Plan-only contexts

@@ -10,10 +10,10 @@ import (
 // pipeline fragment feeding an aggregation, and the fragment's input table is
 // carved into fixed-size morsels that a worker pool claims with an atomic
 // counter. Each morsel is evaluated through the fragment's stages entirely on
-// one worker and handed to the consumer tagged with its morsel index, so
-// order-sensitive consumers (two-phase hash aggregation, SGB input collection)
-// can merge partial results in ascending morsel order and stay deterministic
-// regardless of scheduling.
+// one worker and handed to the consumer tagged with its morsel index, so an
+// order-sensitive consumer (two-phase hash aggregation) can merge partial
+// results in ascending morsel order and stay deterministic regardless of
+// scheduling.
 
 // morselStage is one pipeline stage applied to a morsel's rows: a filter
 // predicate or a projection. Exactly one of pred/fns is set.

@@ -60,7 +60,8 @@ func sortedRowStrings(res *Result) []string {
 
 // TestParallelMatchesSerial is the equivalence property test: for GROUP BY,
 // SGB-Any, join, and LIMIT queries, execution with any worker count (1
-// included) and a small batch size — which forces morsel-parallel plans —
+// included) and a small batch size — which forces morsel-parallel plans where
+// the planner has them (hash aggregation; SGB has one plan at any count) —
 // returns a row multiset identical to the serial run.
 func TestParallelMatchesSerial(t *testing.T) {
 	db := NewDB()
@@ -116,8 +117,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 // TestParallelPlanShape asserts that a qualifying plan actually takes the
 // parallel path (EXPLAIN label, ANALYZE actuals, metrics) and that
-// disqualified plans — DISTINCT aggregates, subquery predicates, small
-// tables — stay serial.
+// disqualified plans — similarity aggregates, DISTINCT aggregates, subquery
+// predicates, small tables — stay serial.
 func TestParallelPlanShape(t *testing.T) {
 	db := NewDB()
 	loadNums(t, db, 2000, 3)
@@ -145,9 +146,10 @@ func TestParallelPlanShape(t *testing.T) {
 	if !strings.Contains(p, "workers=4") || !strings.Contains(p, "batches=") {
 		t.Fatalf("expected workers=4 batches= in ANALYZE actuals, got:\n%s", p)
 	}
+	// SGB has one plan whatever the worker count.
 	p = plan("EXPLAIN ANALYZE SELECT count(*) FROM nums GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 2")
-	if !strings.Contains(p, "Parallel SimilarityGroupBy") || !strings.Contains(p, "workers=4") {
-		t.Fatalf("expected parallel SGB node with workers=4, got:\n%s", p)
+	if !strings.Contains(p, "SimilarityGroupBy") || strings.Contains(p, "Parallel") || strings.Contains(p, "workers=") {
+		t.Fatalf("expected the plain SimilarityGroupBy node, got:\n%s", p)
 	}
 
 	snap := db.Metrics().Snapshot()
@@ -273,7 +275,7 @@ func TestParallelRowLimitAcrossWorkers(t *testing.T) {
 	db.SetParallelism(4)
 	db.SetBatchSize(64)
 	db.SetLimits(Limits{MaxRowsMaterialized: 500})
-	_, err := db.Query("SELECT count(*), min(id) FROM nums GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 3")
+	_, err := db.Query("SELECT id, count(*) FROM nums WHERE v >= 0 GROUP BY id")
 	var rle *ResourceLimitError
 	if !errors.As(err, &rle) {
 		t.Fatalf("err = %v, want ResourceLimitError", err)

@@ -3,8 +3,6 @@ package engine
 import (
 	"fmt"
 	"strconv"
-
-	"sgb/internal/core"
 )
 
 // planContext carries the catalog and SGB configuration through planning,
@@ -469,8 +467,6 @@ func (pc *planContext) planAggregate(stmt *SelectStmt, child operator, orderBy [
 			algAuto:    auto,
 			qc:         pc.qc,
 		}
-		pc.markParallelSGB(op, groupExprs, rw)
-		pc.markColumnarSGB(op, groupExprs, rw)
 		pc.sgbOps = append(pc.sgbOps, op)
 		aggOp = op
 	} else {
@@ -546,35 +542,6 @@ func (pc *planContext) markParallelHashAgg(op *hashAggOp, groupExprs []Expr, rw 
 	}
 	for j, c := range rw.calls {
 		if !c.mergeable() || !exprParallelSafe(rw.callExprs[j]) {
-			return
-		}
-	}
-	op.frag, op.workers = frag, pc.qc.parallelism()
-	pc.parOps = append(pc.parOps, op)
-}
-
-// markParallelSGB flags an SGB operator for parallel execution: morsel-
-// parallel input collection, then the core's SGBAnyParallelColsCtx (today a
-// shim over the serial ε-grid grouper). Only SGB-Any under the default
-// on-the-fly-index algorithm qualifies: its output does not depend on the
-// order collection delivers the points in (connected components are
-// order-free), whereas SGB-All's group formation is input-order- and
-// overlap-clause-sensitive. Keeping the
-// explicitly selected All-Pairs/Bounds-Checking variants serial also
-// preserves their meaning as benchmark baselines.
-func (pc *planContext) markParallelSGB(op *sgbAggOp, groupExprs []Expr, rw *aggRewriter) {
-	if op.spec.Mode != SGBAnyMode || op.algorithm != core.IndexBounds {
-		return
-	}
-	frag := pc.parallelFragment(op.child, groupExprs)
-	if frag == nil {
-		return
-	}
-	// Aggregate evaluation runs on the driver after grouping, so call
-	// arguments need not be goroutine-safe; the gate stays symmetric with
-	// hash aggregation anyway to keep parallel-plan eligibility predictable.
-	for _, e := range rw.callExprs {
-		if !exprParallelSafe(e) {
 			return
 		}
 	}

@@ -30,12 +30,6 @@ type Settings struct {
 	Parallelism int
 	// BatchSize is the batch/morsel row count; 0 = the engine default.
 	BatchSize int
-	// NoColumnar disables the columnar SGB fast path (flat coordinate
-	// columns + batch distance kernels, bypassing per-tuple Row
-	// materialization for eligible plans). The zero value keeps it enabled;
-	// disabling is mainly useful for benchmarks comparing against the
-	// row-at-a-time path.
-	NoColumnar bool
 	// NoOptimize disables the cost-based analyzer rules, producing the naive
 	// plan lowering. Semantics are unchanged; plan-equivalence tests use it
 	// as the reference.
@@ -125,14 +119,6 @@ func (s *Session) SetBatchSize(n int) {
 	}
 	s.mu.Lock()
 	s.set.BatchSize = n
-	s.mu.Unlock()
-}
-
-// SetColumnar enables or disables the columnar SGB fast path for subsequent
-// statements on this session only. It is enabled by default.
-func (s *Session) SetColumnar(on bool) {
-	s.mu.Lock()
-	s.set.NoColumnar = !on
 	s.mu.Unlock()
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -227,5 +228,116 @@ func TestSGBL1MetricViaSQL(t *testing.T) {
 	}
 	if len(res.Rows) != 1 {
 		t.Fatalf("LINF grouped %d groups, want 1", len(res.Rows))
+	}
+}
+
+// loadGrid populates a table with ε-grid-adversarial float coordinates:
+// exact multiples of eps nudged by ±ULP-scale deltas, the inputs most likely
+// to expose any disagreement between the ε-grid's cell arithmetic, the batch
+// kernels and the per-point geom.Within calls.
+func loadGrid(t *testing.T, db *DB, n int, dim int, eps float64, seed int64) {
+	t.Helper()
+	cols := "x FLOAT"
+	if dim >= 2 {
+		cols += ", y FLOAT"
+	}
+	if dim >= 3 {
+		cols += ", z FLOAT"
+	}
+	if _, err := db.Exec(fmt.Sprintf("CREATE TABLE pts (id INT, %s)", cols)); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := db.Catalog().Get("pts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(seed))
+	deltas := []float64{0, 0, 1e-16, -1e-16, 1e-9, -1e-9, eps / 2}
+	rows := make([]Row, n)
+	for i := range rows {
+		row := Row{NewInt(int64(i))}
+		for d := 0; d < dim; d++ {
+			cell := float64(r.Intn(9) - 4)
+			row = append(row, NewFloat(cell*eps+deltas[r.Intn(len(deltas))]))
+		}
+		rows[i] = row
+	}
+	if err := tab.Insert(rows...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestColumnarMatchesRowPath is the engine's cross-algorithm check on
+// adversarial coordinates: every DISTANCE-TO-ANY statement must return
+// bit-identical rows under \alg index and \alg allpairs, and every SGB
+// statement the same rows at any worker count, across metrics, semantics and
+// ε values. DISTANCE-TO-ALL is not compared across algorithms: its ε-rectangle
+// test and geom.Within disagree one ulp from the boundary, so Bounds-Checking
+// and the index admit members All-Pairs rejects on exactly these inputs.
+func TestColumnarMatchesRowPath(t *testing.T) {
+	for _, dim := range []int{1, 2} {
+		for _, eps := range []float64{0.25, 1.0} {
+			db := NewDB()
+			loadGrid(t, db, 900, dim, eps, int64(100*dim)+int64(eps*4))
+			db.SetBatchSize(64) // table > one batch: the planner may go parallel
+			group := "x"
+			if dim == 2 {
+				group = "x, y"
+			}
+			var anyQ, allQ []string
+			for _, m := range []string{"L2", "LINF", "L1"} {
+				anyQ = append(anyQ,
+					fmt.Sprintf("SELECT %s, count(*) FROM pts GROUP BY %s DISTANCE-TO-ANY %s WITHIN %g", group, group, m, eps),
+					fmt.Sprintf("SELECT %s, count(*) FROM pts WHERE id < 700 GROUP BY %s DISTANCE-TO-ANY %s WITHIN %g", group, group, m, eps),
+				)
+				allQ = append(allQ,
+					fmt.Sprintf("SELECT %s, count(*) FROM pts GROUP BY %s DISTANCE-TO-ALL %s WITHIN %g ON-OVERLAP JOIN-ANY", group, group, m, eps),
+					fmt.Sprintf("SELECT %s, count(*) FROM pts GROUP BY %s DISTANCE-TO-ALL %s WITHIN %g ON-OVERLAP ELIMINATE", group, group, m, eps),
+					fmt.Sprintf("SELECT %s, count(*) FROM pts GROUP BY %s DISTANCE-TO-ALL %s WITHIN %g ON-OVERLAP FORM-NEW-GROUP", group, group, m, eps),
+				)
+			}
+			// check runs q under both algorithms at every worker count.
+			check := func(q string, crossAlgorithm bool) {
+				var serial [2][]string // All-Pairs, index
+				for a, alg := range []core.Algorithm{core.AllPairs, core.IndexBounds} {
+					db.SetSGBAlgorithm(alg)
+					for _, workers := range []int{1, 2, 4} {
+						db.SetParallelism(workers)
+						res, err := db.Query(q)
+						if err != nil {
+							t.Fatalf("%s (%v, %d workers): %v", q, alg, workers, err)
+						}
+						got := rowStrings(res)
+						if workers == 1 {
+							serial[a] = got
+						} else if !reflect.DeepEqual(got, serial[a]) {
+							t.Fatalf("%s (%v): %d workers changed the answer\n got: %v\nwant: %v", q, alg, workers, got, serial[a])
+						}
+					}
+				}
+				if crossAlgorithm && !reflect.DeepEqual(serial[1], serial[0]) {
+					t.Fatalf("%s: index differs from allpairs\nindex:    %v\nallpairs: %v", q, serial[1], serial[0])
+				}
+			}
+			for _, q := range anyQ {
+				check(q, true)
+			}
+			for _, q := range allQ {
+				check(q, false)
+			}
+		}
+	}
+}
+
+// TestSGBRespectsRowLimit pins that the SGB operator charges the tuples it
+// buffers against MaxRowsMaterialized.
+func TestSGBRespectsRowLimit(t *testing.T) {
+	db := NewDB()
+	loadNums(t, db, 3000, 19)
+	db.SetLimits(Limits{MaxRowsMaterialized: 500})
+	_, err := db.Query("SELECT x, y, count(*) FROM nums GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 3")
+	var rle *ResourceLimitError
+	if !errors.As(err, &rle) {
+		t.Fatalf("err = %v, want ResourceLimitError", err)
 	}
 }

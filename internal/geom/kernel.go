@@ -13,8 +13,8 @@ import "math"
 // Verdict compatibility: for every row i, WithinMask's mask[i] is exactly
 // Within(m, row_i, q, eps). The kernels accumulate per-point terms in
 // ascending dimension order — the same floating-point operation chain as the
-// scalar predicate — so the columnar execution path is bit-identical to the
-// row-at-a-time path, not merely approximately equal.
+// scalar predicate — so a grouper probing through the kernels decides exactly
+// what one calling Within per point would, not merely approximately the same.
 
 // Cols is a columnar point set: column d holds coordinate d of every point,
 // so Cols is the transpose of a []Point. All columns always share one

@@ -134,18 +134,38 @@ type Row = engine.Row
 // then query with the similarity-extended SQL dialect.
 func NewDB() *DB { return engine.NewDB() }
 
-// GroupAnyParallel is a serial shim kept for its callers: it returns exactly
-// GroupAny's result under IndexBounds (the ε-grid). workers and
-// Options.Algorithm are ignored; the former grid-partition worker pool was
-// slower than the serial operator and is gone.
+// GroupAnyParallel is GroupAnyParallelCtx without a context.
+//
+// Deprecated: use GroupAny with Options.Algorithm set to IndexBounds.
 func GroupAnyParallel(points []Point, opt Options, workers int) (*Result, error) {
-	return core.SGBAnyParallel(points, opt, workers)
+	return GroupAnyParallelCtx(context.Background(), points, opt, workers)
 }
 
-// GroupAnyParallelCtx is GroupAnyParallel with a cancellation context: once
-// ctx is done the call returns ctx.Err() instead of a partial result.
-func GroupAnyParallelCtx(ctx context.Context, points []Point, opt Options, workers int) (*Result, error) {
-	return core.SGBAnyParallelCtx(ctx, points, opt, workers)
+// GroupAnyParallelCtx returns GroupAny's result under IndexBounds, whatever
+// workers and Options.Algorithm say (there is no parallel grouper). A done
+// ctx yields ctx.Err() instead of a partial result; it is checked before the
+// first point and after the last, whatever the poll stride in between.
+//
+// Deprecated: use NewAnyGrouper(opt).WithContext(ctx).
+func GroupAnyParallelCtx(ctx context.Context, points []Point, opt Options, _ int) (*Result, error) {
+	opt.Algorithm = IndexBounds
+	g, err := NewAnyGrouper(opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	g.WithContext(ctx)
+	for _, p := range points {
+		if _, err := g.Add(p); err != nil {
+			return nil, err
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return g.Finish()
 }
 
 // Limits bounds the resources a single SQL statement may consume; install

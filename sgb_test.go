@@ -1,9 +1,14 @@
 package sgb
 
 import (
+	"context"
+	"errors"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
+
+	"sgb/internal/core"
 )
 
 // TestFacadeGroupAll exercises the public operator API end to end on the
@@ -109,17 +114,49 @@ func TestFacadeEnumsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFacadeParallelMatchesSequential pins the deprecated GroupAnyParallel
+// pair to GroupAny under IndexBounds — groups and Stats, whatever workers and
+// Options.Algorithm say — and to their cancelled-context contract.
 func TestFacadeParallelMatchesSequential(t *testing.T) {
 	points := []Point{{0, 0}, {1, 0}, {2, 0}, {9, 9}, {9.5, 9.5}}
+	opt := Options{Metric: L1, Eps: 1.5, Algorithm: AllPairs}
 	seq, err := GroupAny(points, Options{Metric: L1, Eps: 1.5, Algorithm: IndexBounds})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := GroupAnyParallel(points, Options{Metric: L1, Eps: 1.5}, 3)
-	if err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{0, 3} {
+		par, err := GroupAnyParallel(points, opt, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seq.Groups, par.Groups) || seq.Stats != par.Stats {
+			t.Fatalf("workers=%d: %v %+v, GroupAny %v %+v", workers, par.Groups, par.Stats, seq.Groups, seq.Stats)
+		}
 	}
-	if !reflect.DeepEqual(seq.Groups, par.Groups) {
-		t.Fatalf("parallel %v vs sequential %v", par.Groups, seq.Groups)
+	if _, err := GroupAnyParallel([]Point{{1, 1}, {math.NaN(), 0}}, opt, 2); !errors.Is(err, core.ErrNonFiniteCoordinate) {
+		t.Fatalf("NaN coordinate: err = %v, want ErrNonFiniteCoordinate", err)
 	}
+	// Far fewer points than one poll stride of the grouper: only the checks
+	// before the first and after the last point can see the cancellation.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, ctx := range []context.Context{ctx, &cancelledOnSecondLook{Context: context.Background()}} {
+		if res, err := GroupAnyParallelCtx(ctx, points, opt, 3); res != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("%T: %v, %v, want context.Canceled and no result", ctx, res, err)
+		}
+	}
+}
+
+// cancelledOnSecondLook is live the first time Err is called and cancelled
+// from then on: a context that dies while the points are being grouped.
+type cancelledOnSecondLook struct {
+	context.Context
+	looks int
+}
+
+func (c *cancelledOnSecondLook) Err() error {
+	if c.looks++; c.looks > 1 {
+		return context.Canceled
+	}
+	return nil
 }
