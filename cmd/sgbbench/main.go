@@ -10,11 +10,8 @@
 //	sgbbench -exp table2 -sf 4
 //	sgbbench -json BENCH_1.json       # fixed probe suite → machine-readable
 //	                                  # snapshot (wall times + SGB counters)
-//	sgbbench -json BENCH_3.json -workers 4 -batch 512
-//	                                  # probe suite with an explicit morsel
-//	                                  # worker count and batch size; each probe
-//	                                  # also runs serially and the snapshot
-//	                                  # records speedup_vs_serial
+//	sgbbench -json BENCH_3.json -batch 512
+//	                                  # probe suite with an explicit batch size
 //
 // The -full flag raises every size knob towards the paper's configuration
 // (minutes of runtime rather than seconds).
@@ -47,8 +44,7 @@ func main() {
 		jsonOut    = flag.String("json", "", "run the fixed probe suite and write a machine-readable metrics snapshot to this file (e.g. BENCH_1.json), instead of the experiments")
 		jsonN      = flag.Int("jsonn", 5000, "check-in count for the -json probe suite")
 		timeout    = flag.Duration("timeout", 0, "per-probe wall-clock bound for the -json suite; a probe exceeding it fails the run (0 = unbounded)")
-		workers    = flag.Int("workers", 0, "morsel worker count for the -json probe suite's parallel runs (0 = GOMAXPROCS)")
-		batch      = flag.Int("batch", 0, "batch/morsel row count for the -json probe suite (0 = engine default)")
+		batch      = flag.Int("batch", 0, "batch row count for the -json probe suite (0 = engine default)")
 		gate       = flag.String("gate", "", "with -json: baseline snapshot (e.g. BENCH_7.json) to gate against; exits non-zero if any kernel probe's speedup-vs-scalar regressed >20% against it")
 		planGate   = flag.Float64("planner-gate", 0, "with -json: fail if any planner probe's auto p50 exceeds this multiple of its best manual algorithm's p50 (0 = off; CI uses 1.25)")
 		streamGate = flag.Float64("stream-gate", 0, "with -json: fail if any stream probe's incremental-maintenance speedup over full recompute falls below this ratio (0 = off; CI uses 10)")
@@ -56,7 +52,7 @@ func main() {
 	flag.Parse()
 
 	if *jsonOut != "" {
-		doc, err := writeBenchJSON(*jsonOut, *jsonN, *seed, *timeout, *workers, *batch)
+		doc, err := writeBenchJSON(*jsonOut, *jsonN, *seed, *timeout, *batch)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sgbbench:", err)
 			os.Exit(1)

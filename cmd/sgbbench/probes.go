@@ -28,14 +28,8 @@ import (
 // rectangle tests, window queries, merges), plus a full engine metrics
 // snapshot at the end of the run.
 //
-// Schema v2 additionally runs every probe twice — once serial, once with the
-// configured morsel worker count — and records both wall times plus the
-// speedup, so the parallel executor's trajectory is tracked alongside the
-// algorithmic counters. Probes the planner refuses to parallelize (SGB-All
-// modes, non-mergeable aggregates) naturally report a speedup near 1.
-//
 // Schema v3 raises the rep count and records the p50/p95/p99 wall times
-// (nearest-rank over the parallel variant's samples) next to the minimum, so
+// (nearest-rank over the probe's samples) next to the minimum, so
 // tail-latency regressions are visible even when the best-case time holds.
 // One additive extension tracks the columnar kernels: a kernel_probes section
 // times the geom batch kernels against an equivalent scalar geom.Within loop
@@ -52,9 +46,6 @@ type probeResult struct {
 	P50MS         float64 `json:"p50_ms"`
 	P95MS         float64 `json:"p95_ms"`
 	P99MS         float64 `json:"p99_ms"`
-	WallSerialMS  float64 `json:"wall_serial_ms"`
-	Speedup       float64 `json:"speedup_vs_serial"`
-	Workers       int     `json:"workers"`
 	Batch         int     `json:"batch"`
 	Rows          int     `json:"rows"`
 	DistanceComps int64   `json:"distance_comps"`
@@ -116,7 +107,6 @@ type benchDoc struct {
 	Dataset       string               `json:"dataset"`
 	N             int                  `json:"n"`
 	Seed          int64                `json:"seed"`
-	Workers       int                  `json:"workers"`
 	Batch         int                  `json:"batch"`
 	GOMAXPROCS    int                  `json:"gomaxprocs"`
 	Runs          []probeResult        `json:"runs"`
@@ -229,18 +219,15 @@ func runKernelProbes(n int, seed int64) []kernelProbeResult {
 // writeBenchJSON runs the probe suite and writes the document to path. A
 // non-zero timeout bounds each probe's execution through the engine's
 // cancellation machinery, so a runaway probe aborts mid-query rather than
-// hanging the suite. workers <= 0 resolves to GOMAXPROCS; batch <= 0 keeps
-// the engine default. The written document is also returned for the -gate
-// comparison.
-func writeBenchJSON(path string, n int, seed int64, timeout time.Duration, workers, batch int) (*benchDoc, error) {
+// hanging the suite. batch <= 0 keeps the engine default. The written
+// document is also returned for the -gate comparison.
+func writeBenchJSON(path string, n int, seed int64, timeout time.Duration, batch int) (*benchDoc, error) {
 	db := engine.NewDB()
 	cs := checkin.Generate(checkin.Config{N: n, Seed: seed})
 	if err := checkin.Load(db, "checkins", cs); err != nil {
 		return nil, err
 	}
 	db.SetBatchSize(batch)
-	db.SetParallelism(workers)
-	workers = db.Parallelism()
 	batch = db.BatchSize()
 
 	const eps = 0.25
@@ -280,8 +267,8 @@ func writeBenchJSON(path string, n int, seed int64, timeout time.Duration, worke
 	timeQuery := func(q string, timeout time.Duration) ([]time.Duration, *engine.Result, error) {
 		// Settle the heap first so a variant's samples are not taxed with
 		// collecting garbage produced by the previous variant's runs — the
-		// suite grew enough per-probe variants (serial, row-path, parallel)
-		// that carry-over GC debt visibly skewed later probes.
+		// suite has enough probes that carry-over GC debt visibly skewed
+		// later ones.
 		runtime.GC()
 		samples := make([]time.Duration, 0, probeReps)
 		best := time.Duration(0)
@@ -309,46 +296,27 @@ func writeBenchJSON(path string, n int, seed int64, timeout time.Duration, worke
 
 	doc := benchDoc{
 		SchemaVersion: 3, Dataset: "checkin", N: n, Seed: seed,
-		Workers: workers, Batch: batch, GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Batch: batch, GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 	for _, p := range probes {
 		db.SetSGBAlgorithm(p.alg)
-
-		db.SetParallelism(1)
-		serialSamples, serialRes, err := timeQuery(p.query, timeout)
-		if err != nil {
-			return nil, fmt.Errorf("probe %s (serial): %w", p.name, err)
-		}
-		serialWall := serialSamples[0]
-
-		db.SetParallelism(workers)
 		samples, res, err := timeQuery(p.query, timeout)
 		if err != nil {
 			return nil, fmt.Errorf("probe %s: %w", p.name, err)
 		}
-		wall := samples[0]
-		if len(res.Rows) != len(serialRes.Rows) {
-			return nil, fmt.Errorf("probe %s: parallel returned %d rows, serial %d",
-				p.name, len(res.Rows), len(serialRes.Rows))
-		}
 
 		run := probeResult{
-			Name:         p.name,
-			Query:        p.query,
-			Algorithm:    p.alg.String(),
-			N:            n,
-			Eps:          p.eps,
-			WallMS:       float64(wall.Nanoseconds()) / 1e6,
-			P50MS:        float64(percentile(samples, 50).Nanoseconds()) / 1e6,
-			P95MS:        float64(percentile(samples, 95).Nanoseconds()) / 1e6,
-			P99MS:        float64(percentile(samples, 99).Nanoseconds()) / 1e6,
-			WallSerialMS: float64(serialWall.Nanoseconds()) / 1e6,
-			Workers:      workers,
-			Batch:        batch,
-			Rows:         len(res.Rows),
-		}
-		if wall > 0 {
-			run.Speedup = float64(serialWall) / float64(wall)
+			Name:      p.name,
+			Query:     p.query,
+			Algorithm: p.alg.String(),
+			N:         n,
+			Eps:       p.eps,
+			WallMS:    float64(samples[0].Nanoseconds()) / 1e6,
+			P50MS:     float64(percentile(samples, 50).Nanoseconds()) / 1e6,
+			P95MS:     float64(percentile(samples, 95).Nanoseconds()) / 1e6,
+			P99MS:     float64(percentile(samples, 99).Nanoseconds()) / 1e6,
+			Batch:     batch,
+			Rows:      len(res.Rows),
 		}
 		if s := db.LastSGBStats(); s != nil {
 			run.DistanceComps = s.DistanceComps

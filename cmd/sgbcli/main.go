@@ -1,7 +1,7 @@
 // Command sgbcli is an interactive SQL shell for the similarity group-by
 // engine. By default it runs against an embedded in-process database; with
 // -connect host:port it speaks the wire protocol to a running sgbd instead,
-// and the settings meta commands (\alg, \parallel, \batch, \limits) map onto
+// and the settings meta commands (\alg, \batch, \limits) map onto
 // session-scoped settings of that connection.
 //
 // Statements end with ';'. Meta commands:
@@ -11,9 +11,7 @@
 //	\load checkin <N>    generate and load a check-in table ("checkins")
 //	\alg <name>          pick the SGB algorithm: auto (cost-based, the
 //	                     default) | allpairs | bounds | index
-//	\parallel [<n>]      set the morsel worker count (0 = auto/GOMAXPROCS,
-//	                     1 = serial; no args: show the resolved count)
-//	\batch [<n>]         set the batch/morsel row count (0 = engine default;
+//	\batch [<n>]         set the batch row count (0 = engine default;
 //	                     no args: show)
 //	\save <file>         snapshot the database to a file
 //	\open <file>         replace the session database with a snapshot
@@ -294,19 +292,6 @@ func meta(s *session, cmd string) bool {
 		} else {
 			fmt.Println("SGB algorithm:", db.SGBAlgorithm())
 		}
-	case "\\parallel":
-		if len(fields) == 2 {
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
-				fmt.Println("bad worker count:", fields[1])
-				break
-			}
-			db.SetParallelism(n)
-		} else if len(fields) != 1 {
-			fmt.Println("usage: \\parallel [<n>]  (0 = auto, 1 = serial)")
-			break
-		}
-		fmt.Println("parallel workers:", db.Parallelism())
 	case "\\batch":
 		if len(fields) == 2 {
 			n, err := strconv.Atoi(fields[1])
@@ -489,12 +474,6 @@ func metaRemote(s *session, cmd string) bool {
 			break
 		}
 		set("sgb_algorithm", fields[1])
-	case "\\parallel":
-		if len(fields) != 2 {
-			fmt.Println("usage: \\parallel <n>  (0 = auto, 1 = serial)")
-			break
-		}
-		set("parallelism", fields[1])
 	case "\\batch":
 		if len(fields) != 2 {
 			fmt.Println("usage: \\batch <n>  (0 = engine default)")

@@ -19,8 +19,7 @@
 //	                 exists; save back on graceful shutdown only
 //	-max-conns N     reject connections beyond N concurrently open (0 = off)
 //	-idle-timeout D  close connections idle between statements for D (0 = off)
-//	-parallel N      default session worker count (0 = auto/GOMAXPROCS)
-//	-batch N         default session batch/morsel row count (0 = engine default)
+//	-batch N         default session batch row count (0 = engine default)
 //	-max-rows N      default per-query row-materialization limit (0 = off)
 //	-max-time D      default per-query execution time limit (0 = off)
 //	-alg NAME        default SGB algorithm: auto (cost-based) | allpairs |
@@ -61,8 +60,8 @@
 // while draining; /healthz answers 200 whenever the process is up.
 //
 // Per-connection sessions inherit the flag defaults and may override them
-// with wire Set messages (sgbcli -connect maps \parallel, \batch, \limits,
-// \alg onto those). SIGINT/SIGTERM drain gracefully: the listener closes,
+// with wire Set messages (sgbcli -connect maps \batch, \limits, \alg
+// onto those). SIGINT/SIGTERM drain gracefully: the listener closes,
 // in-flight statements get -drain-timeout to finish, then a final checkpoint
 // (or the legacy snapshot) is saved.
 //
@@ -110,7 +109,6 @@ func main() {
 		snapshot     = flag.String("snapshot", "", "legacy snapshot file: loaded at boot if present, saved on graceful shutdown (not crash-safe; prefer -data-dir)")
 		maxConns     = flag.Int("max-conns", 0, "max concurrently open connections (0 = unlimited)")
 		idleTimeout  = flag.Duration("idle-timeout", 0, "close connections idle between statements this long (0 = never)")
-		parallel     = flag.Int("parallel", 0, "default session parallelism (0 = auto)")
 		batch        = flag.Int("batch", 0, "default session batch size (0 = engine default)")
 		maxRows      = flag.Int64("max-rows", 0, "default per-query rows-materialized limit (0 = unlimited)")
 		maxTime      = flag.Duration("max-time", 0, "default per-query execution time limit (0 = unlimited)")
@@ -137,7 +135,7 @@ func main() {
 		dataDir: *dataDir, fsync: *fsyncPolicy, fsyncInterval: *fsyncEvery,
 		checkpointInterval: *ckptEvery, snapshot: *snapshot,
 		maxConns: *maxConns, idleTimeout: *idleTimeout,
-		parallel: *parallel, batch: *batch, maxRows: *maxRows, maxTime: *maxTime,
+		batch: *batch, maxRows: *maxRows, maxTime: *maxTime,
 		alg: *alg, drainTimeout: *drainTimeout,
 		slowQuery: *slowQuery, slowlogSize: *slowlogSize, traceSample: *traceSample,
 		autoAnalyze: *autoAnalyze,
@@ -164,7 +162,7 @@ type daemonConfig struct {
 	snapshot           string
 	maxConns           int
 	idleTimeout        time.Duration
-	parallel, batch    int
+	batch              int
 	maxRows            int64
 	maxTime            time.Duration
 	alg                string
@@ -321,7 +319,6 @@ func run(cfg daemonConfig) error {
 	default:
 		return fmt.Errorf("unknown -alg %q (want auto|allpairs|bounds|index)", cfg.alg)
 	}
-	db.SetParallelism(cfg.parallel)
 	db.SetBatchSize(cfg.batch)
 	db.SetLimits(engine.Limits{MaxRowsMaterialized: cfg.maxRows, MaxExecutionTime: cfg.maxTime})
 	db.SetTraceSampling(cfg.traceSample)

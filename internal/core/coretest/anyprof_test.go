@@ -77,12 +77,14 @@ func BenchmarkAnyIndexCheckin(b *testing.B) {
 	}
 }
 
-// TestAnyStatementAllocBudget is the second row (ROADMAP 5a): what one SGB-Any
+// TestAnyStatementAllocBudget is the second row (ROADMAP 5a): what one
 // statement over the same 8000 check-ins allocates, end to end through the
-// engine's SGB operator, within 5 % of the 6,869 and 23,724 measured when that
-// operator became the only one. The first statement folds nothing but
-// count(*) — every allocation is the operator's own — and the second is the
-// benchmark's any_hotspot. Budgets only ratchet down.
+// engine, within 5 % of what was measured when it last moved. The first
+// statement folds nothing but count(*) — every allocation is the SGB
+// operator's own (6,869) — and the second is the benchmark's any_hotspot
+// (7,724 once aggregate arguments reused one slice per call, 2 × 8000 fewer
+// than before). The third is a filtered hash aggregation (13,280). Budgets
+// only ratchet down.
 func TestAnyStatementAllocBudget(t *testing.T) {
 	db := engine.NewDB()
 	if err := checkin.Load(db, "checkins", checkin.Generate(checkin.Config{N: 8000, Seed: 1})); err != nil {
@@ -93,7 +95,8 @@ func TestAnyStatementAllocBudget(t *testing.T) {
 		budget float64
 	}{
 		{"SELECT lat, lon, count(*) FROM checkins GROUP BY lat, lon DISTANCE-TO-ANY L2 WITHIN 0.25", 7200},
-		{"SELECT count(*), avg(lat), avg(lon) FROM checkins GROUP BY lat, lon DISTANCE-TO-ANY L2 WITHIN 0.25", 24900},
+		{"SELECT count(*), avg(lat), avg(lon) FROM checkins GROUP BY lat, lon DISTANCE-TO-ANY L2 WITHIN 0.25", 8100},
+		{"SELECT user_id, count(*), avg(lat) FROM checkins WHERE lon > -96 GROUP BY user_id", 13900},
 	} {
 		allocs := testing.AllocsPerRun(5, func() {
 			if _, err := db.Exec(c.sql); err != nil {

@@ -20,13 +20,10 @@ func isAggregateName(name string) bool {
 	return false
 }
 
-// aggState accumulates one aggregate over the rows of one group. merge folds
-// another accumulator of the same concrete type into the receiver — the
-// second phase of two-phase parallel aggregation, where per-morsel partial
-// states are combined in morsel order into the global state.
+// aggState accumulates one aggregate over the rows of one group. add must
+// not retain args: the caller reuses the slice for the next row.
 type aggState interface {
 	add(args []Value) error
-	merge(other aggState) error
 	result() Value
 }
 
@@ -86,11 +83,6 @@ func (a *countAgg) add(args []Value) error {
 
 func (a *countAgg) result() Value { return NewInt(a.n) }
 
-func (a *countAgg) merge(other aggState) error {
-	a.n += other.(*countAgg).n
-	return nil
-}
-
 type sumAgg struct {
 	anyRow  bool
 	isFloat bool // a float input — or an int64 overflow — promoted the sum
@@ -131,36 +123,6 @@ func (a *sumAgg) add(args []Value) error {
 	return nil
 }
 
-func (a *sumAgg) merge(other aggState) error {
-	b := other.(*sumAgg)
-	if !b.anyRow {
-		return nil
-	}
-	if !a.anyRow {
-		*a = *b
-		return nil
-	}
-	if a.isFloat || b.isFloat {
-		af, bf := a.f, b.f
-		if !a.isFloat {
-			af = float64(a.i)
-		}
-		if !b.isFloat {
-			bf = float64(b.i)
-		}
-		a.isFloat, a.f = true, af+bf
-		return nil
-	}
-	s := a.i + b.i
-	if (a.i > 0 && b.i > 0 && s < 0) || (a.i < 0 && b.i < 0 && s >= 0) {
-		a.isFloat = true
-		a.f = float64(a.i) + float64(b.i)
-		return nil
-	}
-	a.i = s
-	return nil
-}
-
 func (a *sumAgg) result() Value {
 	if !a.anyRow {
 		return Null
@@ -187,13 +149,6 @@ func (a *avgAgg) add(args []Value) error {
 	}
 	a.n++
 	a.f += f
-	return nil
-}
-
-func (a *avgAgg) merge(other aggState) error {
-	b := other.(*avgAgg)
-	a.n += b.n
-	a.f += b.f
 	return nil
 }
 
@@ -229,14 +184,6 @@ func (a *minMaxAgg) add(args []Value) error {
 	return nil
 }
 
-func (a *minMaxAgg) merge(other aggState) error {
-	b := other.(*minMaxAgg)
-	if !b.seen {
-		return nil
-	}
-	return a.add([]Value{b.best})
-}
-
 func (a *minMaxAgg) result() Value {
 	if !a.seen {
 		return Null
@@ -253,11 +200,6 @@ func (a *arrayAgg) add(args []Value) error {
 	if !args[0].IsNull() {
 		a.items = append(a.items, args[0].String())
 	}
-	return nil
-}
-
-func (a *arrayAgg) merge(other aggState) error {
-	a.items = append(a.items, other.(*arrayAgg).items...)
 	return nil
 }
 
@@ -284,11 +226,6 @@ func (a *polygonAgg) add(args []Value) error {
 		return fmt.Errorf("engine: st_polygon y: %v", err)
 	}
 	a.pts = append(a.pts, geom.Point{x, y})
-	return nil
-}
-
-func (a *polygonAgg) merge(other aggState) error {
-	a.pts = append(a.pts, other.(*polygonAgg).pts...)
 	return nil
 }
 
@@ -338,25 +275,6 @@ func (a *varianceAgg) add(args []Value) error {
 	return nil
 }
 
-// merge combines two Welford states with the parallel-variance update of
-// Chan, Golub & LeVeque, keeping the numerically stable m2 formulation.
-func (a *varianceAgg) merge(other aggState) error {
-	b := other.(*varianceAgg)
-	if b.n == 0 {
-		return nil
-	}
-	if a.n == 0 {
-		a.n, a.mean, a.m2 = b.n, b.mean, b.m2
-		return nil
-	}
-	n := a.n + b.n
-	delta := b.mean - a.mean
-	a.mean += delta * float64(b.n) / float64(n)
-	a.m2 += b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(n)
-	a.n = n
-	return nil
-}
-
 func (a *varianceAgg) result() Value {
 	if a.n < 2 {
 		return Null // sample variance is undefined below two values
@@ -382,6 +300,11 @@ type aggCall struct {
 	star     bool
 	distinct bool
 	args     []evalFn
+	// scratch holds one row's argument values. A plan runs on its statement's
+	// goroutine, so one slice per call serves every row; no aggState keeps
+	// it (distinctAgg keys a string, arrayAgg stores String(), minMaxAgg
+	// copies the Value, polygonAgg copies floats).
+	scratch []Value
 }
 
 func (c *aggCall) newState() (aggState, error) {
@@ -397,11 +320,6 @@ func (c *aggCall) newState() (aggState, error) {
 	}
 	return st, nil
 }
-
-// mergeable reports whether the call's partial states can be combined with
-// aggState.merge. DISTINCT aggregates cannot: deduplication must see every
-// tuple of the group in one place.
-func (c *aggCall) mergeable() bool { return !c.distinct }
 
 // distinctAgg wraps an accumulator so each distinct argument tuple is
 // accumulated once per group (count/sum/avg/... DISTINCT).
@@ -419,26 +337,21 @@ func (a *distinctAgg) add(args []Value) error {
 	return a.inner.add(args)
 }
 
-// merge is unsupported: two partial DISTINCT states have already folded their
-// deduplicated tuples into the inner accumulators, so cross-partial duplicates
-// cannot be undone. The planner never marks plans with DISTINCT aggregates
-// parallel (see aggCall.mergeable); this is the backstop.
-func (a *distinctAgg) merge(other aggState) error {
-	return fmt.Errorf("engine: internal error: DISTINCT aggregate state cannot be merged")
-}
-
 func (a *distinctAgg) result() Value { return a.inner.result() }
 
+// evalArgs evaluates the call's arguments over r into c.scratch.
 func (c *aggCall) evalArgs(r Row) ([]Value, error) {
-	out := make([]Value, len(c.args))
+	if c.scratch == nil {
+		c.scratch = make([]Value, len(c.args))
+	}
 	for i, f := range c.args {
 		v, err := f(r)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = v
+		c.scratch[i] = v
 	}
-	return out, nil
+	return c.scratch, nil
 }
 
 // groupAccumulator bundles the states of all aggregate calls for one group.
@@ -471,16 +384,6 @@ func (g *groupAccumulator) add(calls []*aggCall, r Row) error {
 			return err
 		}
 		if err := g.states[i].add(args); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// merge folds another group's partial states into g, call by call.
-func (g *groupAccumulator) merge(o *groupAccumulator) error {
-	for i, st := range g.states {
-		if err := st.merge(o.states[i]); err != nil {
 			return err
 		}
 	}

@@ -242,11 +242,8 @@ func (pc *planContext) applyTreeRules(op operator) (operator, bool) {
 		l, chL := pc.applyTreeRules(o.left)
 		r, chR := pc.applyTreeRules(o.right)
 		o.left, o.right, changed = l, r, changed || chL || chR
-		// Aggregation operators' children are deliberately left alone: a hash
-		// aggregation's morsel fragment was extracted from the child chain at
-		// lowering time, and rewriting underneath it would invalidate that. No
-		// tree rule targets those chains anyway (limits never occur below an
-		// aggregation).
+		// Aggregation operators' children are left alone: no tree rule
+		// targets those chains (limits never occur below an aggregation).
 	}
 	return out, changed
 }

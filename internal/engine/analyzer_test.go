@@ -45,39 +45,34 @@ func analyzerDB(t *testing.T) *DB {
 // TestAnalyzerRewritesAreBitIdentical is the property test behind every
 // analyzer rule: for each workload query, the fully optimized plan (auto
 // algorithm selection included) must return byte-identical rows, in the same
-// order, as the naive plan produced with the optimizer off — across worker
-// counts and batch sizes, so the morsel-parallel variants are held to the
-// same standard. Run under -race in CI.
+// order, as the naive plan produced with the optimizer off — across batch
+// sizes. Run under -race in CI.
 func TestAnalyzerRewritesAreBitIdentical(t *testing.T) {
 	db := analyzerDB(t)
-	for _, workers := range []int{1, 4} {
-		for _, batch := range []int{0, 256} {
-			db.SetParallelism(workers)
-			db.SetBatchSize(batch)
-			for _, q := range analyzerQueries {
-				db.SetOptimizer(false)
-				naive, err := db.Exec(q)
-				if err != nil {
-					t.Fatalf("naive %s: %v", q, err)
-				}
-				db.SetOptimizer(true)
-				opt, err := db.Exec(q)
-				if err != nil {
-					t.Fatalf("optimized %s: %v", q, err)
-				}
-				wantRows, gotRows := rowStrings(naive), rowStrings(opt)
-				if strings.Join(wantRows, "\n") != strings.Join(gotRows, "\n") {
-					t.Errorf("workers=%d batch=%d %s:\nnaive %d rows, optimized %d rows differ",
-						workers, batch, q, len(wantRows), len(gotRows))
-				}
-				if strings.Join(naive.Columns, ",") != strings.Join(opt.Columns, ",") {
-					t.Errorf("%s: column mismatch %v vs %v", q, naive.Columns, opt.Columns)
-				}
+	for _, batch := range []int{0, 256} {
+		db.SetBatchSize(batch)
+		for _, q := range analyzerQueries {
+			db.SetOptimizer(false)
+			naive, err := db.Exec(q)
+			if err != nil {
+				t.Fatalf("naive %s: %v", q, err)
+			}
+			db.SetOptimizer(true)
+			opt, err := db.Exec(q)
+			if err != nil {
+				t.Fatalf("optimized %s: %v", q, err)
+			}
+			wantRows, gotRows := rowStrings(naive), rowStrings(opt)
+			if strings.Join(wantRows, "\n") != strings.Join(gotRows, "\n") {
+				t.Errorf("batch=%d %s:\nnaive %d rows, optimized %d rows differ",
+					batch, q, len(wantRows), len(gotRows))
+			}
+			if strings.Join(naive.Columns, ",") != strings.Join(opt.Columns, ",") {
+				t.Errorf("%s: column mismatch %v vs %v", q, naive.Columns, opt.Columns)
 			}
 		}
 	}
 	db.SetOptimizer(true)
-	db.SetParallelism(0)
 	db.SetBatchSize(0)
 }
 
@@ -214,8 +209,7 @@ func TestEstimatesOnEveryNode(t *testing.T) {
 			}
 			trimmed := strings.TrimLeft(line, " ")
 			if strings.HasPrefix(trimmed, "SGB Stats:") || strings.HasPrefix(trimmed, "Hash ") ||
-				strings.HasPrefix(trimmed, "Sort Buffer:") || strings.HasPrefix(trimmed, "Distinct Set:") ||
-				strings.HasPrefix(trimmed, "Parallel:") {
+				strings.HasPrefix(trimmed, "Sort Buffer:") || strings.HasPrefix(trimmed, "Distinct Set:") {
 				continue // per-operator annotation lines, not plan nodes
 			}
 			if !strings.Contains(line, "est_rows=") || !strings.Contains(line, "est_cost=") {

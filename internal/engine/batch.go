@@ -8,7 +8,7 @@ import "io"
 // noise while keeping per-batch buffers comfortably cache-resident.
 const defaultBatchSize = 1024
 
-// DefaultBatchSize reports the engine's default batch/morsel row count — the
+// DefaultBatchSize reports the engine's default batch row count — the
 // granularity the vectorized executor (and the wire protocol's row-batch
 // streaming) uses when no session override is set.
 func DefaultBatchSize() int { return defaultBatchSize }
@@ -162,6 +162,11 @@ func (f *filterOp) nextBatch(dst []Row) ([]Row, error) {
 	}
 }
 
+// nextBatch evaluates the projection over a child batch, carving the output
+// rows out of one flat Value arena — a single allocation per batch instead of
+// one per row. The arena is never recycled, so the produced rows stay valid
+// for consumers that retain them; its size is charged against the statement's
+// memory account.
 func (p *projectOp) nextBatch(dst []Row) ([]Row, error) {
 	if p.buf == nil {
 		p.buf = make([]Row, 0, batchCap(dst))
@@ -170,17 +175,9 @@ func (p *projectOp) nextBatch(dst []Row) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return projectBatch(batch, p.fns, dst, p.qc)
-}
-
-// projectBatch evaluates the projection over a batch, carving the output rows
-// out of one flat Value arena — a single allocation per batch instead of one
-// per row. The arena is never recycled, so the produced rows stay valid for
-// consumers that retain them; its size is charged against the statement's
-// memory account.
-func projectBatch(batch []Row, fns []evalFn, dst []Row, qc *queryCtx) ([]Row, error) {
+	fns := p.fns
 	dst = dst[:0]
-	if err := qc.growMem(int64(len(batch)) * memRowBytes(len(fns))); err != nil {
+	if err := p.qc.growMem(int64(len(batch)) * memRowBytes(len(fns))); err != nil {
 		return nil, err
 	}
 	arena := make([]Value, len(batch)*len(fns))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,11 +41,8 @@ type DB struct {
 	// against.
 	noOptimize bool
 	limits     Limits
-	// parallelism is the session worker count for morsel-parallel fragments:
-	// 0 = auto (GOMAXPROCS), 1 = serial. batchSize is the batch/morsel row
-	// count; 0 = defaultBatchSize.
-	parallelism int
-	batchSize   int
+	// batchSize is the batch row count; 0 = defaultBatchSize.
+	batchSize int
 
 	metrics atomic.Pointer[obs.Registry]
 
@@ -269,34 +265,9 @@ func (db *DB) Limits() Limits {
 	return db.limits
 }
 
-// SetParallelism sets the worker count used by morsel-parallel query
-// fragments in subsequent statements. n <= 0 restores the default: one worker
-// per logical CPU (GOMAXPROCS). 1 forces serial execution.
-func (db *DB) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	db.stateMu.Lock()
-	db.parallelism = n
-	db.stateMu.Unlock()
-}
-
-// Parallelism reports the resolved worker count for new statements (never 0;
-// the auto setting resolves to GOMAXPROCS).
-func (db *DB) Parallelism() int {
-	db.stateMu.Lock()
-	n := db.parallelism
-	db.stateMu.Unlock()
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
-// SetBatchSize sets the batch/morsel row count used by the vectorized
-// executor in subsequent statements. n <= 0 restores defaultBatchSize.
-// Small values are mainly useful to force morsel-parallel plans on small
-// tables in tests.
+// SetBatchSize sets the batch row count used by the vectorized executor in
+// subsequent statements. n <= 0 restores defaultBatchSize. Small values are
+// mainly useful to cross batch boundaries on small tables in tests.
 func (db *DB) SetBatchSize(n int) {
 	if n < 0 {
 		n = 0
@@ -306,7 +277,7 @@ func (db *DB) SetBatchSize(n int) {
 	db.stateMu.Unlock()
 }
 
-// BatchSize reports the resolved batch/morsel row count for new statements.
+// BatchSize reports the resolved batch row count for new statements.
 func (db *DB) BatchSize() int {
 	db.stateMu.Lock()
 	n := db.batchSize
@@ -349,7 +320,7 @@ func (db *DB) ExecContext(ctx context.Context, sql string) (*Result, error) {
 }
 
 // settings snapshots the DB-level default settings. DB-level setters
-// (SetSGBAlgorithm, SetLimits, SetParallelism, SetBatchSize) configure this
+// (SetSGBAlgorithm, SetLimits, SetBatchSize) configure this
 // default; Sessions take an independent copy at creation time.
 func (db *DB) settings() Settings {
 	db.stateMu.Lock()
@@ -358,7 +329,6 @@ func (db *DB) settings() Settings {
 		SGBAlgorithm: db.sgbAlg,
 		SGBAuto:      db.sgbAuto,
 		Limits:       db.limits,
-		Parallelism:  db.parallelism,
 		BatchSize:    db.batchSize,
 		NoOptimize:   db.noOptimize,
 	}
@@ -418,7 +388,7 @@ func isReadOnly(stmt Statement) bool {
 // limit, takes the statement lock in the right mode, runs the statement, and
 // folds the outcome into the metrics registry and the session state. set is
 // the caller's settings snapshot — the statement's whole execution shape
-// (algorithm, limits, parallelism, batch size) is fixed here, at plan time,
+// (algorithm, limits, batch size) is fixed here, at plan time,
 // so concurrent sessions adjusting their own knobs cannot affect it. sql is
 // the statement's original text ("" for pre-parsed statements), handed to
 // the commit hook for write-ahead logging.
@@ -451,10 +421,6 @@ func (db *DB) execTraced(ctx context.Context, stmt Statement, tr *obs.Trace, set
 	if err == nil {
 		qc := newQueryCtx(ctx, lim)
 		qc.mem = acct
-		qc.workers = set.Parallelism
-		if qc.workers <= 0 {
-			qc.workers = runtime.GOMAXPROCS(0)
-		}
 		qc.batch = set.BatchSize
 		qc.alg = set.SGBAlgorithm
 		qc.algAuto = set.SGBAuto
@@ -541,13 +507,6 @@ func (db *DB) recordQueryMetrics(pc *planContext, tr *obs.Trace, dur time.Durati
 		db.lastSGBStats = nil
 	}
 	db.stateMu.Unlock()
-	for _, op := range pc.parOps {
-		w, mor := op.parallelRun()
-		if w > 1 && mor > 0 {
-			m.Counter("engine_parallel_morsels_total").Add(int64(mor))
-			m.Gauge("engine_parallel_workers").Set(float64(w))
-		}
-	}
 	for _, op := range pc.sgbOps {
 		s := op.lastStats
 		m.Counter("sgb_queries_total").Inc()

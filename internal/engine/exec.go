@@ -124,9 +124,6 @@ type filterOp struct {
 	// for internally synthesized predicates (HAVING), which fall back to the
 	// default selectivity.
 	srcExpr Expr
-	// parSafe marks the compiled predicate as goroutine-safe (no subquery
-	// caches), making the filter eligible for a morsel-parallel fragment.
-	parSafe bool
 	buf     []Row // reused child batch buffer for nextBatch
 	// qc bounds the qualify-nothing loop in nextBatch: a highly selective
 	// filter may consume many child batches before producing a row, and the
@@ -161,11 +158,8 @@ type projectOp struct {
 	child operator
 	sch   Schema
 	fns   []evalFn
-	// parSafe marks every projection expression goroutine-safe, making the
-	// projection eligible for a morsel-parallel fragment.
-	parSafe bool
-	buf     []Row // reused child batch buffer for nextBatch
-	qc      *queryCtx
+	buf   []Row // reused child batch buffer for nextBatch
+	qc    *queryCtx
 }
 
 func (p *projectOp) schema() Schema { return p.sch }
@@ -467,15 +461,11 @@ type aggBucket struct {
 }
 
 // aggTable is a grouping hash table keyed by the encoded grouping values,
-// preserving insertion order. It serves both phases of aggregation: the
-// serial path builds one table directly, and the parallel path builds one
-// uncharged table per morsel and folds them into a charged global table in
-// morsel order, so the group set — and the row-budget accounting per new
-// group — is identical either way.
+// preserving insertion order.
 type aggTable struct {
 	groupFns []evalFn
 	calls    []*aggCall
-	qc       *queryCtx // charges one budget row per new group; nil = uncharged partial
+	qc       *queryCtx // charges one budget row per new group
 	buckets  map[string]*aggBucket
 	order    []string
 	inRows   int64
@@ -514,42 +504,10 @@ func (t *aggTable) addRow(r Row) error {
 	return b.acc.add(t.calls, r)
 }
 
-// fold merges a partial table into t in the partial's insertion order:
-// buckets new to t are adopted (and charged), existing ones merge their
-// accumulator states.
-func (t *aggTable) fold(o *aggTable) error {
-	t.inRows += o.inRows
-	for _, key := range o.order {
-		ob := o.buckets[key]
-		b, ok := t.buckets[key]
-		if !ok {
-			if err := t.qc.addRows(1); err != nil {
-				return err
-			}
-			if err := t.qc.growMem(memBucketOverheadBytes + memValueBytes*int64(len(ob.keyVals))); err != nil {
-				return err
-			}
-			t.buckets[key] = ob
-			t.order = append(t.order, key)
-			continue
-		}
-		if err := b.acc.merge(ob.acc); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // hashAggOp implements the standard Group-By: groups are the distinct values
 // of the grouping expressions; output rows are [groupValues..., aggResults...].
 // With no grouping expressions it produces exactly one global-aggregate row.
 // Output is sorted by group key for determinism.
-//
-// When the planner attaches a morsel fragment (frag != nil, workers > 1) the
-// operator runs two-phase: workers aggregate morsels into partial tables,
-// which are folded in ascending morsel order — deterministic regardless of
-// scheduling, and order-identical to the serial build because morsels are
-// contiguous input ranges.
 type hashAggOp struct {
 	planEst
 	child      operator
@@ -561,38 +519,21 @@ type hashAggOp struct {
 	sch       Schema
 	qc        *queryCtx
 
-	// frag and workers are set by the planner when the input pipeline is
-	// parallel-safe and large enough to be worth fanning out.
-	frag    *morselFragment
-	workers int
-
 	rows []Row
 	pos  int
 
 	// inRows and nGroups record the actual input cardinality and hash-table
-	// size of the last execution; lastWorkers/lastMorsels the parallel shape
-	// (0 when the serial path ran). All for EXPLAIN ANALYZE and metrics.
-	inRows      int64
-	nGroups     int
-	lastWorkers int
-	lastMorsels int
+	// size of the last execution, for EXPLAIN ANALYZE.
+	inRows  int64
+	nGroups int
 }
 
 func (a *hashAggOp) schema() Schema { return a.sch }
 func (a *hashAggOp) close() error   { return nil }
 
-func (a *hashAggOp) parallelRun() (int, int) { return a.lastWorkers, a.lastMorsels }
-
 func (a *hashAggOp) open() error {
-	a.lastWorkers, a.lastMorsels = 0, 0
 	tbl := newAggTable(a.groupExprs, a.calls, a.qc)
-	var err error
-	if a.frag != nil && a.workers > 1 {
-		err = a.buildParallel(tbl)
-	} else {
-		err = a.buildSerial(tbl)
-	}
-	if err != nil {
+	if err := a.build(tbl); err != nil {
 		return err
 	}
 	if len(a.groupExprs) == 0 && len(tbl.buckets) == 0 {
@@ -618,7 +559,8 @@ func (a *hashAggOp) open() error {
 	return nil
 }
 
-func (a *hashAggOp) buildSerial(tbl *aggTable) error {
+// build drains the child into tbl, one batch at a time, in input order.
+func (a *hashAggOp) build(tbl *aggTable) error {
 	if err := a.child.open(); err != nil {
 		return err
 	}
@@ -641,35 +583,6 @@ func (a *hashAggOp) buildSerial(tbl *aggTable) error {
 			}
 		}
 	}
-}
-
-// buildParallel is the two-phase aggregation: one uncharged partial table per
-// morsel, folded into the charged global table in morsel order.
-func (a *hashAggOp) buildParallel(global *aggTable) error {
-	partials := make([]*aggTable, a.frag.morselCount(a.qc))
-	morsels, used, err := a.frag.run(a.qc, a.workers, func(m int, rows []Row) error {
-		t := newAggTable(a.groupExprs, a.calls, nil)
-		for _, r := range rows {
-			if err := t.addRow(r); err != nil {
-				return err
-			}
-		}
-		partials[m] = t
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, p := range partials {
-		if p == nil {
-			continue
-		}
-		if err := global.fold(p); err != nil {
-			return err
-		}
-	}
-	a.lastWorkers, a.lastMorsels = used, morsels
-	return nil
 }
 
 func (a *hashAggOp) next() (Row, error) {

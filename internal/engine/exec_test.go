@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -55,34 +54,6 @@ func queryRows(t *testing.T, db *DB, sql string) []Row {
 		t.Fatalf("%s: %v", sql, err)
 	}
 	return res.Rows
-}
-
-// rowsEqualFloatTol is the comparison for answers that two different plans
-// give to one statement (DESIGN.md, "Float aggregates across plans"): float
-// cells agree to a relative 1e-12, because plans associate SUM/AVG
-// differently; everything else — shape, types, every non-float cell — is
-// exact. Answers of one plan under one worker count and batch size are
-// bit-deterministic and are compared with reflect.DeepEqual instead.
-func rowsEqualFloatTol(a, b []Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j, x := range a[i] {
-			y := b[i][j]
-			if x.T == TypeFloat && y.T == TypeFloat {
-				if x.F != y.F && math.Abs(x.F-y.F) > 1e-12*math.Max(math.Abs(x.F), math.Abs(y.F)) {
-					return false
-				}
-			} else if !reflect.DeepEqual(x, y) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func TestSelectFilterProject(t *testing.T) {

@@ -51,12 +51,8 @@ func describeOp(op operator) (label string, children []operator, known bool) {
 		}
 		return label, []operator{op.child}, true
 	case *hashAggOp:
-		prefix := ""
-		if op.frag != nil && op.workers > 1 {
-			prefix = "Parallel "
-		}
-		return fmt.Sprintf("%sHashAggregate (%d group key(s), %d aggregate(s))",
-			prefix, len(op.groupExprs), len(op.calls)), []operator{op.child}, true
+		return fmt.Sprintf("HashAggregate (%d group key(s), %d aggregate(s))",
+			len(op.groupExprs), len(op.calls)), []operator{op.child}, true
 	case *sgbAggOp:
 		mode := "DISTANCE-TO-ALL " + op.spec.Overlap.String()
 		if op.spec.Mode == SGBAnyMode {

@@ -470,11 +470,10 @@ func itoa(n int) string {
 
 // TestExplainAnalyzeCountsBelowSGB: EXPLAIN ANALYZE runs the operator tree it
 // prints, so the scan below a SimilarityGroupBy reports the rows it produced
-// at any worker count, on a table larger than one batch.
+// on a table larger than one batch.
 func TestExplainAnalyzeCountsBelowSGB(t *testing.T) {
 	db := NewDB()
 	loadNums(t, db, 3000, 23)
-	db.SetParallelism(4)
 	lines := planLines(t, db, "EXPLAIN ANALYZE SELECT count(*), avg(x) FROM nums WHERE v >= 0 GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 2")
 	for i, l := range lines {
 		if !strings.Contains(l, "SimilarityGroupBy") {
@@ -487,4 +486,23 @@ func TestExplainAnalyzeCountsBelowSGB(t *testing.T) {
 		return
 	}
 	t.Fatalf("no SimilarityGroupBy node:\n%s", strings.Join(lines, "\n"))
+}
+
+// TestExplainAnalyzeCountsBelowHashAgg: the same holds below a hash
+// aggregate, with default settings on any core count — the Filter and the
+// SeqScan under the plain HashAggregate node report the rows they produced.
+func TestExplainAnalyzeCountsBelowHashAgg(t *testing.T) {
+	db := NewDB()
+	loadNums(t, db, 3000, 3)
+	lines := planLines(t, db, "EXPLAIN ANALYZE SELECT k, count(*) FROM nums WHERE v > 10 GROUP BY k")
+	plan := strings.Join(lines, "\n")
+	for _, want := range []string{
+		`(?m)^\s*HashAggregate \(1 group key\(s\), 1 aggregate\(s\)\)`,
+		`Filter .*actual rows=2973 loops=1 `,
+		`SeqScan on nums .*actual rows=3000 loops=1 `,
+	} {
+		if !regexp.MustCompile(want).MatchString(plan) {
+			t.Fatalf("plan does not match %s:\n%s", want, plan)
+		}
+	}
 }

@@ -46,9 +46,8 @@ func TestIndexMatchesSeqScanRandomized(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Answers before and after indexing must agree. They come from two plans
-	// (a morsel-parallel SeqScan, a serial IndexScan) that associate sum(v)
-	// differently, so floats are compared under the cross-plan policy.
+	// Answers before and after indexing must agree bit for bit: the SeqScan
+	// and the IndexScan feed the aggregate the same rows in the same order.
 	q := func(k int) string {
 		return fmt.Sprintf("SELECT count(*), sum(v) FROM nums WHERE k = %d", k)
 	}
@@ -61,12 +60,8 @@ func TestIndexMatchesSeqScanRandomized(t *testing.T) {
 	}
 	for k := 0; k < 55; k++ {
 		after := queryRows(t, db, q(k))
-		if !rowsEqualFloatTol(after, before[k]) {
+		if !reflect.DeepEqual(after, before[k]) {
 			t.Fatalf("k=%d: index answer %v, seq answer %v", k, after, before[k])
-		}
-		// One plan, run twice, is bit-deterministic.
-		if again := queryRows(t, db, q(k)); !reflect.DeepEqual(again, after) {
-			t.Fatalf("k=%d: the index plan answered %v, then %v", k, after, again)
 		}
 	}
 }

@@ -97,11 +97,7 @@ func (d *distinctOp) actuals() string {
 }
 
 func (a *hashAggOp) actuals() string {
-	s := fmt.Sprintf("Hash Table: groups=%d input rows=%d", a.nGroups, a.inRows)
-	if a.lastWorkers > 1 {
-		s += fmt.Sprintf(" workers=%d batches=%d", a.lastWorkers, a.lastMorsels)
-	}
-	return s
+	return fmt.Sprintf("Hash Table: groups=%d input rows=%d", a.nGroups, a.inRows)
 }
 
 // actuals surfaces the core grouper's cost counters — the quantities the

@@ -73,19 +73,15 @@ func (e *ResourceLimitError) Global() bool { return e.Scope == LimitScopeGlobal 
 const cancelCheckStride = 1024
 
 // queryCtx threads cancellation, row accounting, and the execution-shape
-// settings (parallelism, batch size) through one statement's operator tree.
+// settings (batch size, SGB algorithm) through one statement's operator tree.
 // Every operator of a plan shares one instance (including the plans of
 // scalar/IN subqueries), so the row budget is per statement, not per
-// operator. Morsel-parallel operators run worker goroutines that share this
-// struct, so the mutable counters are atomics: the row budget and the
-// cancellation stride are counted across all workers. The nil *queryCtx is
-// valid and never cancels or limits — plan-only contexts (view validation)
-// use it.
+// operator. The nil *queryCtx is valid and never cancels or limits —
+// plan-only contexts (view validation) use it.
 type queryCtx struct {
 	ctx     context.Context
 	maxRows int64 // 0 = unlimited
-	workers int   // resolved statement parallelism; <=1 = serial
-	batch   int   // batch/morsel row count; <=0 = defaultBatchSize
+	batch   int   // batch row count; <=0 = defaultBatchSize
 	// alg is the statement's SGB physical algorithm, resolved from the
 	// session settings when the statement starts. algAuto marks it as a
 	// fallback hint only: the optimizer is free to pick per query.
@@ -123,9 +119,9 @@ func (q *queryCtx) tick() error {
 	return q.ctx.Err()
 }
 
-// poll checks for cancellation unconditionally. Batch operators and morsel
-// workers call it once per batch/morsel (~batchSize rows), which keeps
-// cancellation latency bounded without a per-row branch.
+// poll checks for cancellation unconditionally. Batch operators call it once
+// per batch (~batchSize rows), which keeps cancellation latency bounded
+// without a per-row branch.
 func (q *queryCtx) poll() error {
 	if q == nil {
 		return nil
@@ -133,8 +129,7 @@ func (q *queryCtx) poll() error {
 	return q.ctx.Err()
 }
 
-// addRows charges n newly materialized rows against the row budget. The
-// counter is atomic, so morsel workers charge a shared per-statement budget.
+// addRows charges n newly materialized rows against the row budget.
 func (q *queryCtx) addRows(n int) error {
 	if q == nil || q.maxRows <= 0 {
 		return nil
@@ -169,20 +164,12 @@ func (q *queryCtx) context() context.Context {
 	return q.ctx
 }
 
-// batchSize is the statement's batch/morsel row count.
+// batchSize is the statement's batch row count.
 func (q *queryCtx) batchSize() int {
 	if q == nil || q.batch <= 0 {
 		return defaultBatchSize
 	}
 	return q.batch
-}
-
-// parallelism is the statement's resolved worker count (>= 1).
-func (q *queryCtx) parallelism() int {
-	if q == nil || q.workers <= 0 {
-		return 1
-	}
-	return q.workers
 }
 
 // algorithm is the statement's SGB physical algorithm. Plan-only contexts

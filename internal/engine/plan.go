@@ -11,10 +11,6 @@ import (
 type planContext struct {
 	db     *DB
 	sgbOps []*sgbAggOp
-	// parOps collects the operators that may run a morsel-parallel fragment,
-	// so the executed worker/morsel counts can feed the engine_parallel_*
-	// metrics after the statement completes.
-	parOps []parallelReporter
 	// qc is the executing statement's query context; the planner stamps it
 	// into every operator it builds so cancellation and row limits reach the
 	// whole tree, including subquery plans. nil for plan-only contexts
@@ -153,7 +149,7 @@ func (pc *planContext) lowerSelect(stmt *SelectStmt) (operator, error) {
 				if err != nil {
 					return nil, err
 				}
-				sources[i] = &filterOp{child: sources[i], pred: pred, srcExpr: c, parSafe: exprParallelSafe(c), qc: pc.qc}
+				sources[i] = &filterOp{child: sources[i], pred: pred, srcExpr: c, qc: pc.qc}
 				pushed = true
 			} else {
 				rest = append(rest, c)
@@ -217,7 +213,7 @@ func (pc *planContext) lowerSelect(stmt *SelectStmt) (operator, error) {
 				if err != nil {
 					return nil, err
 				}
-				cur = &filterOp{child: cur, pred: pred, srcExpr: c, parSafe: exprParallelSafe(c), qc: pc.qc}
+				cur = &filterOp{child: cur, pred: pred, srcExpr: c, qc: pc.qc}
 			} else {
 				still = append(still, c)
 			}
@@ -229,7 +225,7 @@ func (pc *planContext) lowerSelect(stmt *SelectStmt) (operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		cur = &filterOp{child: cur, pred: pred, srcExpr: c, parSafe: exprParallelSafe(c), qc: pc.qc}
+		cur = &filterOp{child: cur, pred: pred, srcExpr: c, qc: pc.qc}
 	}
 
 	// Aggregation path?
@@ -374,7 +370,6 @@ func (pc *planContext) planProjection(items []SelectItem, child operator) (opera
 	}
 	var fns []evalFn
 	var sch Schema
-	safe := true
 	for i, it := range items {
 		if it.Star {
 			return nil, nil, fmt.Errorf("engine: SELECT * cannot be mixed with other select items")
@@ -383,11 +378,10 @@ func (pc *planContext) planProjection(items []SelectItem, child operator) (opera
 		if err != nil {
 			return nil, nil, err
 		}
-		safe = safe && exprParallelSafe(it.Expr)
 		fns = append(fns, f)
 		sch = append(sch, Column{Name: outputName(it, i), T: inferType(it.Expr, child.schema())})
 	}
-	return &projectOp{child: child, sch: sch, fns: fns, parSafe: safe, qc: pc.qc}, sch, nil
+	return &projectOp{child: child, sch: sch, fns: fns, qc: pc.qc}, sch, nil
 }
 
 // planAggregate lowers a grouped (or globally aggregated) SELECT:
@@ -470,9 +464,7 @@ func (pc *planContext) planAggregate(stmt *SelectStmt, child operator, orderBy [
 		pc.sgbOps = append(pc.sgbOps, op)
 		aggOp = op
 	} else {
-		op := &hashAggOp{child: child, groupExprs: groupFns, astGroups: groupExprs, calls: rw.calls, sch: internal, qc: pc.qc}
-		pc.markParallelHashAgg(op, groupExprs, rw)
-		aggOp = op
+		aggOp = &hashAggOp{child: child, groupExprs: groupFns, astGroups: groupExprs, calls: rw.calls, sch: internal, qc: pc.qc}
 	}
 
 	cur := aggOp
@@ -507,46 +499,6 @@ func (pc *planContext) planAggregate(stmt *SelectStmt, child operator, orderBy [
 		outSchema = append(outSchema, Column{Name: outputName(stmt.Select[i], i), T: inferType(e, internal)})
 	}
 	return &projectOp{child: cur, sch: outSchema, fns: fns, qc: pc.qc}, nil
-}
-
-// parallelFragment vets an aggregation input pipeline for morsel parallelism:
-// the session must allow more than one worker, the grouping expressions must
-// compile to goroutine-safe closures, and the child chain must be an
-// extractable scan→filter(→project) fragment over a table larger than one
-// batch — the size floor keeps tiny (test and golden-file) queries on the
-// serial path, where output is trivially machine-independent.
-func (pc *planContext) parallelFragment(child operator, groupExprs []Expr) *morselFragment {
-	if pc.qc.parallelism() <= 1 {
-		return nil
-	}
-	for _, g := range groupExprs {
-		if !exprParallelSafe(g) {
-			return nil
-		}
-	}
-	frag := extractFragment(child)
-	if frag == nil || len(frag.table.Rows) <= pc.qc.batchSize() {
-		return nil
-	}
-	return frag
-}
-
-// markParallelHashAgg flags a hash aggregation for two-phase parallel
-// execution when its input fragment qualifies and every aggregate call's
-// partial states can be merged (no DISTINCT) from goroutine-safe argument
-// expressions.
-func (pc *planContext) markParallelHashAgg(op *hashAggOp, groupExprs []Expr, rw *aggRewriter) {
-	frag := pc.parallelFragment(op.child, groupExprs)
-	if frag == nil {
-		return
-	}
-	for j, c := range rw.calls {
-		if !c.mergeable() || !exprParallelSafe(rw.callExprs[j]) {
-			return
-		}
-	}
-	op.frag, op.workers = frag, pc.qc.parallelism()
-	pc.parOps = append(pc.parOps, op)
 }
 
 // aggRewriter replaces grouping expressions and aggregate calls with

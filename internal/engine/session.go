@@ -25,10 +25,7 @@ type Settings struct {
 	SGBAuto bool
 	// Limits bounds the resources a single statement may consume.
 	Limits Limits
-	// Parallelism is the morsel worker count: 0 = auto (GOMAXPROCS),
-	// 1 = serial.
-	Parallelism int
-	// BatchSize is the batch/morsel row count; 0 = the engine default.
+	// BatchSize is the batch row count; 0 = the engine default.
 	BatchSize int
 	// NoOptimize disables the cost-based analyzer rules, producing the naive
 	// plan lowering. Semantics are unchanged; plan-equivalence tests use it
@@ -43,8 +40,8 @@ type Settings struct {
 // session at a time.
 //
 // Settings start as a snapshot of the DB-level defaults at creation time and
-// evolve independently afterwards: SetParallelism on one session never
-// affects another session or the DB defaults.
+// evolve independently afterwards: SetBatchSize on one session never affects
+// another session or the DB defaults.
 type Session struct {
 	db  *DB
 	mu  sync.Mutex
@@ -100,18 +97,7 @@ func (s *Session) SetLimits(lim Limits) {
 	s.mu.Unlock()
 }
 
-// SetParallelism sets the session's morsel worker count (0 = auto, 1 =
-// serial) for subsequent statements on this session only.
-func (s *Session) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.mu.Lock()
-	s.set.Parallelism = n
-	s.mu.Unlock()
-}
-
-// SetBatchSize sets the session's batch/morsel row count (0 = engine
+// SetBatchSize sets the session's batch row count (0 = engine
 // default) for subsequent statements on this session only.
 func (s *Session) SetBatchSize(n int) {
 	if n < 0 {

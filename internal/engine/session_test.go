@@ -43,7 +43,7 @@ func firstWords(sql string) string {
 
 // TestSessionSettingsIsolated is the regression test for the global-knob bug:
 // session setters must not leak into other sessions or the DB defaults.
-// Before settings were session-scoped, SetParallelism/SetBatchSize/SetLimits
+// Before settings were session-scoped, SetBatchSize/SetLimits
 // mutated the shared DB, so two connections raced each other's knobs.
 func TestSessionSettingsIsolated(t *testing.T) {
 	db := NewDB()
@@ -52,17 +52,16 @@ func TestSessionSettingsIsolated(t *testing.T) {
 	a := db.NewSession()
 	b := db.NewSession()
 
-	a.SetParallelism(1)
 	a.SetBatchSize(16)
 	a.SetLimits(Limits{MaxRowsMaterialized: 10})
 	a.SetSGBAlgorithm(core.AllPairs)
 
 	// b and the DB defaults are untouched by a's setters.
-	if got := b.Settings(); got.Parallelism != 0 || got.BatchSize != 0 ||
+	if got := b.Settings(); got.BatchSize != 0 ||
 		got.Limits.MaxRowsMaterialized != 0 || got.SGBAlgorithm != core.IndexBounds {
 		t.Fatalf("session b settings contaminated by a: %+v", got)
 	}
-	if got := db.Parallelism(); got == 1 && db.BatchSize() == 16 {
+	if db.BatchSize() == 16 {
 		t.Fatalf("DB defaults contaminated by session setters")
 	}
 	if db.Limits().MaxRowsMaterialized != 0 {
@@ -92,19 +91,18 @@ func TestSessionSettingsIsolated(t *testing.T) {
 }
 
 // TestSessionSettingsResolvedAtPlanTime pins that a statement's execution
-// shape comes from its own session snapshot: a serial session and a parallel
-// session produce different EXPLAIN plans against the same DB, concurrently.
+// shape comes from its own session snapshot: two sessions forcing different
+// SGB algorithms produce different EXPLAIN plans against the same DB.
 func TestSessionSettingsResolvedAtPlanTime(t *testing.T) {
 	db := NewDB()
 	loadSessionTable(t, db, 4096)
 
-	serial := db.NewSession()
-	serial.SetParallelism(1)
-	par := db.NewSession()
-	par.SetParallelism(4)
-	par.SetBatchSize(64)
+	allPairs := db.NewSession()
+	allPairs.SetSGBAlgorithm(core.AllPairs)
+	index := db.NewSession()
+	index.SetSGBAlgorithm(core.IndexBounds)
 
-	const q = "EXPLAIN SELECT x, count(*) FROM pts GROUP BY x"
+	const q = "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.5"
 	planOf := func(s *Session) string {
 		res, err := s.Exec(q)
 		if err != nil {
@@ -117,11 +115,10 @@ func TestSessionSettingsResolvedAtPlanTime(t *testing.T) {
 		}
 		return sb.String()
 	}
-	if p := planOf(serial); strings.Contains(p, "Parallel") {
-		t.Fatalf("serial session produced a parallel plan:\n%s", p)
-	}
-	if p := planOf(par); !strings.Contains(p, "Parallel") {
-		t.Fatalf("parallel session produced a serial plan:\n%s", p)
+	for s, alg := range map[*Session]core.Algorithm{allPairs: core.AllPairs, index: core.IndexBounds} {
+		if p := planOf(s); !strings.Contains(p, "["+alg.String()+"]") {
+			t.Fatalf("session forcing %v produced:\n%s", alg, p)
+		}
 	}
 }
 
@@ -140,7 +137,6 @@ func TestSessionSettingsRace(t *testing.T) {
 			defer wg.Done()
 			s := db.NewSession()
 			for i := 0; i < iters; i++ {
-				s.SetParallelism(1 + (w+i)%4)
 				s.SetBatchSize(32 << (i % 3))
 				if i%2 == 0 {
 					s.SetSGBAlgorithm(core.AllPairs)

@@ -270,7 +270,7 @@ func loadGrid(t *testing.T, db *DB, n int, dim int, eps float64, seed int64) {
 // TestColumnarMatchesRowPath is the engine's cross-algorithm check on
 // adversarial coordinates: every DISTANCE-TO-ANY statement must return
 // bit-identical rows under \alg index and \alg allpairs, and every SGB
-// statement the same rows at any worker count, across metrics, semantics and
+// statement the same rows at any batch size, across metrics, semantics and
 // ε values. DISTANCE-TO-ALL is not compared across algorithms: its ε-rectangle
 // test and geom.Within disagree one ulp from the boundary, so Bounds-Checking
 // and the index admit members All-Pairs rejects on exactly these inputs.
@@ -279,7 +279,6 @@ func TestColumnarMatchesRowPath(t *testing.T) {
 		for _, eps := range []float64{0.25, 1.0} {
 			db := NewDB()
 			loadGrid(t, db, 900, dim, eps, int64(100*dim)+int64(eps*4))
-			db.SetBatchSize(64) // table > one batch: the planner may go parallel
 			group := "x"
 			if dim == 2 {
 				group = "x, y"
@@ -296,27 +295,28 @@ func TestColumnarMatchesRowPath(t *testing.T) {
 					fmt.Sprintf("SELECT %s, count(*) FROM pts GROUP BY %s DISTANCE-TO-ALL %s WITHIN %g ON-OVERLAP FORM-NEW-GROUP", group, group, m, eps),
 				)
 			}
-			// check runs q under both algorithms at every worker count.
+			// check runs q under both algorithms at the default batch size and
+			// at 64 rows (the table spans several batches).
 			check := func(q string, crossAlgorithm bool) {
-				var serial [2][]string // All-Pairs, index
+				var ref [2][]string // All-Pairs, index
 				for a, alg := range []core.Algorithm{core.AllPairs, core.IndexBounds} {
 					db.SetSGBAlgorithm(alg)
-					for _, workers := range []int{1, 2, 4} {
-						db.SetParallelism(workers)
+					for _, batch := range []int{0, 64} {
+						db.SetBatchSize(batch)
 						res, err := db.Query(q)
 						if err != nil {
-							t.Fatalf("%s (%v, %d workers): %v", q, alg, workers, err)
+							t.Fatalf("%s (%v, batch %d): %v", q, alg, batch, err)
 						}
 						got := rowStrings(res)
-						if workers == 1 {
-							serial[a] = got
-						} else if !reflect.DeepEqual(got, serial[a]) {
-							t.Fatalf("%s (%v): %d workers changed the answer\n got: %v\nwant: %v", q, alg, workers, got, serial[a])
+						if batch == 0 {
+							ref[a] = got
+						} else if !reflect.DeepEqual(got, ref[a]) {
+							t.Fatalf("%s (%v): batch %d changed the answer\n got: %v\nwant: %v", q, alg, batch, got, ref[a])
 						}
 					}
 				}
-				if crossAlgorithm && !reflect.DeepEqual(serial[1], serial[0]) {
-					t.Fatalf("%s: index differs from allpairs\nindex:    %v\nallpairs: %v", q, serial[1], serial[0])
+				if crossAlgorithm && !reflect.DeepEqual(ref[1], ref[0]) {
+					t.Fatalf("%s: index differs from allpairs\nindex:    %v\nallpairs: %v", q, ref[1], ref[0])
 				}
 			}
 			for _, q := range anyQ {
@@ -339,5 +339,46 @@ func TestSGBRespectsRowLimit(t *testing.T) {
 	var rle *ResourceLimitError
 	if !errors.As(err, &rle) {
 		t.Fatalf("err = %v, want ResourceLimitError", err)
+	}
+}
+
+// TestPointConversionAllocs pins the allocation profile of the row→column
+// conversion: one coordinate arena plus one column-header slice, regardless
+// of tuple count — not one allocation per row.
+func TestPointConversionAllocs(t *testing.T) {
+	op := &sgbAggOp{groupExprs: []evalFn{
+		func(r Row) (Value, error) { return r[0], nil },
+		func(r Row) (Value, error) { return r[1], nil },
+	}}
+	tuples := make([]Row, 512)
+	for i := range tuples {
+		tuples[i] = Row{NewFloat(float64(i)), NewFloat(float64(i * 2))}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := op.colsOf(tuples); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("colsOf allocates %v times per run, want <= 2 (arena + headers)", allocs)
+	}
+}
+
+// BenchmarkPointConversion measures the arena-backed conversion so an
+// accidental return to per-row allocation is visible in the bench smoke run.
+func BenchmarkPointConversion(b *testing.B) {
+	op := &sgbAggOp{groupExprs: []evalFn{
+		func(r Row) (Value, error) { return r[0], nil },
+		func(r Row) (Value, error) { return r[1], nil },
+	}}
+	tuples := make([]Row, 1024)
+	for i := range tuples {
+		tuples[i] = Row{NewFloat(float64(i)), NewFloat(float64(i * 3))}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := op.colsOf(tuples); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

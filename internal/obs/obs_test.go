@@ -184,9 +184,9 @@ func TestTraceStateAndPlan(t *testing.T) {
 	}
 }
 
-// TestTraceConcurrency pins the goroutine-safety of Trace/Span: parallel
-// morsel workers, the WAL flush path, and the server's process-list reader
-// all touch a live trace. Run under -race in CI.
+// TestTraceConcurrency pins the goroutine-safety of Trace/Span: the WAL
+// flush path and the server's process-list reader both touch a live trace.
+// Run under -race in CI.
 func TestTraceConcurrency(t *testing.T) {
 	tr := NewTraceWithID(NewTraceID())
 	var wg sync.WaitGroup

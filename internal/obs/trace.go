@@ -60,9 +60,9 @@ func (s *Span) Duration() time.Duration {
 // a live execution state, and — for sampled statements — the rendered plan
 // tree with per-operator actuals.
 //
-// A Trace is safe for concurrent use: parallel morsel workers and the WAL
-// flush path may annotate a live trace while the server's process list reads
-// its state from another goroutine.
+// A Trace is safe for concurrent use: the WAL flush path may annotate a live
+// trace while the server's process list reads its state from another
+// goroutine.
 type Trace struct {
 	id string // immutable after creation
 

@@ -627,12 +627,6 @@ func (c *conn) applySetting(m *wire.Set) bool {
 			return fail("unknown SGB algorithm %q (want auto|allpairs|bounds|index)", m.Value)
 		}
 		c.sess.SetSGBAlgorithm(alg)
-	case "parallelism":
-		n, err := strconv.Atoi(m.Value)
-		if err != nil || n < 0 {
-			return fail("bad parallelism %q", m.Value)
-		}
-		c.sess.SetParallelism(n)
 	case "batch_size":
 		n, err := strconv.Atoi(m.Value)
 		if err != nil || n < 0 {
@@ -681,8 +675,7 @@ func (c *conn) settingsString() string {
 	if st.SGBAuto {
 		name = "auto"
 	}
-	return fmt.Sprintf("algorithm=%s parallelism=%d batch_size=%d",
-		name, st.Parallelism, st.BatchSize)
+	return fmt.Sprintf("algorithm=%s batch_size=%d", name, st.BatchSize)
 }
 
 // algName is the inverse of parseAlgorithm.

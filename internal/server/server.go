@@ -3,9 +3,9 @@
 // over a shared engine.DB.
 //
 // Each connection gets its own engine.Session, so the execution knobs a
-// client adjusts over the wire (SGB algorithm, parallelism, batch size,
-// resource limits) are scoped to that connection and resolved at plan time —
-// two clients can never race each other's settings. Statements execute under
+// client adjusts over the wire (SGB algorithm, batch size, resource limits)
+// are scoped to that connection and resolved at plan time — two clients can
+// never race each other's settings. Statements execute under
 // a per-query context wired into engine.ExecContext, so a wire Cancel frame
 // aborts an in-flight query promptly while the connection stays usable.
 //

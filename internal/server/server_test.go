@@ -149,22 +149,15 @@ func TestConcurrentClientsBitIdentical(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			// Each client picks its own execution shape, mirrored by an
-			// embedded reference session with identical settings: float
-			// aggregation order (and therefore the exact bits) is defined by
-			// the session's parallelism and batch size, and the wire layer
-			// must add no divergence on top of that.
-			workers, batch := 1+n%4, 32<<(n%3)
-			if err := c.Set("parallelism", fmt.Sprint(workers)); err != nil {
-				t.Errorf("client %d: set: %v", n, err)
-				return
-			}
+			// Each client picks its own batch size, mirrored by an embedded
+			// reference session with identical settings: the wire layer
+			// must add no divergence on top of the engine's answer.
+			batch := 32 << (n % 3)
 			if err := c.Set("batch_size", fmt.Sprint(batch)); err != nil {
 				t.Errorf("client %d: set: %v", n, err)
 				return
 			}
 			ref := db.NewSession()
-			ref.SetParallelism(workers)
 			ref.SetBatchSize(batch)
 			for i := 0; i < iters; i++ {
 				q := queries[(n+i)%len(queries)]
@@ -282,9 +275,13 @@ func TestSessionSettingsScopedPerConnection(t *testing.T) {
 	if err := a.Set("max_rows", "10"); err != nil {
 		t.Fatal(err)
 	}
+	// There is no parallelism setting: it is refused like any unknown name.
+	var se *client.ServerError
+	if err := a.Set("parallelism", "2"); !errors.As(err, &se) || se.Code != wire.CodeUnknownSetting {
+		t.Fatalf("set parallelism: want CodeUnknownSetting, got %v", err)
+	}
 	// a is limited...
 	_, err := a.Query(context.Background(), "SELECT id FROM pts")
-	var se *client.ServerError
 	if !errors.As(err, &se) || se.Code != wire.CodeResourceLimit {
 		t.Fatalf("session a: want CodeResourceLimit, got %v", err)
 	}

@@ -20,7 +20,7 @@ func TestRoundTrip(t *testing.T) {
 		&Hello{Version: Version},
 		&Welcome{Version: Version, Server: "sgbd test"},
 		&Query{SQL: "SELECT count(*) FROM t GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.5"},
-		&Set{Name: "parallelism", Value: "4"},
+		&Set{Name: "batch_size", Value: "4"},
 		&Ping{},
 		&Pong{},
 		&Cancel{},
