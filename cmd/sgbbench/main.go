@@ -8,10 +8,6 @@
 //	sgbbench -exp all                 # everything, laptop-scale defaults
 //	sgbbench -exp fig9 -fig9n 100000  # a bigger ε sweep
 //	sgbbench -exp table2 -sf 4
-//	sgbbench -json BENCH_1.json       # fixed probe suite → machine-readable
-//	                                  # snapshot (wall times + SGB counters)
-//	sgbbench -json BENCH_3.json -batch 512
-//	                                  # probe suite with an explicit batch size
 //
 // The -full flag raises every size knob towards the paper's configuration
 // (minutes of runtime rather than seconds).
@@ -30,57 +26,19 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: all, table1, table2, fig9, fig10, fig11, fig12, ablation")
-		fig9n      = flag.Int("fig9n", 0, "point count for the Figure 9 eps sweep (0 = default)")
-		sfs        = flag.String("sfs", "", "comma-separated scale factors for Figures 10/12 (empty = default)")
-		custSF     = flag.Int("custsf", 0, "customer rows per scale factor unit (0 = default 300)")
-		sizes      = flag.String("fig11sizes", "", "comma-separated dataset sizes for Figure 11 (empty = default)")
-		table1N    = flag.String("table1ns", "", "comma-separated size ladder for Table 1 (empty = default)")
-		sf         = flag.Float64("sf", 2, "scale factor for the Table 2 run")
-		eps        = flag.Float64("eps", 0.2, "similarity threshold for the Table 2 run")
-		seed       = flag.Int64("seed", 1, "generator seed")
-		full       = flag.Bool("full", false, "approach the paper's data sizes (much slower)")
-		csvDir     = flag.String("csvdir", "", "also write each report as CSV into this directory")
-		jsonOut    = flag.String("json", "", "run the fixed probe suite and write a machine-readable metrics snapshot to this file (e.g. BENCH_1.json), instead of the experiments")
-		jsonN      = flag.Int("jsonn", 5000, "check-in count for the -json probe suite")
-		timeout    = flag.Duration("timeout", 0, "per-probe wall-clock bound for the -json suite; a probe exceeding it fails the run (0 = unbounded)")
-		batch      = flag.Int("batch", 0, "batch row count for the -json probe suite (0 = engine default)")
-		gate       = flag.String("gate", "", "with -json: baseline snapshot (e.g. BENCH_7.json) to gate against; exits non-zero if any kernel probe's speedup-vs-scalar regressed >20% against it")
-		planGate   = flag.Float64("planner-gate", 0, "with -json: fail if any planner probe's auto p50 exceeds this multiple of its best manual algorithm's p50 (0 = off; CI uses 1.25)")
-		streamGate = flag.Float64("stream-gate", 0, "with -json: fail if any stream probe's incremental-maintenance speedup over full recompute falls below this ratio (0 = off; CI uses 10)")
+		exp     = flag.String("exp", "all", "experiment: all, table1, table2, fig9, fig10, fig11, fig12, ablation")
+		fig9n   = flag.Int("fig9n", 0, "point count for the Figure 9 eps sweep (0 = default)")
+		sfs     = flag.String("sfs", "", "comma-separated scale factors for Figures 10/12 (empty = default)")
+		custSF  = flag.Int("custsf", 0, "customer rows per scale factor unit (0 = default 300)")
+		sizes   = flag.String("fig11sizes", "", "comma-separated dataset sizes for Figure 11 (empty = default)")
+		table1N = flag.String("table1ns", "", "comma-separated size ladder for Table 1 (empty = default)")
+		sf      = flag.Float64("sf", 2, "scale factor for the Table 2 run")
+		eps     = flag.Float64("eps", 0.2, "similarity threshold for the Table 2 run")
+		seed    = flag.Int64("seed", 1, "generator seed")
+		full    = flag.Bool("full", false, "approach the paper's data sizes (much slower)")
+		csvDir  = flag.String("csvdir", "", "also write each report as CSV into this directory")
 	)
 	flag.Parse()
-
-	if *jsonOut != "" {
-		doc, err := writeBenchJSON(*jsonOut, *jsonN, *seed, *timeout, *batch)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sgbbench:", err)
-			os.Exit(1)
-		}
-		if *gate != "" {
-			if err := gateAgainst(doc, *gate); err != nil {
-				fmt.Fprintln(os.Stderr, "sgbbench:", err)
-				os.Exit(1)
-			}
-		}
-		if *planGate > 0 {
-			if err := gatePlanner(doc, *planGate); err != nil {
-				fmt.Fprintln(os.Stderr, "sgbbench:", err)
-				os.Exit(1)
-			}
-		}
-		if *streamGate > 0 {
-			if err := gateStream(doc, *streamGate); err != nil {
-				fmt.Fprintln(os.Stderr, "sgbbench:", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-	if *gate != "" || *planGate > 0 || *streamGate > 0 {
-		fmt.Fprintln(os.Stderr, "sgbbench: -gate/-planner-gate/-stream-gate require -json")
-		os.Exit(2)
-	}
 
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {

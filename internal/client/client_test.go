@@ -202,7 +202,7 @@ func TestConnectRetriesTransientRejection(t *testing.T) {
 			expectPeerClose(t, nc, "rejected attempt")
 			return
 		}
-		wire.WriteMessage(nc, &wire.Welcome{Version: wire.Version, Server: "script"})
+		wire.WriteMessage(nc, &wire.Welcome{Version: wire.MaxVersion, Server: "script"})
 		expectPeerClose(t, nc, "accepted conn after Close")
 	})
 	c, err := client.ConnectContext(context.Background(), srv.addr(), client.Options{
@@ -296,7 +296,7 @@ func TestErrConnClosed(t *testing.T) {
 		if !readHello(t, nc) {
 			return
 		}
-		wire.WriteMessage(nc, &wire.Welcome{Version: wire.Version, Server: "script"})
+		wire.WriteMessage(nc, &wire.Welcome{Version: wire.MaxVersion, Server: "script"})
 		expectPeerClose(t, nc, "closed conn")
 	})
 	c, err := client.Connect(srv.addr())

@@ -34,7 +34,7 @@ func TestConnectRetriesOverloadedHonoringHint(t *testing.T) {
 			expectPeerClose(t, nc, "overloaded rejection")
 			return
 		}
-		wire.WriteMessage(nc, &wire.Welcome{Version: wire.Version, Server: "script"})
+		wire.WriteMessage(nc, &wire.Welcome{Version: wire.MaxVersion, Server: "script"})
 		expectPeerClose(t, nc, "accepted conn after Close")
 	})
 	start := time.Now()
@@ -66,7 +66,7 @@ func TestConnectRetriesReadOnly(t *testing.T) {
 			expectPeerClose(t, nc, "read-only rejection")
 			return
 		}
-		wire.WriteMessage(nc, &wire.Welcome{Version: wire.Version, Server: "script"})
+		wire.WriteMessage(nc, &wire.Welcome{Version: wire.MaxVersion, Server: "script"})
 		expectPeerClose(t, nc, "accepted conn after Close")
 	})
 	c, err := client.ConnectContext(context.Background(), srv.addr(), client.Options{
@@ -116,7 +116,7 @@ func TestSubscribeReattachHonorsHint(t *testing.T) {
 		if !readHello(t, nc) {
 			return
 		}
-		wire.WriteMessage(nc, &wire.Welcome{Version: wire.Version, Server: "script"})
+		wire.WriteMessage(nc, &wire.Welcome{Version: wire.MaxVersion, Server: "script"})
 		msg, err := wire.ReadMessage(nc)
 		if err != nil {
 			t.Errorf("script server: reading Subscribe: %v", err)

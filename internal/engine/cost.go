@@ -12,8 +12,9 @@ import (
 // follow the paper's complexity analysis — All-Pairs O(n·g), Bounds-Checking
 // O(n·g) rectangle tests plus O(n·k) distances, on-the-fly Index O(n log g)
 // window queries plus O(n·k) distances — with constants calibrated against
-// the BENCH_7 probe measurements (one cost unit ≈ 10 ns on the reference
-// host; e.g. the sgb_all_join_any_l2 probe at n=5000: All-Pairs measured
+// the wall-clock probe snapshot committed with this cost model, now in git
+// history (one cost unit ≈ 10 ns on the reference host; e.g. the
+// sgb_all_join_any_l2 probe at n=5000 check-ins: All-Pairs measured
 // 16.3 ms over 1.84M distance comps ≈ 8.8 ns/unit, Index measured 7.6 ms
 // against an estimated 0.76M units ≈ 9.9 ns/unit).
 const (

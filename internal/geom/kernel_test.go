@@ -260,7 +260,8 @@ func kernelBenchData(n int) (Cols, Point, []float64, []bool) {
 }
 
 // BenchmarkKernelWithinMask measures batch-predicate throughput per metric —
-// the quantity the BENCH_7 kernel probes track. Compare against
+// the quantity the benchmark of record reports as geom.within_mask_ns_per_point
+// (geom.within_scalar_ns_per_point for the scalar loop). Compare against
 // BenchmarkScalarWithinColumn to see the layout + vectorization gain.
 func BenchmarkKernelWithinMask(b *testing.B) {
 	const n = 4096

@@ -99,6 +99,18 @@ func TestBlockHoldsEveryNeighbour(t *testing.T) {
 	}
 }
 
+// TestCellsFloorAcrossTheOrigin: −0.5 and +0.5 lie in cells −1 and 0. A
+// coord that truncated toward zero would put both in cell 0, twice as wide as
+// the side the clique certificate assumes.
+func TestCellsFloorAcrossTheOrigin(t *testing.T) {
+	ix := New(geom.LInf, 1, 1)
+	ix.Insert(geom.Point{-0.5}, 0)
+	ix.Insert(geom.Point{0.5}, 1)
+	if ix.Len() != 2 {
+		t.Fatalf("-0.5 and 0.5 share a cell: Len() = %d, want 2", ix.Len())
+	}
+}
+
 // TestOutOfRangeCoordinatesShareACell: coordinates past ±maxCoord cells clamp
 // into the outermost cell, which loses its certificate instead of being
 // trusted, and probing there stays bounded by the number of cells.

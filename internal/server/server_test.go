@@ -476,7 +476,7 @@ func TestVersionMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if err := wire.WriteMessage(nc, &wire.Hello{Version: wire.Version + 7}); err != nil {
+	if err := wire.WriteMessage(nc, &wire.Hello{Version: wire.MaxVersion + 7}); err != nil {
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(2 * time.Second))

@@ -29,8 +29,8 @@ func FuzzReadMessage(f *testing.F) {
 
 	// One valid frame per message type.
 	valid := []Message{
-		&Hello{Version: Version},
-		&Welcome{Version: Version, Server: "sgbd/test"},
+		&Hello{Version: MaxVersion},
+		&Welcome{Version: MaxVersion, Server: "sgbd/test"},
 		&Query{SQL: "SELECT count(*) FROM t GROUP BY x DISTANCE-TO-ANY L2 WITHIN 0.5"},
 		&Query{SQL: "SELECT 1", TraceID: "00aabbccddeeff11"},
 		&Introspect{What: IntrospectProcessList},
@@ -61,7 +61,7 @@ func FuzzReadMessage(f *testing.F) {
 	binary.BigEndian.PutUint32(oversized[1:], MaxFrame+1)
 	f.Add(oversized)                // oversized length prefix
 	f.Add([]byte{0x7f, 0, 0, 0, 0}) // unknown message type
-	badMagic := encode(&Hello{Version: Version})
+	badMagic := encode(&Hello{Version: MaxVersion})
 	copy(badMagic[5:], "HTTP")
 	f.Add(badMagic) // bad magic
 	trailing := encode(&Pong{})

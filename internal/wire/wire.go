@@ -67,12 +67,6 @@ import (
 // package comment for the compatibility policy.
 const MaxVersion = 4
 
-// Version is the newest protocol version this package speaks.
-//
-// Deprecated: it is an alias for MaxVersion, kept so existing callers keep
-// compiling; new code should spell MaxVersion.
-const Version = MaxVersion
-
 // MinVersion is the oldest protocol version a server still accepts.
 const MinVersion = 1
 

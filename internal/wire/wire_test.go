@@ -17,8 +17,8 @@ import (
 // TestRoundTrip encodes and decodes one instance of every message type.
 func TestRoundTrip(t *testing.T) {
 	msgs := []Message{
-		&Hello{Version: Version},
-		&Welcome{Version: Version, Server: "sgbd test"},
+		&Hello{Version: MaxVersion},
+		&Welcome{Version: MaxVersion, Server: "sgbd test"},
 		&Query{SQL: "SELECT count(*) FROM t GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.5"},
 		&Set{Name: "batch_size", Value: "4"},
 		&Ping{},
@@ -153,7 +153,7 @@ func TestMalformedFrames(t *testing.T) {
 		}
 	})
 	t.Run("bad magic", func(t *testing.T) {
-		b := encode(&Hello{Version: Version})
+		b := encode(&Hello{Version: MaxVersion})
 		copy(b[5:], "HTTP")
 		_, err := ReadMessage(bytes.NewReader(b))
 		if err == nil || !strings.Contains(err.Error(), "bad magic") {
