@@ -1,7 +1,7 @@
 // Command sgbcli is an interactive SQL shell for the similarity group-by
 // engine. By default it runs against an embedded in-process database; with
 // -connect host:port it speaks the wire protocol to a running sgbd instead,
-// and the settings meta commands (\alg, \batch, \limits) map onto
+// and the settings meta commands (\alg, \limits) map onto
 // session-scoped settings of that connection.
 //
 // Statements end with ';'. Meta commands:
@@ -11,8 +11,6 @@
 //	\load checkin <N>    generate and load a check-in table ("checkins")
 //	\alg <name>          pick the SGB algorithm: auto (cost-based, the
 //	                     default) | allpairs | bounds | index
-//	\batch [<n>]         set the batch row count (0 = engine default;
-//	                     no args: show)
 //	\save <file>         snapshot the database to a file
 //	\open <file>         replace the session database with a snapshot
 //	\timing              toggle query timing (with parse/plan/execute spans;
@@ -292,19 +290,6 @@ func meta(s *session, cmd string) bool {
 		} else {
 			fmt.Println("SGB algorithm:", db.SGBAlgorithm())
 		}
-	case "\\batch":
-		if len(fields) == 2 {
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
-				fmt.Println("bad batch size:", fields[1])
-				break
-			}
-			db.SetBatchSize(n)
-		} else if len(fields) != 1 {
-			fmt.Println("usage: \\batch [<n>]  (0 = engine default)")
-			break
-		}
-		fmt.Println("batch size:", db.BatchSize())
 	case "\\save":
 		if len(fields) != 2 {
 			fmt.Println("usage: \\save <file>")
@@ -474,12 +459,6 @@ func metaRemote(s *session, cmd string) bool {
 			break
 		}
 		set("sgb_algorithm", fields[1])
-	case "\\batch":
-		if len(fields) != 2 {
-			fmt.Println("usage: \\batch <n>  (0 = engine default)")
-			break
-		}
-		set("batch_size", fields[1])
 	case "\\limits":
 		switch {
 		case len(fields) == 2 && fields[1] == "off":

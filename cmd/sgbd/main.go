@@ -19,7 +19,6 @@
 //	                 exists; save back on graceful shutdown only
 //	-max-conns N     reject connections beyond N concurrently open (0 = off)
 //	-idle-timeout D  close connections idle between statements for D (0 = off)
-//	-batch N         default session batch row count (0 = engine default)
 //	-max-rows N      default per-query row-materialization limit (0 = off)
 //	-max-time D      default per-query execution time limit (0 = off)
 //	-alg NAME        default SGB algorithm: auto (cost-based) | allpairs |
@@ -60,8 +59,8 @@
 // while draining; /healthz answers 200 whenever the process is up.
 //
 // Per-connection sessions inherit the flag defaults and may override them
-// with wire Set messages (sgbcli -connect maps \batch, \limits, \alg
-// onto those). SIGINT/SIGTERM drain gracefully: the listener closes,
+// with wire Set messages (sgbcli -connect maps \limits, \alg onto
+// those). SIGINT/SIGTERM drain gracefully: the listener closes,
 // in-flight statements get -drain-timeout to finish, then a final checkpoint
 // (or the legacy snapshot) is saved.
 //
@@ -109,7 +108,6 @@ func main() {
 		snapshot     = flag.String("snapshot", "", "legacy snapshot file: loaded at boot if present, saved on graceful shutdown (not crash-safe; prefer -data-dir)")
 		maxConns     = flag.Int("max-conns", 0, "max concurrently open connections (0 = unlimited)")
 		idleTimeout  = flag.Duration("idle-timeout", 0, "close connections idle between statements this long (0 = never)")
-		batch        = flag.Int("batch", 0, "default session batch size (0 = engine default)")
 		maxRows      = flag.Int64("max-rows", 0, "default per-query rows-materialized limit (0 = unlimited)")
 		maxTime      = flag.Duration("max-time", 0, "default per-query execution time limit (0 = unlimited)")
 		alg          = flag.String("alg", "auto", "default SGB algorithm: auto|allpairs|bounds|index")
@@ -135,7 +133,7 @@ func main() {
 		dataDir: *dataDir, fsync: *fsyncPolicy, fsyncInterval: *fsyncEvery,
 		checkpointInterval: *ckptEvery, snapshot: *snapshot,
 		maxConns: *maxConns, idleTimeout: *idleTimeout,
-		batch: *batch, maxRows: *maxRows, maxTime: *maxTime,
+		maxRows: *maxRows, maxTime: *maxTime,
 		alg: *alg, drainTimeout: *drainTimeout,
 		slowQuery: *slowQuery, slowlogSize: *slowlogSize, traceSample: *traceSample,
 		autoAnalyze: *autoAnalyze,
@@ -162,7 +160,6 @@ type daemonConfig struct {
 	snapshot           string
 	maxConns           int
 	idleTimeout        time.Duration
-	batch              int
 	maxRows            int64
 	maxTime            time.Duration
 	alg                string
@@ -319,7 +316,6 @@ func run(cfg daemonConfig) error {
 	default:
 		return fmt.Errorf("unknown -alg %q (want auto|allpairs|bounds|index)", cfg.alg)
 	}
-	db.SetBatchSize(cfg.batch)
 	db.SetLimits(engine.Limits{MaxRowsMaterialized: cfg.maxRows, MaxExecutionTime: cfg.maxTime})
 	db.SetTraceSampling(cfg.traceSample)
 	db.SetAutoAnalyze(cfg.autoAnalyze)

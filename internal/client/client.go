@@ -445,8 +445,8 @@ func (r *Rows) finish() {
 }
 
 // Set changes one session-scoped setting on the server. Names:
-// sgb_algorithm (allpairs|bounds|index), batch_size, max_rows, max_time (Go
-// duration, "0" clears).
+// sgb_algorithm (auto|allpairs|bounds|index), max_rows, max_time (Go duration,
+// "0" clears).
 func (c *Conn) Set(name, value string) error {
 	c.qmu.Lock()
 	defer c.qmu.Unlock()

@@ -315,7 +315,7 @@ func TestErrConnClosed(t *testing.T) {
 	if err := c.Cancel(); !errors.Is(err, client.ErrConnClosed) {
 		t.Errorf("Cancel after close: %v, want ErrConnClosed", err)
 	}
-	if err := c.Set("batch_size", "64"); !errors.Is(err, client.ErrConnClosed) {
+	if err := c.Set("max_rows", "64"); !errors.Is(err, client.ErrConnClosed) {
 		t.Errorf("Set after close: %v, want ErrConnClosed", err)
 	}
 	if err := c.Ping(context.Background()); !errors.Is(err, client.ErrConnClosed) {

@@ -77,8 +77,8 @@ func TestExternalServerQueries(t *testing.T) {
 		t.Fatal("sgb query returned no groups")
 	}
 
-	if err := c.Set("batch_size", "64"); err != nil {
-		t.Fatalf("set batch_size: %v", err)
+	if err := c.Set("max_rows", "64"); err != nil {
+		t.Fatalf("set max_rows: %v", err)
 	}
 	if err := c.Ping(ctx); err != nil {
 		t.Fatalf("ping: %v", err)

@@ -45,35 +45,29 @@ func analyzerDB(t *testing.T) *DB {
 // TestAnalyzerRewritesAreBitIdentical is the property test behind every
 // analyzer rule: for each workload query, the fully optimized plan (auto
 // algorithm selection included) must return byte-identical rows, in the same
-// order, as the naive plan produced with the optimizer off — across batch
-// sizes. Run under -race in CI.
+// order, as the naive plan produced with the optimizer off. Run under -race
+// in CI.
 func TestAnalyzerRewritesAreBitIdentical(t *testing.T) {
 	db := analyzerDB(t)
-	for _, batch := range []int{0, 256} {
-		db.SetBatchSize(batch)
-		for _, q := range analyzerQueries {
-			db.SetOptimizer(false)
-			naive, err := db.Exec(q)
-			if err != nil {
-				t.Fatalf("naive %s: %v", q, err)
-			}
-			db.SetOptimizer(true)
-			opt, err := db.Exec(q)
-			if err != nil {
-				t.Fatalf("optimized %s: %v", q, err)
-			}
-			wantRows, gotRows := rowStrings(naive), rowStrings(opt)
-			if strings.Join(wantRows, "\n") != strings.Join(gotRows, "\n") {
-				t.Errorf("batch=%d %s:\nnaive %d rows, optimized %d rows differ",
-					batch, q, len(wantRows), len(gotRows))
-			}
-			if strings.Join(naive.Columns, ",") != strings.Join(opt.Columns, ",") {
-				t.Errorf("%s: column mismatch %v vs %v", q, naive.Columns, opt.Columns)
-			}
+	for _, q := range analyzerQueries {
+		db.SetOptimizer(false)
+		naive, err := db.Exec(q)
+		if err != nil {
+			t.Fatalf("naive %s: %v", q, err)
+		}
+		db.SetOptimizer(true)
+		opt, err := db.Exec(q)
+		if err != nil {
+			t.Fatalf("optimized %s: %v", q, err)
+		}
+		wantRows, gotRows := rowStrings(naive), rowStrings(opt)
+		if strings.Join(wantRows, "\n") != strings.Join(gotRows, "\n") {
+			t.Errorf("%s:\nnaive %d rows, optimized %d rows differ", q, len(wantRows), len(gotRows))
+		}
+		if strings.Join(naive.Columns, ",") != strings.Join(opt.Columns, ",") {
+			t.Errorf("%s: column mismatch %v vs %v", q, naive.Columns, opt.Columns)
 		}
 	}
-	db.SetOptimizer(true)
-	db.SetBatchSize(0)
 }
 
 // TestAutoAlgorithmMatchesEveryManualChoice pins what makes cost-based

@@ -41,8 +41,6 @@ type DB struct {
 	// against.
 	noOptimize bool
 	limits     Limits
-	// batchSize is the batch row count; 0 = defaultBatchSize.
-	batchSize int
 
 	metrics atomic.Pointer[obs.Registry]
 
@@ -265,29 +263,6 @@ func (db *DB) Limits() Limits {
 	return db.limits
 }
 
-// SetBatchSize sets the batch row count used by the vectorized executor in
-// subsequent statements. n <= 0 restores defaultBatchSize. Small values are
-// mainly useful to cross batch boundaries on small tables in tests.
-func (db *DB) SetBatchSize(n int) {
-	if n < 0 {
-		n = 0
-	}
-	db.stateMu.Lock()
-	db.batchSize = n
-	db.stateMu.Unlock()
-}
-
-// BatchSize reports the resolved batch row count for new statements.
-func (db *DB) BatchSize() int {
-	db.stateMu.Lock()
-	n := db.batchSize
-	db.stateMu.Unlock()
-	if n <= 0 {
-		return defaultBatchSize
-	}
-	return n
-}
-
 // LastSGBStats returns the core operator counters from the most recent
 // statement that executed a similarity group-by, or nil.
 func (db *DB) LastSGBStats() *core.Stats {
@@ -320,7 +295,7 @@ func (db *DB) ExecContext(ctx context.Context, sql string) (*Result, error) {
 }
 
 // settings snapshots the DB-level default settings. DB-level setters
-// (SetSGBAlgorithm, SetLimits, SetBatchSize) configure this
+// (SetSGBAlgorithm, SetLimits, SetOptimizer) configure this
 // default; Sessions take an independent copy at creation time.
 func (db *DB) settings() Settings {
 	db.stateMu.Lock()
@@ -329,7 +304,6 @@ func (db *DB) settings() Settings {
 		SGBAlgorithm: db.sgbAlg,
 		SGBAuto:      db.sgbAuto,
 		Limits:       db.limits,
-		BatchSize:    db.batchSize,
 		NoOptimize:   db.noOptimize,
 	}
 }
@@ -388,7 +362,7 @@ func isReadOnly(stmt Statement) bool {
 // limit, takes the statement lock in the right mode, runs the statement, and
 // folds the outcome into the metrics registry and the session state. set is
 // the caller's settings snapshot — the statement's whole execution shape
-// (algorithm, limits, batch size) is fixed here, at plan time,
+// (algorithm, limits, optimizer) is fixed here, at plan time,
 // so concurrent sessions adjusting their own knobs cannot affect it. sql is
 // the statement's original text ("" for pre-parsed statements), handed to
 // the commit hook for write-ahead logging.
@@ -421,7 +395,6 @@ func (db *DB) execTraced(ctx context.Context, stmt Statement, tr *obs.Trace, set
 	if err == nil {
 		qc := newQueryCtx(ctx, lim)
 		qc.mem = acct
-		qc.batch = set.BatchSize
 		qc.alg = set.SGBAlgorithm
 		qc.algAuto = set.SGBAuto
 		qc.noOpt = set.NoOptimize

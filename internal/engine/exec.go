@@ -19,41 +19,50 @@ type operator interface {
 	close() error
 }
 
-// materialize runs an operator to completion and buffers its output, charging
-// every buffered row against the statement's row budget and polling for
-// cancellation once per batch. qc may be nil (no limits, no cancellation).
+// materialize runs an operator to completion and buffers its output. Once per
+// cancelCheckStride rows (and once for the remainder at end of stream) it polls
+// for cancellation and charges the new rows against the statement's row and
+// memory budgets. qc may be nil (no limits, no cancellation).
 func materialize(op operator, qc *queryCtx) ([]Row, error) {
 	if err := op.open(); err != nil {
 		return nil, err
 	}
 	defer op.close()
 	var rows []Row
-	buf := make([]Row, 0, qc.batchSize())
+	charged := 0
+	charge := func() error {
+		n := len(rows) - charged
+		if n == 0 {
+			return nil
+		}
+		charged = len(rows)
+		if err := qc.poll(); err != nil {
+			return err
+		}
+		if err := qc.addRows(n); err != nil {
+			return err
+		}
+		return qc.growMem(int64(n) * memRowBytes(len(rows[len(rows)-1])))
+	}
 	for {
-		batch, err := fetchBatch(op, buf, qc)
+		r, err := op.next()
 		if err == io.EOF {
+			if err := charge(); err != nil {
+				return nil, err
+			}
 			return rows, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		if err := qc.poll(); err != nil {
-			return nil, err
-		}
-		if err := qc.addRows(len(batch)); err != nil {
-			return nil, err
-		}
-		if len(batch) > 0 {
-			if err := qc.growMem(int64(len(batch)) * memRowBytes(len(batch[0]))); err != nil {
+		rows = append(rows, r)
+		if len(rows)-charged == cancelCheckStride {
+			if err := charge(); err != nil {
 				return nil, err
 			}
 		}
-		rows = append(rows, batch...)
 	}
 }
-
-// drain is materialize without accounting, for limit-free callers.
-func drain(op operator) ([]Row, error) { return materialize(op, nil) }
 
 // ---- scan ----
 
@@ -124,10 +133,9 @@ type filterOp struct {
 	// for internally synthesized predicates (HAVING), which fall back to the
 	// default selectivity.
 	srcExpr Expr
-	buf     []Row // reused child batch buffer for nextBatch
-	// qc bounds the qualify-nothing loop in nextBatch: a highly selective
-	// filter may consume many child batches before producing a row, and the
-	// child cannot be relied on to poll (see fetchBatch).
+	// qc bounds the reject loop in next: a highly selective filter may
+	// consume its whole input before producing a row, and children over
+	// in-memory rows (valuesOp, distinctOp) never poll.
 	qc *queryCtx
 }
 
@@ -148,18 +156,33 @@ func (f *filterOp) next() (Row, error) {
 		if v.Truthy() {
 			return r, nil
 		}
+		if err := f.qc.tick(); err != nil {
+			return nil, err
+		}
 	}
 }
 
 // ---- projection ----
+
+// Projection arena chunks grow geometrically between these row counts, so a
+// small answer does not pay for a full-size arena.
+const (
+	projectFirstChunk = 64
+	projectMaxChunk   = 1024
+)
 
 type projectOp struct {
 	planEst
 	child operator
 	sch   Schema
 	fns   []evalFn
-	buf   []Row // reused child batch buffer for nextBatch
 	qc    *queryCtx
+	// arena is the unused tail of the current output chunk. Output rows are
+	// carved from it — one allocation per chunk instead of one per row — and
+	// never recycled, so consumers may retain them. chunk is the row count of
+	// the last chunk allocated.
+	arena []Value
+	chunk int
 }
 
 func (p *projectOp) schema() Schema { return p.sch }
@@ -171,7 +194,16 @@ func (p *projectOp) next() (Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make(Row, len(p.fns))
+	w := len(p.fns)
+	if len(p.arena) < w {
+		p.chunk = min(max(2*p.chunk, projectFirstChunk), projectMaxChunk)
+		if err := p.qc.growMem(int64(p.chunk) * memRowBytes(w)); err != nil {
+			return nil, err
+		}
+		p.arena = make([]Value, p.chunk*w)
+	}
+	out := p.arena[:w:w]
+	p.arena = p.arena[w:]
 	for i, f := range p.fns {
 		if out[i], err = f(r); err != nil {
 			return nil, err
@@ -426,8 +458,8 @@ type limitOp struct {
 	offset  int
 	seen    int
 	skipped int
-	buf     []Row // reused child batch buffer for nextBatch
-	qc      *queryCtx
+	// qc bounds the OFFSET skip in next, for the same reason as filterOp's.
+	qc *queryCtx
 }
 
 func (l *limitOp) schema() Schema { return l.child.schema() }
@@ -440,6 +472,9 @@ func (l *limitOp) next() (Row, error) {
 			return nil, err
 		}
 		l.skipped++
+		if err := l.qc.tick(); err != nil {
+			return nil, err
+		}
 	}
 	if l.n >= 0 && l.seen >= l.n {
 		return nil, io.EOF
@@ -559,28 +594,28 @@ func (a *hashAggOp) open() error {
 	return nil
 }
 
-// build drains the child into tbl, one batch at a time, in input order.
+// build drains the child into tbl in input order, polling for cancellation
+// once per cancelCheckStride rows.
 func (a *hashAggOp) build(tbl *aggTable) error {
 	if err := a.child.open(); err != nil {
 		return err
 	}
 	defer a.child.close()
-	buf := make([]Row, 0, a.qc.batchSize())
-	for {
-		batch, err := fetchBatch(a.child, buf, a.qc)
+	for n := 1; ; n++ {
+		r, err := a.child.next()
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		if err := a.qc.poll(); err != nil {
-			return err
-		}
-		for _, r := range batch {
-			if err := tbl.addRow(r); err != nil {
+		if n%cancelCheckStride == 0 {
+			if err := a.qc.poll(); err != nil {
 				return err
 			}
+		}
+		if err := tbl.addRow(r); err != nil {
+			return err
 		}
 	}
 }

@@ -6,16 +6,15 @@ import (
 )
 
 // instrumentedOp wraps a physical operator and records its actual runtime
-// behaviour: rows produced, next() calls, re-opens (loops), and cumulative
-// wall time spent inside open()+next(). Time is inclusive of children, like
-// PostgreSQL's "actual time" — subtracting a child's elapsed from its
-// parent's gives the operator's own cost.
+// behaviour: rows produced, re-opens (loops), and cumulative wall time spent
+// inside open()+next(). Time is inclusive of children, like PostgreSQL's
+// "actual time" — subtracting a child's elapsed from its parent's gives the
+// operator's own cost.
 type instrumentedOp struct {
-	child     operator
-	rowsOut   int64
-	nextCalls int64
-	loops     int
-	elapsed   time.Duration
+	child   operator
+	rowsOut int64
+	loops   int
+	elapsed time.Duration
 }
 
 func (i *instrumentedOp) schema() Schema { return i.child.schema() }
@@ -32,7 +31,6 @@ func (i *instrumentedOp) next() (Row, error) {
 	start := time.Now()
 	r, err := i.child.next()
 	i.elapsed += time.Since(start)
-	i.nextCalls++
 	if err == nil {
 		i.rowsOut++
 	}

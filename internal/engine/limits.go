@@ -22,7 +22,7 @@ type Limits struct {
 	// 0 means unlimited.
 	MaxExecutionTime time.Duration
 	// MaxMemoryBytes caps the scratch memory a single statement may charge
-	// against the memory governor's accounting (batch arenas, aggregation
+	// against the memory governor's accounting (projection arenas, aggregation
 	// tables, columnar scratch, materialized results). 0 means unlimited —
 	// the statement is then bounded only by the process budget, if one is
 	// set (DB.SetMemoryBudget).
@@ -66,14 +66,15 @@ func (e *ResourceLimitError) Error() string {
 // per-query limit.
 func (e *ResourceLimitError) Global() bool { return e.Scope == LimitScopeGlobal }
 
-// cancelCheckStride is how many row-at-a-time next() steps an operator takes
-// between context polls: frequent enough that cancellation lands promptly
-// mid-scan, rare enough that the poll never shows up in a profile. Batch
-// operators poll once per batch instead (see queryCtx.poll).
+// cancelCheckStride is how many next() steps pass between context polls:
+// frequent enough that cancellation lands promptly mid-scan, rare enough that
+// the poll never shows up in a profile. Operators that count their own rows
+// (materialize, hash-aggregate build) poll and charge budgets once per stride;
+// the rest tick the statement's shared counter (see queryCtx.tick).
 const cancelCheckStride = 1024
 
 // queryCtx threads cancellation, row accounting, and the execution-shape
-// settings (batch size, SGB algorithm) through one statement's operator tree.
+// settings (SGB algorithm, optimizer) through one statement's operator tree.
 // Every operator of a plan shares one instance (including the plans of
 // scalar/IN subqueries), so the row budget is per statement, not per
 // operator. The nil *queryCtx is valid and never cancels or limits —
@@ -81,7 +82,6 @@ const cancelCheckStride = 1024
 type queryCtx struct {
 	ctx     context.Context
 	maxRows int64 // 0 = unlimited
-	batch   int   // batch row count; <=0 = defaultBatchSize
 	// alg is the statement's SGB physical algorithm, resolved from the
 	// session settings when the statement starts. algAuto marks it as a
 	// fallback hint only: the optimizer is free to pick per query.
@@ -119,9 +119,8 @@ func (q *queryCtx) tick() error {
 	return q.ctx.Err()
 }
 
-// poll checks for cancellation unconditionally. Batch operators call it once
-// per batch (~batchSize rows), which keeps cancellation latency bounded
-// without a per-row branch.
+// poll checks for cancellation unconditionally. Callers that count their own
+// rows call it once per cancelCheckStride rows.
 func (q *queryCtx) poll() error {
 	if q == nil {
 		return nil
@@ -145,9 +144,9 @@ func (q *queryCtx) addRows(n int) error {
 
 // growMem charges n bytes of statement-scratch growth against the per-query
 // memory limit and the process budget. Operators call it at the allocation
-// sites that actually grow — batch arenas, new aggregation buckets, columnar
-// scratch, materialized rows — so accounting tracks real footprint without a
-// per-row branch.
+// sites that actually grow — projection arenas, new aggregation buckets,
+// columnar scratch, materialized rows — so accounting tracks real footprint
+// without a per-row branch.
 func (q *queryCtx) growMem(n int64) error {
 	if q == nil || q.mem == nil {
 		return nil
@@ -162,14 +161,6 @@ func (q *queryCtx) context() context.Context {
 		return context.Background()
 	}
 	return q.ctx
-}
-
-// batchSize is the statement's batch row count.
-func (q *queryCtx) batchSize() int {
-	if q == nil || q.batch <= 0 {
-		return defaultBatchSize
-	}
-	return q.batch
 }
 
 // algorithm is the statement's SGB physical algorithm. Plan-only contexts

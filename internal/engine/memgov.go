@@ -10,7 +10,7 @@ import (
 // deliberately coarse — slice headers, Value boxes, hash-bucket overhead —
 // because the governor bounds aggregate pressure, not exact bytes; what
 // matters is that charges are proportional to real allocations and are
-// applied per batch/bucket, never per row in a hot loop.
+// applied per chunk/bucket, never per row in a hot loop.
 const (
 	// memValueBytes approximates one boxed engine.Value (interface header +
 	// typical payload).
@@ -263,7 +263,7 @@ func (a *memAccount) release() {
 }
 
 // SetMemoryBudget installs a process-wide cap, in bytes, on the statement
-// scratch memory the engine will admit concurrently — batch arenas,
+// scratch memory the engine will admit concurrently — projection arenas,
 // aggregation tables, columnar scratch, materialized results, matview delta
 // rings. 0 removes the cap (accounting still runs so the gauge stays
 // truthful). When the pool is exhausted, new statements queue (bounded, see

@@ -68,6 +68,47 @@ func TestMemoryGovernorPerQueryLimit(t *testing.T) {
 	}
 }
 
+// TestMemoryChargesMatchAcrossInstrumentation pins that a statement charges
+// the same memory however it runs: plainly, under EXPLAIN ANALYZE, or
+// trace-sampled. Each mode's smallest per-query MaxMemoryBytes at which the
+// statement succeeds must be equal.
+func TestMemoryChargesMatchAcrossInstrumentation(t *testing.T) {
+	db := NewDB()
+	loadNums(t, db, 3000, 11)
+	const q = "SELECT id, v + 1, k * 2 FROM nums WHERE v > 10"
+	minBudget := func(sql string, sampling int) int64 {
+		db.SetTraceSampling(sampling)
+		fits := func(limit int64) bool {
+			db.SetLimits(Limits{MaxMemoryBytes: limit})
+			_, err := db.Exec(sql)
+			var rle *ResourceLimitError
+			if err != nil && !errors.As(err, &rle) {
+				t.Fatalf("%s at %d bytes: %v", sql, limit, err)
+			}
+			return err == nil
+		}
+		lo, hi := int64(1), int64(1)<<26 // fits(hi), and 0 would mean unlimited
+		if !fits(hi) {
+			t.Fatalf("%s does not fit in %d bytes", sql, hi)
+		}
+		for lo < hi {
+			if mid := lo + (hi-lo)/2; fits(mid) {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		return lo
+	}
+	plain := minBudget(q, 0)
+	analyze := minBudget("EXPLAIN ANALYZE "+q, 0)
+	sampled := minBudget(q, 1)
+	t.Logf("smallest budget: plain %d, EXPLAIN ANALYZE %d, trace-sampled %d bytes", plain, analyze, sampled)
+	if plain != analyze || plain != sampled {
+		t.Fatalf("memory charged differs: plain %d, EXPLAIN ANALYZE %d, trace-sampled %d bytes", plain, analyze, sampled)
+	}
+}
+
 // TestMemoryGovernorGlobalBudget: with a tiny process budget, a heavy
 // statement fails with a global-scoped error; removing the budget heals it.
 func TestMemoryGovernorGlobalBudget(t *testing.T) {

@@ -41,7 +41,6 @@ type renameOp struct {
 	planEst
 	child operator
 	sch   Schema
-	qc    *queryCtx
 }
 
 func (r *renameOp) schema() Schema     { return r.sch }
@@ -79,7 +78,7 @@ func (pc *planContext) lowerSelect(stmt *SelectStmt) (operator, error) {
 			if err != nil {
 				return nil, err
 			}
-			src = &renameOp{child: sub, sch: sub.schema().Qualify(item.Alias), qc: pc.qc}
+			src = &renameOp{child: sub, sch: sub.schema().Qualify(item.Alias)}
 		default:
 			view, ok := pc.db.cat.View(item.Table)
 			if !ok {
@@ -102,7 +101,7 @@ func (pc *planContext) lowerSelect(stmt *SelectStmt) (operator, error) {
 				if err != nil {
 					return nil, fmt.Errorf("engine: view %s: %w", item.Table, err)
 				}
-				src = &renameOp{child: sub, sch: sub.schema().Qualify(item.Alias), qc: pc.qc}
+				src = &renameOp{child: sub, sch: sub.schema().Qualify(item.Alias)}
 				break
 			}
 			t, err := pc.db.cat.Get(item.Table)

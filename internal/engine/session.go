@@ -25,8 +25,6 @@ type Settings struct {
 	SGBAuto bool
 	// Limits bounds the resources a single statement may consume.
 	Limits Limits
-	// BatchSize is the batch row count; 0 = the engine default.
-	BatchSize int
 	// NoOptimize disables the cost-based analyzer rules, producing the naive
 	// plan lowering. Semantics are unchanged; plan-equivalence tests use it
 	// as the reference.
@@ -40,7 +38,7 @@ type Settings struct {
 // session at a time.
 //
 // Settings start as a snapshot of the DB-level defaults at creation time and
-// evolve independently afterwards: SetBatchSize on one session never affects
+// evolve independently afterwards: SetLimits on one session never affects
 // another session or the DB defaults.
 type Session struct {
 	db  *DB
@@ -94,17 +92,6 @@ func (s *Session) SetOptimizer(on bool) {
 func (s *Session) SetLimits(lim Limits) {
 	s.mu.Lock()
 	s.set.Limits = lim
-	s.mu.Unlock()
-}
-
-// SetBatchSize sets the session's batch row count (0 = engine
-// default) for subsequent statements on this session only.
-func (s *Session) SetBatchSize(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.mu.Lock()
-	s.set.BatchSize = n
 	s.mu.Unlock()
 }
 

@@ -43,7 +43,7 @@ func firstWords(sql string) string {
 
 // TestSessionSettingsIsolated is the regression test for the global-knob bug:
 // session setters must not leak into other sessions or the DB defaults.
-// Before settings were session-scoped, SetBatchSize/SetLimits
+// Before settings were session-scoped, SetLimits and SetSGBAlgorithm
 // mutated the shared DB, so two connections raced each other's knobs.
 func TestSessionSettingsIsolated(t *testing.T) {
 	db := NewDB()
@@ -52,16 +52,14 @@ func TestSessionSettingsIsolated(t *testing.T) {
 	a := db.NewSession()
 	b := db.NewSession()
 
-	a.SetBatchSize(16)
 	a.SetLimits(Limits{MaxRowsMaterialized: 10})
 	a.SetSGBAlgorithm(core.AllPairs)
 
 	// b and the DB defaults are untouched by a's setters.
-	if got := b.Settings(); got.BatchSize != 0 ||
-		got.Limits.MaxRowsMaterialized != 0 || got.SGBAlgorithm != core.IndexBounds {
+	if got := b.Settings(); got.Limits.MaxRowsMaterialized != 0 || got.SGBAlgorithm != core.IndexBounds {
 		t.Fatalf("session b settings contaminated by a: %+v", got)
 	}
-	if db.BatchSize() == 16 {
+	if db.SGBAlgorithm() != core.IndexBounds || !db.SGBAlgorithmIsAuto() {
 		t.Fatalf("DB defaults contaminated by session setters")
 	}
 	if db.Limits().MaxRowsMaterialized != 0 {
@@ -137,7 +135,7 @@ func TestSessionSettingsRace(t *testing.T) {
 			defer wg.Done()
 			s := db.NewSession()
 			for i := 0; i < iters; i++ {
-				s.SetBatchSize(32 << (i % 3))
+				s.SetLimits(Limits{MaxRowsMaterialized: int64(4096) << (i % 3)})
 				if i%2 == 0 {
 					s.SetSGBAlgorithm(core.AllPairs)
 				} else {

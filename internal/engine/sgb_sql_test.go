@@ -269,11 +269,11 @@ func loadGrid(t *testing.T, db *DB, n int, dim int, eps float64, seed int64) {
 
 // TestColumnarMatchesRowPath is the engine's cross-algorithm check on
 // adversarial coordinates: every DISTANCE-TO-ANY statement must return
-// bit-identical rows under \alg index and \alg allpairs, and every SGB
-// statement the same rows at any batch size, across metrics, semantics and
-// ε values. DISTANCE-TO-ALL is not compared across algorithms: its ε-rectangle
-// test and geom.Within disagree one ulp from the boundary, so Bounds-Checking
-// and the index admit members All-Pairs rejects on exactly these inputs.
+// bit-identical rows under \alg index and \alg allpairs, across metrics,
+// semantics and ε values. DISTANCE-TO-ALL statements only have to run: their
+// ε-rectangle test and geom.Within disagree one ulp from the boundary, so
+// Bounds-Checking and the index admit members All-Pairs rejects on exactly
+// these inputs.
 func TestColumnarMatchesRowPath(t *testing.T) {
 	for _, dim := range []int{1, 2} {
 		for _, eps := range []float64{0.25, 1.0} {
@@ -295,25 +295,15 @@ func TestColumnarMatchesRowPath(t *testing.T) {
 					fmt.Sprintf("SELECT %s, count(*) FROM pts GROUP BY %s DISTANCE-TO-ALL %s WITHIN %g ON-OVERLAP FORM-NEW-GROUP", group, group, m, eps),
 				)
 			}
-			// check runs q under both algorithms at the default batch size and
-			// at 64 rows (the table spans several batches).
 			check := func(q string, crossAlgorithm bool) {
 				var ref [2][]string // All-Pairs, index
 				for a, alg := range []core.Algorithm{core.AllPairs, core.IndexBounds} {
 					db.SetSGBAlgorithm(alg)
-					for _, batch := range []int{0, 64} {
-						db.SetBatchSize(batch)
-						res, err := db.Query(q)
-						if err != nil {
-							t.Fatalf("%s (%v, batch %d): %v", q, alg, batch, err)
-						}
-						got := rowStrings(res)
-						if batch == 0 {
-							ref[a] = got
-						} else if !reflect.DeepEqual(got, ref[a]) {
-							t.Fatalf("%s (%v): batch %d changed the answer\n got: %v\nwant: %v", q, alg, batch, got, ref[a])
-						}
+					res, err := db.Query(q)
+					if err != nil {
+						t.Fatalf("%s (%v): %v", q, alg, err)
 					}
+					ref[a] = rowStrings(res)
 				}
 				if crossAlgorithm && !reflect.DeepEqual(ref[1], ref[0]) {
 					t.Fatalf("%s: index differs from allpairs\nindex:    %v\nallpairs: %v", q, ref[1], ref[0])

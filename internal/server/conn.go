@@ -552,11 +552,13 @@ func (c *conn) runQuery(q *wire.Query, decodeDur time.Duration) bool {
 	}
 }
 
+// rowBatchRows is the row count of every RowBatch frame but a statement's
+// last.
+const rowBatchRows = 1024
+
 // streamRows sends a completed statement's rows: RowHeader (when the
-// statement produces columns), then RowBatch frames at the session's batch
-// size. This is where the wire maps onto the engine's batch layer — the same
-// row granularity the vectorized executor uses internally. The caller sends
-// Done.
+// statement produces columns), then RowBatch frames of rowBatchRows rows. The
+// caller sends Done.
 func (c *conn) streamRows(res *engine.Result) error {
 	if len(res.Columns) == 0 {
 		return nil
@@ -564,15 +566,8 @@ func (c *conn) streamRows(res *engine.Result) error {
 	if err := c.writeMsg(&wire.RowHeader{Columns: res.Columns}); err != nil {
 		return err
 	}
-	batch := c.sess.Settings().BatchSize
-	if batch <= 0 {
-		batch = engine.DefaultBatchSize()
-	}
-	for off := 0; off < len(res.Rows); off += batch {
-		end := off + batch
-		if end > len(res.Rows) {
-			end = len(res.Rows)
-		}
+	for off := 0; off < len(res.Rows); off += rowBatchRows {
+		end := min(off+rowBatchRows, len(res.Rows))
 		if err := c.writeMsg(&wire.RowBatch{Rows: res.Rows[off:end]}); err != nil {
 			return err
 		}
@@ -627,12 +622,6 @@ func (c *conn) applySetting(m *wire.Set) bool {
 			return fail("unknown SGB algorithm %q (want auto|allpairs|bounds|index)", m.Value)
 		}
 		c.sess.SetSGBAlgorithm(alg)
-	case "batch_size":
-		n, err := strconv.Atoi(m.Value)
-		if err != nil || n < 0 {
-			return fail("bad batch_size %q", m.Value)
-		}
-		c.sess.SetBatchSize(n)
 	case "max_rows":
 		n, err := strconv.ParseInt(m.Value, 10, 64)
 		if err != nil || n < 0 {
@@ -675,7 +664,7 @@ func (c *conn) settingsString() string {
 	if st.SGBAuto {
 		name = "auto"
 	}
-	return fmt.Sprintf("algorithm=%s batch_size=%d", name, st.BatchSize)
+	return "algorithm=" + name
 }
 
 // algName is the inverse of parseAlgorithm.

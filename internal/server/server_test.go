@@ -149,16 +149,16 @@ func TestConcurrentClientsBitIdentical(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			// Each client picks its own batch size, mirrored by an embedded
+			// Each client picks its own row limit, mirrored by an embedded
 			// reference session with identical settings: the wire layer
 			// must add no divergence on top of the engine's answer.
-			batch := 32 << (n % 3)
-			if err := c.Set("batch_size", fmt.Sprint(batch)); err != nil {
+			maxRows := int64(2000) << (n % 3)
+			if err := c.Set("max_rows", fmt.Sprint(maxRows)); err != nil {
 				t.Errorf("client %d: set: %v", n, err)
 				return
 			}
 			ref := db.NewSession()
-			ref.SetBatchSize(batch)
+			ref.SetLimits(engine.Limits{MaxRowsMaterialized: maxRows})
 			for i := 0; i < iters; i++ {
 				q := queries[(n+i)%len(queries)]
 				want, err := ref.ExecContext(context.Background(), q)
@@ -275,10 +275,13 @@ func TestSessionSettingsScopedPerConnection(t *testing.T) {
 	if err := a.Set("max_rows", "10"); err != nil {
 		t.Fatal(err)
 	}
-	// There is no parallelism setting: it is refused like any unknown name.
+	// There are no parallelism or batch_size settings: they are refused like
+	// any unknown name.
 	var se *client.ServerError
-	if err := a.Set("parallelism", "2"); !errors.As(err, &se) || se.Code != wire.CodeUnknownSetting {
-		t.Fatalf("set parallelism: want CodeUnknownSetting, got %v", err)
+	for _, name := range []string{"parallelism", "batch_size"} {
+		if err := a.Set(name, "2"); !errors.As(err, &se) || se.Code != wire.CodeUnknownSetting {
+			t.Fatalf("set %s: want CodeUnknownSetting, got %v", name, err)
+		}
 	}
 	// a is limited...
 	_, err := a.Query(context.Background(), "SELECT id FROM pts")

@@ -195,8 +195,7 @@ type Query struct {
 }
 
 // Set changes one session-scoped setting. Names and value syntax are defined
-// by the server (see internal/server: sgb_algorithm, batch_size, max_rows,
-// max_time).
+// by the server (see internal/server: sgb_algorithm, max_rows, max_time).
 type Set struct {
 	Name, Value string
 }
