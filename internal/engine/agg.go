@@ -302,7 +302,7 @@ type aggCall struct {
 	args     []evalFn
 	// scratch holds one row's argument values. A plan runs on its statement's
 	// goroutine, so one slice per call serves every row; no aggState keeps
-	// it (distinctAgg keys a string, arrayAgg stores String(), minMaxAgg
+	// it (distinctAgg encodes a key, arrayAgg stores String(), minMaxAgg
 	// copies the Value, polygonAgg copies floats).
 	scratch []Value
 }
@@ -324,16 +324,17 @@ func (c *aggCall) newState() (aggState, error) {
 // distinctAgg wraps an accumulator so each distinct argument tuple is
 // accumulated once per group (count/sum/avg/... DISTINCT).
 type distinctAgg struct {
-	inner aggState
-	seen  map[string]bool
+	inner  aggState
+	seen   map[string]bool
+	keyBuf []byte
 }
 
 func (a *distinctAgg) add(args []Value) error {
-	k := Key(args)
-	if a.seen[k] {
+	a.keyBuf = appendKey(a.keyBuf[:0], args)
+	if a.seen[string(a.keyBuf)] {
 		return nil
 	}
-	a.seen[k] = true
+	a.seen[string(a.keyBuf)] = true
 	return a.inner.add(args)
 }
 

@@ -1,18 +1,20 @@
 package engine
 
+import "strings"
+
 // This file is the analyzer: small atomic rewrite rules, each semantics-
 // preserving on its own, applied to fixpoint — the dolthub/go-mysql-server
 // style of planning where the optimizer is a pipeline of named rules rather
 // than one monolithic pass. Rules operate at two levels: AST rules rewrite
 // the SELECT statement before lowering (projection pruning), and tree rules
-// rewrite the physical operator tree after lowering (limit pushdown). Two
+// rewrite the physical operator tree after lowering (limit pushdown). Four
 // more rules live inside the lowering itself because they need its
-// intermediate state: index-scan selection and predicate pushdown in
-// planSelect, and cost-based SGB algorithm selection in planAggregate. Every
-// applied rule is recorded on the planContext, and DB.SetOptimizer(false)
-// disables the whole pipeline except predicate pushdown (which is semantic:
-// it fixes which source an ambiguous-looking column resolves against and
-// keeps cross joins from exploding).
+// intermediate state: index-scan selection, predicate pushdown and join
+// column pruning in lowerSelect, and cost-based SGB algorithm selection in
+// planAggregate. Every applied rule is recorded on the planContext, and
+// DB.SetOptimizer(false) disables the whole pipeline except predicate
+// pushdown (which is semantic: it fixes which source an ambiguous-looking
+// column resolves against and keeps cross joins from exploding).
 
 // ruleApplied records that a named analyzer rule changed the plan, for
 // introspection and the rule-pipeline tests.
@@ -47,12 +49,10 @@ func (pc *planContext) rewriteStmt(stmt *SelectStmt) *SelectStmt {
 // selects *, when the subquery itself uses DISTINCT (dropping a column would
 // change the duplicate set) or *, and always keeps at least one item.
 func (pc *planContext) pruneSubqueryProjections(stmt *SelectStmt) (*SelectStmt, bool) {
-	for _, it := range stmt.Select {
-		if it.Star {
-			return stmt, false
-		}
+	if selectsStar(stmt) {
+		return stmt, false
 	}
-	refs := collectOuterRefs(stmt)
+	refs := collectOuterRefs(stmt, stmt.Where)
 	changed := false
 	newFrom := append([]FromItem(nil), stmt.From...)
 	for fi, item := range stmt.From {
@@ -60,14 +60,7 @@ func (pc *planContext) pruneSubqueryProjections(stmt *SelectStmt) (*SelectStmt, 
 			continue
 		}
 		sub := item.Subquery
-		starred := false
-		for _, it := range sub.Select {
-			if it.Star {
-				starred = true
-				break
-			}
-		}
-		if starred || len(sub.Select) <= 1 {
+		if selectsStar(sub) || len(sub.Select) <= 1 {
 			continue
 		}
 		var kept []SelectItem
@@ -99,6 +92,29 @@ func (pc *planContext) pruneSubqueryProjections(stmt *SelectStmt) (*SelectStmt, 
 	return &out, true
 }
 
+func selectsStar(stmt *SelectStmt) bool {
+	for _, it := range stmt.Select {
+		if it.Star {
+			return true
+		}
+	}
+	return false
+}
+
+// joinRefs is rule prune_join_columns' input for one join of lowerSelect:
+// the references something above the join resolves against its output — the
+// select list, GROUP BY (similarity attributes included), HAVING, ORDER BY,
+// and pending, the conjuncts the join does not consume (later join keys,
+// residual filters). The join emits only the columns these may reference;
+// its own keys compile against its unpruned inputs. nil keeps every column:
+// with the optimizer off, and under SELECT *, whose width is the answer's.
+func (pc *planContext) joinRefs(stmt *SelectStmt, pending []Expr) *refSet {
+	if !pc.qc.optimize() || selectsStar(stmt) {
+		return nil
+	}
+	return collectOuterRefs(stmt, pending...)
+}
+
 // refSet indexes the column references of an outer statement: qualified refs
 // by (qualifier, name), unqualified by name alone.
 type refSet struct {
@@ -110,36 +126,30 @@ type refSet struct {
 	sawUnresolvable bool
 }
 
-// references reports whether the outer statement may reference output column
-// name of the derived table aliased alias.
+// references reports whether the statement may reference column name
+// qualified by alias. It folds case exactly as Schema.Resolve does, so every
+// column a reference could resolve to is reported.
 func (rs *refSet) references(alias, name string) bool {
 	if rs.sawUnresolvable {
 		return true
 	}
-	return rs.qualified[[2]string{lowerASCII(alias), lowerASCII(name)}] ||
-		rs.unqualified[lowerASCII(name)]
-}
-
-func lowerASCII(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if 'A' <= c && c <= 'Z' {
-			b[i] = c + 'a' - 'A'
-		}
-	}
-	return string(b)
+	return rs.qualified[[2]string{strings.ToLower(alias), strings.ToLower(name)}] ||
+		rs.unqualified[strings.ToLower(name)]
 }
 
 // collectOuterRefs gathers every column reference of stmt outside its FROM
-// subqueries: the select list, WHERE, GROUP BY (including the similarity
-// clause's grouping expressions), HAVING, and ORDER BY. Select-list aliases
-// count as unqualified references too, because ORDER BY may name them.
-func collectOuterRefs(stmt *SelectStmt) *refSet {
+// subqueries: the select list, the given WHERE conjuncts, GROUP BY (including
+// the similarity clause's grouping expressions), HAVING, and ORDER BY.
+// Select-list aliases count as unqualified references too, because ORDER BY
+// may name them.
+func collectOuterRefs(stmt *SelectStmt, where ...Expr) *refSet {
 	rs := &refSet{qualified: map[[2]string]bool{}, unqualified: map[string]bool{}}
 	for _, it := range stmt.Select {
 		rs.addExpr(it.Expr)
 	}
-	rs.addExpr(stmt.Where)
+	for _, c := range where {
+		rs.addExpr(c)
+	}
 	if stmt.GroupBy != nil {
 		for _, g := range stmt.GroupBy.Exprs {
 			rs.addExpr(g)
@@ -158,9 +168,9 @@ func (rs *refSet) addExpr(e Expr) {
 	case *Literal:
 	case *ColumnRef:
 		if e.Table != "" {
-			rs.qualified[[2]string{lowerASCII(e.Table), lowerASCII(e.Name)}] = true
+			rs.qualified[[2]string{strings.ToLower(e.Table), strings.ToLower(e.Name)}] = true
 		} else {
-			rs.unqualified[lowerASCII(e.Name)] = true
+			rs.unqualified[strings.ToLower(e.Name)] = true
 		}
 	case *UnaryExpr:
 		rs.addExpr(e.X)

@@ -10,14 +10,23 @@ import (
 
 // analyzerQueries is the workload for the rewrite-equivalence property: every
 // shape an analyzer rule can touch (projection pruning, limit pushdown, index
-// scan selection, predicate pushdown, SGB algorithm selection),
-// plus SGB variants across metrics, ε, and overlap modes.
+// scan selection, predicate pushdown, join column pruning, SGB algorithm
+// selection), plus SGB variants across metrics, ε, and overlap modes.
 var analyzerQueries = []string{
 	"SELECT id, x FROM nums WHERE k = 7 ORDER BY id",
 	"SELECT s.a FROM (SELECT id AS a, x AS b, y AS c FROM nums) s ORDER BY s.a LIMIT 20",
 	"SELECT count(*) FROM (SELECT id AS a, v AS b FROM nums) s",
 	"SELECT id FROM nums ORDER BY id LIMIT 5 OFFSET 3",
 	"SELECT n.id, d.label FROM nums n, dim d WHERE n.k = d.k AND n.v > 500 ORDER BY n.id LIMIT 30",
+	// Join shapes prune_join_columns must leave bit-identical.
+	"SELECT count(*) FROM nums n, dim d, dim e WHERE n.k = d.k",
+	"SELECT * FROM nums n, dim d WHERE n.k = d.k ORDER BY n.id LIMIT 25",
+	"SELECT n.k, count(*), max(d.label) FROM nums n, dim d WHERE n.k = d.k GROUP BY n.k ORDER BY n.k",
+	"SELECT k FROM nums n, dim d WHERE n.k = d.k",
+	"SELECT n.id AS i, d.label AS lab FROM nums n, dim d WHERE n.k = d.k AND n.v < 300 ORDER BY lab, i",
+	"SELECT d.label, sum(n.v) FROM nums n, dim d WHERE n.k = d.k GROUP BY d.label HAVING count(*) > 130 ORDER BY d.label",
+	"SELECT n.id, d.k IN (SELECT k FROM nums WHERE v < 20) FROM nums n, dim d WHERE n.k = d.k AND n.v + d.k IN (SELECT v FROM nums WHERE id < 200) ORDER BY n.id",
+	"SELECT n.id, d.label, e.label FROM nums n, dim d, dim e WHERE n.k = d.k AND e.k = d.k + 1 AND n.v > e.k * 40 ORDER BY n.id, e.label",
 	"SELECT k, count(*), sum(v) FROM nums GROUP BY k ORDER BY k",
 	"SELECT x, y, count(*) FROM nums GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 12",
 	"SELECT x, y, count(*) FROM nums GROUP BY x, y DISTANCE-TO-ANY L1 WITHIN 5",
@@ -45,18 +54,25 @@ func analyzerDB(t *testing.T) *DB {
 // TestAnalyzerRewritesAreBitIdentical is the property test behind every
 // analyzer rule: for each workload query, the fully optimized plan (auto
 // algorithm selection included) must return byte-identical rows, in the same
-// order, as the naive plan produced with the optimizer off. Run under -race
-// in CI.
+// order, as the naive plan produced with the optimizer off. A statement the
+// naive plan rejects as ambiguous must fail with the same error. Run under
+// -race in CI.
 func TestAnalyzerRewritesAreBitIdentical(t *testing.T) {
 	db := analyzerDB(t)
 	for _, q := range analyzerQueries {
 		db.SetOptimizer(false)
-		naive, err := db.Exec(q)
-		if err != nil {
-			t.Fatalf("naive %s: %v", q, err)
-		}
+		naive, nerr := db.Exec(q)
 		db.SetOptimizer(true)
 		opt, err := db.Exec(q)
+		if nerr != nil {
+			if !strings.Contains(nerr.Error(), "ambiguous") {
+				t.Fatalf("naive %s: %v", q, nerr)
+			}
+			if err == nil || err.Error() != nerr.Error() {
+				t.Errorf("%s: optimized error %v, naive error %v", q, err, nerr)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("optimized %s: %v", q, err)
 		}
@@ -115,6 +131,9 @@ func TestAnalyzerRulesRecorded(t *testing.T) {
 		{"SELECT s.a FROM (SELECT id AS a, x AS b FROM nums) s", "prune_subquery_projection", true},
 		{"SELECT s.a, s.b FROM (SELECT id AS a, x AS b FROM nums) s", "prune_subquery_projection", false},
 		{"SELECT n.id FROM nums n, dim d WHERE n.k = d.k AND n.v > 5", "predicate_pushdown", true},
+		{"SELECT n.id FROM nums n, dim d WHERE n.k = d.k", "prune_join_columns", true},
+		{"SELECT * FROM nums n, dim d WHERE n.k = d.k", "prune_join_columns", false},
+		{"SELECT id, k FROM nums WHERE v > 5", "prune_join_columns", false},
 		{"SELECT count(*) FROM nums GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 5", "sgb_algorithm_selection", true},
 		{"SELECT k, count(*) FROM nums GROUP BY k", "sgb_algorithm_selection", false},
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"sgb/internal/core"
@@ -162,14 +163,42 @@ func (f *filterOp) next() (Row, error) {
 	}
 }
 
-// ---- projection ----
+// ---- output row arena (projection, joins) ----
 
-// Projection arena chunks grow geometrically between these row counts, so a
-// small answer does not pay for a full-size arena.
+// Arena chunks grow geometrically between these row counts, so a small answer
+// does not pay for a full-size chunk.
 const (
-	projectFirstChunk = 64
-	projectMaxChunk   = 1024
+	arenaFirstChunk = 64
+	arenaMaxChunk   = 1024
 )
+
+// rowArena carves an operator's output rows from []Value chunks: one
+// allocation and one memory charge per chunk instead of one allocation per
+// row. Chunks are never recycled, so consumers may retain every row.
+type rowArena struct {
+	free  []Value // unused tail of the current chunk
+	chunk int     // row count of the last chunk allocated
+}
+
+// row returns a fresh row of width w. A zero-width row is empty but non-nil:
+// it is still a row (count(*) over a join nothing above reads counts it).
+func (a *rowArena) row(w int, qc *queryCtx) (Row, error) {
+	if w == 0 {
+		return Row{}, nil
+	}
+	if len(a.free) < w {
+		a.chunk = min(max(2*a.chunk, arenaFirstChunk), arenaMaxChunk)
+		if err := qc.growMem(int64(a.chunk) * memRowBytes(w)); err != nil {
+			return nil, err
+		}
+		a.free = make([]Value, a.chunk*w)
+	}
+	out := a.free[:w:w]
+	a.free = a.free[w:]
+	return out, nil
+}
+
+// ---- projection ----
 
 type projectOp struct {
 	planEst
@@ -177,12 +206,7 @@ type projectOp struct {
 	sch   Schema
 	fns   []evalFn
 	qc    *queryCtx
-	// arena is the unused tail of the current output chunk. Output rows are
-	// carved from it — one allocation per chunk instead of one per row — and
-	// never recycled, so consumers may retain them. chunk is the row count of
-	// the last chunk allocated.
-	arena []Value
-	chunk int
+	arena rowArena
 }
 
 func (p *projectOp) schema() Schema { return p.sch }
@@ -194,16 +218,10 @@ func (p *projectOp) next() (Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := len(p.fns)
-	if len(p.arena) < w {
-		p.chunk = min(max(2*p.chunk, projectFirstChunk), projectMaxChunk)
-		if err := p.qc.growMem(int64(p.chunk) * memRowBytes(w)); err != nil {
-			return nil, err
-		}
-		p.arena = make([]Value, p.chunk*w)
+	out, err := p.arena.row(len(p.fns), p.qc)
+	if err != nil {
+		return nil, err
 	}
-	out := p.arena[:w:w]
-	p.arena = p.arena[w:]
 	for i, f := range p.fns {
 		if out[i], err = f(r); err != nil {
 			return nil, err
@@ -212,25 +230,78 @@ func (p *projectOp) next() (Row, error) {
 	return out, nil
 }
 
+// ---- joins ----
+
+// joinOutput is the output side the hash and cross joins share: which input
+// columns a join emits, and the arena its output rows are carved from.
+type joinOutput struct {
+	sch         Schema
+	left, right []int // input column positions emitted, left's then right's
+	qc          *queryCtx
+	arena       rowArena
+}
+
+// newJoinOutput keeps the columns of left‖right that refs may reference, in
+// input order; nil refs keeps them all (see joinRefs).
+func newJoinOutput(left, right Schema, refs *refSet, qc *queryCtx) joinOutput {
+	o := joinOutput{qc: qc}
+	keep := func(sch Schema) (idx []int) {
+		for i, c := range sch {
+			if refs == nil || refs.references(c.Table, c.Name) {
+				o.sch = append(o.sch, c)
+				idx = append(idx, i)
+			}
+		}
+		return idx
+	}
+	o.left = keep(left)
+	o.right = keep(right)
+	return o
+}
+
+// emit carves one output row from a matching pair of input rows.
+func (o *joinOutput) emit(l, r Row) (Row, error) {
+	out, err := o.arena.row(len(o.sch), o.qc)
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range o.left {
+		out[i] = l[c]
+	}
+	n := len(o.left)
+	for i, c := range o.right {
+		out[n+i] = r[c]
+	}
+	return out, nil
+}
+
 // ---- hash join (equi) ----
 
 type hashJoinOp struct {
 	planEst
+	joinOutput
 	left, right         operator
 	leftKeys, rightKeys []evalFn
-	sch                 Schema
-	qc                  *queryCtx
 
-	table     map[string][]Row // build side (right)
-	buildRows int              // rows hashed into the build side
-	probing   Row              // current left row
+	// table maps an encoded build key to its bucket in buckets, whose rows
+	// keep build (input) order. keyBuf is the reused key encoding buffer.
+	table     map[string]int
+	buckets   [][]Row
+	keyBuf    []byte
+	buildRows int // rows hashed into the build side
+	probing   Row // current left row
 	matches   []Row
 	matchI    int
 }
 
-func newHashJoinOp(left, right operator, lk, rk []evalFn, qc *queryCtx) *hashJoinOp {
-	sch := append(append(Schema{}, left.schema()...), right.schema()...)
-	return &hashJoinOp{left: left, right: right, leftKeys: lk, rightKeys: rk, sch: sch, qc: qc}
+// newHashJoinOp joins left and right on the key pairs; lk and rk compile
+// against the unpruned inputs, and the output keeps the columns refs may
+// reference (all of them for nil refs).
+func newHashJoinOp(left, right operator, lk, rk []evalFn, refs *refSet, qc *queryCtx) *hashJoinOp {
+	return &hashJoinOp{
+		joinOutput: newJoinOutput(left.schema(), right.schema(), refs, qc),
+		left:       left, right: right, leftKeys: lk, rightKeys: rk,
+	}
 }
 
 func (j *hashJoinOp) schema() Schema { return j.sch }
@@ -239,7 +310,8 @@ func (j *hashJoinOp) open() error {
 	if err := j.right.open(); err != nil {
 		return err
 	}
-	j.table = make(map[string][]Row)
+	j.table = make(map[string]int)
+	j.buckets = j.buckets[:0]
 	j.buildRows = 0
 	for {
 		r, err := j.right.next()
@@ -250,7 +322,8 @@ func (j *hashJoinOp) open() error {
 			j.right.close()
 			return err
 		}
-		key, null, err := joinKey(r, j.rightKeys)
+		var null bool
+		j.keyBuf, null, err = joinKey(j.keyBuf[:0], r, j.rightKeys)
 		if err != nil {
 			j.right.close()
 			return err
@@ -266,7 +339,13 @@ func (j *hashJoinOp) open() error {
 			j.right.close()
 			return err
 		}
-		j.table[key] = append(j.table[key], r)
+		b, ok := j.table[string(j.keyBuf)]
+		if !ok {
+			b = len(j.buckets)
+			j.table[string(j.keyBuf)] = b
+			j.buckets = append(j.buckets, nil)
+		}
+		j.buckets[b] = append(j.buckets[b], r)
 		j.buildRows++
 	}
 	if err := j.right.close(); err != nil {
@@ -283,24 +362,24 @@ func (j *hashJoinOp) next() (Row, error) {
 		if j.matchI < len(j.matches) {
 			right := j.matches[j.matchI]
 			j.matchI++
-			out := make(Row, 0, len(j.probing)+len(right))
-			out = append(append(out, j.probing...), right...)
-			return out, nil
+			return j.emit(j.probing, right)
 		}
 		l, err := j.left.next()
 		if err != nil {
 			return nil, err
 		}
-		key, null, err := joinKey(l, j.leftKeys)
+		var null bool
+		j.keyBuf, null, err = joinKey(j.keyBuf[:0], l, j.leftKeys)
 		if err != nil {
 			return nil, err
 		}
 		if null {
 			continue
 		}
-		j.probing = l
-		j.matches = j.table[key]
-		j.matchI = 0
+		j.probing, j.matches, j.matchI = l, nil, 0
+		if b, ok := j.table[string(j.keyBuf)]; ok {
+			j.matches = j.buckets[b]
+		}
 	}
 }
 
@@ -321,38 +400,39 @@ func canonicalKeyValue(v Value) Value {
 	return v
 }
 
-// joinKey evaluates the key expressions and encodes them canonically so
-// cross-type equi-joins behave like SQL equality without losing int precision.
-func joinKey(r Row, keys []evalFn) (string, bool, error) {
-	vals := make([]Value, len(keys))
-	for i, k := range keys {
+// joinKey evaluates the key expressions and appends their canonical encoding
+// to dst, so cross-type equi-joins behave like SQL equality without losing int
+// precision. null reports a NULL key, which never matches.
+func joinKey(dst []byte, r Row, keys []evalFn) (_ []byte, null bool, _ error) {
+	for _, k := range keys {
 		v, err := k(r)
 		if err != nil {
-			return "", false, err
+			return dst, false, err
 		}
 		if v.IsNull() {
-			return "", true, nil
+			return dst, true, nil
 		}
-		vals[i] = canonicalKeyValue(v)
+		dst = appendKey(dst, []Value{canonicalKeyValue(v)})
 	}
-	return Key(vals), false, nil
+	return dst, false, nil
 }
 
 // ---- nested-loop cross join (fallback when no equi predicate exists) ----
 
 type crossJoinOp struct {
 	planEst
+	joinOutput
 	left, right operator
-	sch         Schema
-	qc          *queryCtx
 	rightRows   []Row
-	cur         Row
+	cur         Row // current left row, paired with rightRows[ri:]
 	ri          int
 }
 
-func newCrossJoinOp(left, right operator, qc *queryCtx) *crossJoinOp {
-	sch := append(append(Schema{}, left.schema()...), right.schema()...)
-	return &crossJoinOp{left: left, right: right, sch: sch, qc: qc}
+func newCrossJoinOp(left, right operator, refs *refSet, qc *queryCtx) *crossJoinOp {
+	return &crossJoinOp{
+		joinOutput: newJoinOutput(left.schema(), right.schema(), refs, qc),
+		left:       left, right: right,
+	}
 }
 
 func (j *crossJoinOp) schema() Schema { return j.sch }
@@ -362,8 +442,9 @@ func (j *crossJoinOp) open() error {
 	if err != nil {
 		return err
 	}
+	// ri starts past the end, so the first next pulls a left row.
 	j.rightRows = rows
-	j.cur, j.ri = nil, 0
+	j.cur, j.ri = nil, len(rows)
 	return j.left.open()
 }
 
@@ -371,12 +452,10 @@ func (j *crossJoinOp) close() error { return j.left.close() }
 
 func (j *crossJoinOp) next() (Row, error) {
 	for {
-		if j.cur != nil && j.ri < len(j.rightRows) {
+		if j.ri < len(j.rightRows) {
 			r := j.rightRows[j.ri]
 			j.ri++
-			out := make(Row, 0, len(j.cur)+len(r))
-			out = append(append(out, j.cur...), r...)
-			return out, nil
+			return j.emit(j.cur, r)
 		}
 		l, err := j.left.next()
 		if err != nil {
@@ -502,39 +581,46 @@ type aggTable struct {
 	calls    []*aggCall
 	qc       *queryCtx // charges one budget row per new group
 	buckets  map[string]*aggBucket
-	order    []string
+	order    []*aggBucket
 	inRows   int64
+	// scratch and keyBuf hold one row's group values and their encoding;
+	// a bucket clones the values only when the row starts a new group.
+	scratch []Value
+	keyBuf  []byte
 }
 
 func newAggTable(groupFns []evalFn, calls []*aggCall, qc *queryCtx) *aggTable {
-	return &aggTable{groupFns: groupFns, calls: calls, qc: qc, buckets: make(map[string]*aggBucket)}
+	return &aggTable{
+		groupFns: groupFns, calls: calls, qc: qc,
+		buckets: make(map[string]*aggBucket),
+		scratch: make([]Value, len(groupFns)),
+	}
 }
 
 func (t *aggTable) addRow(r Row) error {
 	t.inRows++
-	keyVals := make([]Value, len(t.groupFns))
 	for i, g := range t.groupFns {
 		var err error
-		if keyVals[i], err = g(r); err != nil {
+		if t.scratch[i], err = g(r); err != nil {
 			return err
 		}
 	}
-	key := Key(keyVals)
-	b, ok := t.buckets[key]
+	t.keyBuf = appendKey(t.keyBuf[:0], t.scratch)
+	b, ok := t.buckets[string(t.keyBuf)]
 	if !ok {
 		if err := t.qc.addRows(1); err != nil {
 			return err
 		}
-		if err := t.qc.growMem(memBucketOverheadBytes + memValueBytes*int64(len(keyVals))); err != nil {
+		if err := t.qc.growMem(memBucketOverheadBytes + memValueBytes*int64(len(t.scratch))); err != nil {
 			return err
 		}
 		acc, err := newGroupAccumulator(t.calls)
 		if err != nil {
 			return err
 		}
-		b = &aggBucket{keyVals: keyVals, acc: acc}
-		t.buckets[key] = b
-		t.order = append(t.order, key)
+		b = &aggBucket{keyVals: slices.Clone(t.scratch), acc: acc}
+		t.buckets[string(t.keyBuf)] = b
+		t.order = append(t.order, b)
 	}
 	return b.acc.add(t.calls, r)
 }
@@ -577,14 +663,14 @@ func (a *hashAggOp) open() error {
 		if err != nil {
 			return err
 		}
-		tbl.buckets[""] = &aggBucket{acc: acc}
-		tbl.order = append(tbl.order, "")
+		b := &aggBucket{acc: acc}
+		tbl.buckets[""] = b
+		tbl.order = append(tbl.order, b)
 	}
 	a.inRows = tbl.inRows
 	a.nGroups = len(tbl.buckets)
 	a.rows = a.rows[:0]
-	for _, key := range tbl.order {
-		b := tbl.buckets[key]
+	for _, b := range tbl.order {
 		out := make(Row, 0, len(a.groupExprs)+len(a.calls))
 		out = append(out, b.keyVals...)
 		a.rows = append(a.rows, b.acc.appendResults(out))
@@ -793,8 +879,9 @@ func (a *sgbAggOp) next() (Row, error) {
 // first occurrence order.
 type distinctOp struct {
 	planEst
-	child operator
-	seen  map[string]bool
+	child  operator
+	seen   map[string]bool
+	keyBuf []byte
 }
 
 func (d *distinctOp) schema() Schema { return d.child.schema() }
@@ -812,11 +899,11 @@ func (d *distinctOp) next() (Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		key := Key(r)
-		if d.seen[key] {
+		d.keyBuf = appendKey(d.keyBuf[:0], r)
+		if d.seen[string(d.keyBuf)] {
 			continue
 		}
-		d.seen[key] = true
+		d.seen[string(d.keyBuf)] = true
 		return r, nil
 	}
 }

@@ -212,6 +212,11 @@ func compileExpr(e Expr, schema Schema, pc *planContext) (evalFn, error) {
 		}
 		// Uncorrelated: materialize the subquery once, lazily.
 		var set map[string]bool
+		var keyBuf []byte
+		probe := func(v Value) bool {
+			keyBuf = appendKey(keyBuf[:0], []Value{v})
+			return set[string(keyBuf)]
+		}
 		not := e.Not
 		query := e.Query
 		planCtx := pc
@@ -226,7 +231,8 @@ func compileExpr(e Expr, schema Schema, pc *planContext) (evalFn, error) {
 				}
 				set = make(map[string]bool, len(rows))
 				for _, row := range rows {
-					set[Key(row[:1])] = true
+					keyBuf = appendKey(keyBuf[:0], row[:1])
+					set[string(keyBuf)] = true
 				}
 			}
 			v, err := x(r)
@@ -238,12 +244,12 @@ func compileExpr(e Expr, schema Schema, pc *planContext) (evalFn, error) {
 			}
 			// Match integer keys against float sets and vice versa by
 			// probing both encodings.
-			hit := set[Key([]Value{v})]
+			hit := probe(v)
 			if !hit {
 				if v.T == TypeInt {
-					hit = set[Key([]Value{NewFloat(float64(v.I))})]
+					hit = probe(NewFloat(float64(v.I)))
 				} else if v.T == TypeFloat && v.F == math.Trunc(v.F) {
-					hit = set[Key([]Value{NewInt(int64(v.F))})]
+					hit = probe(NewInt(int64(v.F)))
 				}
 			}
 			return NewBool(hit != not), nil

@@ -25,7 +25,7 @@ type Index struct {
 // canonicalKeyValue), so integer predicates hit float columns and vice versa
 // without rounding distinct int keys above 2^53 together.
 func indexKey(v Value) string {
-	return Key([]Value{canonicalKeyValue(v)})
+	return string(appendKey(nil, []Value{canonicalKeyValue(v)}))
 }
 
 // CreateIndex registers a hash index over the named column.

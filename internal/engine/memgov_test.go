@@ -71,11 +71,15 @@ func TestMemoryGovernorPerQueryLimit(t *testing.T) {
 // TestMemoryChargesMatchAcrossInstrumentation pins that a statement charges
 // the same memory however it runs: plainly, under EXPLAIN ANALYZE, or
 // trace-sampled. Each mode's smallest per-query MaxMemoryBytes at which the
-// statement succeeds must be equal.
+// statement succeeds must be equal, for a projection and for a hash join
+// (whose output arenas are charged too).
 func TestMemoryChargesMatchAcrossInstrumentation(t *testing.T) {
 	db := NewDB()
 	loadNums(t, db, 3000, 11)
-	const q = "SELECT id, v + 1, k * 2 FROM nums WHERE v > 10"
+	mustExec(t, db, "CREATE TABLE dim (k INT, label TEXT)")
+	for i := 0; i < 23; i++ {
+		mustExec(t, db, fmt.Sprintf("INSERT INTO dim VALUES (%d, 'd%d')", i, i))
+	}
 	minBudget := func(sql string, sampling int) int64 {
 		db.SetTraceSampling(sampling)
 		fits := func(limit int64) bool {
@@ -100,12 +104,17 @@ func TestMemoryChargesMatchAcrossInstrumentation(t *testing.T) {
 		}
 		return lo
 	}
-	plain := minBudget(q, 0)
-	analyze := minBudget("EXPLAIN ANALYZE "+q, 0)
-	sampled := minBudget(q, 1)
-	t.Logf("smallest budget: plain %d, EXPLAIN ANALYZE %d, trace-sampled %d bytes", plain, analyze, sampled)
-	if plain != analyze || plain != sampled {
-		t.Fatalf("memory charged differs: plain %d, EXPLAIN ANALYZE %d, trace-sampled %d bytes", plain, analyze, sampled)
+	for _, q := range []string{
+		"SELECT id, v + 1, k * 2 FROM nums WHERE v > 10",
+		"SELECT n.id, d.label FROM nums n, dim d WHERE n.k = d.k AND n.v > 10",
+	} {
+		plain := minBudget(q, 0)
+		analyze := minBudget("EXPLAIN ANALYZE "+q, 0)
+		sampled := minBudget(q, 1)
+		t.Logf("%s: smallest budget: plain %d, EXPLAIN ANALYZE %d, trace-sampled %d bytes", q, plain, analyze, sampled)
+		if plain != analyze || plain != sampled {
+			t.Errorf("%s: memory charged differs: plain %d, EXPLAIN ANALYZE %d, trace-sampled %d bytes", q, plain, analyze, sampled)
+		}
 	}
 }
 

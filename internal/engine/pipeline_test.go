@@ -46,52 +46,84 @@ func TestFilterCancellationNonPollingChild(t *testing.T) {
 
 // TestRowRetainContract pins the operator contract: rows a consumer retains
 // from next() stay valid (same contents) after later next() calls, through a
-// rename→project→filter→limit stack over a values source. The input spans
-// many of the projection's arena chunks.
+// rename→project→filter→limit stack and through a hash join, each over a
+// values source. Both outputs span many arena chunks.
 func TestRowRetainContract(t *testing.T) {
-	n := 10 * projectMaxChunk
+	n := 10 * arenaMaxChunk
 	rows := make([]Row, n)
 	for i := range rows {
 		rows[i] = Row{NewInt(int64(i)), NewString(fmt.Sprintf("s%d", i))}
 	}
 	sch := Schema{{Name: "id", T: TypeInt}, {Name: "s", T: TypeString}}
 	qc := newQueryCtx(context.Background(), Limits{})
-	var op operator = &valuesOp{rows: rows, sch: sch}
-	op = &renameOp{child: op, sch: sch}
-	op = &projectOp{child: op, sch: sch, fns: []evalFn{
-		func(r Row) (Value, error) { return r[0], nil },
-		func(r Row) (Value, error) { return r[1], nil },
-	}, qc: qc}
-	op = &filterOp{child: op, pred: func(r Row) (Value, error) {
-		return NewBool(r[0].I%3 != 1), nil
-	}, qc: qc}
-	op = &limitOp{child: op, n: n, offset: 5, qc: qc}
-	if err := op.open(); err != nil {
-		t.Fatal(err)
-	}
-	defer op.close()
+	col := func(i int) evalFn { return func(r Row) (Value, error) { return r[i], nil } }
 
-	type kept struct {
-		row  Row
-		want []Value
-	}
-	var retained []kept
-	for {
-		r, err := op.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+	retain := func(t *testing.T, op operator, want int) {
+		t.Helper()
+		if err := op.open(); err != nil {
 			t.Fatal(err)
 		}
-		retained = append(retained, kept{row: r, want: append([]Value(nil), r...)})
+		defer op.close()
+		type kept struct {
+			row  Row
+			want []Value
+		}
+		var retained []kept
+		for {
+			r, err := op.next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			retained = append(retained, kept{row: r, want: append([]Value(nil), r...)})
+		}
+		if len(retained) != want {
+			t.Fatalf("%d rows, want %d", len(retained), want)
+		}
+		for i, k := range retained {
+			if !reflect.DeepEqual([]Value(k.row), k.want) {
+				t.Fatalf("retained row %d was clobbered by a later next: %v != %v", i, k.row, k.want)
+			}
+		}
 	}
-	if want := n - n/3 - 5; len(retained) != want {
-		t.Fatalf("%d rows, want %d", len(retained), want)
+
+	t.Run("project", func(t *testing.T) {
+		var op operator = &valuesOp{rows: rows, sch: sch}
+		op = &renameOp{child: op, sch: sch}
+		op = &projectOp{child: op, sch: sch, fns: []evalFn{col(0), col(1)}, qc: qc}
+		op = &filterOp{child: op, pred: func(r Row) (Value, error) {
+			return NewBool(r[0].I%3 != 1), nil
+		}, qc: qc}
+		op = &limitOp{child: op, n: n, offset: 5, qc: qc}
+		retain(t, op, n-n/3-5)
+	})
+	t.Run("hash join", func(t *testing.T) {
+		// Every left row matches its right twin: n rows of width 4, carved
+		// from chunks of 64, 128, ..., 1024 rows.
+		left := &valuesOp{rows: rows, sch: sch.Qualify("l")}
+		right := &valuesOp{rows: rows, sch: sch.Qualify("r")}
+		op := newHashJoinOp(left, right, []evalFn{col(0)}, []evalFn{col(0)}, nil, qc)
+		retain(t, op, n)
+	})
+}
+
+// TestZeroWidthJoinRows is the regression for a join whose output nothing
+// above it reads: it emits zero-width rows, which must still count, and a
+// cross join above must pair each of them with every right row.
+func TestZeroWidthJoinRows(t *testing.T) {
+	var a rowArena
+	if r, err := a.row(0, nil); err != nil || r == nil {
+		t.Fatalf("zero-width row = %#v, %v; want a non-nil empty row", r, err)
 	}
-	for i, k := range retained {
-		if !reflect.DeepEqual([]Value(k.row), k.want) {
-			t.Fatalf("retained row %d was clobbered by a later next: %v != %v", i, k.row, k.want)
+	db := analyzerDB(t)
+	const q = "SELECT count(*) FROM nums n, dim d, dim e WHERE n.k = d.k"
+	for _, optimize := range []bool{false, true} {
+		db.SetOptimizer(optimize)
+		res := mustExec(t, db, q)
+		if got := res.Rows[0][0]; got != NewInt(3000*23) {
+			t.Errorf("optimizer %v: count = %v, want %d", optimize, got, 3000*23)
 		}
 	}
 }

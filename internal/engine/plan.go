@@ -160,8 +160,11 @@ func (pc *planContext) lowerSelect(stmt *SelectStmt) (operator, error) {
 		pc.ruleApplied("predicate_pushdown")
 	}
 
-	// Left-deep join tree, preferring hash joins on equi-predicates.
+	// Left-deep join tree, preferring hash joins on equi-predicates. Analyzer
+	// rule prune_join_columns narrows each join's output to the columns
+	// something above it reads (see joinRefs).
 	cur := sources[0]
+	prunedJoin := false
 	for _, next := range sources[1:] {
 		var leftKeys, rightKeys []evalFn
 		var rest []Expr
@@ -198,11 +201,14 @@ func (pc *planContext) lowerSelect(stmt *SelectStmt) (operator, error) {
 			rest = append(rest, c)
 		}
 		conjuncts = rest
+		refs := pc.joinRefs(stmt, rest)
+		inWidth := len(cur.schema()) + len(next.schema())
 		if len(leftKeys) > 0 {
-			cur = newHashJoinOp(cur, next, leftKeys, rightKeys, pc.qc)
+			cur = newHashJoinOp(cur, next, leftKeys, rightKeys, refs, pc.qc)
 		} else {
-			cur = newCrossJoinOp(cur, next, pc.qc)
+			cur = newCrossJoinOp(cur, next, refs, pc.qc)
 		}
+		prunedJoin = prunedJoin || len(cur.schema()) < inWidth
 		// Predicates that became resolvable over the joined schema apply
 		// here rather than at the top, keeping cross joins small.
 		var still []Expr
@@ -218,6 +224,9 @@ func (pc *planContext) lowerSelect(stmt *SelectStmt) (operator, error) {
 			}
 		}
 		conjuncts = still
+	}
+	if prunedJoin {
+		pc.ruleApplied("prune_join_columns")
 	}
 	for _, c := range conjuncts {
 		pred, err := compileExpr(c, cur.schema(), pc)

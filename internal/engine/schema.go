@@ -2,11 +2,8 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
-
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
 
 // Column describes one output column of a relation.
 type Column struct {

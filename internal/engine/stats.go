@@ -177,6 +177,7 @@ func (t *Table) Analyze() *TableStats {
 	for i := range distinct {
 		distinct[i] = make(map[string]struct{})
 	}
+	var keyBuf []byte
 	for _, r := range t.Rows {
 		for i, v := range r {
 			if i >= len(s.Columns) {
@@ -187,7 +188,10 @@ func (t *Table) Analyze() *TableStats {
 				c.NullCount++
 				continue
 			}
-			distinct[i][Key(Row{v})] = struct{}{}
+			keyBuf = appendKey(keyBuf[:0], r[i:i+1])
+			if _, ok := distinct[i][string(keyBuf)]; !ok {
+				distinct[i][string(keyBuf)] = struct{}{}
+			}
 			if t.Schema[i].T == TypeInt || t.Schema[i].T == TypeFloat {
 				f, err := v.AsFloat()
 				if err == nil {

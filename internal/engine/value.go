@@ -11,7 +11,9 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -67,15 +69,15 @@ func ParseType(s string) (Type, error) {
 }
 
 // Value is one SQL value. Values are comparable with == (all fields are
-// comparable), which the hash join and hash aggregation rely on.
+// comparable). B sits next to T so the struct packs into 40 bytes.
 type Value struct {
 	// T is the value's type; the corresponding payload field below is the
 	// only meaningful one.
 	T Type
+	B bool
 	I int64
 	F float64
 	S string
-	B bool
 }
 
 // Null is the SQL NULL value.
@@ -219,33 +221,35 @@ func (r Row) Clone() Row {
 	return out
 }
 
-// Key encodes a row prefix into a comparable string for hash operators.
-// The encoding is injective per type.
-func Key(vals []Value) string {
-	var sb strings.Builder
+// appendKey appends the hash-operator key of vals to dst. Each value is one
+// type tag byte, then its payload: 8 little-endian bytes for an int or a
+// float's raw bits, a uvarint length and the bytes for a string, nothing for
+// NULL, true and false. The tag fixes the payload's length, so the encoding is
+// injective over value sequences. Floats key by raw bits: 0.0 and -0.0 are
+// different keys, a NaN equals only its own bit pattern, and FLOAT 3.0 is not
+// INT 3 (the join canonicalizes first, see canonicalKeyValue).
+//
+// Callers reuse dst across rows and look up with m[string(dst)], which does
+// not allocate; the key string is materialized only when it is inserted.
+func appendKey(dst []byte, vals []Value) []byte {
 	for _, v := range vals {
 		switch v.T {
 		case TypeNull:
-			sb.WriteByte('n')
+			dst = append(dst, 'n')
 		case TypeInt:
-			sb.WriteByte('i')
-			sb.WriteString(strconv.FormatInt(v.I, 10))
+			dst = binary.LittleEndian.AppendUint64(append(dst, 'i'), uint64(v.I))
 		case TypeFloat:
-			sb.WriteByte('f')
-			sb.WriteString(strconv.FormatUint(floatBits(v.F), 16))
+			dst = binary.LittleEndian.AppendUint64(append(dst, 'f'), math.Float64bits(v.F))
 		case TypeString:
-			sb.WriteByte('s')
-			sb.WriteString(strconv.Itoa(len(v.S)))
-			sb.WriteByte(':')
-			sb.WriteString(v.S)
+			dst = binary.AppendUvarint(append(dst, 's'), uint64(len(v.S)))
+			dst = append(dst, v.S...)
 		case TypeBool:
 			if v.B {
-				sb.WriteByte('t')
+				dst = append(dst, 't')
 			} else {
-				sb.WriteByte('b')
+				dst = append(dst, 'b')
 			}
 		}
-		sb.WriteByte('|')
 	}
-	return sb.String()
+	return dst
 }

@@ -97,6 +97,44 @@ func TestForeignKeysValid(t *testing.T) {
 	}
 }
 
+// TestTable2JoinAllocBudget is the join row of the counter budgets: what the
+// paper's Table 2 join statements allocate per execution at the benchmark's
+// size (SF 0.3, seed 1), within 5 % of the last measurement. GB2 is three
+// hash joins under a hash aggregate (252,455 before binary keys, arena join
+// rows and join column pruning; 5,542 after); GB1 is a join filtered through
+// an IN-subquery (108,906; 36,952). Budgets only ratchet down.
+func TestTable2JoinAllocBudget(t *testing.T) {
+	db := engine.NewDB()
+	if err := Generate(Config{SF: 0.3, CustomersPerSF: 1500, Seed: 1}).Load(db); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, sql string
+		budget    float64
+	}{
+		{"GB1", `SELECT c_custkey, sum(o_totalprice)
+FROM customer, orders
+WHERE c_custkey = o_custkey
+  AND o_orderkey IN (SELECT l_orderkey FROM lineitem GROUP BY l_orderkey HAVING sum(l_quantity) > 150)
+GROUP BY c_custkey`, 38800},
+		{"GB2", `SELECT n_name, sum(l_extendedprice * (1 - l_discount) - ps_supplycost * l_quantity)
+FROM lineitem, partsupp, supplier, nation
+WHERE ps_partkey = l_partkey AND ps_suppkey = l_suppkey
+  AND s_suppkey = l_suppkey AND s_nationkey = n_nationkey
+GROUP BY n_name`, 5820},
+	} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := db.Exec(c.sql); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocs", c.name, allocs)
+		if allocs > c.budget {
+			t.Errorf("%s: %.0f allocs, budget %.0f", c.name, allocs, c.budget)
+		}
+	}
+}
+
 func TestLoadAndQuery(t *testing.T) {
 	db := engine.NewDB()
 	d := Generate(Config{SF: 1, CustomersPerSF: 120, Seed: 4})
