@@ -1,23 +1,19 @@
 package sgb
 
-// This file holds one testing.B benchmark per table/figure of the paper's
-// evaluation section. Run them with:
+// This file holds the Table 1 benchmarks: every SGB-All algorithm × ON-OVERLAP
+// clause over one sweepPoints input. Run them with:
 //
-//	go test -bench=. -benchmem
+//	go test -bench=Table1 -benchmem -run '^$' .
 //
-// The full parameter sweeps (all ε values, all scale factors) live in
-// cmd/sgbbench; the benchmarks here pin each experiment's representative
-// configuration so `go test -bench` regenerates one point of every curve
-// with statistically stable timings.
+// The paper's orderings themselves are asserted in counted work, not time, by
+// TestPaperShapes.
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
-	"sgb/internal/bench"
-	"sgb/internal/checkin"
-	"sgb/internal/cluster"
 	"sgb/internal/core"
-	"sgb/internal/engine"
 	"sgb/internal/geom"
 )
 
@@ -27,7 +23,43 @@ const (
 	benchPoints = 5000 // per-iteration input size for operator benchmarks
 )
 
-var benchPts = bench.SweepPoints(benchPoints, benchSeed)
+var benchPts = sweepPoints(benchPoints, benchSeed)
+
+// sweepPoints generates the 2-D workload for the ε sweeps and the
+// complexity ladder. Grouping attributes in the paper's workload (account
+// balances, aggregated totals) repeat heavily, so points concentrate on
+// tight sites of ~50 near-duplicates each, scattered over a domain that
+// grows with sqrt(n) (constant site density). At ε=0.1 each site is its own
+// clique; larger ε progressively merges nearby sites, so the group count —
+// and with it the All-Pairs and Bounds-Checking runtimes — falls as ε grows,
+// the regime of the paper's Figure 9.
+func sweepPoints(n int, seed int64) []geom.Point {
+	span := math.Sqrt(float64(n)) / 6
+	if span < 1 {
+		span = 1
+	}
+	sites := n / 50
+	if sites < 1 {
+		sites = 1
+	}
+	r := rand.New(rand.NewSource(seed))
+	centers := make([]geom.Point, sites)
+	for i := range centers {
+		centers[i] = geom.Point{r.Float64() * span, r.Float64() * span}
+	}
+	// Site radius 0.03 keeps every site an L2 clique at the smallest swept
+	// ε (0.1): the in-site diameter is at most ~0.085.
+	const jitter = 0.03
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		c := centers[r.Intn(sites)]
+		pts[i] = geom.Point{
+			c[0] + (r.Float64()*2-1)*jitter,
+			c[1] + (r.Float64()*2-1)*jitter,
+		}
+	}
+	return pts
+}
 
 func benchSGBAll(b *testing.B, alg core.Algorithm, ov core.Overlap) {
 	b.ReportAllocs()
@@ -39,19 +71,6 @@ func benchSGBAll(b *testing.B, alg core.Algorithm, ov core.Overlap) {
 		}
 	}
 }
-
-func benchSGBAny(b *testing.B, alg core.Algorithm) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SGBAny(benchPts, core.Options{
-			Metric: geom.L2, Eps: benchEps, Algorithm: alg,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Table 1: complexity of the SGB-All variants ------------------------
 
 func BenchmarkTable1_AllPairs_JoinAny(b *testing.B)   { benchSGBAll(b, core.AllPairs, core.JoinAny) }
 func BenchmarkTable1_AllPairs_Eliminate(b *testing.B) { benchSGBAll(b, core.AllPairs, core.Eliminate) }
@@ -66,173 +85,3 @@ func BenchmarkTable1_Bounds_FormNew(b *testing.B) {
 func BenchmarkTable1_Index_JoinAny(b *testing.B)   { benchSGBAll(b, core.IndexBounds, core.JoinAny) }
 func BenchmarkTable1_Index_Eliminate(b *testing.B) { benchSGBAll(b, core.IndexBounds, core.Eliminate) }
 func BenchmarkTable1_Index_FormNew(b *testing.B)   { benchSGBAll(b, core.IndexBounds, core.FormNewGroup) }
-
-// --- Table 2: the evaluation workload through the SQL engine ------------
-
-func benchTable2Query(b *testing.B, spec bench.QuerySpec) {
-	db, err := bench.NewTPCHDB(1, 300, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	db.SetSGBAlgorithm(core.IndexBounds)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(spec.SQL); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable2_GB1(b *testing.B)  { benchTable2Query(b, bench.GB1()) }
-func BenchmarkTable2_SGB1(b *testing.B) { benchTable2Query(b, bench.SGB1(benchEps, core.JoinAny)) }
-func BenchmarkTable2_SGB2(b *testing.B) { benchTable2Query(b, bench.SGB2(benchEps)) }
-func BenchmarkTable2_GB2(b *testing.B)  { benchTable2Query(b, bench.GB2()) }
-func BenchmarkTable2_SGB3(b *testing.B) { benchTable2Query(b, bench.SGB3(benchEps, core.JoinAny)) }
-func BenchmarkTable2_SGB4(b *testing.B) { benchTable2Query(b, bench.SGB4(benchEps)) }
-func BenchmarkTable2_GB3(b *testing.B)  { benchTable2Query(b, bench.GB3()) }
-func BenchmarkTable2_SGB5(b *testing.B) { benchTable2Query(b, bench.SGB5(benchEps, core.JoinAny)) }
-func BenchmarkTable2_SGB6(b *testing.B) { benchTable2Query(b, bench.SGB6(benchEps)) }
-
-// --- Figure 9: eps-sweep representatives (eps = 0.2 like Figure 10) -----
-
-func BenchmarkFig9a_JoinAny_AllPairs(b *testing.B) { benchSGBAll(b, core.AllPairs, core.JoinAny) }
-func BenchmarkFig9a_JoinAny_Bounds(b *testing.B)   { benchSGBAll(b, core.BoundsChecking, core.JoinAny) }
-func BenchmarkFig9a_JoinAny_Index(b *testing.B)    { benchSGBAll(b, core.IndexBounds, core.JoinAny) }
-func BenchmarkFig9b_Eliminate_AllPairs(b *testing.B) {
-	benchSGBAll(b, core.AllPairs, core.Eliminate)
-}
-func BenchmarkFig9b_Eliminate_Bounds(b *testing.B) {
-	benchSGBAll(b, core.BoundsChecking, core.Eliminate)
-}
-func BenchmarkFig9b_Eliminate_Index(b *testing.B) { benchSGBAll(b, core.IndexBounds, core.Eliminate) }
-func BenchmarkFig9c_FormNew_AllPairs(b *testing.B) {
-	benchSGBAll(b, core.AllPairs, core.FormNewGroup)
-}
-func BenchmarkFig9c_FormNew_Bounds(b *testing.B) {
-	benchSGBAll(b, core.BoundsChecking, core.FormNewGroup)
-}
-func BenchmarkFig9c_FormNew_Index(b *testing.B) {
-	benchSGBAll(b, core.IndexBounds, core.FormNewGroup)
-}
-func BenchmarkFig9d_Any_AllPairs(b *testing.B) { benchSGBAny(b, core.AllPairs) }
-func BenchmarkFig9d_Any_Index(b *testing.B)    { benchSGBAny(b, core.IndexBounds) }
-
-// --- Figure 10: data-size representative through the SQL pipeline -------
-
-func benchFig10(b *testing.B, alg core.Algorithm, sql string) {
-	db, err := bench.NewTPCHDB(2, 300, benchSeed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	db.SetSGBAlgorithm(alg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(sql); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig10_All_Bounds(b *testing.B) {
-	benchFig10(b, core.BoundsChecking, bench.SGB1(benchEps, core.JoinAny).SQL)
-}
-func BenchmarkFig10_All_Index(b *testing.B) {
-	benchFig10(b, core.IndexBounds, bench.SGB1(benchEps, core.JoinAny).SQL)
-}
-func BenchmarkFig10_Any_AllPairs(b *testing.B) {
-	benchFig10(b, core.AllPairs, bench.SGB2(benchEps).SQL)
-}
-func BenchmarkFig10_Any_Index(b *testing.B) {
-	benchFig10(b, core.IndexBounds, bench.SGB2(benchEps).SQL)
-}
-
-// --- Figure 11: SGB vs clustering on skewed check-in data ---------------
-
-var fig11Pts = checkin.Points(checkin.Generate(checkin.Config{N: 5000, Seed: benchSeed}))
-
-func BenchmarkFig11_DBSCAN(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := cluster.DBSCAN(fig11Pts, geom.L2, 0.005, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig11_BIRCH(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := cluster.BIRCH(fig11Pts, 0.02, 8, 40, benchSeed); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig11_KMeans20(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := cluster.KMeans(fig11Pts, 20, 100, benchSeed); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig11_KMeans40(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := cluster.KMeans(fig11Pts, 40, 100, benchSeed); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig11_SGBAll_Index(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SGBAll(fig11Pts, core.Options{
-			Metric: geom.L2, Eps: 0.005, Overlap: core.JoinAny, Algorithm: core.IndexBounds,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig11_SGBAny_Index(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SGBAny(fig11Pts, core.Options{
-			Metric: geom.L2, Eps: 0.005, Algorithm: core.IndexBounds,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Figure 12: SGB overhead vs standard Group-By -----------------------
-
-var fig12DB = func() *engine.DB {
-	db, err := bench.NewTPCHDB(2, 300, benchSeed)
-	if err != nil {
-		panic(err)
-	}
-	db.SetSGBAlgorithm(core.IndexBounds)
-	return db
-}()
-
-func benchFig12(b *testing.B, sql string) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := fig12DB.Query(sql); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig12a_GB2(b *testing.B)  { benchFig12(b, bench.GB2().SQL) }
-func BenchmarkFig12a_SGB3(b *testing.B) { benchFig12(b, bench.SGB3(benchEps, core.JoinAny).SQL) }
-func BenchmarkFig12a_SGB4(b *testing.B) { benchFig12(b, bench.SGB4(benchEps).SQL) }
-func BenchmarkFig12b_GB3(b *testing.B)  { benchFig12(b, bench.GB3().SQL) }
-func BenchmarkFig12b_SGB5(b *testing.B) { benchFig12(b, bench.SGB5(benchEps, core.JoinAny).SQL) }
-func BenchmarkFig12b_SGB6(b *testing.B) { benchFig12(b, bench.SGB6(benchEps).SQL) }

@@ -17,6 +17,9 @@ func TestBenchmarkModuleBuilds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles a second module from a cold cache")
 	}
+	// Most of this test is a child go process; let the package's CPU-bound
+	// tests (TestPaperShapes) run beside it.
+	t.Parallel()
 	goBin, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("go is not on PATH")

@@ -9,8 +9,9 @@ import (
 	"log"
 	"time"
 
-	"sgb/internal/bench"
 	"sgb/internal/core"
+	"sgb/internal/engine"
+	"sgb/internal/tpch"
 )
 
 func main() {
@@ -18,14 +19,14 @@ func main() {
 		sf  = 1.0
 		eps = 0.2
 	)
-	db, err := bench.NewTPCHDB(sf, 300, 1)
-	if err != nil {
+	db := engine.NewDB()
+	if err := tpch.Generate(tpch.Config{SF: sf, CustomersPerSF: 300, Seed: 1}).Load(db); err != nil {
 		log.Fatal(err)
 	}
 	db.SetSGBAlgorithm(core.IndexBounds)
 
 	fmt.Printf("TPC-H-style workload, SF=%g, eps=%g\n\n", sf, eps)
-	for _, q := range bench.AllQueries(eps, core.JoinAny) {
+	for _, q := range tpch.AllQueries(eps, core.JoinAny) {
 		start := time.Now()
 		res, err := db.Query(q.SQL)
 		if err != nil {
@@ -43,7 +44,7 @@ func main() {
 	// customer buying power? Show the three overlap semantics side by side.
 	fmt.Println("\nSGB1 group counts under the three ON-OVERLAP semantics:")
 	for _, ov := range []core.Overlap{core.JoinAny, core.Eliminate, core.FormNewGroup} {
-		res, err := db.Query(bench.SGB1(eps, ov).SQL)
+		res, err := db.Query(tpch.SGB1(eps, ov).SQL)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -83,6 +83,10 @@ type BIRCHResult struct {
 	// LeafEntries is the number of CF entries after phase 1 — the size of
 	// the summary the global clustering phase operates on.
 	LeafEntries int
+	// DistanceComps counts centroid distance evaluations across every
+	// phase: CF-tree descent and splits, the global k-means and the final
+	// point assignment.
+	DistanceComps int64
 }
 
 // BIRCH clusters points with a two-phase BIRCH: phase 1 builds a CF-tree
@@ -138,20 +142,21 @@ func BIRCH(points []geom.Point, threshold float64, branching, k int, seed int64)
 		centroids[i] = c.centroid()
 		weights[i] = float64(c.n)
 	}
-	labels, centres := weightedKMeans(centroids, weights, k, 50, seed)
+	labels, centres := weightedKMeans(centroids, weights, k, 50, seed, &t.comps)
 
 	// Map original points to their nearest leaf entry's cluster.
 	res.Assignments = make([]int, len(points))
 	for i, p := range points {
 		best, bestD := 0, math.Inf(1)
 		for j := range centroids {
-			if d := sqDist(p, centroids[j]); d < bestD {
+			if d := t.comps.sqDist(p, centroids[j]); d < bestD {
 				best, bestD = j, d
 			}
 		}
 		res.Assignments[i] = labels[best]
 	}
 	res.Centroids = centres
+	res.DistanceComps = int64(t.comps)
 	return res, nil
 }
 
@@ -160,6 +165,7 @@ type cfTree struct {
 	branching int
 	dim       int
 	root      *cfNode
+	comps     distCount
 }
 
 // insert descends to the closest leaf entry, absorbing p if the merged
@@ -182,7 +188,7 @@ func (t *cfTree) insertAt(n *cfNode, p geom.Point) *cfNode {
 		if len(n.features) > 0 {
 			best, bestD := 0, math.Inf(1)
 			for i, f := range n.features {
-				if d := sqDist(f.centroid(), p); d < bestD {
+				if d := t.comps.sqDist(f.centroid(), p); d < bestD {
 					best, bestD = i, d
 				}
 			}
@@ -201,7 +207,7 @@ func (t *cfTree) insertAt(n *cfNode, p geom.Point) *cfNode {
 	}
 	best, bestD := 0, math.Inf(1)
 	for i, f := range n.features {
-		if d := sqDist(f.centroid(), p); d < bestD {
+		if d := t.comps.sqDist(f.centroid(), p); d < bestD {
 			best, bestD = i, d
 		}
 	}
@@ -225,7 +231,7 @@ func (t *cfTree) split(n *cfNode) *cfNode {
 	si, sj, worst := 0, 1, -1.0
 	for i := range n.features {
 		for j := i + 1; j < len(n.features); j++ {
-			if d := sqDist(n.features[i].centroid(), n.features[j].centroid()); d > worst {
+			if d := t.comps.sqDist(n.features[i].centroid(), n.features[j].centroid()); d > worst {
 				si, sj, worst = i, j, d
 			}
 		}
@@ -234,8 +240,8 @@ func (t *cfTree) split(n *cfNode) *cfNode {
 	keepF := n.features[:0:0]
 	var keepC []*cfNode
 	for i, f := range n.features {
-		toSib := sqDist(f.centroid(), n.features[sj].centroid()) <
-			sqDist(f.centroid(), n.features[si].centroid())
+		toSib := t.comps.sqDist(f.centroid(), n.features[sj].centroid()) <
+			t.comps.sqDist(f.centroid(), n.features[si].centroid())
 		if i == sj {
 			toSib = true
 		}
@@ -269,7 +275,7 @@ func sumNode(n *cfNode, dim int) *cf {
 }
 
 // weightedKMeans is Lloyd's algorithm over weighted points.
-func weightedKMeans(points []geom.Point, weights []float64, k, maxIter int, seed int64) ([]int, []geom.Point) {
+func weightedKMeans(points []geom.Point, weights []float64, k, maxIter int, seed int64, comps *distCount) ([]int, []geom.Point) {
 	if k > len(points) {
 		k = len(points)
 	}
@@ -289,7 +295,7 @@ func weightedKMeans(points []geom.Point, weights []float64, k, maxIter int, seed
 		for i, p := range points {
 			best, bestD := 0, math.Inf(1)
 			for c := range centroids {
-				if d := sqDist(p, centroids[c]); d < bestD {
+				if d := comps.sqDist(p, centroids[c]); d < bestD {
 					best, bestD = c, d
 				}
 			}

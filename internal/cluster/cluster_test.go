@@ -268,85 +268,3 @@ func TestCFRadius(t *testing.T) {
 		t.Fatalf("merge wrong: %+v", f)
 	}
 }
-
-func TestCURERecoversBlobs(t *testing.T) {
-	r := rand.New(rand.NewSource(76))
-	pts, truth := blobs(r, 3, 120, 0.3, 12)
-	res, err := CURE(pts, 3, 5, 0.3, 0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Assignments) != len(pts) || len(res.Representatives) != 3 {
-		t.Fatalf("shape wrong: %d assignments, %d clusters", len(res.Assignments), len(res.Representatives))
-	}
-	if p := purity(res.Assignments, truth); p < 0.95 {
-		t.Fatalf("CURE purity %.3f on well-separated blobs", p)
-	}
-}
-
-func TestCUREElongatedClusters(t *testing.T) {
-	// CURE's representative points handle elongated shapes that centroid
-	// methods split: two parallel line segments.
-	r := rand.New(rand.NewSource(77))
-	var pts []geom.Point
-	var truth []int
-	for i := 0; i < 150; i++ {
-		pts = append(pts, geom.Point{r.Float64() * 20, r.NormFloat64() * 0.2})
-		truth = append(truth, 0)
-	}
-	for i := 0; i < 150; i++ {
-		pts = append(pts, geom.Point{r.Float64() * 20, 6 + r.NormFloat64()*0.2})
-		truth = append(truth, 1)
-	}
-	res, err := CURE(pts, 2, 8, 0.2, 0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := purity(res.Assignments, truth); p < 0.98 {
-		t.Fatalf("CURE purity %.3f on elongated clusters", p)
-	}
-}
-
-func TestCUREValidationAndDegenerate(t *testing.T) {
-	if _, err := CURE(nil, 0, 4, 0.3, 0, 1); err == nil {
-		t.Error("accepted k=0")
-	}
-	if _, err := CURE(nil, 2, 0, 0.3, 0, 1); err == nil {
-		t.Error("accepted numReps=0")
-	}
-	if _, err := CURE(nil, 2, 4, 1.5, 0, 1); err == nil {
-		t.Error("accepted alpha>1")
-	}
-	if _, err := CURE([]geom.Point{{1, 2}, {1}}, 2, 4, 0.3, 0, 1); err == nil {
-		t.Error("accepted mixed dimensions")
-	}
-	res, err := CURE(nil, 2, 4, 0.3, 0, 1)
-	if err != nil || len(res.Assignments) != 0 {
-		t.Error("empty input mishandled")
-	}
-	// k larger than the sample collapses gracefully.
-	res, err = CURE([]geom.Point{{0, 0}, {9, 9}}, 10, 4, 0.3, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Representatives) != 2 {
-		t.Fatalf("k not clamped: %d clusters", len(res.Representatives))
-	}
-}
-
-func TestCURESampling(t *testing.T) {
-	// With a small sample the agglomeration stays tractable but every
-	// point still receives an assignment.
-	r := rand.New(rand.NewSource(78))
-	pts, truth := blobs(r, 4, 500, 0.3, 15)
-	res, err := CURE(pts, 4, 6, 0.3, 200, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Assignments) != len(pts) {
-		t.Fatal("not all points assigned")
-	}
-	if p := purity(res.Assignments, truth); p < 0.9 {
-		t.Fatalf("sampled CURE purity %.3f", p)
-	}
-}

@@ -22,6 +22,9 @@ type DBSCANResult struct {
 	// RegionQueries counts ε-neighbourhood queries issued (each is one
 	// R-tree window query plus exact distance verification).
 	RegionQueries int64
+	// DistanceComps counts the exact distance verifications of window-query
+	// hits.
+	DistanceComps int64
 }
 
 // DBSCAN runs density-based clustering (Ester et al. 1996) with ε-region
@@ -60,6 +63,7 @@ func DBSCAN(points []geom.Point, m geom.Metric, eps float64, minPts int) (*DBSCA
 		var out []int
 		tree.Search(geom.BoxAround(points[i], eps), func(ref int64) bool {
 			j := int(ref)
+			res.DistanceComps++
 			if geom.Within(m, points[i], points[j], eps) {
 				out = append(out, j)
 			}

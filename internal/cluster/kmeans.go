@@ -24,6 +24,9 @@ type KMeansResult struct {
 	// Converged reports whether the assignment reached a fixed point
 	// before the iteration cap.
 	Converged bool
+	// DistanceComps counts point-to-centre distance evaluations, seeding
+	// included.
+	DistanceComps int64
 }
 
 // KMeans runs Lloyd's algorithm with k-means++ seeding (Kanungo et al. style
@@ -44,7 +47,8 @@ func KMeans(points []geom.Point, k, maxIter int, seed int64) (*KMeansResult, err
 	}
 	r := rand.New(rand.NewSource(seed))
 	dim := len(points[0])
-	centroids := seedPlusPlus(points, k, r)
+	var comps distCount
+	centroids := seedPlusPlus(points, k, r, &comps)
 	assign := make([]int, len(points))
 	res := &KMeansResult{}
 	for iter := 0; iter < maxIter; iter++ {
@@ -53,7 +57,7 @@ func KMeans(points []geom.Point, k, maxIter int, seed int64) (*KMeansResult, err
 		for i, p := range points {
 			best, bestD := 0, math.Inf(1)
 			for c, ctr := range centroids {
-				if d := sqDist(p, ctr); d < bestD {
+				if d := comps.sqDist(p, ctr); d < bestD {
 					best, bestD = c, d
 				}
 			}
@@ -93,11 +97,12 @@ func KMeans(points []geom.Point, k, maxIter int, seed int64) (*KMeansResult, err
 	}
 	res.Assignments = assign
 	res.Centroids = centroids
+	res.DistanceComps = int64(comps)
 	return res, nil
 }
 
 // seedPlusPlus picks initial centres with the k-means++ D² weighting.
-func seedPlusPlus(points []geom.Point, k int, r *rand.Rand) []geom.Point {
+func seedPlusPlus(points []geom.Point, k int, r *rand.Rand, comps *distCount) []geom.Point {
 	centroids := make([]geom.Point, 0, k)
 	centroids = append(centroids, points[r.Intn(len(points))].Clone())
 	d2 := make([]float64, len(points))
@@ -105,7 +110,7 @@ func seedPlusPlus(points []geom.Point, k int, r *rand.Rand) []geom.Point {
 		var total float64
 		last := centroids[len(centroids)-1]
 		for i, p := range points {
-			d := sqDist(p, last)
+			d := comps.sqDist(p, last)
 			if len(centroids) == 1 || d < d2[i] {
 				d2[i] = d
 			}
@@ -131,7 +136,12 @@ func seedPlusPlus(points []geom.Point, k int, r *rand.Rand) []geom.Point {
 	return centroids
 }
 
-func sqDist(p, q geom.Point) float64 {
+// distCount counts squared-distance evaluations: the distance work the
+// paper's Figure 11 comparison charges each baseline.
+type distCount int64
+
+func (c *distCount) sqDist(p, q geom.Point) float64 {
+	*c++
 	var s float64
 	for i := range p {
 		d := p[i] - q[i]

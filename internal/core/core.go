@@ -124,10 +124,10 @@ type Options struct {
 	// nil, the first candidate group (in discovery order) is chosen, which
 	// makes runs deterministic.
 	Rand *rand.Rand
-	// DisableHullRefine turns off the convex-hull refinement of the L2
+	// disableHullRefine turns off the convex-hull refinement of the L2
 	// bounds-checking filter (Procedure 6) and falls back to exact member
-	// scans. It exists for the ablation benchmarks.
-	DisableHullRefine bool
+	// scans, the reference the package's tests check the hull against.
+	disableHullRefine bool
 }
 
 // Validate reports whether the options are internally consistent.

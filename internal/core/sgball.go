@@ -160,7 +160,7 @@ func (g *AllGrouper) Add(p geom.Point) (int, error) {
 		// vertex. Elsewhere the rectangle test is exact (L∞, or 1-D where
 		// the metrics coincide) or we fall back to exact member scans.
 		g.useHull = (g.opt.Metric == geom.L2 || g.opt.Metric == geom.L1) &&
-			g.dim == 2 && !g.opt.DisableHullRefine
+			g.dim == 2 && !g.opt.disableHullRefine
 		if g.opt.Algorithm == IndexBounds {
 			g.tree = rtree.New(g.dim)
 		}

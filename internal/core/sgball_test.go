@@ -157,7 +157,7 @@ func TestL2FalsePositiveFiltered(t *testing.T) {
 	pts := []geom.Point{{0, 0}, {4, 4}}
 	for _, alg := range allAlgorithms() {
 		for _, disable := range []bool{false, true} {
-			res, err := SGBAll(pts, Options{Metric: geom.L2, Eps: 5, Overlap: JoinAny, Algorithm: alg, DisableHullRefine: disable})
+			res, err := SGBAll(pts, Options{Metric: geom.L2, Eps: 5, Overlap: JoinAny, Algorithm: alg, disableHullRefine: disable})
 			if err != nil {
 				t.Fatalf("%v: %v", alg, err)
 			}
@@ -272,8 +272,9 @@ func TestAlgorithmsAgree(t *testing.T) {
 	}
 }
 
-// TestHullRefineMatchesExact checks the ablation switch: the convex hull
-// refinement must not change any grouping decision versus exact member scans.
+// TestHullRefineMatchesExact checks the convex hull refinement against its
+// reference: it must not change any grouping decision versus exact member
+// scans.
 func TestHullRefineMatchesExact(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
 	for _, ov := range []Overlap{JoinAny, Eliminate, FormNewGroup} {
@@ -285,7 +286,7 @@ func TestHullRefineMatchesExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			exact, err := SGBAll(pts, Options{Metric: geom.L2, Eps: eps, Overlap: ov, Algorithm: IndexBounds, DisableHullRefine: true})
+			exact, err := SGBAll(pts, Options{Metric: geom.L2, Eps: eps, Overlap: ov, Algorithm: IndexBounds, disableHullRefine: true})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -105,6 +105,29 @@ func TestMinDistProperties(t *testing.T) {
 	}
 }
 
+// TestMinDist pins MinDist at known values for every metric.
+func TestMinDist(t *testing.T) {
+	r := NewRect(Point{0, 0}, Point{2, 2})
+	cases := []struct {
+		p    Point
+		m    Metric
+		want float64
+	}{
+		{Point{1, 1}, L2, 0},    // inside
+		{Point{2, 2}, L2, 0},    // corner
+		{Point{5, 2}, L2, 3},    // axis gap
+		{Point{5, 6}, L2, 5},    // 3-4-5 diagonal
+		{Point{5, 6}, L1, 7},    // 3 + 4
+		{Point{5, 6}, LInf, 4},  // max(3, 4)
+		{Point{-1, 1}, LInf, 1}, // single-axis gap
+	}
+	for _, c := range cases {
+		if got := MinDist(c.m, c.p, r); got != c.want {
+			t.Errorf("MinDist(%v, %v) = %v, want %v", c.m, c.p, got, c.want)
+		}
+	}
+}
+
 func TestL1DistKnownValues(t *testing.T) {
 	if d := Dist(L1, Point{0, 0}, Point{3, 4}); d != 7 {
 		t.Fatalf("L1 distance = %v, want 7", d)

@@ -90,7 +90,10 @@ func TestBulkLoadHigherDim(t *testing.T) {
 	}
 }
 
-func TestBulkLoadNearest(t *testing.T) {
+// TestBulkLoadSearchMatchesBruteForce checks window queries on a packed tree
+// against a linear scan of the entries: STR packing must not lose an entry
+// or mis-bound a node.
+func TestBulkLoadSearchMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(113))
 	entries := bulkEntries(r, 800, 2)
 	pts := make([]geom.Point, len(entries))
@@ -98,21 +101,19 @@ func TestBulkLoadNearest(t *testing.T) {
 		pts[e.Ref] = e.Rect.Min.Clone()
 	}
 	tr := BulkLoad(2, entries)
-	q := geom.Point{50, 50}
-	got := tr.Nearest(q, 5, geom.L2)
-	if len(got) != 5 {
-		t.Fatalf("got %d neighbours", len(got))
-	}
-	// Verify the first result against brute force.
-	best, bd := -1, 1e18
-	for i, p := range pts {
-		d := geom.Dist(geom.L2, p, q)
-		if d < bd {
-			best, bd = i, d
+	for q := 0; q < 50; q++ {
+		w := randRect(r, 2)
+		var want []int64
+		for i, p := range pts {
+			if w.Contains(p) {
+				want = append(want, int64(i))
+			}
 		}
-	}
-	if got[0].Ref != int64(best) {
-		t.Fatalf("nearest = %d, want %d", got[0].Ref, best)
+		got := tr.SearchSlice(w)
+		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+		if !equalIDs(got, want) {
+			t.Fatalf("window %v: packed search %v, brute force %v", w, got, want)
+		}
 	}
 }
 

@@ -42,21 +42,12 @@ type Tree struct {
 }
 
 // New returns an empty R-tree for rectangles of the given dimensionality.
-func New(dim int) *Tree {
-	if dim <= 0 {
-		panic("rtree: dimension must be positive")
-	}
-	return &Tree{
-		dim:        dim,
-		root:       &node{leaf: true},
-		minEntries: defaultMin,
-		maxEntries: defaultMax,
-	}
-}
+func New(dim int) *Tree { return newWithFanout(dim, defaultMin, defaultMax) }
 
-// NewWithFanout returns an empty tree with explicit node fan-out bounds,
-// exposed for tests and tuning. It panics unless 2 ≤ min ≤ max/2.
-func NewWithFanout(dim, min, max int) *Tree {
+// newWithFanout returns an empty tree with explicit node fan-out bounds;
+// tests use small ones to force deep trees. It panics unless
+// 2 ≤ min ≤ max/2.
+func newWithFanout(dim, min, max int) *Tree {
 	if dim <= 0 {
 		panic("rtree: dimension must be positive")
 	}

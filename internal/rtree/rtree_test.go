@@ -35,8 +35,8 @@ func TestEmptyTree(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	for _, f := range []func(){
 		func() { New(0) },
-		func() { NewWithFanout(2, 1, 8) },
-		func() { NewWithFanout(2, 5, 8) },
+		func() { newWithFanout(2, 1, 8) },
+		func() { newWithFanout(2, 5, 8) },
 	} {
 		func() {
 			defer func() {
@@ -230,7 +230,7 @@ func TestDuplicateRefsAllowed(t *testing.T) {
 func TestSmallFanout(t *testing.T) {
 	// A tiny fan-out exercises splits and condensation aggressively.
 	r := rand.New(rand.NewSource(32))
-	tr := NewWithFanout(2, 2, 4)
+	tr := newWithFanout(2, 2, 4)
 	m := &model{rects: map[int64]geom.Rect{}}
 	for i := int64(0); i < 300; i++ {
 		rect := randRect(r, 2)

@@ -2,8 +2,10 @@ package tpch
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
+	"sgb/internal/core"
 	"sgb/internal/engine"
 )
 
@@ -109,28 +111,66 @@ func TestTable2JoinAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name, sql string
-		budget    float64
+		q      QuerySpec
+		budget float64
 	}{
-		{"GB1", `SELECT c_custkey, sum(o_totalprice)
-FROM customer, orders
-WHERE c_custkey = o_custkey
-  AND o_orderkey IN (SELECT l_orderkey FROM lineitem GROUP BY l_orderkey HAVING sum(l_quantity) > 150)
-GROUP BY c_custkey`, 38800},
-		{"GB2", `SELECT n_name, sum(l_extendedprice * (1 - l_discount) - ps_supplycost * l_quantity)
-FROM lineitem, partsupp, supplier, nation
-WHERE ps_partkey = l_partkey AND ps_suppkey = l_suppkey
-  AND s_suppkey = l_suppkey AND s_nationkey = n_nationkey
-GROUP BY n_name`, 5820},
+		{GB1(), 38800},
+		{GB2(), 5820},
 	} {
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := db.Exec(c.sql); err != nil {
+			if _, err := db.Exec(c.q.SQL); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%s: %.0f allocs", c.name, allocs)
+		t.Logf("%s: %.0f allocs", c.q.ID, allocs)
 		if allocs > c.budget {
-			t.Errorf("%s: %.0f allocs, budget %.0f", c.name, allocs, c.budget)
+			t.Errorf("%s: %.0f allocs, budget %.0f", c.q.ID, allocs, c.budget)
+		}
+	}
+}
+
+func table2DB(t *testing.T) *engine.DB {
+	t.Helper()
+	db := engine.NewDB()
+	if err := Generate(Config{SF: 1, CustomersPerSF: 100, Seed: 1}).Load(db); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestQuerySpecsParse runs all nine Table 2 statements under every ON-OVERLAP
+// clause.
+func TestQuerySpecsParse(t *testing.T) {
+	db := table2DB(t)
+	for _, ov := range []core.Overlap{core.JoinAny, core.Eliminate, core.FormNewGroup} {
+		for _, q := range AllQueries(0.3, ov) {
+			if _, err := db.Query(q.SQL); err != nil {
+				t.Errorf("%s (%v): %v", q.ID, ov, err)
+			}
+		}
+	}
+}
+
+// TestTable2AllQueriesRun checks that AllQueries is Table 2's nine statements
+// in order, and that the Group-By statements return rows.
+func TestTable2AllQueriesRun(t *testing.T) {
+	db := table2DB(t)
+	want := []string{"GB1", "SGB1", "SGB2", "GB2", "SGB3", "SGB4", "GB3", "SGB5", "SGB6"}
+	qs := AllQueries(0.2, core.JoinAny)
+	if len(qs) != len(want) {
+		t.Fatalf("AllQueries returned %d statements, want %d", len(qs), len(want))
+	}
+	for i, q := range qs {
+		if q.ID != want[i] {
+			t.Errorf("statement %d is %s, want %s", i, q.ID, want[i])
+		}
+		res, err := db.Query(q.SQL)
+		if err != nil {
+			t.Errorf("%s: %v", q.ID, err)
+			continue
+		}
+		if strings.HasPrefix(q.ID, "GB") && len(res.Rows) == 0 {
+			t.Errorf("%s returned no rows", q.ID)
 		}
 	}
 }
