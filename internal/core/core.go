@@ -15,11 +15,12 @@
 // (grouping is therefore insertion-order sensitive, cf. Figure 2). Three
 // algorithm variants are provided for SGB-All — All-Pairs (Procedure 2),
 // Bounds-Checking with the ε-All rectangle (Procedure 4), and on-the-fly
-// Index Bounds-Checking with an R-tree over group rectangles (Procedure 5) —
-// and two for SGB-Any — All-Pairs and the point-index + Union-Find method
-// (Procedures 7–9), whose on-the-fly index of points is an ε-grid
-// (internal/grid) while a point's ε-block of cells stays small and the
-// paper's R-tree above that (high dimensionality).
+// Index Bounds-Checking (Procedure 5), whose index of group regions is an
+// ε-grid (internal/grid) — and two for SGB-Any — All-Pairs and the
+// point-index + Union-Find method (Procedures 7–9), whose on-the-fly index of
+// points is an ε-grid too. Both grids serve while a point's ε-block of cells
+// stays small; above that (high dimensionality) SGB-All's index scans the
+// group list as Bounds-Checking does, and SGB-Any's is the paper's R-tree.
 package core
 
 import (
@@ -87,10 +88,11 @@ const (
 	// scans the group list linearly (Procedure 4). SGB-Any has no
 	// rectangle formulation (§7.1), so BoundsChecking is SGB-All only.
 	BoundsChecking
-	// IndexBounds additionally keeps an on-the-fly index: an R-tree of the
-	// group rectangles for SGB-All (Procedure 5); for SGB-Any an index of the
-	// processed points (Procedure 8) — an ε-grid up to the block cap, an
-	// R-tree otherwise (see AnyGrouper).
+	// IndexBounds additionally keeps an on-the-fly index up to the block
+	// cap: an ε-grid of the group regions for SGB-All (Procedure 5, see
+	// AllGrouper), and for SGB-Any an index of the processed points
+	// (Procedure 8) — an ε-grid up to the cap, an R-tree above it (see
+	// AnyGrouper).
 	IndexBounds
 )
 
@@ -219,10 +221,11 @@ type Stats struct {
 	// HullTests counts convex-hull refinement probes (L2 only).
 	HullTests int64
 	// WindowQueries counts window queries issued to the on-the-fly index:
-	// one per probed point, whether the index is an R-tree or SGB-Any's
-	// ε-grid.
+	// one per probed point, whether the index is an ε-grid or SGB-Any's
+	// R-tree.
 	WindowQueries int64
-	// IndexUpdates counts insert/delete operations on the on-the-fly index.
+	// IndexUpdates counts insertions into the on-the-fly index: one per
+	// point of SGB-Any, one per SGB-All group founded or rebuilt.
 	IndexUpdates int64
 	// Rounds is 1 plus the FORM-NEW-GROUP recursion depth (the number of
 	// grouping passes over ever-smaller S′ sets).

@@ -4,6 +4,7 @@
 package coretest
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -53,6 +54,92 @@ func TestAnyGridBudget(t *testing.T) {
 	}
 	if perPoint > rtreeCompsPerPoint/10 {
 		t.Errorf("DistanceComps/point = %.3f is not 10× below the R-tree path's %.0f", perPoint, rtreeCompsPerPoint)
+	}
+}
+
+// servedCheckins draws the benchmark's serve_read input: the internal/checkin
+// mixture (40 Gaussian hotspots with Zipf weights, σ 0.05°, 5 % uniform
+// background) over the benchmark's fixed hotspot layout, so the counts below
+// are the ones its traced pass reports.
+func servedCheckins(n int, seed int64) []geom.Point {
+	const hotspots, spread, background, layoutSeed = 40, 0.05, 0.05, 20090329
+	box := [4]float64{25, 49, -125, -67}
+	lr := rand.New(rand.NewSource(layoutSeed))
+	type spot struct{ lat, lon, cum float64 }
+	spots := make([]spot, hotspots)
+	var total float64
+	for i := range spots {
+		total += 1 / float64(i+1)
+		spots[i] = spot{box[0] + lr.Float64()*(box[1]-box[0]), box[2] + lr.Float64()*(box[3]-box[2]), total}
+	}
+	r := rand.New(rand.NewSource(seed))
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		if r.Float64() < background {
+			pts[i] = geom.Point{box[0] + r.Float64()*(box[1]-box[0]), box[2] + r.Float64()*(box[3]-box[2])}
+			continue
+		}
+		target := r.Float64() * total
+		s := spots[len(spots)-1]
+		for _, c := range spots {
+			if c.cum >= target {
+				s = c
+				break
+			}
+		}
+		pts[i] = geom.Point{
+			min(max(s.lat+r.NormFloat64()*spread, box[0]), box[1]),
+			min(max(s.lon+r.NormFloat64()*spread, box[2]), box[3]),
+		}
+	}
+	return pts
+}
+
+// TestAllGridBudget is the SGB-All row of the counter budgets: the
+// benchmark's serve_read shape — 5000 check-ins, seed 1, L∞, ε = 0.05,
+// JOIN-ANY — on the ε-grid of group regions must agree with All-Pairs, probe
+// once per point, register each of its 871 groups once, and rect-test
+// exactly 33,259 groups (51,836 through the R-tree it replaced). One grouping
+// allocates within 10 % of the 12,791 objects measured when it landed (46,238
+// on the R-tree); the race detector adds one per group, 13,662. Budgets only
+// ratchet down.
+func TestAllGridBudget(t *testing.T) {
+	const (
+		n         = 5000
+		groups    = 871
+		rectTests = 33259
+		allocs    = 12791
+	)
+	pts := servedCheckins(n, 1)
+	opt := core.Options{Metric: geom.LInf, Eps: 0.05, Overlap: core.JoinAny, Algorithm: core.IndexBounds}
+	got, err := core.SGBAll(pts, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ap := opt
+	ap.Algorithm = core.AllPairs
+	want, err := core.SGBAll(pts, ap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Groups, want.Groups) || len(got.Groups) != groups {
+		t.Fatalf("grid forms %d groups, all-pairs %d, or different ones; want %d", len(got.Groups), len(want.Groups), groups)
+	}
+	s := got.Stats
+	if s.WindowQueries != n || s.IndexUpdates != groups {
+		t.Errorf("WindowQueries = %d, IndexUpdates = %d, want %d and %d", s.WindowQueries, s.IndexUpdates, n, groups)
+	}
+	if s.RectTests != rectTests {
+		t.Errorf("RectTests = %d, want %d", s.RectTests, rectTests)
+	}
+	a := testing.AllocsPerRun(3, func() {
+		if _, err := core.SGBAll(pts, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per grouping", a)
+	if a > 1.1*allocs {
+		t.Errorf("%.0f allocs per grouping, budget %.0f", a, 1.1*allocs)
 	}
 }
 

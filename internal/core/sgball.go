@@ -1,13 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sgb/internal/geom"
+	"sgb/internal/grid"
 	"sgb/internal/hull"
-	"sgb/internal/rtree"
 )
 
 // ctxCheckStride is how many Add/processPoint steps a grouper takes between
@@ -67,14 +68,8 @@ type allGroup struct {
 	id      int
 	members []int         // point ids, in insertion order
 	cols    geom.Cols     // columnar mirror of the member coordinates, row i = members[i]
-	rect    *geom.EpsRect // ε-All bounding rectangle + member MBR
+	rect    *geom.EpsRect // ε-All bounding rectangle, through the member MBR
 	hull    *hull.Incremental
-	// treeRect is the rectangle currently stored for this group in the
-	// on-the-fly index. The stored rectangle is always a superset of the
-	// live ε-All rectangle (it is only refreshed when removals may grow
-	// the live one), so window queries never miss a relevant group.
-	treeRect geom.Rect
-	inTree   bool
 }
 
 // AllGrouper is a streaming SGB-All operator instance. Points are fed in
@@ -87,11 +82,20 @@ type AllGrouper struct {
 	active []*allGroup // groups of the current grouping round
 	final  []*allGroup // groups sealed by earlier FORM-NEW-GROUP rounds
 	nextID int
-	tree   *rtree.Tree // IndexBounds only
+	// regions is Groups_IX, the on-the-fly index of IndexBounds: every
+	// active group registered on the ε-grid under its candidate region and
+	// its position in active. Nil for the other algorithms and above
+	// gridBlockCap, where IndexBounds scans the group list as BoundsChecking
+	// does.
+	regions *grid.Regions
 
-	deferred []int   // S′: points diverted by FORM-NEW-GROUP
-	dropped  []int   // points discarded by ELIMINATE
-	gidBuf   []int64 // scratch buffer for window-query results
+	deferred []int // S′: points diverted by FORM-NEW-GROUP
+	dropped  []int // points discarded by ELIMINATE
+
+	// Probe scratch, reused across Add: the candidate and overlap groups of
+	// one point and the active positions one Regions.Block probe lists.
+	candidates, overlaps []*allGroup
+	block                []int
 
 	// Kernel scratch, reused across every member scan: a column view of the
 	// current block plus the distance/verdict buffers for one WithinMask
@@ -161,8 +165,11 @@ func (g *AllGrouper) Add(p geom.Point) (int, error) {
 		// the metrics coincide) or we fall back to exact member scans.
 		g.useHull = (g.opt.Metric == geom.L2 || g.opt.Metric == geom.L1) &&
 			g.dim == 2 && !g.opt.disableHullRefine
-		if g.opt.Algorithm == IndexBounds {
-			g.tree = rtree.New(g.dim)
+		// Group regions sit on cells of side ε whatever the metric, so a
+		// probe block is 3^d cells: the grid serves while that stays under
+		// SGB-Any's cap (d ≤ 6).
+		if g.opt.Algorithm == IndexBounds && grid.BlockCells(geom.LInf, g.dim) <= gridBlockCap {
+			g.regions = grid.NewRegions(g.opt.Eps, g.dim)
 		}
 	} else if len(p) != g.dim {
 		return 0, ErrDimensionMismatch
@@ -188,16 +195,15 @@ func (g *AllGrouper) Finish() (*Result, error) {
 		// Progress is expected: the ProcessOverlap removals only ever
 		// take the members of a group that are within ε of the probe and
 		// the OverlapGroups definition requires at least one member that
-		// is not, so groups are (near-)never fully emptied — see
-		// rebuildGroup for the floating-point boundary exception — and at
-		// least one group survives every round, so |S′| decreases. The
+		// is not, so groups are never fully emptied (see rebuildGroup) and
+		// at least one group survives every round, so |S′| decreases. The
 		// check below turns any pathological counterexample into an error
 		// instead of a livelock.
 		before := len(g.deferred)
 		g.final = append(g.final, g.active...)
 		g.active = nil
-		if g.opt.Algorithm == IndexBounds {
-			g.tree = rtree.New(g.dim)
+		if g.regions != nil {
+			g.regions = grid.NewRegions(g.opt.Eps, g.dim)
 		}
 		round := g.deferred
 		g.deferred = nil
@@ -221,16 +227,17 @@ func (g *AllGrouper) Finish() (*Result, error) {
 			continue
 		}
 		ids := append([]int(nil), grp.members...)
-		sort.Ints(ids)
+		slices.Sort(ids)
 		res.Groups = append(res.Groups, Group{IDs: ids})
 	}
-	sort.Slice(res.Groups, func(i, j int) bool {
-		return res.Groups[i].IDs[0] < res.Groups[j].IDs[0]
-	})
-	sort.Ints(g.dropped)
+	slices.SortFunc(res.Groups, byFirstID)
+	slices.Sort(g.dropped)
 	res.Dropped = g.dropped
 	return res, nil
 }
+
+// byFirstID orders groups by their smallest member id, the Result order.
+func byFirstID(a, b Group) int { return cmp.Compare(a.IDs[0], b.IDs[0]) }
 
 // Snapshot materializes the grouping as it stands without consuming the
 // grouper: unlike Finish, the grouper keeps accepting points afterwards. The
@@ -257,7 +264,7 @@ func (g *AllGrouper) Snapshot() (*Result, error) {
 				continue
 			}
 			ids := append([]int(nil), grp.members...)
-			sort.Ints(ids)
+			slices.Sort(ids)
 			res.Groups = append(res.Groups, Group{IDs: ids})
 		}
 	}
@@ -285,7 +292,7 @@ func (g *AllGrouper) Snapshot() (*Result, error) {
 			for i, sid := range grp.IDs {
 				ids[i] = g.deferred[sid]
 			}
-			sort.Ints(ids)
+			slices.Sort(ids)
 			res.Groups = append(res.Groups, Group{IDs: ids})
 		}
 		for _, sid := range subRes.Dropped {
@@ -293,10 +300,8 @@ func (g *AllGrouper) Snapshot() (*Result, error) {
 		}
 		res.Stats.Rounds = subRes.Stats.Rounds + 1
 	}
-	sort.Slice(res.Groups, func(i, j int) bool {
-		return res.Groups[i].IDs[0] < res.Groups[j].IDs[0]
-	})
-	sort.Ints(dropped)
+	slices.SortFunc(res.Groups, byFirstID)
+	slices.Sort(dropped)
 	res.Dropped = dropped
 	return res, nil
 }
@@ -305,15 +310,16 @@ func (g *AllGrouper) Snapshot() (*Result, error) {
 // overlap groups, arbitrate membership, then apply the overlap semantics.
 func (g *AllGrouper) processPoint(id int) {
 	p := g.points[id]
-	var candidates, overlaps []*allGroup
-	switch g.opt.Algorithm {
-	case AllPairs:
-		candidates, overlaps = g.findAllPairs(p)
-	case BoundsChecking:
-		candidates, overlaps = g.findBounds(p)
-	case IndexBounds:
-		candidates, overlaps = g.findIndexed(p)
+	g.candidates, g.overlaps = g.candidates[:0], g.overlaps[:0]
+	switch {
+	case g.opt.Algorithm == AllPairs:
+		g.findAllPairs(p)
+	case g.regions != nil:
+		g.findIndexed(p)
+	default:
+		g.findBounds(p)
 	}
+	candidates := g.candidates
 
 	// ProcessGroupingALL (Procedure 3).
 	switch {
@@ -336,14 +342,14 @@ func (g *AllGrouper) processPoint(id int) {
 		}
 	}
 
-	if g.opt.Overlap != JoinAny && len(overlaps) > 0 {
-		g.processOverlap(p, overlaps)
+	if g.opt.Overlap != JoinAny && len(g.overlaps) > 0 {
+		g.processOverlap(p, g.overlaps)
 	}
 }
 
 // findAllPairs is Naive FindCloseGroupsALL (Procedure 2): evaluate the
 // similarity predicate between p and every previously grouped point.
-func (g *AllGrouper) findAllPairs(p geom.Point) (candidates, overlaps []*allGroup) {
+func (g *AllGrouper) findAllPairs(p geom.Point) {
 	joinAny := g.opt.Overlap == JoinAny
 	for _, grp := range g.active {
 		if len(grp.members) == 0 {
@@ -352,12 +358,11 @@ func (g *AllGrouper) findAllPairs(p geom.Point) (candidates, overlaps []*allGrou
 		candidate, overlap := g.scanMembers(grp, p, joinAny)
 		switch {
 		case candidate:
-			candidates = append(candidates, grp)
+			g.candidates = append(g.candidates, grp)
 		case !joinAny && overlap:
-			overlaps = append(overlaps, grp)
+			g.overlaps = append(g.overlaps, grp)
 		}
 	}
-	return candidates, overlaps
 }
 
 // scratch returns the distance and mask buffers grown to hold n rows
@@ -415,86 +420,67 @@ func (g *AllGrouper) scanMembers(grp *allGroup, p geom.Point, joinAny bool) (all
 // findBounds is Bounds-Checking FindCloseGroups (Procedure 4): the ε-All
 // rectangle decides candidacy in constant time per group (exactly under L∞,
 // as a conservative filter refined by Procedure 6 under L2).
-func (g *AllGrouper) findBounds(p geom.Point) (candidates, overlaps []*allGroup) {
-	joinAny := g.opt.Overlap == JoinAny
-	var pBox geom.Rect
-	if !joinAny {
-		pBox = geom.BoxAround(p, g.opt.Eps)
-	}
+func (g *AllGrouper) findBounds(p geom.Point) {
 	for _, grp := range g.active {
-		if len(grp.members) == 0 {
-			continue
-		}
-		g.stats.RectTests++
-		if grp.rect.ContainsPoint(p) {
-			if g.qualifies(grp, p) {
-				candidates = append(candidates, grp)
-				continue
-			}
-			// An L2 false positive of the rectangle filter can still
-			// partially overlap the group.
-			if !joinAny && g.anyWithin(grp, p) {
-				overlaps = append(overlaps, grp)
-			}
-			continue
-		}
-		if joinAny {
-			continue
-		}
-		// OverlapRectangleTest: p can only be within ε of some member if
-		// its ε-box reaches the group's member MBR.
-		g.stats.RectTests++
-		if pBox.Intersects(grp.rect.MBR()) && g.anyWithin(grp, p) {
-			overlaps = append(overlaps, grp)
-		}
+		g.classify(grp, p)
 	}
-	return candidates, overlaps
 }
 
-// findIndexed is Index Bounds-Checking FindCloseGroups (Procedure 5): a
-// window query on Groups_IX prunes the group list before the per-group
-// rectangle tests.
-func (g *AllGrouper) findIndexed(p geom.Point) (candidates, overlaps []*allGroup) {
-	joinAny := g.opt.Overlap == JoinAny
-	pBox := geom.BoxAround(p, g.opt.Eps)
+// findIndexed is Index Bounds-Checking FindCloseGroups (Procedure 5): a probe
+// of Groups_IX prunes the group list before the per-group rectangle tests.
+// Under JOIN-ANY only candidates matter, and every candidate's region holds
+// p, so p's own cell lists them all, in creation order as the linear scan
+// visits them. The other clauses also need every group with a member within
+// ε of p, which p's ε′-block lists.
+func (g *AllGrouper) findIndexed(p geom.Point) {
 	g.stats.WindowQueries++
-	gids := g.gidBuf[:0]
-	g.tree.Search(pBox, func(ref int64) bool {
-		gids = append(gids, ref)
-		return true
-	})
-	g.gidBuf = gids
-	// The R-tree reports matches in traversal order; sort for run-to-run
-	// determinism of the JOIN-ANY "first candidate" choice.
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-	for _, gid := range gids {
-		grp := g.groupByID(int(gid))
-		if grp == nil || len(grp.members) == 0 {
-			continue
+	if g.opt.Overlap == JoinAny {
+		for _, i := range g.regions.Own(p) {
+			g.classify(g.active[i], p)
 		}
-		g.stats.RectTests++
-		if grp.rect.ContainsPoint(p) {
-			if g.qualifies(grp, p) {
-				candidates = append(candidates, grp)
-				continue
-			}
-			if !joinAny && g.anyWithin(grp, p) {
-				overlaps = append(overlaps, grp)
-			}
-			continue
-		}
-		if joinAny {
-			continue
-		}
-		// The window query matched the (possibly stale, superset) indexed
-		// rectangle; the member MBR test prunes groups with no member near
-		// p before the exact scan, exactly as Bounds-Checking does.
-		g.stats.RectTests++
-		if pBox.Intersects(grp.rect.MBR()) && g.anyWithin(grp, p) {
-			overlaps = append(overlaps, grp)
-		}
+		return
 	}
-	return candidates, overlaps
+	g.block = g.regions.Block(p, g.block[:0])
+	for _, i := range g.block {
+		g.classify(g.active[i], p)
+	}
+	// Their candidates' order is never read, but FORM-NEW-GROUP defers the
+	// members processOverlap pulls out in overlap order, which the linear
+	// scan makes ascending.
+	slices.SortFunc(g.overlaps, func(a, b *allGroup) int { return cmp.Compare(a.id, b.id) })
+}
+
+// classify runs the per-group tests of Procedures 4 and 5 on grp: the ε-All
+// rectangle test, refined by qualifies, makes it a candidate; otherwise,
+// unless the clause is JOIN-ANY, the overlap rectangle test and a member scan
+// make it an overlap group. Emptied groups are skipped.
+func (g *AllGrouper) classify(grp *allGroup, p geom.Point) {
+	if len(grp.members) == 0 {
+		return
+	}
+	joinAny := g.opt.Overlap == JoinAny
+	g.stats.RectTests++
+	if grp.rect.ContainsPoint(p) {
+		if g.qualifies(grp, p) {
+			g.candidates = append(g.candidates, grp)
+			return
+		}
+		// An L2 false positive of the rectangle filter can still
+		// partially overlap the group.
+		if !joinAny && g.anyWithin(grp, p) {
+			g.overlaps = append(g.overlaps, grp)
+		}
+		return
+	}
+	if joinAny {
+		return
+	}
+	// OverlapRectangleTest: p can only be within ε of some member if it is
+	// within ε of the member MBR.
+	g.stats.RectTests++
+	if grp.rect.Reaches(p) && g.anyWithin(grp, p) {
+		g.overlaps = append(g.overlaps, grp)
+	}
 }
 
 // qualifies refines a positive ε-All rectangle test into an exact membership
@@ -570,20 +556,6 @@ func (g *AllGrouper) allWithin(grp *allGroup, p geom.Point) bool {
 	return all
 }
 
-func (g *AllGrouper) groupByID(id int) *allGroup {
-	// Group ids are dense within a round; the active slice is indexed by
-	// creation order with ids offset by the first active id.
-	if len(g.active) == 0 {
-		return nil
-	}
-	first := g.active[0].id
-	idx := id - first
-	if idx < 0 || idx >= len(g.active) {
-		return nil
-	}
-	return g.active[idx]
-}
-
 func (g *AllGrouper) newGroup(id int) *allGroup {
 	p := g.points[id]
 	grp := &allGroup{
@@ -598,18 +570,22 @@ func (g *AllGrouper) newGroup(id int) *allGroup {
 		grp.hull = hull.NewIncremental(p)
 	}
 	g.active = append(g.active, grp)
-	if g.tree != nil {
-		grp.treeRect = grp.rect.Bound().Clone()
-		g.tree.Insert(grp.treeRect, int64(grp.id))
-		grp.inTree = true
-		g.stats.IndexUpdates++
-	}
+	g.register(grp)
 	return grp
 }
 
+// register records grp's candidate region in Groups_IX under the group's
+// position in the round's group list.
+func (g *AllGrouper) register(grp *allGroup) {
+	if g.regions != nil {
+		g.regions.Register(grp.rect.MBR(), grp.id-g.active[0].id)
+		g.stats.IndexUpdates++
+	}
+}
+
 // insert is ProcessInsert: add the point and shrink the ε-All rectangle.
-// The indexed rectangle is left untouched — it only ever needs to be a
-// superset of the live one, and insertions only shrink it.
+// The group's registration is left untouched — it only ever needs to cover
+// the live region, and insertions only shrink it.
 func (g *AllGrouper) insert(grp *allGroup, id int) {
 	p := g.points[id]
 	grp.members = append(grp.members, id)
@@ -665,8 +641,9 @@ func (g *AllGrouper) processOverlap(p geom.Point, overlaps []*allGroup) {
 }
 
 // rebuildGroup recomputes a group's rectangle and hull after removals. The
-// ε-All rectangle can legitimately grow, so the indexed rectangle must be
-// refreshed to stay a superset.
+// ε-All rectangle can legitimately grow, so the group is registered again:
+// Register adds the cells the region grew into, and the cells it left keep a
+// stale entry that the rectangle test turns away.
 func (g *AllGrouper) rebuildGroup(grp *allGroup) {
 	pts := make([]geom.Point, len(grp.members))
 	grp.cols.Reset()
@@ -674,19 +651,13 @@ func (g *AllGrouper) rebuildGroup(grp *allGroup) {
 		pts[i] = g.points[m]
 		grp.cols.AppendPoint(g.points[m])
 	}
-	if grp.inTree {
-		g.tree.Delete(grp.treeRect, int64(grp.id))
-		g.stats.IndexUpdates++
-		grp.inTree = false
-	}
 	if len(grp.members) == 0 {
-		// Near-unreachable per the OverlapGroups definition (see Finish) —
-		// but at floating-point boundaries the ε-All rectangle filter
-		// (coordinate arithmetic) can under-approximate the exact predicate
-		// (squared-distance compare), misclassifying a full candidate as a
-		// partial overlap, and ProcessOverlap then strips every member. The
-		// emptied group stays behind as an inert zombie: it is skipped by
-		// every find path and dropped by Finish.
+		// Unreachable while the ε-All rectangle test never rejects a point
+		// geom.Within accepts against every member (see geom.EpsRect): an
+		// overlap group then keeps the member p is not within ε of. Should
+		// an ε whose square under- or overflows break that, the emptied
+		// group stays behind inert: every find path skips it and Finish
+		// drops it.
 		grp.rect.Rebuild(nil)
 		return
 	}
@@ -694,12 +665,7 @@ func (g *AllGrouper) rebuildGroup(grp *allGroup) {
 	if grp.hull != nil {
 		grp.hull.Rebuild(pts)
 	}
-	if g.tree != nil {
-		grp.treeRect = grp.rect.Bound().Clone()
-		g.tree.Insert(grp.treeRect, int64(grp.id))
-		grp.inTree = true
-		g.stats.IndexUpdates++
-	}
+	g.register(grp)
 }
 
 // AddCols feeds every point of a columnar batch in row order, as if each had

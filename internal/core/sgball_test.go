@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -233,40 +235,102 @@ func randomPoints(r *rand.Rand, n, dim int, span float64) []geom.Point {
 	return pts
 }
 
+// gridPoints draws ε-grid-adversarial coordinates: multiples of ε/4 around
+// the origin, left exact, shifted by ±1e-9, or moved one ulp either way — the
+// inputs on which rounding decides whether two points are within ε.
+func gridPoints(r *rand.Rand, n, dim int, eps float64) []geom.Point {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		p := make(geom.Point, dim)
+		for d := range p {
+			p[d] = nudge(float64(r.Intn(17)-8)*eps/4, r.Intn(5))
+		}
+		pts[i] = p
+	}
+	return pts
+}
+
+// nudge applies shift k mod 5 of gridPoints to v: none, +1e-9, -1e-9, one ulp
+// up, one ulp down.
+func nudge(v float64, k int) float64 {
+	switch k % 5 {
+	case 1:
+		return v + 1e-9
+	case 2:
+		return v - 1e-9
+	case 3:
+		return math.Nextafter(v, math.Inf(1))
+	case 4:
+		return math.Nextafter(v, math.Inf(-1))
+	}
+	return v
+}
+
+// agreeOK runs every SGB-All algorithm on pts and fails unless each result is
+// a partition into cliques and all three are identical.
+func agreeOK(t *testing.T, pts []geom.Point, m geom.Metric, ov Overlap, eps float64) {
+	t.Helper()
+	var results []*Result
+	for _, alg := range allAlgorithms() {
+		res, err := SGBAll(pts, Options{Metric: m, Eps: eps, Overlap: ov, Algorithm: alg})
+		if err != nil {
+			t.Fatalf("%v/%v/%v eps=%v: %v", m, ov, alg, eps, err)
+		}
+		cliqueOK(t, pts, res, m, eps)
+		partitionOK(t, len(pts), res)
+		results = append(results, res)
+	}
+	for i := 1; i < len(results); i++ {
+		if !reflect.DeepEqual(results[0].Groups, results[i].Groups) {
+			t.Fatalf("%v/%v n=%d eps=%v: %v and %v disagree:\n%v\nvs\n%v",
+				m, ov, len(pts), eps, allAlgorithms()[0], allAlgorithms()[i],
+				results[0].Groups, results[i].Groups)
+		}
+		if !reflect.DeepEqual(results[0].Dropped, results[i].Dropped) {
+			t.Fatalf("%v/%v n=%d eps=%v: dropped sets disagree: %v vs %v",
+				m, ov, len(pts), eps, results[0].Dropped, results[i].Dropped)
+		}
+	}
+}
+
 // TestAlgorithmsAgree is the central cross-validation property: the three
 // SGB-All implementations must produce identical groupings for any input,
-// metric, and overlap clause (deterministic JOIN-ANY).
+// metric, and overlap clause (deterministic JOIN-ANY) — on uniform points
+// and on ε-grid-adversarial ones.
 func TestAlgorithmsAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(50))
+	adv := rand.New(rand.NewSource(55))
 	for _, m := range []geom.Metric{geom.LInf, geom.L2, geom.L1} {
 		for _, ov := range []Overlap{JoinAny, Eliminate, FormNewGroup} {
 			for _, dim := range []int{1, 2, 3} {
 				for trial := 0; trial < 8; trial++ {
 					n := 30 + r.Intn(120)
 					eps := 0.5 + r.Float64()*2
-					pts := randomPoints(r, n, dim, 12)
-					var results []*Result
-					for _, alg := range allAlgorithms() {
-						res, err := SGBAll(pts, Options{Metric: m, Eps: eps, Overlap: ov, Algorithm: alg})
-						if err != nil {
-							t.Fatalf("%v/%v/dim%d: %v", m, ov, dim, err)
-						}
-						cliqueOK(t, pts, res, m, eps)
-						partitionOK(t, n, res)
-						results = append(results, res)
-					}
-					for i := 1; i < len(results); i++ {
-						if !reflect.DeepEqual(results[0].Groups, results[i].Groups) {
-							t.Fatalf("%v/%v/dim%d n=%d eps=%v: %v and %v disagree:\n%v\nvs\n%v",
-								m, ov, dim, n, eps, allAlgorithms()[0], allAlgorithms()[i],
-								results[0].Groups, results[i].Groups)
-						}
-						if !reflect.DeepEqual(results[0].Dropped, results[i].Dropped) {
-							t.Fatalf("%v/%v/dim%d: dropped sets disagree: %v vs %v",
-								m, ov, dim, results[0].Dropped, results[i].Dropped)
-						}
-					}
+					agreeOK(t, randomPoints(r, n, dim, 12), m, ov, eps)
+					advEps := []float64{0.25, 1, eps}[trial%3]
+					agreeOK(t, gridPoints(adv, n, dim, advEps), m, ov, advEps)
 				}
+			}
+		}
+	}
+}
+
+// TestEpsBoundaryCounterexample pins the pair that once made SGB-All depend on
+// the algorithm: δ∞([-0.750000001 0.375], [-1.000000001 0.25]) computes to
+// 0.25000000000000006 > ε = 0.25, but -0.750000001 - 0.25 rounds onto the
+// other point's coordinate, so a rectangle test against stored p ± ε put both
+// in one group that All-Pairs never forms.
+func TestEpsBoundaryCounterexample(t *testing.T) {
+	pts := []geom.Point{{-1.000000001, 0.25}, {-0.750000001, 0.375}}
+	for _, ov := range []Overlap{JoinAny, Eliminate, FormNewGroup} {
+		for _, order := range [][]geom.Point{pts, {pts[1], pts[0]}} {
+			agreeOK(t, order, geom.LInf, ov, 0.25)
+			res, err := SGBAll(order, Options{Metric: geom.LInf, Eps: 0.25, Overlap: ov, Algorithm: IndexBounds})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Groups) != 2 {
+				t.Errorf("%v: %v grouped as %v, want two singletons", ov, order, res.Groups)
 			}
 		}
 	}
@@ -510,4 +574,44 @@ func TestManyRoundsFormNewGroup(t *testing.T) {
 			t.Errorf("%v: expected multiple rounds, got %d", alg, res.Stats.Rounds)
 		}
 	}
+}
+
+// FuzzSGBAllAgree: Index, Bounds-Checking and All-Pairs return one and the
+// same partition into ε-cliques. raw holds two bytes per coordinate — a
+// multiple of ε/4 (as int8) and a nudge selector — and mode picks the metric
+// (mode%3), the ON-OVERLAP clause (mode/3%3) and the dimensionality
+// (1+mode/9%3). The first seeds are the ε-boundary counterexample of
+// TestEpsBoundaryCounterexample under every clause, in both arrival orders:
+// -12·ε/4 - 1e-9 and 6·ε/4, then -16·ε/4 - 1e-9 and 4·ε/4, with ε = 0.25, in
+// 2-D L∞.
+func FuzzSGBAllAgree(f *testing.F) {
+	p, q := []byte{0xf4, 2, 6, 0}, []byte{0xf0, 2, 4, 0}
+	for _, mode := range []uint8{9, 12, 15} {
+		f.Add(append(slices.Clone(p), q...), mode, 0.25)
+		f.Add(append(slices.Clone(q), p...), mode, 0.25)
+	}
+	r := rand.New(rand.NewSource(56))
+	for mode := uint8(0); mode < 27; mode += 4 {
+		raw := make([]byte, 2*60*3)
+		r.Read(raw)
+		f.Add(raw, mode, []float64{0.25, 1, 1.7}[mode%3])
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, mode uint8, eps float64) {
+		if !(eps >= 1e-6 && eps <= 1e6) {
+			t.Skip("ε outside [1e-6, 1e6]")
+		}
+		m := []geom.Metric{geom.LInf, geom.L2, geom.L1}[mode%3]
+		ov := []Overlap{JoinAny, Eliminate, FormNewGroup}[mode/3%3]
+		dim := 1 + int(mode/9%3)
+		pts := make([]geom.Point, min(len(raw)/(2*dim), 64))
+		for i := range pts {
+			p := make(geom.Point, dim)
+			for d := range p {
+				b := raw[2*(i*dim+d):]
+				p[d] = nudge(float64(int8(b[0]))*eps/4, int(b[1]))
+			}
+			pts[i] = p
+		}
+		agreeOK(t, pts, m, ov, eps)
+	})
 }

@@ -10,13 +10,12 @@ import (
 // planEst and exposes Cost()/EstRows(); estimateTree stamps the whole tree
 // bottom-up from the statistics catalog (stats.go). The SGB cost formulas
 // follow the paper's complexity analysis — All-Pairs O(n·g), Bounds-Checking
-// O(n·g) rectangle tests plus O(n·k) distances, on-the-fly Index O(n log g)
-// window queries plus O(n·k) distances — with constants calibrated against
+// O(n·g) rectangle tests plus O(n·k) distances — and, for the on-the-fly
+// Index, what its ε-grids count: a flat probe per point, plus O(n·k)
+// distances under SGB-All. One cost unit is one distance computation (≈ 10 ns
+// on the reference host when the constants were first calibrated against
 // the wall-clock probe snapshot committed with this cost model, now in git
-// history (one cost unit ≈ 10 ns on the reference host; e.g. the
-// sgb_all_join_any_l2 probe at n=5000 check-ins: All-Pairs measured
-// 16.3 ms over 1.84M distance comps ≈ 8.8 ns/unit, Index measured 7.6 ms
-// against an estimated 0.76M units ≈ 9.9 ns/unit).
+// history).
 const (
 	// costScanRow is the per-row cost of producing a stored row from a scan.
 	costScanRow = 0.5
@@ -32,10 +31,19 @@ const (
 	// costRectTest is one bounds-checking rectangle (MBR) containment test:
 	// cheaper than a distance because it short-circuits per dimension.
 	costRectTest = 0.7
-	// costWindowQuery is one on-the-fly-index window query / index update
-	// pair per log-factor step: the dominant constant of SGB-All's index
-	// variant.
+	// costWindowQuery is one SGB-All point through its on-the-fly index, the
+	// ε-grid of group regions: hash the point's cell (JOIN-ANY) or gather its
+	// 3^d-cell block, plus its share of registering new groups in their cells.
+	// Measured against geom.Within on serve_read's input (5000 check-ins,
+	// L∞, ε = 0.05): an own-cell probe costs 1.6 distance comps, a block
+	// about nine times that, and registering one group 54; check-ins found
+	// 0.1–0.2 groups per point, so a point costs 7–30 units.
 	costWindowQuery = 16.0
+	// costRegionTests is how many registered groups one such probe
+	// rect-tests: 0.2–7.4 per point under JOIN-ANY, which tests p's own cell,
+	// and 0.9–18.7 under the other clauses, which test its block, across
+	// 200–5000 check-ins at ε 0.01–1, L∞ and L2; the median is about 4.
+	costRegionTests = 4.0
 	// costGridProbe is one SGB-Any point through its on-the-fly point index,
 	// the ε-grid: hash the point's cell, join it, enumerate the ε-block and
 	// search the few cells not yet in the point's component. The grid counts
@@ -268,10 +276,10 @@ func (pc *planContext) sgbShape(child operator, spec *SimilaritySpec) (n, g, k f
 // sgbCost is the grouping cost of one SGB execution, per physical algorithm.
 // The formulas mirror the operators' actual counters: All-Pairs compares
 // every point against every group, Bounds-Checking filters those comparisons
-// through per-group MBR rectangle tests, and SGB-All's on-the-fly index pays
-// a window query per point (log-scaled by the live group count) plus the
-// distance comparisons against the k neighbors each window returns. SGB-Any's
-// point index is the ε-grid, which pays a flat probe per point.
+// through per-group MBR rectangle tests, and both on-the-fly indexes are
+// ε-grids that pay a flat probe per point — SGB-All's plus the rect tests of
+// the groups registered where it probes and, like Bounds-Checking, the
+// distance comparisons against the k neighbors.
 func sgbCost(mode SGBMode, alg core.Algorithm, n, g, k float64) float64 {
 	if mode == SGBAnyMode {
 		// SGB-Any merges groups transitively: All-Pairs degenerates to
@@ -288,7 +296,7 @@ func sgbCost(mode SGBMode, alg core.Algorithm, n, g, k float64) float64 {
 	case core.BoundsChecking:
 		return n*g*costRectTest + n*k*costDistComp
 	default: // core.IndexBounds
-		return n*costWindowQuery*(1+math.Log2(1+g)) + n*k*costDistComp
+		return n*(costWindowQuery+costRegionTests*costRectTest) + n*k*costDistComp
 	}
 }
 

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"sgb/internal/checkin"
@@ -11,8 +12,8 @@ import (
 
 // pricedWork is what one SGB run counted, priced with the constants sgbCost
 // charges each algorithm: a distance computation, a rectangle test, and a
-// window query — a probe of the ε-grid under SGB-Any, of the R-tree under
-// SGB-All.
+// window query — a probe of the point grid under SGB-Any, of the group grid
+// under SGB-All.
 func pricedWork(s core.Stats, sgbAny bool) float64 {
 	window := engine.CostWindowQuery
 	if sgbAny {
@@ -78,6 +79,36 @@ func TestCostBasedChoiceCountedCost(t *testing.T) {
 		if auto > maxRatio*best {
 			t.Errorf("auto does %.0f units of work, %.2f× the cheapest manual choice (%s, %.0f); budget %.2f×: %s",
 				auto, auto/best, bestAlg, best, maxRatio, c.sql)
+		}
+	}
+}
+
+// TestServeReadPlansIndex: the benchmark's serve_read statement plans the
+// on-the-fly index over 5000 check-ins both with fresh statistics (sgbd runs
+// ANALYZE before serving it) and without (the embedded probe does not), so
+// the operator the benchmark times is the one the statement runs.
+func TestServeReadPlansIndex(t *testing.T) {
+	db := engine.NewDB()
+	if err := checkin.Load(db, "checkins", checkin.Generate(checkin.Config{N: 5000, Seed: 1})); err != nil {
+		t.Fatal(err)
+	}
+	const q = "EXPLAIN SELECT count(*), min(lat), max(lat), min(lon), max(lon) FROM checkins GROUP BY lat, lon DISTANCE-TO-ALL LINF WITHIN 0.05 ON-OVERLAP JOIN-ANY"
+	for _, analyze := range []bool{false, true} {
+		if analyze {
+			if _, err := db.Exec("ANALYZE"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := db.Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var plan []string
+		for _, r := range res.Rows {
+			plan = append(plan, r[0].String())
+		}
+		if !strings.Contains(strings.Join(plan, "\n"), "[on-the-fly Index]") {
+			t.Errorf("analyzed=%v: serve_read's statement does not plan the index:\n%s", analyze, strings.Join(plan, "\n"))
 		}
 	}
 }

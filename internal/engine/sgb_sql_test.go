@@ -268,12 +268,10 @@ func loadGrid(t *testing.T, db *DB, n int, dim int, eps float64, seed int64) {
 }
 
 // TestColumnarMatchesRowPath is the engine's cross-algorithm check on
-// adversarial coordinates: every DISTANCE-TO-ANY statement must return
-// bit-identical rows under \alg index and \alg allpairs, across metrics,
-// semantics and ε values. DISTANCE-TO-ALL statements only have to run: their
-// ε-rectangle test and geom.Within disagree one ulp from the boundary, so
-// Bounds-Checking and the index admit members All-Pairs rejects on exactly
-// these inputs.
+// adversarial coordinates: every statement must return bit-identical rows
+// under every \alg — index and allpairs for DISTANCE-TO-ANY, bounds as well
+// for DISTANCE-TO-ALL under each ON-OVERLAP clause — across metrics and ε
+// values.
 func TestColumnarMatchesRowPath(t *testing.T) {
 	for _, dim := range []int{1, 2} {
 		for _, eps := range []float64{0.25, 1.0} {
@@ -295,25 +293,26 @@ func TestColumnarMatchesRowPath(t *testing.T) {
 					fmt.Sprintf("SELECT %s, count(*) FROM pts GROUP BY %s DISTANCE-TO-ALL %s WITHIN %g ON-OVERLAP FORM-NEW-GROUP", group, group, m, eps),
 				)
 			}
-			check := func(q string, crossAlgorithm bool) {
-				var ref [2][]string // All-Pairs, index
-				for a, alg := range []core.Algorithm{core.AllPairs, core.IndexBounds} {
+			check := func(q string, algs ...core.Algorithm) {
+				var ref []string // All-Pairs
+				for _, alg := range append([]core.Algorithm{core.AllPairs}, algs...) {
 					db.SetSGBAlgorithm(alg)
 					res, err := db.Query(q)
 					if err != nil {
 						t.Fatalf("%s (%v): %v", q, alg, err)
 					}
-					ref[a] = rowStrings(res)
-				}
-				if crossAlgorithm && !reflect.DeepEqual(ref[1], ref[0]) {
-					t.Fatalf("%s: index differs from allpairs\nindex:    %v\nallpairs: %v", q, ref[1], ref[0])
+					if got := rowStrings(res); ref == nil {
+						ref = got
+					} else if !reflect.DeepEqual(got, ref) {
+						t.Fatalf("%s: %v differs from allpairs\n%v: %v\nallpairs: %v", q, alg, alg, got, ref)
+					}
 				}
 			}
 			for _, q := range anyQ {
-				check(q, true)
+				check(q, core.IndexBounds)
 			}
 			for _, q := range allQ {
-				check(q, false)
+				check(q, core.BoundsChecking, core.IndexBounds)
 			}
 		}
 	}

@@ -1,9 +1,92 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
+
+// Bound returns Rε-All = [mbr.Max-ε, mbr.Min+ε], the rectangle ContainsPoint
+// tests against, for the tests that check its shape.
+func (e *EpsRect) Bound() Rect {
+	b := Rect{Min: make(Point, len(e.mbr.Min)), Max: make(Point, len(e.mbr.Min))}
+	for i := range b.Min {
+		b.Min[i] = e.mbr.Max[i] - e.eps
+		b.Max[i] = e.mbr.Min[i] + e.eps
+	}
+	return b
+}
+
+// TestEpsRectRejectsWhatWithinRejects is the ε-boundary counterexample the
+// cross-algorithm matrix found: p - ε rounds onto q's coordinate, so a test
+// against the stored rectangle q + ε admitted p, while Within computes
+// p - q = 0.25000000000000006 > ε. Both rectangle tests must now read exactly
+// what Within reads, on each side of the pair.
+func TestEpsRectRejectsWhatWithinRejects(t *testing.T) {
+	p, q := Point{-0.750000001, 0.375}, Point{-1.000000001, 0.25}
+	const eps = 0.25
+	if Within(LInf, p, q, eps) {
+		t.Fatalf("Within(%v, %v, %v) holds; the counterexample no longer applies", p, q, eps)
+	}
+	for _, c := range [][2]Point{{q, p}, {p, q}} {
+		e := NewEpsRect(c[0], eps)
+		if e.ContainsPoint(c[1]) || e.Reaches(c[1]) {
+			t.Errorf("{%v}: ContainsPoint(%v) = %v, Reaches = %v; Within rejects the pair", c[0], c[1], e.ContainsPoint(c[1]), e.Reaches(c[1]))
+		}
+	}
+	// One ulp closer, Within accepts and so must the rectangle.
+	near := Point{math.Nextafter(p[0], -1), p[1]}
+	for near[0]-q[0] > eps {
+		near[0] = math.Nextafter(near[0], -1)
+	}
+	if !Within(LInf, near, q, eps) || !NewEpsRect(q, eps).ContainsPoint(near) {
+		t.Errorf("%v: Within %v, ContainsPoint %v; want both true", near, Within(LInf, near, q, eps), NewEpsRect(q, eps).ContainsPoint(near))
+	}
+}
+
+// TestEpsRectFilterNeverRejectsWithin: on ε-multiples nudged by ulps, the
+// rectangle test equals Within against every member under L∞ and is implied
+// by it under L1 and L2; Reaches is implied by Within against any member.
+func TestEpsRectFilterNeverRejectsWithin(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	const eps = 0.25
+	coord := func() float64 {
+		v := float64(r.Intn(9)-4) * eps / 4
+		for k := r.Intn(3); k > 0; k-- {
+			v = math.Nextafter(v, math.Inf(2*r.Intn(2)-1))
+		}
+		return v + []float64{0, 1e-9, -1e-9}[r.Intn(3)]
+	}
+	for _, m := range []Metric{LInf, L1, L2} {
+		for trial := 0; trial < 2000; trial++ {
+			members := []Point{{coord(), coord()}}
+			e := NewEpsRect(members[0], eps)
+			for i := 0; i < 6; i++ {
+				c := Point{coord(), coord()}
+				all := true
+				for _, q := range members {
+					all = all && Within(LInf, c, q, eps)
+				}
+				if all {
+					e.Add(c)
+					members = append(members, c)
+				}
+			}
+			p := Point{coord(), coord()}
+			all, some := true, false
+			for _, q := range members {
+				w := Within(m, p, q, eps)
+				all, some = all && w, some || w
+			}
+			if got := e.ContainsPoint(p); (m == LInf && got != all) || (all && !got) {
+				t.Fatalf("%v: ContainsPoint(%v) = %v over %v, Within against all = %v", m, p, got, members, all)
+			}
+			if some && !e.Reaches(p) {
+				t.Fatalf("%v: Reaches(%v) = false over %v, but a member is within ε", m, p, members)
+			}
+		}
+	}
+}
 
 // TestEpsRectPaperExample walks Figure 5 of the paper: a group growing from
 // a1(2,2) with ε=2 under L∞, shrinking its ε-All rectangle as members join.

@@ -1,13 +1,15 @@
-// Package grid is a uniform ε-grid over points: the on-the-fly point index of
-// the SGB-Any operator (internal/core), standing in for the paper's R-tree
-// Points_IX (Procedure 8).
+// Package grid holds the uniform ε-grids the operators of internal/core use as
+// their on-the-fly indexes: Index, over points, stands in for SGB-Any's R-tree
+// Points_IX (Procedure 8), and Regions, over SGB-All group regions, for the
+// R-tree Groups_IX of Index Bounds-Checking (Procedure 5). Both are built on
+// one open-addressing table of cells keyed by integer cell coordinates.
 //
-// Cells are sized so that, geometrically, all points of one cell are mutually
-// within ε: side ε/√d under L2, ε under L∞, ε/d under L1. SGB-Any only needs
-// to know which connected components touch a new point, so a cell whose
-// members form a clique is one union-find node: the caller joins a point to
-// its own cell for free, skips neighbour cells already in its component, and
-// looks for a single witnessing pair in the others.
+// Index cells are sized so that, geometrically, all points of one cell are
+// mutually within ε: side ε/√d under L2, ε under L∞, ε/d under L1. SGB-Any
+// only needs to know which connected components touch a new point, so a cell
+// whose members form a clique is one union-find node: the caller joins a point
+// to its own cell for free, skips neighbour cells already in its component,
+// and looks for a single witnessing pair in the others.
 //
 // Two properties are certified in floating point rather than assumed:
 //
@@ -28,6 +30,7 @@ package grid
 
 import (
 	"math"
+	"slices"
 
 	"sgb/internal/geom"
 )
@@ -37,86 +40,38 @@ import (
 // points beyond it share the extreme cell, which then fails its certificate.
 const maxCoord = 1 << 61
 
-// Cell is one non-empty grid cell: a columnar slab of its members.
-type Cell struct {
-	// IDs are the member point ids in insertion order; IDs[0] represents the
-	// cell while it is a clique.
-	IDs []int
-	// Pts holds the members' coordinates, row i belonging to IDs[i].
-	Pts geom.Cols
+// table is the open-addressing hash of cells by integer coordinates that both
+// grids are built on, with the per-axis scratch their probes share.
+type table struct {
+	pad  float64 // ε′: half-width of the probe window
+	side float64
+	dim  int
+	n    int // cells, numbered in creation order
 
-	lo, hi geom.Point // bounding box of the members
-	clique bool
-}
-
-// Clique reports whether every pair of members is certified within ε.
-func (c *Cell) Clique() bool { return c.clique }
-
-// Index is an insert-only uniform grid of cells. The zero value is not
-// usable; construct with New.
-type Index struct {
-	metric geom.Metric
-	eps    float64
-	pad    float64 // ε′: half-width of the probe window
-	side   float64
-	dim    int
-
-	cells  []Cell  // creation order
 	coords []int64 // cell i's coordinates at [i*dim, (i+1)*dim)
-	// table is an open-addressing hash of the cells by coordinates: slot
-	// values are cell index + 1, 0 is empty; len is a power of two kept at
-	// least twice len(cells).
-	table []int32
+	// slots values are cell index + 1, 0 is empty; len is a power of two kept
+	// at least twice n.
+	slots []int32
 
 	lo, hi, cur []int64 // per-axis scratch
 }
 
-// side returns the cell side for which a cell's diameter is ε.
-func side(m geom.Metric, eps float64, dim int) float64 {
-	switch m {
-	case geom.L2:
-		return eps / math.Sqrt(float64(dim))
-	case geom.L1:
-		return eps / float64(dim)
-	default:
-		return eps
-	}
-}
-
-// BlockCells is the nominal number of cells Block inspects around a point:
-// (⌈2ε/side⌉+1)^dim. Callers compare it against a cap to decide whether the
-// grid is the right index for a (metric, dimensionality) pair.
-func BlockCells(m geom.Metric, dim int) float64 {
-	perAxis := math.Ceil(2/side(m, 1, dim)) + 1
-	return math.Pow(perAxis, float64(dim))
-}
-
-// Reach is ε′ = ε(1+2⁻²⁰), the half-width of an axis-aligned window around p
-// that holds every q with δ(p,q) ≤ eps as geom.Within evaluates it: the pad is
-// far wider than the rounding of p±ε and of the distance chain, which can put
-// an accepted q an ulp outside [p-ε, p+ε].
-func Reach(eps float64) float64 { return eps * (1 + 1.0/(1<<20)) }
-
-// New returns an empty grid for the predicate δ(p,q) ≤ eps over dim-dimensional
-// points. eps must be positive and finite.
-func New(m geom.Metric, eps float64, dim int) *Index {
-	return &Index{
-		metric: m,
-		eps:    eps,
-		pad:    Reach(eps),
-		side:   side(m, eps, dim),
-		dim:    dim,
-		table:  make([]int32, 16),
-		lo:     make([]int64, dim),
-		hi:     make([]int64, dim),
-		cur:    make([]int64, dim),
+func newTable(side, eps float64, dim int) table {
+	return table{
+		pad:   Reach(eps),
+		side:  side,
+		dim:   dim,
+		slots: make([]int32, 16),
+		lo:    make([]int64, dim),
+		hi:    make([]int64, dim),
+		cur:   make([]int64, dim),
 	}
 }
 
 // coord is the cell index of coordinate v. math.Floor keeps negative values
 // and exact multiples of the side in their canonical cell.
-func (ix *Index) coord(v float64) int64 {
-	f := math.Floor(v / ix.side)
+func (t *table) coord(v float64) int64 {
+	f := math.Floor(v / t.side)
 	if f <= -maxCoord {
 		return -maxCoord
 	}
@@ -136,26 +91,155 @@ func hash(cs []int64) uint64 {
 }
 
 // find returns the index of the cell at coordinates cs, or -1 together with
-// the empty table slot where that cell belongs.
-func (ix *Index) find(cs []int64) (cell, slot int) {
-	mask := len(ix.table) - 1
+// the empty slot where that cell belongs.
+func (t *table) find(cs []int64) (cell, slot int) {
+	mask := len(t.slots) - 1
 	for slot = int(hash(cs)) & mask; ; slot = (slot + 1) & mask {
-		i := int(ix.table[slot]) - 1
+		i := int(t.slots[slot]) - 1
 		if i < 0 {
 			return -1, slot
 		}
-		at := ix.coords[i*ix.dim:]
-		same := true
-		for d, c := range cs {
-			if at[d] != c {
-				same = false
-				break
-			}
-		}
-		if same {
+		if slices.Equal(t.coords[i*t.dim:(i+1)*t.dim], cs) {
 			return i, slot
 		}
 	}
+}
+
+// add creates the cell at coordinates cs in the empty slot find returned for
+// them, and returns its index.
+func (t *table) add(cs []int64, slot int) int {
+	i := t.n
+	t.n++
+	t.slots[slot] = int32(i + 1)
+	t.coords = append(t.coords, cs...)
+	if 2*t.n > len(t.slots) {
+		t.slots = make([]int32, 2*len(t.slots))
+		for j := 0; j < t.n; j++ {
+			_, s := t.find(t.coords[j*t.dim : (j+1)*t.dim])
+			t.slots[s] = int32(j + 1)
+		}
+	}
+	return i
+}
+
+// setCur sets cur to the coordinates of p's cell.
+func (t *table) setCur(p geom.Point) {
+	for d, v := range p {
+		t.cur[d] = t.coord(v)
+	}
+}
+
+// setWindow sets [lo, hi] to the cells of p's ε′-block.
+func (t *table) setWindow(p geom.Point) {
+	for d, v := range p {
+		t.lo[d] = t.coord(v - t.pad)
+		t.hi[d] = t.coord(v + t.pad)
+	}
+}
+
+// next advances cur to the next coordinates of the box [lo, hi] in
+// lexicographic order, and reports false, with cur back at lo, after the last.
+func (t *table) next() bool {
+	for d := t.dim - 1; d >= 0; d-- {
+		if t.cur[d] < t.hi[d] {
+			t.cur[d]++
+			return true
+		}
+		t.cur[d] = t.lo[d]
+	}
+	return false
+}
+
+// existing appends to out the indexes of the cells in the box [lo, hi], and
+// returns the extended slice: lexicographic by cell coordinates, or in cell
+// creation order when the box holds more cells than the table does.
+func (t *table) existing(out []int) []int {
+	size := 1.0
+	for d := range t.lo {
+		size *= float64(t.hi[d]-t.lo[d]) + 1
+	}
+	if size > float64(t.n) {
+		for i := 0; i < t.n; i++ {
+			at := t.coords[i*t.dim:]
+			in := true
+			for d := 0; d < t.dim; d++ {
+				if at[d] < t.lo[d] || at[d] > t.hi[d] {
+					in = false
+					break
+				}
+			}
+			if in {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	copy(t.cur, t.lo)
+	for {
+		if i, _ := t.find(t.cur); i >= 0 {
+			out = append(out, i)
+		}
+		if !t.next() {
+			return out
+		}
+	}
+}
+
+// Cell is one non-empty grid cell: a columnar slab of its members.
+type Cell struct {
+	// IDs are the member point ids in insertion order; IDs[0] represents the
+	// cell while it is a clique.
+	IDs []int
+	// Pts holds the members' coordinates, row i belonging to IDs[i].
+	Pts geom.Cols
+
+	lo, hi geom.Point // bounding box of the members
+	clique bool
+}
+
+// Clique reports whether every pair of members is certified within ε.
+func (c *Cell) Clique() bool { return c.clique }
+
+// Index is an insert-only uniform grid of points. The zero value is not
+// usable; construct with New.
+type Index struct {
+	table
+	metric geom.Metric
+	eps    float64
+	cells  []Cell // creation order
+}
+
+// side returns the cell side for which a cell's diameter is ε.
+func side(m geom.Metric, eps float64, dim int) float64 {
+	switch m {
+	case geom.L2:
+		return eps / math.Sqrt(float64(dim))
+	case geom.L1:
+		return eps / float64(dim)
+	default:
+		return eps
+	}
+}
+
+// BlockCells is the nominal number of cells Block inspects around a point:
+// (⌈2ε/side⌉+1)^dim. Callers compare it against a cap to decide whether the
+// grid is the right index for a (metric, dimensionality) pair. Regions, whose
+// cells have side ε, probe BlockCells(geom.LInf, dim) = 3^dim.
+func BlockCells(m geom.Metric, dim int) float64 {
+	perAxis := math.Ceil(2/side(m, 1, dim)) + 1
+	return math.Pow(perAxis, float64(dim))
+}
+
+// Reach is ε′ = ε(1+2⁻²⁰), the half-width of an axis-aligned window around p
+// that holds every q with δ(p,q) ≤ eps as geom.Within evaluates it: the pad is
+// far wider than the rounding of p±ε and of the distance chain, which can put
+// an accepted q an ulp outside [p-ε, p+ε].
+func Reach(eps float64) float64 { return eps * (1 + 1.0/(1<<20)) }
+
+// New returns an empty grid for the predicate δ(p,q) ≤ eps over dim-dimensional
+// points. eps must be positive and finite.
+func New(m geom.Metric, eps float64, dim int) *Index {
+	return &Index{table: newTable(side(m, eps, dim), eps, dim), metric: m, eps: eps}
 }
 
 // Len reports the number of cells.
@@ -168,15 +252,10 @@ func (ix *Index) Cell(i int) *Cell { return &ix.cells[i] }
 // needed, and returns the cell's index. If the cell is a clique afterwards, p
 // is certified within ε of every earlier member.
 func (ix *Index) Insert(p geom.Point, id int) int {
-	cs := ix.cur
-	for d, v := range p {
-		cs[d] = ix.coord(v)
-	}
-	i, slot := ix.find(cs)
+	ix.setCur(p)
+	i, slot := ix.find(ix.cur)
 	if i < 0 {
-		i = len(ix.cells)
-		ix.table[slot] = int32(i + 1)
-		ix.coords = append(ix.coords, cs...)
+		i = ix.add(ix.cur, slot)
 		box := make([]float64, 2*ix.dim)
 		copy(box, p)
 		copy(box[ix.dim:], p)
@@ -186,9 +265,6 @@ func (ix *Index) Insert(p geom.Point, id int) int {
 			hi:     box[ix.dim:],
 			clique: true,
 		})
-		if 2*len(ix.cells) > len(ix.table) {
-			ix.rehash()
-		}
 	}
 	c := &ix.cells[i]
 	for d, v := range p {
@@ -205,58 +281,117 @@ func (ix *Index) Insert(p geom.Point, id int) int {
 	return i
 }
 
-// rehash doubles the table and re-enters every cell.
-func (ix *Index) rehash() {
-	ix.table = make([]int32, 2*len(ix.table))
-	for i := range ix.cells {
-		_, slot := ix.find(ix.coords[i*ix.dim : (i+1)*ix.dim])
-		ix.table[slot] = int32(i + 1)
-	}
-}
-
 // Block appends to out the indexes of the cells that can hold a point within
 // ε of p, and returns the extended slice. The order is a function of p and of
 // the points inserted so far only: lexicographic by cell coordinates, or cell
 // creation order when the block holds more cells than the grid does.
 func (ix *Index) Block(p geom.Point, out []int) []int {
-	size := 1.0
-	for d, v := range p {
-		ix.lo[d] = ix.coord(v - ix.pad)
-		ix.hi[d] = ix.coord(v + ix.pad)
-		size *= float64(ix.hi[d]-ix.lo[d]) + 1
-	}
-	if size > float64(len(ix.cells)) {
-		for i := range ix.cells {
-			at := ix.coords[i*ix.dim:]
-			in := true
-			for d := 0; d < ix.dim; d++ {
-				if at[d] < ix.lo[d] || at[d] > ix.hi[d] {
-					in = false
-					break
-				}
-			}
-			if in {
-				out = append(out, i)
-			}
+	ix.setWindow(p)
+	return ix.existing(out)
+}
+
+// Regions indexes the candidate regions of SGB-All groups on a grid of side ε,
+// whatever the metric: cell c lists, in ascending order, the id of every group
+// registered in it. Ids are small non-negative integers (Block keeps a mark
+// per id up to the largest). A group whose members span the rectangle mbr is
+// registered in every cell that its candidate region [mbr.Max-ε′, mbr.Min+ε′]
+// overlaps — at most three cells per axis, four when the region ends within
+// ε′-ε of a cell wall. The zero value is not usable; construct with
+// NewRegions.
+//
+// Two guarantees, for members that pass geom.Within pairwise:
+//
+//   - Own(p) lists every group whose members are each within ε of p as
+//     geom.EpsRect.ContainsPoint decides it: p_i - mbr.Min_i ≤ ε rounded
+//     implies p_i ≤ mbr.Min_i + ε′ exactly, so p's cell is in the region's
+//     range (and symmetrically below).
+//   - Block(p) lists every group with a member q within ε of p: the members
+//     span at most ε′ per axis, so q lies in the region, and q's cell is in
+//     p's ε′-block.
+//
+// A region only shrinks as members join, so a registration stays a superset;
+// a region that grows again after members leave is registered anew.
+type Regions struct {
+	table
+	ids   [][]int  // cell i's group ids, ascending
+	spare []int    // unused capacity new cells' lists are carved from
+	block []int    // scratch: the cells of one Block probe
+	mark  []uint32 // per id, the last Block probe that listed it
+	probe uint32
+}
+
+// listCap is the capacity a new cell's id list is carved with: most cells
+// hold a handful of groups, and carving them from shared chunks saves an
+// allocation per cell.
+const listCap = 4
+
+// NewRegions returns an empty region grid for the predicate δ(p,q) ≤ eps over
+// dim-dimensional points. eps must be positive and finite.
+func NewRegions(eps float64, dim int) *Regions {
+	return &Regions{table: newTable(eps, eps, dim)}
+}
+
+// Register records id in every cell that the candidate region of a group
+// spanning mbr overlaps and that does not list it yet, keeping each list
+// ascending.
+func (r *Regions) Register(mbr geom.Rect, id int) {
+	for d := range r.lo {
+		r.lo[d] = r.coord(mbr.Max[d] - r.pad)
+		r.hi[d] = r.coord(mbr.Min[d] + r.pad)
+		if r.lo[d] > r.hi[d] {
+			return
 		}
-		return out
 	}
-	cur := ix.cur
-	copy(cur, ix.lo)
+	if id >= len(r.mark) {
+		r.mark = append(r.mark, make([]uint32, id+1-len(r.mark))...)
+	}
+	copy(r.cur, r.lo)
 	for {
-		if i, _ := ix.find(cur); i >= 0 {
-			out = append(out, i)
-		}
-		d := ix.dim - 1
-		for ; d >= 0; d-- {
-			if cur[d] < ix.hi[d] {
-				cur[d]++
-				break
+		i, slot := r.find(r.cur)
+		if i < 0 {
+			i = r.add(r.cur, slot)
+			if len(r.spare) < listCap {
+				r.spare = make([]int, 256*listCap)
 			}
-			cur[d] = ix.lo[d]
+			r.ids = append(r.ids, r.spare[:0:listCap])
+			r.spare = r.spare[listCap:]
 		}
-		if d < 0 {
-			return out
+		if at, found := slices.BinarySearch(r.ids[i], id); !found {
+			r.ids[i] = slices.Insert(r.ids[i], at, id)
+		}
+		if !r.next() {
+			return
 		}
 	}
+}
+
+// Own returns the ids registered in p's cell, ascending. The slice is valid
+// until the next Register.
+func (r *Regions) Own(p geom.Point) []int {
+	r.setCur(p)
+	if i, _ := r.find(r.cur); i >= 0 {
+		return r.ids[i]
+	}
+	return nil
+}
+
+// Block appends to out the ids registered in any cell of p's ε′-block, each
+// once, and returns the extended slice. The order is that of the cells (as
+// Index.Block orders them), then ascending within a cell.
+func (r *Regions) Block(p geom.Point, out []int) []int {
+	r.setWindow(p)
+	r.block = r.existing(r.block[:0])
+	if r.probe++; r.probe == 0 { // wrapped: forget every old mark
+		clear(r.mark)
+		r.probe = 1
+	}
+	for _, c := range r.block {
+		for _, id := range r.ids[c] {
+			if r.mark[id] != r.probe {
+				r.mark[id] = r.probe
+				out = append(out, id)
+			}
+		}
+	}
+	return out
 }

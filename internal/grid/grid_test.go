@@ -3,6 +3,7 @@ package grid
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sgb/internal/geom"
@@ -127,5 +128,94 @@ func TestOutOfRangeCoordinatesShareACell(t *testing.T) {
 	}
 	if got := ix.Block(geom.Point{1e300, -1e300}, nil); len(got) != 1 || got[0] != a {
 		t.Fatalf("Block at the clamp = %v, want [%d]", got, a)
+	}
+}
+
+// TestRegionsListEveryGroup is the region grid's completeness contract, on
+// the same wall-hugging coordinates: greedy ε-cliques are registered under
+// their MBRs (again after every join, as a shrunken region), then for every
+// probe Own lists, ascending, each group whose rectangle test admits the
+// probe, and Block lists, once each, every group with a member within ε.
+func TestRegionsListEveryGroup(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	for _, m := range metrics {
+		for dim := 1; dim <= 3; dim++ {
+			for _, eps := range []float64{0.25, 1, 3.7} {
+				pts := wallPoints(r, 200, dim, eps)
+				var groups [][]geom.Point
+				var rects []*geom.EpsRect
+				reg := NewRegions(eps, dim)
+				for _, p := range pts {
+					g := 0
+					for ; g < len(groups); g++ {
+						all := true
+						for _, q := range groups[g] {
+							all = all && geom.Within(m, p, q, eps)
+						}
+						if all {
+							break
+						}
+					}
+					if g == len(groups) {
+						groups = append(groups, nil)
+						rects = append(rects, geom.NewEpsRect(p, eps))
+					} else {
+						rects[g].Add(p)
+					}
+					groups[g] = append(groups[g], p)
+					reg.Register(rects[g].MBR(), g)
+				}
+				var block []int
+				for _, p := range wallPoints(r, 200, dim, eps) {
+					own := reg.Own(p)
+					if !slices.IsSorted(own) || len(slices.Compact(slices.Clone(own))) != len(own) {
+						t.Fatalf("%v/dim%d/eps%g: Own(%v) = %v is not strictly ascending", m, dim, eps, p, own)
+					}
+					block = reg.Block(p, block[:0])
+					seen := map[int]bool{}
+					for _, g := range block {
+						if seen[g] {
+							t.Fatalf("%v/dim%d/eps%g: Block(%v) lists group %d twice", m, dim, eps, p, g)
+						}
+						seen[g] = true
+					}
+					for g, members := range groups {
+						if rects[g].ContainsPoint(p) && !slices.Contains(own, g) {
+							t.Fatalf("%v/dim%d/eps%g: group %d (MBR %v) admits %v but is not in its cell's list %v", m, dim, eps, g, rects[g].MBR(), p, own)
+						}
+						for _, q := range members {
+							if geom.Within(m, p, q, eps) && !seen[g] {
+								t.Fatalf("%v/dim%d/eps%g: %v is within ε of group %d's member %v, missing from Block %v", m, dim, eps, p, g, q, block)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRegionsRegisterKeepsListsAscending: a region registered again after it
+// grew (ELIMINATE and FORM-NEW-GROUP rebuild groups) enters the cells it grew
+// into at its sorted position, and cells it already lists stay unchanged.
+func TestRegionsRegisterKeepsListsAscending(t *testing.T) {
+	reg := NewRegions(1, 2)
+	near := geom.PointRect(geom.Point{0.5, 0.5})
+	reg.Register(geom.PointRect(geom.Point{0.5, 2.5}), 0)
+	reg.Register(near, 1)
+	reg.Register(geom.PointRect(geom.Point{0.5, 2.5}), 2)
+	reg.Register(near, 1)
+	if got := reg.Own(geom.Point{0.5, 1.5}); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Fatalf("Own = %v, want [0 1 2]", got)
+	}
+	if got := reg.Own(geom.Point{0.5, 0.5}); !slices.Equal(got, []int{1}) {
+		t.Fatalf("Own = %v, want [1]", got)
+	}
+	reg.Register(geom.NewRect(geom.Point{0.5, 0.5}, geom.Point{0.5, 0.9}), 0) // 0's region moved down
+	if got := reg.Own(geom.Point{0.5, 0.5}); !slices.Equal(got, []int{0, 1}) {
+		t.Fatalf("Own after re-registering group 0 = %v, want [0 1]", got)
+	}
+	if got := reg.Own(geom.Point{9, 9}); got != nil {
+		t.Fatalf("Own of an empty cell = %v, want nil", got)
 	}
 }

@@ -19,7 +19,7 @@ type BulkEntry struct {
 // balanced nodes. Packed trees have near-full node occupancy, which makes
 // window queries on static point sets (the DBSCAN baseline, read-only
 // workloads) noticeably cheaper than trees grown by repeated insertion. The
-// packed tree supports subsequent Insert/Delete like any other.
+// packed tree supports subsequent Insert like any other.
 //
 // The entries slice is reordered in place.
 func BulkLoad(dim int, entries []BulkEntry) *Tree {

@@ -51,29 +51,24 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 
 func TestBulkLoadThenMutate(t *testing.T) {
 	r := rand.New(rand.NewSource(111))
-	entries := bulkEntries(r, 500, 2)
-	rects := make([]geom.Rect, len(entries))
-	for i, e := range entries {
-		rects[i] = e.Rect.Clone()
-	}
-	tr := BulkLoad(2, entries)
-	// Insert after packing.
+	tr := BulkLoad(2, bulkEntries(r, 500, 2))
+	// Insert after packing, enough to split packed nodes.
 	extra := geom.PointRect(geom.Point{200, 200})
 	tr.Insert(extra, 9999)
 	if got := tr.SearchSlice(extra); len(got) != 1 || got[0] != 9999 {
 		t.Fatalf("post-pack insert not found: %v", got)
 	}
-	// Delete half the packed entries.
-	for i := int64(0); i < 250; i++ {
-		if !tr.Delete(rects[i], i) {
-			t.Fatalf("delete %d failed", i)
-		}
+	for _, e := range bulkEntries(r, 250, 2) {
+		tr.Insert(e.Rect, 1000+e.Ref)
 	}
-	if tr.Len() != 251 {
+	if tr.Len() != 751 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	if got := tr.SearchSlice(geom.NewRect(geom.Point{0, 0}, geom.Point{100, 100})); len(got) != 750 {
+		t.Fatalf("full window found %d, want 750", len(got))
 	}
 }
 

@@ -46,6 +46,16 @@ func (t *Tree) check(n *node, parent *node, isRoot bool) error {
 	return nil
 }
 
+// height returns the height of the subtree rooted at n (0 for leaves).
+func (t *Tree) height(n *node) int {
+	h := 0
+	for !n.leaf {
+		n = n.entries[0].child
+		h++
+	}
+	return h
+}
+
 func containsRect(outer, inner geom.Rect) bool {
 	return outer.ContainsRect(inner)
 }

@@ -1,11 +1,11 @@
 // Package rtree implements an in-memory R-tree (Guttman 1984) with quadratic
-// node splitting. The SGB operators use it as the "on-the-fly index": SGB-All
-// indexes the ε-All bounding rectangles of the discovered groups (Groups_IX,
-// Procedure 5) and SGB-Any indexes the processed points (Points_IX,
-// Procedure 8).
+// node splitting. SGB-Any uses it as the paper's on-the-fly index of
+// processed points (Points_IX, Procedure 8) in the dimensionalities where the
+// ε-grid's probe block is too large, and the DBSCAN baseline as its region
+// query index. (SGB-All's Groups_IX is the ε-grid of internal/grid.)
 //
 // The tree stores (rectangle, int64 reference) entries and supports window
-// queries, insertion, and deletion with subtree reinsertion on underflow.
+// queries, insertion and STR bulk loading.
 package rtree
 
 import (
@@ -73,21 +73,10 @@ func (t *Tree) Insert(r geom.Rect, ref int64) {
 	if r.Dim() != t.dim {
 		panic("rtree: rectangle dimension mismatch")
 	}
-	t.insertEntry(entry{rect: r.Clone(), ref: ref}, t.leafLevelTarget())
+	e := entry{rect: r.Clone(), ref: ref}
 	t.size++
-}
-
-// leafLevelTarget is a sentinel meaning "insert at the leaf level".
-func (t *Tree) leafLevelTarget() int { return 0 }
-
-// insertEntry places e at the requested level above the leaves (0 = leaf).
-// Reinsertion of orphaned subtrees after deletion uses level > 0.
-func (t *Tree) insertEntry(e entry, level int) {
-	n := t.chooseNode(e.rect, level)
+	n := t.chooseLeaf(e.rect)
 	n.entries = append(n.entries, e)
-	if e.child != nil {
-		e.child.parent = n
-	}
 	if len(n.entries) > t.maxEntries {
 		t.splitAndAdjust(n)
 		return
@@ -104,13 +93,13 @@ func (t *Tree) insertEntry(e entry, level int) {
 	}
 }
 
-// chooseNode descends from the root picking the child whose rectangle needs
+// chooseLeaf descends from the root picking the child whose rectangle needs
 // the least enlargement, breaking ties by smaller area (Guttman's
-// ChooseLeaf, generalized to an arbitrary level).
-func (t *Tree) chooseNode(r geom.Rect, level int) *node {
+// ChooseLeaf).
+func (t *Tree) chooseLeaf(r geom.Rect) *node {
 	n := t.root
 	for {
-		if n.leaf || t.height(n) == level {
+		if n.leaf {
 			return n
 		}
 		best := -1
@@ -124,16 +113,6 @@ func (t *Tree) chooseNode(r geom.Rect, level int) *node {
 		}
 		n = n.entries[best].child
 	}
-}
-
-// height returns the height of the subtree rooted at n (0 for leaves).
-func (t *Tree) height(n *node) int {
-	h := 0
-	for !n.leaf {
-		n = n.entries[0].child
-		h++
-	}
-	return h
 }
 
 // adjustUp recomputes covering rectangles from n to the root.
@@ -323,111 +302,6 @@ func (t *Tree) SearchSlice(window geom.Rect) []int64 {
 		return true
 	})
 	return out
-}
-
-// Delete removes the entry with the given reference whose stored rectangle
-// intersects r. It reports whether an entry was removed. Underflowing nodes
-// are dissolved and their entries reinserted (Guttman's CondenseTree).
-func (t *Tree) Delete(r geom.Rect, ref int64) bool {
-	leaf, idx := t.findLeaf(t.root, r, ref)
-	if leaf == nil {
-		return false
-	}
-	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
-	t.size--
-	t.condense(leaf)
-	// Shrink the root if it lost its fan-out.
-	if !t.root.leaf && len(t.root.entries) == 1 {
-		t.root = t.root.entries[0].child
-		t.root.parent = nil
-	}
-	return true
-}
-
-func (t *Tree) findLeaf(n *node, r geom.Rect, ref int64) (*node, int) {
-	for i := range n.entries {
-		if !n.entries[i].rect.Intersects(r) {
-			continue
-		}
-		if n.leaf {
-			if n.entries[i].ref == ref {
-				return n, i
-			}
-			continue
-		}
-		if leaf, idx := t.findLeaf(n.entries[i].child, r, ref); leaf != nil {
-			return leaf, idx
-		}
-	}
-	return nil, -1
-}
-
-// condense walks from a shrunken leaf to the root, dissolving underflowing
-// nodes and collecting their surviving subtrees for reinsertion at the
-// correct level.
-func (t *Tree) condense(n *node) {
-	type orphan struct {
-		e     entry
-		level int
-	}
-	var orphans []orphan
-	level := 0
-	for n.parent != nil {
-		p := n.parent
-		if len(n.entries) < t.minEntries {
-			// Remove n from its parent and orphan its entries.
-			for i := range p.entries {
-				if p.entries[i].child == n {
-					p.entries = append(p.entries[:i], p.entries[i+1:]...)
-					break
-				}
-			}
-			for _, e := range n.entries {
-				orphans = append(orphans, orphan{e: e, level: level})
-			}
-		} else {
-			for i := range p.entries {
-				if p.entries[i].child == n {
-					p.entries[i].rect = mbrOf(n.entries)
-					break
-				}
-			}
-		}
-		n = p
-		level++
-	}
-	for _, o := range orphans {
-		if o.e.child != nil {
-			t.reinsertSubtree(o.e, o.level)
-		} else {
-			t.insertEntry(o.e, 0)
-		}
-	}
-}
-
-// reinsertSubtree places an orphaned internal entry back at its original
-// level so the tree stays height-balanced. If the tree has since become too
-// short, the subtree's leaf entries are reinserted individually.
-func (t *Tree) reinsertSubtree(e entry, level int) {
-	if t.height(t.root) <= level {
-		var leaves []entry
-		collectLeafEntries(e.child, &leaves)
-		for _, le := range leaves {
-			t.insertEntry(le, 0)
-		}
-		return
-	}
-	t.insertEntry(e, level)
-}
-
-func collectLeafEntries(n *node, out *[]entry) {
-	if n.leaf {
-		*out = append(*out, n.entries...)
-		return
-	}
-	for i := range n.entries {
-		collectLeafEntries(n.entries[i].child, out)
-	}
 }
 
 // checkInvariants validates structural invariants; it is exported to the

@@ -27,9 +27,6 @@ func TestEmptyTree(t *testing.T) {
 	if got := tr.SearchSlice(randRect(rand.New(rand.NewSource(1)), 2)); len(got) != 0 {
 		t.Fatalf("search on empty tree returned %v", got)
 	}
-	if tr.Delete(randRect(rand.New(rand.NewSource(2)), 2), 1) {
-		t.Fatal("delete on empty tree succeeded")
-	}
 }
 
 func TestNewValidation(t *testing.T) {
@@ -135,83 +132,9 @@ func TestAgainstModelInsertOnly(t *testing.T) {
 	}
 }
 
-func TestAgainstModelWithDeletes(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	tr := New(2)
-	m := &model{rects: map[int64]geom.Rect{}}
-	next := int64(0)
-	for op := 0; op < 3000; op++ {
-		switch {
-		case len(m.rects) == 0 || r.Float64() < 0.6:
-			rect := randRect(r, 2)
-			tr.Insert(rect, next)
-			m.rects[next] = rect
-			next++
-		default:
-			// Delete a random live entry.
-			var victim int64 = -1
-			k := r.Intn(len(m.rects))
-			for id := range m.rects {
-				if k == 0 {
-					victim = id
-					break
-				}
-				k--
-			}
-			if !tr.Delete(m.rects[victim], victim) {
-				t.Fatalf("op %d: delete of live entry %d failed", op, victim)
-			}
-			delete(m.rects, victim)
-		}
-		if tr.Len() != len(m.rects) {
-			t.Fatalf("op %d: Len=%d model=%d", op, tr.Len(), len(m.rects))
-		}
-		if op%50 == 0 {
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatalf("op %d: %v", op, err)
-			}
-			w := randRect(r, 2)
-			got := tr.SearchSlice(w)
-			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-			if want := m.search(w); !equalIDs(got, want) {
-				t.Fatalf("op %d: got %v want %v", op, got, want)
-			}
-		}
-	}
-	// Drain the tree completely.
-	for id, rect := range m.rects {
-		if !tr.Delete(rect, id) {
-			t.Fatalf("drain: delete %d failed", id)
-		}
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("drained tree Len=%d", tr.Len())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDeleteMissing(t *testing.T) {
-	tr := New(2)
-	rect := geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1})
-	tr.Insert(rect, 7)
-	if tr.Delete(rect, 8) {
-		t.Fatal("deleted an entry with the wrong ref")
-	}
-	far := geom.NewRect(geom.Point{50, 50}, geom.Point{51, 51})
-	if tr.Delete(far, 7) {
-		t.Fatal("deleted an entry via a disjoint rect")
-	}
-	if !tr.Delete(rect, 7) || tr.Len() != 0 {
-		t.Fatal("failed to delete the live entry")
-	}
-}
-
 func TestDuplicateRefsAllowed(t *testing.T) {
-	// The SGB-All index re-inserts a group under the same ref after its
-	// rectangle changes; between delete and insert duplicates never exist,
-	// but the tree itself must tolerate equal rectangles.
+	// Equal rectangles (duplicate points, for SGB-Any and DBSCAN) must split
+	// into valid nodes and all stay reachable.
 	tr := New(2)
 	rect := geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1})
 	for i := 0; i < 20; i++ {
@@ -220,15 +143,13 @@ func TestDuplicateRefsAllowed(t *testing.T) {
 	if got := len(tr.SearchSlice(rect)); got != 20 {
 		t.Fatalf("found %d entries, want 20", got)
 	}
-	for i := 0; i < 20; i++ {
-		if !tr.Delete(rect, int64(i)) {
-			t.Fatalf("delete %d failed", i)
-		}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestSmallFanout(t *testing.T) {
-	// A tiny fan-out exercises splits and condensation aggressively.
+	// A tiny fan-out exercises splits aggressively and grows a deep tree.
 	r := rand.New(rand.NewSource(32))
 	tr := newWithFanout(2, 2, 4)
 	m := &model{rects: map[int64]geom.Rect{}}
@@ -240,19 +161,13 @@ func TestSmallFanout(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(0); i < 300; i += 2 {
-		if !tr.Delete(m.rects[i], i) {
-			t.Fatalf("delete %d failed", i)
+	for q := 0; q < 50; q++ {
+		w := randRect(r, 2)
+		got := tr.SearchSlice(w)
+		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+		if want := m.search(w); !equalIDs(got, want) {
+			t.Fatalf("query %v: got %v want %v", w, got, want)
 		}
-		delete(m.rects, i)
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	w := geom.NewRect(geom.Point{0, 0}, geom.Point{100, 100})
-	got := tr.SearchSlice(w)
-	if len(got) != len(m.rects) {
-		t.Fatalf("full-window search found %d, want %d", len(got), len(m.rects))
 	}
 }
 

@@ -306,11 +306,15 @@ func diffGroups(old, new map[int64][]int64) []Delta {
 		ng, ok := memberIdx[m]
 		return ng, ok
 	}
+	// grewInPlace reports the fast path: group ids are their smallest member,
+	// so pure growth never renames a group — the target of og is og itself.
+	// It is not recorded in sources, which would cost a slice per group.
+	grewInPlace := func(g int64) bool {
+		om, ok := old[g]
+		return ok && containsAll(new[g], om)
+	}
 	for og, oMembers := range old {
-		// Fast path: group ids are their smallest member, so pure growth
-		// never renames a group — the target of og is og itself.
-		if nm, ok := new[og]; ok && containsAll(nm, oMembers) {
-			sources[og] = append(sources[og], og)
+		if grewInPlace(og) {
 			continue
 		}
 		// The new groups partition the rows, so the only possible target is
@@ -334,15 +338,19 @@ func diffGroups(old, new map[int64][]int64) []Delta {
 	for _, ng := range newIDs {
 		nMembers := new[ng]
 		srcs := sources[ng]
-		sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
+		inPlace := grewInPlace(ng)
 		switch {
-		case len(srcs) == 0:
+		case len(srcs) == 0 && !inPlace:
 			out = append(out, Delta{Kind: GroupCreated, Group: ng, Members: append([]int64(nil), nMembers...)})
-		case len(srcs) == 1 && srcs[0] == ng:
+		case len(srcs) == 0:
 			if fresh := subtract(nMembers, old[ng]); len(fresh) != 0 {
 				out = append(out, Delta{Kind: MemberJoined, Group: ng, Members: fresh})
 			}
 		default:
+			if inPlace {
+				srcs = append(srcs, ng)
+			}
+			sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
 			var merged []int64
 			covered := []int64(nil)
 			for _, og := range srcs {

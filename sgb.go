@@ -70,9 +70,9 @@ const (
 	AllPairs = core.AllPairs
 	// BoundsChecking filters with per-group ε-All bounding rectangles.
 	BoundsChecking = core.BoundsChecking
-	// IndexBounds adds an on-the-fly index: an R-tree over the group
-	// rectangles (SGB-All), or over the processed points (SGB-Any) an ε-grid
-	// in low dimensionality and an R-tree above it.
+	// IndexBounds adds an on-the-fly index: an ε-grid of the group regions
+	// (SGB-All) or of the processed points (SGB-Any) in low dimensionality;
+	// above it SGB-All scans its groups and SGB-Any uses an R-tree.
 	IndexBounds = core.IndexBounds
 )
 
