@@ -15,8 +15,6 @@
 //	-fsync POLICY    WAL fsync policy: always | interval | never
 //	-fsync-interval D  flush period when -fsync interval
 //	-checkpoint-interval D  background snapshot+log-trim period (0 disables)
-//	-snapshot FILE   legacy non-durable mode: load FILE at boot when it
-//	                 exists; save back on graceful shutdown only
 //	-max-conns N     reject connections beyond N concurrently open (0 = off)
 //	-idle-timeout D  close connections idle between statements for D (0 = off)
 //	-max-rows N      default per-query row-materialization limit (0 = off)
@@ -46,8 +44,11 @@
 // traces), /debug/views (materialized view state, delta rates, staleness,
 // subscriber counts), and the standard /debug/pprof/ profiles.
 //
+// Without -data-dir the database is ephemeral: it starts empty and is lost at
+// exit.
+//
 // Materialized views (CREATE MATERIALIZED VIEW ... GROUP BY ... WITHIN eps)
-// are maintained incrementally from the commit path in every boot mode and
+// are maintained incrementally from the commit path in both boot modes and
 // served to SUBSCRIBE clients as typed delta streams with WAL-anchored
 // resume tokens; see internal/stream.
 //
@@ -62,7 +63,7 @@
 // with wire Set messages (sgbcli -connect maps \limits, \alg onto
 // those). SIGINT/SIGTERM drain gracefully: the listener closes,
 // in-flight statements get -drain-timeout to finish, then a final checkpoint
-// (or the legacy snapshot) is saved.
+// is written when -data-dir is set.
 //
 // sgbd prints "listening on <addr>" and "metrics on http://<addr>/metrics"
 // to stdout once ready, so scripts using ":0" ports can scrape the actual
@@ -105,7 +106,6 @@ func main() {
 		fsyncPolicy  = flag.String("fsync", "always", "WAL fsync policy: always|interval|never")
 		fsyncEvery   = flag.Duration("fsync-interval", 100*time.Millisecond, "flush period with -fsync interval")
 		ckptEvery    = flag.Duration("checkpoint-interval", time.Minute, "background checkpoint period (0 disables)")
-		snapshot     = flag.String("snapshot", "", "legacy snapshot file: loaded at boot if present, saved on graceful shutdown (not crash-safe; prefer -data-dir)")
 		maxConns     = flag.Int("max-conns", 0, "max concurrently open connections (0 = unlimited)")
 		idleTimeout  = flag.Duration("idle-timeout", 0, "close connections idle between statements this long (0 = never)")
 		maxRows      = flag.Int64("max-rows", 0, "default per-query rows-materialized limit (0 = unlimited)")
@@ -131,9 +131,8 @@ func main() {
 	cfg := daemonConfig{
 		addr: *addr, metricsAddr: *metricsAddr,
 		dataDir: *dataDir, fsync: *fsyncPolicy, fsyncInterval: *fsyncEvery,
-		checkpointInterval: *ckptEvery, snapshot: *snapshot,
-		maxConns: *maxConns, idleTimeout: *idleTimeout,
-		maxRows: *maxRows, maxTime: *maxTime,
+		checkpointInterval: *ckptEvery, maxConns: *maxConns,
+		idleTimeout: *idleTimeout, maxRows: *maxRows, maxTime: *maxTime,
 		alg: *alg, drainTimeout: *drainTimeout,
 		slowQuery: *slowQuery, slowlogSize: *slowlogSize, traceSample: *traceSample,
 		autoAnalyze: *autoAnalyze,
@@ -157,7 +156,6 @@ type daemonConfig struct {
 	fsync              string
 	fsyncInterval      time.Duration
 	checkpointInterval time.Duration
-	snapshot           string
 	maxConns           int
 	idleTimeout        time.Duration
 	maxRows            int64
@@ -197,10 +195,6 @@ func parseBytes(s string) (int64, error) {
 }
 
 func run(cfg daemonConfig) error {
-	if cfg.dataDir != "" && cfg.snapshot != "" {
-		return fmt.Errorf("-data-dir and -snapshot are mutually exclusive")
-	}
-
 	// The HTTP side comes up before recovery so /healthz answers immediately
 	// and /readyz honestly reports 503 while the WAL tail replays.
 	reg := obs.NewRegistry()
@@ -244,18 +238,16 @@ func run(cfg daemonConfig) error {
 		fmt.Printf("metrics on http://%s/metrics\n", ln.Addr())
 	}
 
-	// Boot the database: durable store, legacy snapshot, or ephemeral. The
-	// stream manager rides the commit path in every mode — as the store's
-	// commit observer when durable (WAL sequences number the delta stream,
-	// and recovery replay regenerates delta history), or hooked straight into
-	// the engine otherwise.
+	// Boot the database: durable store or ephemeral. The stream manager rides
+	// the commit path in both modes — as the store's commit observer when
+	// durable (WAL sequences number the delta stream, and recovery replay
+	// regenerates delta history), or hooked straight into the engine otherwise.
 	streams := stream.NewManager()
 	var (
 		db    *engine.DB
 		store *server.Store
 	)
-	switch {
-	case cfg.dataDir != "":
+	if cfg.dataDir != "" {
 		policy, err := wal.ParseSyncPolicy(cfg.fsync)
 		if err != nil {
 			return err
@@ -285,20 +277,7 @@ func run(cfg daemonConfig) error {
 		db = store.DB()
 		fmt.Printf("recovered data dir %s (%d tables, %d wal records replayed, fsync %s)\n",
 			cfg.dataDir, len(db.Catalog().Names()), store.ReplayedRecords(), policy)
-	case cfg.snapshot != "":
-		var err error
-		db, err = server.LoadSnapshotFile(cfg.snapshot)
-		if os.IsNotExist(err) {
-			fmt.Printf("snapshot %s not found, starting empty\n", cfg.snapshot)
-			db = engine.NewDB()
-		} else if err != nil {
-			return err
-		} else {
-			fmt.Printf("loaded snapshot %s (%d tables)\n", cfg.snapshot, len(db.Catalog().Names()))
-		}
-		db.SetMetrics(reg)
-		streams.AttachEngine(db)
-	default:
+	} else {
 		db = engine.NewDB()
 		db.SetMetrics(reg)
 		streams.AttachEngine(db)
@@ -368,17 +347,11 @@ func run(cfg daemonConfig) error {
 	if metricsSrv != nil {
 		_ = metricsSrv.Shutdown(context.Background())
 	}
-	switch {
-	case store != nil:
+	if store != nil {
 		if err := store.Close(); err != nil {
 			return fmt.Errorf("closing data dir: %w", err)
 		}
 		fmt.Printf("final checkpoint written to %s\n", cfg.dataDir)
-	case cfg.snapshot != "":
-		if err := server.SaveSnapshotFile(db, cfg.snapshot); err != nil {
-			return err
-		}
-		fmt.Printf("snapshot saved to %s\n", cfg.snapshot)
 	}
 	return nil
 }

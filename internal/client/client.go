@@ -67,8 +67,7 @@ type Conn struct {
 	// closed is set under qmu+wmu by Close.
 	closed bool
 
-	server  string // server identification from the Welcome handshake
-	version uint32 // negotiated protocol version from the Welcome handshake
+	server string // server identification from the Welcome handshake
 
 	// idMu guards lastTraceID, readable from any goroutine while the
 	// querying goroutine advances it.
@@ -85,20 +84,11 @@ func Connect(addr string) (*Conn, error) {
 // Options enables retry with exponential backoff and jitter on dial or
 // handshake failure.
 func ConnectContext(ctx context.Context, addr string, opts ...Options) (*Conn, error) {
-	var o Options
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	if o.BaseDelay <= 0 {
-		o.BaseDelay = 50 * time.Millisecond
-	}
-	if o.MaxDelay <= 0 {
-		o.MaxDelay = 2 * time.Second
-	}
+	o := withDefaults(opts)
 	var err error
 	for attempt := 0; ; attempt++ {
 		var c *Conn
-		c, err = dialAndHandshake(ctx, addr)
+		c, err = dial(ctx, addr)
 		if err == nil {
 			return c, nil
 		}
@@ -111,6 +101,22 @@ func ConnectContext(ctx context.Context, addr string, opts ...Options) (*Conn, e
 			return nil, ctx.Err()
 		}
 	}
+}
+
+// withDefaults returns the optional Options argument with its zero delays
+// replaced by the documented defaults.
+func withDefaults(opts []Options) Options {
+	var o Options
+	if len(opts) > 0 {
+		o = opts[0]
+	}
+	if o.BaseDelay <= 0 {
+		o.BaseDelay = 50 * time.Millisecond
+	}
+	if o.MaxDelay <= 0 {
+		o.MaxDelay = 2 * time.Second
+	}
+	return o
 }
 
 // retryable classifies a connect failure: transport errors and the server's
@@ -133,7 +139,7 @@ func retryable(err error) bool {
 }
 
 // backoffDelay computes the next retry sleep. When the server attached a
-// retry-after hint (v4), the hint wins — plus up to 25% jitter so a herd of
+// retry-after hint, the hint wins — plus up to 25% jitter so a herd of
 // hinted clients still spreads out. Otherwise: exponential backoff with
 // jitter, half the window fixed and half random.
 func backoffDelay(err error, attempt int, o Options) time.Duration {
@@ -149,25 +155,11 @@ func backoffDelay(err error, attempt int, o Options) time.Duration {
 	return delay/2 + rand.N(delay/2+1)
 }
 
-// dialAndHandshake performs one connection attempt at the current protocol
-// version. When an older server refuses it with CodeVersionMismatch, the
-// client redials once offering the oldest version it still speaks — so a new
-// client keeps working against a v1 server (losing only the newer extras,
-// such as trace-ID propagation and subscriptions).
-func dialAndHandshake(ctx context.Context, addr string) (*Conn, error) {
-	c, err := dialAt(ctx, addr, wire.MaxVersion)
-	var se *ServerError
-	if err != nil && errors.As(err, &se) && se.Code == wire.CodeVersionMismatch &&
-		wire.MinVersion < wire.MaxVersion {
-		return dialAt(ctx, addr, wire.MinVersion)
-	}
-	return c, err
-}
-
-// dialAt performs one connection attempt offering the given protocol version.
-// Every failure path closes the socket — the deferred cleanup is the single
-// place that decides, so no early return can leak the net.Conn.
-func dialAt(ctx context.Context, addr string, version uint32) (c *Conn, err error) {
+// dial performs one connection attempt offering wire.MaxVersion, the only
+// version either side speaks. Every failure path closes the socket — the
+// deferred cleanup is the single place that decides, so no early return can
+// leak the net.Conn.
+func dial(ctx context.Context, addr string) (c *Conn, err error) {
 	var d net.Dialer
 	nc, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -183,7 +175,7 @@ func dialAt(ctx context.Context, addr string, version uint32) (c *Conn, err erro
 	} else {
 		nc.SetDeadline(time.Now().Add(10 * time.Second))
 	}
-	if err := wire.WriteMessage(nc, &wire.Hello{Version: version}); err != nil {
+	if err := wire.WriteMessage(nc, &wire.Hello{Version: wire.MaxVersion}); err != nil {
 		return nil, fmt.Errorf("client: handshake: %w", err)
 	}
 	msg, err := wire.ReadMessage(nc)
@@ -192,8 +184,14 @@ func dialAt(ctx context.Context, addr string, version uint32) (c *Conn, err erro
 	}
 	switch m := msg.(type) {
 	case *wire.Welcome:
+		if m.Version != wire.MaxVersion {
+			// Reported as the typed refusal a server sends for a foreign Hello,
+			// so retryable treats a mismatch detected on either side alike.
+			return nil, &ServerError{Code: wire.CodeVersionMismatch,
+				Message: fmt.Sprintf("server welcomed protocol %d, client speaks %d", m.Version, wire.MaxVersion)}
+		}
 		nc.SetDeadline(time.Time{})
-		return &Conn{nc: nc, server: m.Server, version: m.Version}, nil
+		return &Conn{nc: nc, server: m.Server}, nil
 	case *wire.Error:
 		return nil, m
 	default:
@@ -204,12 +202,8 @@ func dialAt(ctx context.Context, addr string, version uint32) (c *Conn, err erro
 // Server reports the server identification string from the handshake.
 func (c *Conn) Server() string { return c.server }
 
-// Version reports the negotiated protocol version from the handshake.
-func (c *Conn) Version() uint32 { return c.version }
-
 // LastTraceID reports the trace ID the client attached to its most recent
-// query, empty before the first query or when the server only speaks protocol
-// v1 (which has no trace propagation). Safe to call from any goroutine.
+// query, empty before the first query. Safe to call from any goroutine.
 func (c *Conn) LastTraceID() string {
 	c.idMu.Lock()
 	defer c.idMu.Unlock()
@@ -304,18 +298,13 @@ type Rows struct {
 // before Stream returns, so column names are immediately available.
 func (c *Conn) Stream(ctx context.Context, sql string) (*Rows, error) {
 	c.qmu.Lock()
-	// Trace propagation is a v2 extra: the client mints the query's trace ID
-	// so the end-to-end trace starts at the caller, and the server's slowlog
-	// entry can be looked up by an ID the client already holds. Against a v1
-	// server the field must stay empty — the frame then encodes byte-for-byte
-	// as a v1 Query.
-	var traceID string
-	if c.version >= 2 {
-		traceID = obs.NewTraceID()
-		c.idMu.Lock()
-		c.lastTraceID = traceID
-		c.idMu.Unlock()
-	}
+	// The client mints the query's trace ID so the end-to-end trace starts at
+	// the caller, and the server's slowlog entry can be looked up by an ID the
+	// client already holds.
+	traceID := obs.NewTraceID()
+	c.idMu.Lock()
+	c.lastTraceID = traceID
+	c.idMu.Unlock()
 	// The lock is held until the Rows is fully drained or closed; Rows.finish
 	// releases it.
 	if err := c.writeMsg(&wire.Query{SQL: sql, TraceID: traceID}); err != nil {
@@ -377,9 +366,8 @@ func (r *Rows) read() (wire.Message, error) {
 	return msg, nil
 }
 
-// TraceID reports the trace ID attached to this query (empty on a v1
-// connection). Present the ID to \slowlog or /debug/slowlog to retrieve the
-// server-side trace.
+// TraceID reports the trace ID attached to this query. Present the ID to
+// \slowlog or /debug/slowlog to retrieve the server-side trace.
 func (r *Rows) TraceID() string { return r.traceID }
 
 // Columns names the result columns (empty for DDL/DML).
@@ -503,7 +491,7 @@ func (c *Conn) Stats() (string, error) {
 }
 
 // ProcessList fetches the server's in-flight queries (oldest first) — the
-// wire form of \processlist. Requires a v2 server.
+// wire form of \processlist.
 func (c *Conn) ProcessList(ctx context.Context) ([]obs.QueryInfo, error) {
 	var out []obs.QueryInfo
 	if err := c.introspect(ctx, wire.IntrospectProcessList, &out); err != nil {
@@ -513,7 +501,7 @@ func (c *Conn) ProcessList(ctx context.Context) ([]obs.QueryInfo, error) {
 }
 
 // SlowLog fetches the server's slow-query ring buffer, newest first — the
-// wire form of \slowlog. Requires a v2 server.
+// wire form of \slowlog.
 func (c *Conn) SlowLog(ctx context.Context) ([]obs.SlowQuery, error) {
 	var out []obs.SlowQuery
 	if err := c.introspect(ctx, wire.IntrospectSlowLog, &out); err != nil {

@@ -99,8 +99,7 @@ func readHello(t *testing.T, nc net.Conn) bool {
 func TestConnectFailureClosesSocket(t *testing.T) {
 	scenarios := []struct {
 		name string
-		// accepts is how many connections the failure consumes: 1, except a
-		// version mismatch, where the client redials once at MinVersion.
+		// accepts is how many connections the failure consumes.
 		accepts int64
 		respond func(t *testing.T, nc net.Conn)
 	}{
@@ -116,7 +115,7 @@ func TestConnectFailureClosesSocket(t *testing.T) {
 			}
 			wire.WriteMessage(nc, &wire.Pong{})
 		}},
-		{"typed rejection", 2, func(t *testing.T, nc net.Conn) {
+		{"typed rejection", 1, func(t *testing.T, nc net.Conn) {
 			if !readHello(t, nc) {
 				return
 			}
@@ -148,43 +147,35 @@ func TestConnectFailureClosesSocket(t *testing.T) {
 	}
 }
 
-// TestConnectDowngradesToV1 scripts a protocol-v1-only server: it refuses the
-// client's v2 Hello with CodeVersionMismatch and welcomes the v1 redial. The
-// client must end up connected at version 1 — the compat path that keeps a
-// new client working against an old server.
-func TestConnectDowngradesToV1(t *testing.T) {
+// TestConnectRejectsOldWelcome scripts a server that welcomes the client at
+// protocol 1. The client speaks only wire.MaxVersion, so Connect must fail
+// with a typed version mismatch, close its socket, and not spend its retry
+// budget redialing.
+func TestConnectRejectsOldWelcome(t *testing.T) {
+	closed := make(chan struct{}, 8)
 	srv := newScriptServer(t, func(_ int64, nc net.Conn) {
-		msg, err := wire.ReadMessage(nc)
-		if err != nil {
-			t.Errorf("script server: reading Hello: %v", err)
-			return
-		}
-		hello, ok := msg.(*wire.Hello)
-		if !ok {
-			t.Errorf("script server: expected Hello, got %T", msg)
-			return
-		}
-		if hello.Version != 1 {
-			wire.WriteMessage(nc, &wire.Error{Code: wire.CodeVersionMismatch,
-				Message: "this server speaks protocol 1 only"})
+		if !readHello(t, nc) {
 			return
 		}
 		wire.WriteMessage(nc, &wire.Welcome{Version: 1, Server: "v1-script"})
-		expectPeerClose(t, nc, "v1 conn after Close")
+		expectPeerClose(t, nc, "v1 welcome")
+		closed <- struct{}{}
 	})
-	c, err := client.Connect(srv.addr())
-	if err != nil {
-		t.Fatalf("connect with downgrade: %v", err)
+	_, err := client.ConnectContext(context.Background(), srv.addr(), client.Options{
+		MaxRetries: 5,
+		BaseDelay:  time.Millisecond,
+	})
+	var se *client.ServerError
+	if !errors.As(err, &se) || se.Code != wire.CodeVersionMismatch {
+		t.Fatalf("err = %v, want CodeVersionMismatch ServerError", err)
 	}
-	defer c.Close()
-	if got := c.Version(); got != 1 {
-		t.Errorf("Version() = %d, want 1", got)
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("script server never observed the client close")
 	}
-	if got := c.LastTraceID(); got != "" {
-		t.Errorf("LastTraceID() = %q before any query, want empty", got)
-	}
-	if n := srv.accepted.Load(); n != 2 {
-		t.Errorf("accepted %d connections, want 2 (v2 refusal + v1 success)", n)
+	if n := srv.accepted.Load(); n != 1 {
+		t.Errorf("accepted %d connections, want 1 (no redial)", n)
 	}
 }
 
@@ -242,8 +233,7 @@ func TestConnectRetriesTransportFailure(t *testing.T) {
 
 // TestConnectDoesNotRetryVersionMismatch: a protocol-level refusal will fail
 // identically on every attempt, so the retry budget must not be spent on it.
-// The refusal costs exactly two connections — the v2 attempt plus the single
-// v1 downgrade redial — never the full retry budget.
+// The refusal costs exactly one connection: there is no downgrade redial.
 func TestConnectDoesNotRetryVersionMismatch(t *testing.T) {
 	srv := newScriptServer(t, func(_ int64, nc net.Conn) {
 		if !readHello(t, nc) {
@@ -260,8 +250,8 @@ func TestConnectDoesNotRetryVersionMismatch(t *testing.T) {
 	if !errors.As(err, &se) || se.Code != wire.CodeVersionMismatch {
 		t.Fatalf("err = %v, want CodeVersionMismatch ServerError", err)
 	}
-	if n := srv.accepted.Load(); n != 2 {
-		t.Errorf("accepted %d connections, want 2 (v2 + v1 downgrade, no further retries)", n)
+	if n := srv.accepted.Load(); n != 1 {
+		t.Errorf("accepted %d connections, want 1 (no redial, no retries)", n)
 	}
 }
 

@@ -35,12 +35,8 @@ type SubStream struct {
 // SubscribeOnce attaches this connection to a materialized view's delta
 // stream, resuming after token (0 = from the server's current retention
 // floor, which yields a snapshot image). The connection is occupied until the
-// stream ends; use Next to read deltas and Close for a clean detach. Requires
-// a v3 server.
+// stream ends; use Next to read deltas and Close for a clean detach.
 func (c *Conn) SubscribeOnce(view string, token uint64) (*SubStream, error) {
-	if c.version < 3 {
-		return nil, fmt.Errorf("client: server speaks protocol %d; subscriptions require 3", c.version)
-	}
 	c.qmu.Lock()
 	if err := c.writeMsg(&wire.Subscribe{View: view, Token: token}); err != nil {
 		c.qmu.Unlock()
@@ -180,17 +176,7 @@ func (s *Subscription) setErr(err error) {
 // regenerates delta history deterministically — continues the stream without
 // losing or duplicating consumed deltas.
 func Subscribe(ctx context.Context, addr, view string, opts ...Options) (*Subscription, error) {
-	var o Options
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	if o.BaseDelay <= 0 {
-		o.BaseDelay = 50 * time.Millisecond
-	}
-	if o.MaxDelay <= 0 {
-		o.MaxDelay = 2 * time.Second
-	}
-
+	o := withDefaults(opts)
 	events := make(chan Event, 64)
 	sub := &Subscription{Events: events}
 

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 
 	"sgb/internal/geom"
 )
@@ -59,21 +58,6 @@ func (o Overlap) String() string {
 		return "FORM-NEW-GROUP"
 	default:
 		return fmt.Sprintf("Overlap(%d)", uint8(o))
-	}
-}
-
-// ParseOverlap maps SQL spellings ("JOIN-ANY", "join_any", "form-new-group",
-// "FORM-NEW", ...) onto an Overlap clause.
-func ParseOverlap(s string) (Overlap, error) {
-	switch strings.ToUpper(strings.NewReplacer("-", "", "_", "", " ", "").Replace(s)) {
-	case "JOINANY":
-		return JoinAny, nil
-	case "ELIMINATE":
-		return Eliminate, nil
-	case "FORMNEWGROUP", "FORMNEW":
-		return FormNewGroup, nil
-	default:
-		return 0, fmt.Errorf("core: unknown ON-OVERLAP clause %q", s)
 	}
 }
 

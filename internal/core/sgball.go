@@ -703,15 +703,3 @@ func SGBAll(points []geom.Point, opt Options) (*Result, error) {
 	}
 	return g.Finish()
 }
-
-// SGBAllCols is SGBAll over a columnar point set.
-func SGBAllCols(c geom.Cols, opt Options) (*Result, error) {
-	g, err := NewAllGrouper(opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.AddCols(c); err != nil {
-		return nil, err
-	}
-	return g.Finish()
-}

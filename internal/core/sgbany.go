@@ -372,15 +372,3 @@ func SGBAny(points []geom.Point, opt Options) (*Result, error) {
 	}
 	return g.Finish()
 }
-
-// SGBAnyCols is SGBAny over a columnar point set.
-func SGBAnyCols(c geom.Cols, opt Options) (*Result, error) {
-	g, err := NewAnyGrouper(opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.AddCols(c); err != nil {
-		return nil, err
-	}
-	return g.Finish()
-}

@@ -34,7 +34,7 @@ func TestSummarizeBasics(t *testing.T) {
 	if sq.Centroid[0] != 1 || sq.Centroid[1] != 1 {
 		t.Errorf("centroid = %v", sq.Centroid)
 	}
-	if !sq.MBR.Equal(geom.NewRect(geom.Point{0, 0}, geom.Point{2, 2})) {
+	if !sq.MBR.Equal(geom.Rect{Min: geom.Point{0, 0}, Max: geom.Point{2, 2}}) {
 		t.Errorf("MBR = %v", sq.MBR)
 	}
 	if len(sq.Hull) != 4 {

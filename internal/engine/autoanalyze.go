@@ -45,13 +45,6 @@ func (db *DB) SetAutoAnalyze(on bool) {
 	db.aaPending = nil
 }
 
-// AutoAnalyze reports whether background re-analysis is enabled.
-func (db *DB) AutoAnalyze() bool {
-	db.aaMu.Lock()
-	defer db.aaMu.Unlock()
-	return db.aaCh != nil
-}
-
 // maybeAutoAnalyze is the write-path trigger: called for each successfully
 // applied mutating statement, with the exclusive statement lock still held
 // (so the stats read is consistent). It never blocks — a full queue is a

@@ -124,9 +124,6 @@ func (db *DB) SetTraceSampling(n int) {
 	db.traceEvery.Store(int64(n))
 }
 
-// TraceSampling reports the current plan-capture sampling rate.
-func (db *DB) TraceSampling() int { return int(db.traceEvery.Load()) }
-
 // sampleNow decides whether the statement starting now is a sampled one.
 func (db *DB) sampleNow() bool {
 	n := db.traceEvery.Load()
@@ -334,11 +331,6 @@ func (db *DB) execSQLTrace(ctx context.Context, sql string, set Settings, tr *ob
 		return nil, err
 	}
 	return db.execTraced(ctx, stmt, tr, set, sql)
-}
-
-// ExecStmt executes an already parsed statement.
-func (db *DB) ExecStmt(stmt Statement) (*Result, error) {
-	return db.ExecStmtContext(context.Background(), stmt)
 }
 
 // ExecStmtContext executes an already parsed statement under a context, with

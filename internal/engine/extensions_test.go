@@ -146,6 +146,16 @@ func TestCopyErrors(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	db := testDB(t)
 	db.SetSGBAlgorithm(core.BoundsChecking)
+	for _, sql := range []string{
+		"CREATE TABLE pts (id INT, x FLOAT, y FLOAT)",
+		`INSERT INTO pts VALUES (1, 0.5, 0.5), (2, 1.0, 1.25), (3, 9.0, 9.5),
+			(4, 9.25, 9.75), (5, 50.0, 50.0)`,
+		"CREATE TABLE empty_t (n INT)",
+	} {
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
 	var buf bytes.Buffer
 	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -157,21 +167,40 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if restored.SGBAlgorithm() != core.BoundsChecking {
 		t.Error("SGB algorithm not restored")
 	}
-	// The restored database answers queries identically.
-	want := queryStrings(t, db, "SELECT name, salary FROM emp ORDER BY id")
-	got := queryStrings(t, restored, "SELECT name, salary FROM emp ORDER BY id")
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("restored rows differ:\n%v\nvs\n%v", got, want)
+	if names := restored.Catalog().Names(); len(names) != 4 {
+		t.Errorf("catalog names = %v, want 4 tables", names)
+	}
+	// The restored database answers queries identically, including an SGB
+	// statement through the restored algorithm and a scan of the empty table.
+	for _, q := range []string{
+		"SELECT name, salary FROM emp ORDER BY id",
+		"SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 2 ON-OVERLAP FORM-NEW-GROUP ORDER BY count(*)",
+		"SELECT count(*) FROM empty_t",
+	} {
+		want := queryStrings(t, db, q)
+		got := queryStrings(t, restored, q)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: restored rows differ:\n%v\nvs\n%v", q, got, want)
+		}
 	}
 	// Joins still resolve (schema qualifiers survived).
-	got = queryStrings(t, restored, "SELECT e.name FROM emp e, dept d WHERE e.dept = d.id AND d.dname = 'hr'")
+	got := queryStrings(t, restored, "SELECT e.name FROM emp e, dept d WHERE e.dept = d.id AND d.dname = 'hr'")
 	if len(got) != 1 || got[0][0] != "eve" {
 		t.Fatalf("restored join wrong: %v", got)
 	}
 }
 
+// TestLoadRejectsGarbage pins the error path: garbage and truncated images
+// must fail loudly at load, not produce an empty database.
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader("not a gob stream")); err == nil {
 		t.Error("Load accepted garbage")
+	}
+	var buf bytes.Buffer
+	if err := testDB(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
+		t.Error("Load accepted a truncated image")
 	}
 }

@@ -125,13 +125,3 @@ func (db *DB) ScanFloats(table string, colIdx []int, from int, fn func(row int, 
 	}
 	return len(t.Rows), nil
 }
-
-// TableLen returns the named table's current row count. Like ScanFloats it is
-// meant for commit observers already holding the statement lock.
-func (db *DB) TableLen(table string) (int, error) {
-	t, err := db.cat.Get(table)
-	if err != nil {
-		return 0, err
-	}
-	return len(t.Rows), nil
-}

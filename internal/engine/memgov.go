@@ -75,12 +75,6 @@ func (g *memGovernor) setQueueCap(n int) {
 	g.mu.Unlock()
 }
 
-func (g *memGovernor) budgetBytes() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.budget
-}
-
 func (g *memGovernor) usedBytes() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -274,17 +268,6 @@ func (a *memAccount) release() {
 func (db *DB) SetMemoryBudget(bytes int64) {
 	db.gov.setBudget(bytes)
 }
-
-// MemoryBudget reports the configured process budget (0 = none).
-func (db *DB) MemoryBudget() int64 { return db.gov.budgetBytes() }
-
-// MemoryUsed reports the bytes currently charged against the pool.
-func (db *DB) MemoryUsed() int64 { return db.gov.usedBytes() }
-
-// SetMemoryAdmissionQueue caps how many statements may wait for memory
-// admission before new arrivals are shed with a global ResourceLimitError;
-// n <= 0 restores the default.
-func (db *DB) SetMemoryAdmissionQueue(n int) { db.gov.setQueueCap(n) }
 
 // ReserveMemory adjusts the memory pool by n bytes (negative releases) on
 // behalf of background subsystems — matview delta rings, caches — that grow

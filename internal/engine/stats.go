@@ -338,27 +338,6 @@ func (sk *DensitySketch) OccupiedArea() float64 {
 	return float64(occupied) * sk.CellW * sk.CellH
 }
 
-// StatsSnapshot returns a copy of the table's statistics entry taken under
-// the statement read lock, or nil when the table is unknown or has no
-// statistics yet — a race-free probe for tests and monitoring (the live
-// *TableStats is mutated by concurrent writers and ANALYZE).
-func (db *DB) StatsSnapshot(table string) *TableStats {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, err := db.cat.Get(table)
-	if err != nil || t.Stats == nil {
-		return nil
-	}
-	s := *t.Stats
-	s.Columns = append([]ColumnStats(nil), t.Stats.Columns...)
-	if sk := t.Stats.Sketch; sk != nil {
-		skCopy := *sk
-		skCopy.Counts = append([]int64(nil), sk.Counts...)
-		s.Sketch = &skCopy
-	}
-	return &s
-}
-
 // analyzeTables runs ANALYZE over one table or the whole catalog, returning
 // one summary row per table.
 func (db *DB) analyzeTables(name string) (*Result, error) {

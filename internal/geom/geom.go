@@ -218,20 +218,6 @@ type Rect struct {
 	Min, Max Point
 }
 
-// NewRect returns a rectangle with the given corners. It panics if the
-// corners disagree on dimensionality or are inverted on some axis.
-func NewRect(min, max Point) Rect {
-	if len(min) != len(max) {
-		panic("geom: corner dimension mismatch")
-	}
-	for i := range min {
-		if min[i] > max[i] {
-			panic(fmt.Sprintf("geom: inverted rectangle on axis %d", i))
-		}
-	}
-	return Rect{Min: min, Max: max}
-}
-
 // BoxAround returns the axis-aligned box of half-side r centred at p: the set
 // of points within L∞ distance r of p. It is the ε-rectangle used throughout
 // the paper's bounds-checking filter.
@@ -288,23 +274,6 @@ func (r Rect) Intersects(o Rect) bool {
 	return true
 }
 
-// Intersect returns the intersection of r and o. ok is false when the
-// rectangles are disjoint, in which case the returned rectangle is undefined.
-// Rectangles are closed under intersection — the property the paper relies on
-// for the correctness of the ε-All bounding rectangle under L∞.
-func (r Rect) Intersect(o Rect) (out Rect, ok bool) {
-	min := make(Point, len(r.Min))
-	max := make(Point, len(r.Min))
-	for i := range r.Min {
-		min[i] = math.Max(r.Min[i], o.Min[i])
-		max[i] = math.Min(r.Max[i], o.Max[i])
-		if min[i] > max[i] {
-			return Rect{}, false
-		}
-	}
-	return Rect{Min: min, Max: max}, true
-}
-
 // Union returns the minimum bounding rectangle of r and o.
 func (r Rect) Union(o Rect) Rect {
 	min := make(Point, len(r.Min))
@@ -340,24 +309,6 @@ func (r *Rect) ExpandRectInPlace(o Rect) {
 	}
 }
 
-// IntersectInPlace shrinks r in place to its intersection with o, reporting
-// whether the intersection is non-empty. On an empty intersection r is left
-// in an unspecified state.
-func (r *Rect) IntersectInPlace(o Rect) bool {
-	for i := range r.Min {
-		if o.Min[i] > r.Min[i] {
-			r.Min[i] = o.Min[i]
-		}
-		if o.Max[i] < r.Max[i] {
-			r.Max[i] = o.Max[i]
-		}
-		if r.Min[i] > r.Max[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Area returns the d-dimensional volume of r.
 func (r Rect) Area() float64 {
 	a := 1.0
@@ -365,16 +316,6 @@ func (r Rect) Area() float64 {
 		a *= r.Max[i] - r.Min[i]
 	}
 	return a
-}
-
-// Margin returns the sum of the side lengths of r (used by node-split
-// heuristics).
-func (r Rect) Margin() float64 {
-	var s float64
-	for i := range r.Min {
-		s += r.Max[i] - r.Min[i]
-	}
-	return s
 }
 
 // UnionArea returns the area of the minimum bounding rectangle of r and o
@@ -400,18 +341,6 @@ func (r Rect) Enlargement(o Rect) float64 {
 	return r.UnionArea(o) - r.Area()
 }
 
-// Center returns the midpoint of r.
-func (r Rect) Center() Point {
-	c := make(Point, len(r.Min))
-	for i := range r.Min {
-		c[i] = (r.Min[i] + r.Max[i]) / 2
-	}
-	return c
-}
-
-// Side returns the extent of r along the given axis.
-func (r Rect) Side(axis int) float64 { return r.Max[axis] - r.Min[axis] }
-
 // Equal reports whether r and o are the same rectangle.
 func (r Rect) Equal(o Rect) bool {
 	return r.Min.Equal(o.Min) && r.Max.Equal(o.Max)
@@ -419,47 +348,4 @@ func (r Rect) Equal(o Rect) bool {
 
 func (r Rect) String() string {
 	return fmt.Sprintf("Rect{%v, %v}", []float64(r.Min), []float64(r.Max))
-}
-
-// MinDist returns the smallest distance under metric m between p and any
-// point of r (0 when p is inside r). R-tree nearest-neighbour search uses it
-// as the lower bound for pruning.
-func MinDist(m Metric, p Point, r Rect) float64 {
-	switch m {
-	case L2:
-		var s float64
-		for i, v := range p {
-			d := axisGap(v, r.Min[i], r.Max[i])
-			s += d * d
-		}
-		return math.Sqrt(s)
-	case LInf:
-		var mx float64
-		for i, v := range p {
-			if d := axisGap(v, r.Min[i], r.Max[i]); d > mx {
-				mx = d
-			}
-		}
-		return mx
-	case L1:
-		var s float64
-		for i, v := range p {
-			s += axisGap(v, r.Min[i], r.Max[i])
-		}
-		return s
-	default:
-		panic("geom: unknown metric")
-	}
-}
-
-// axisGap is the one-dimensional distance from v to the interval [lo, hi].
-func axisGap(v, lo, hi float64) float64 {
-	switch {
-	case v < lo:
-		return lo - v
-	case v > hi:
-		return v - hi
-	default:
-		return 0
-	}
 }

@@ -158,17 +158,11 @@ func TestRectBasics(t *testing.T) {
 	if r.Area() != 8 {
 		t.Errorf("Area = %v, want 8", r.Area())
 	}
-	if r.Margin() != 6 {
-		t.Errorf("Margin = %v, want 6", r.Margin())
-	}
 	if !r.Contains(Point{4, 2}) || !r.Contains(Point{0, 0}) || !r.Contains(Point{2, 1}) {
 		t.Error("Contains rejected interior/boundary point")
 	}
 	if r.Contains(Point{4.1, 1}) {
 		t.Error("Contains accepted exterior point")
-	}
-	if c := r.Center(); c[0] != 2 || c[1] != 1 {
-		t.Errorf("Center = %v", c)
 	}
 	if r.Side(0) != 4 || r.Side(1) != 2 {
 		t.Error("Side lengths wrong")

@@ -211,7 +211,7 @@ func TestRegionsRegisterKeepsListsAscending(t *testing.T) {
 	if got := reg.Own(geom.Point{0.5, 0.5}); !slices.Equal(got, []int{1}) {
 		t.Fatalf("Own = %v, want [1]", got)
 	}
-	reg.Register(geom.NewRect(geom.Point{0.5, 0.5}, geom.Point{0.5, 0.9}), 0) // 0's region moved down
+	reg.Register(geom.Rect{Min: geom.Point{0.5, 0.5}, Max: geom.Point{0.5, 0.9}}, 0) // 0's region moved down
 	if got := reg.Own(geom.Point{0.5, 0.5}); !slices.Equal(got, []int{0, 1}) {
 		t.Fatalf("Own after re-registering group 0 = %v, want [0 1]", got)
 	}

@@ -145,10 +145,6 @@ func NewIncremental(points ...geom.Point) *Incremental {
 	return &Incremental{verts: Compute(points)}
 }
 
-// Vertices returns the current hull polygon (counter-clockwise). The slice
-// must not be mutated.
-func (h *Incremental) Vertices() []geom.Point { return h.verts }
-
 // Add extends the hull with p. Points already inside the hull leave it
 // unchanged.
 func (h *Incremental) Add(p geom.Point) {

@@ -67,7 +67,7 @@ func TestBulkLoadThenMutate(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.SearchSlice(geom.NewRect(geom.Point{0, 0}, geom.Point{100, 100})); len(got) != 750 {
+	if got := tr.SearchSlice(geom.Rect{Min: geom.Point{0, 0}, Max: geom.Point{100, 100}}); len(got) != 750 {
 		t.Fatalf("full window found %d, want 750", len(got))
 	}
 }
@@ -79,7 +79,7 @@ func TestBulkLoadHigherDim(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	all := tr.SearchSlice(geom.NewRect(geom.Point{0, 0, 0}, geom.Point{100, 100, 100}))
+	all := tr.SearchSlice(geom.Rect{Min: geom.Point{0, 0, 0}, Max: geom.Point{100, 100, 100}})
 	if len(all) != 700 {
 		t.Fatalf("full window found %d", len(all))
 	}

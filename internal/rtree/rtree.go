@@ -294,16 +294,6 @@ func (t *Tree) search(n *node, window geom.Rect, fn func(ref int64) bool) bool {
 	return true
 }
 
-// SearchSlice returns the references of all entries intersecting window.
-func (t *Tree) SearchSlice(window geom.Rect) []int64 {
-	var out []int64
-	t.Search(window, func(ref int64) bool {
-		out = append(out, ref)
-		return true
-	})
-	return out
-}
-
 // checkInvariants validates structural invariants; it is exported to the
 // package tests via export_test.go.
 func (t *Tree) checkInvariants() error {

@@ -48,16 +48,16 @@ func TestNewValidation(t *testing.T) {
 
 func TestInsertSearchSmall(t *testing.T) {
 	tr := New(2)
-	tr.Insert(geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1}), 1)
-	tr.Insert(geom.NewRect(geom.Point{5, 5}, geom.Point{6, 6}), 2)
-	tr.Insert(geom.NewRect(geom.Point{0.5, 0.5}, geom.Point{5.5, 5.5}), 3)
-	got := tr.SearchSlice(geom.NewRect(geom.Point{0.9, 0.9}, geom.Point{1.1, 1.1}))
+	tr.Insert(geom.Rect{Min: geom.Point{0, 0}, Max: geom.Point{1, 1}}, 1)
+	tr.Insert(geom.Rect{Min: geom.Point{5, 5}, Max: geom.Point{6, 6}}, 2)
+	tr.Insert(geom.Rect{Min: geom.Point{0.5, 0.5}, Max: geom.Point{5.5, 5.5}}, 3)
+	got := tr.SearchSlice(geom.Rect{Min: geom.Point{0.9, 0.9}, Max: geom.Point{1.1, 1.1}})
 	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("search = %v, want [1 3]", got)
 	}
 	// Touching boundary counts as intersecting (closed rectangles).
-	got = tr.SearchSlice(geom.NewRect(geom.Point{6, 6}, geom.Point{7, 7}))
+	got = tr.SearchSlice(geom.Rect{Min: geom.Point{6, 6}, Max: geom.Point{7, 7}})
 	if len(got) != 1 || got[0] != 2 {
 		t.Fatalf("boundary search = %v, want [2]", got)
 	}
@@ -66,10 +66,10 @@ func TestInsertSearchSmall(t *testing.T) {
 func TestSearchEarlyStop(t *testing.T) {
 	tr := New(2)
 	for i := 0; i < 100; i++ {
-		tr.Insert(geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1}), int64(i))
+		tr.Insert(geom.Rect{Min: geom.Point{0, 0}, Max: geom.Point{1, 1}}, int64(i))
 	}
 	calls := 0
-	tr.Search(geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1}), func(ref int64) bool {
+	tr.Search(geom.Rect{Min: geom.Point{0, 0}, Max: geom.Point{1, 1}}, func(ref int64) bool {
 		calls++
 		return calls < 5
 	})
@@ -85,7 +85,7 @@ func TestInsertDimensionMismatchPanics(t *testing.T) {
 			t.Fatal("Insert accepted wrong-dimension rect")
 		}
 	}()
-	tr.Insert(geom.NewRect(geom.Point{0}, geom.Point{1}), 1)
+	tr.Insert(geom.Rect{Min: geom.Point{0}, Max: geom.Point{1}}, 1)
 }
 
 // model is a brute-force reference the tree is validated against.
@@ -136,7 +136,7 @@ func TestDuplicateRefsAllowed(t *testing.T) {
 	// Equal rectangles (duplicate points, for SGB-Any and DBSCAN) must split
 	// into valid nodes and all stay reachable.
 	tr := New(2)
-	rect := geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1})
+	rect := geom.Rect{Min: geom.Point{0, 0}, Max: geom.Point{1, 1}}
 	for i := 0; i < 20; i++ {
 		tr.Insert(rect, int64(i))
 	}

@@ -31,9 +31,6 @@ type conn struct {
 	nc   net.Conn
 	br   *bufio.Reader
 	sess *engine.Session
-	// version is the negotiated protocol version for this connection
-	// (min(client, server), set by the handshake).
-	version uint32
 
 	// ctx is the connection's force-close signal: canceling it aborts the
 	// in-flight statement and terminates the session loop.
@@ -150,16 +147,13 @@ func (c *conn) handshake() error {
 			Message: fmt.Sprintf("expected Hello, got %T", msg)})
 		return errors.New("server: bad handshake")
 	}
-	if hello.Version < wire.MinVersion || hello.Version > wire.MaxVersion {
+	if hello.Version != wire.MaxVersion {
 		c.writeMsg(&wire.Error{Code: wire.CodeVersionMismatch,
-			Message: fmt.Sprintf("client speaks protocol %d, server speaks %d-%d",
-				hello.Version, wire.MinVersion, wire.MaxVersion)})
+			Message: fmt.Sprintf("client speaks protocol %d, server speaks %d",
+				hello.Version, wire.MaxVersion)})
 		return errors.New("server: version mismatch")
 	}
-	// The conversation runs at the client's version (never above ours, by the
-	// check above); Welcome echoes it so the client knows what was agreed.
-	c.version = hello.Version
-	return c.writeMsg(&wire.Welcome{Version: c.version, Server: c.srv.cfg.ServerName})
+	return c.writeMsg(&wire.Welcome{Version: wire.MaxVersion, Server: c.srv.cfg.ServerName})
 }
 
 // readLoop feeds decoded frames to the session loop until the connection
@@ -227,8 +221,7 @@ func (c *conn) dispatch(rr readResult) bool {
 }
 
 // introspect answers an Introspect request with the process list or slowlog
-// as JSON. Available at any negotiated version — the message type is new, so
-// a v1 client simply never sends it.
+// as JSON.
 func (c *conn) introspect(m *wire.Introspect) bool {
 	var v any
 	switch m.What {
@@ -257,14 +250,6 @@ func (c *conn) introspect(m *wire.Introspect) bool {
 // in Seq order. A consumer that falls behind the manager's buffer is cut with
 // a typed error; it re-subscribes with its token and resumes by ring replay.
 func (c *conn) runSubscribe(m *wire.Subscribe) bool {
-	if c.version < 3 {
-		// Subscribe exists only in protocol v3; a frame at a lower negotiated
-		// version is a protocol violation, mirroring the unexpected-frame arm
-		// of dispatch.
-		c.writeMsg(&wire.Error{Code: wire.CodeProtocol,
-			Message: fmt.Sprintf("Subscribe requires protocol 3, negotiated %d", c.version)})
-		return false
-	}
 	mgr := c.srv.cfg.Streams
 	if mgr == nil {
 		return c.writeMsg(&wire.Error{Code: wire.CodeQuery,
@@ -421,7 +406,7 @@ func (c *conn) admit(tr *obs.Trace, qcancel context.CancelFunc) (release func(),
 // the wire for Cancel. It reports false when the connection must close.
 //
 // This is where the end-to-end trace assembles: the client's propagated trace
-// ID (or a server-minted one for untraced/v1 clients) heads a trace that
+// ID (or a server-minted one for an untraced query) heads a trace that
 // accumulates the frame's wire_decode span, the engine's parse/plan/execute
 // spans, the WAL's wal_append/wal_fsync spans from the commit hook, and
 // finally the row-streaming span — then lands in the slowlog.
@@ -645,14 +630,8 @@ func (c *conn) applySetting(m *wire.Set) bool {
 }
 
 // writeMsg sends one frame. Frame writes are serialized by the session loop
-// (the only writer), so no extra locking is needed here. Pre-v4 peers reject
-// trailing payload bytes, so the retry-after hint is stripped for them.
+// (the only writer), so no extra locking is needed here.
 func (c *conn) writeMsg(m wire.Message) error {
-	if e, ok := m.(*wire.Error); ok && e.RetryAfterMS != 0 && c.version < 4 {
-		clone := *e
-		clone.RetryAfterMS = 0
-		m = &clone
-	}
 	return wire.WriteMessage(c.nc, m)
 }
 

@@ -192,10 +192,10 @@ func TestProcessListLifecycle(t *testing.T) {
 	}
 }
 
-// TestV1ClientStillServed speaks raw protocol v1 — Hello{1}, a Query frame
-// with no trace tail — and asserts the v2 server negotiates down, answers the
-// query, and still mints a server-side trace for its slowlog.
-func TestV1ClientStillServed(t *testing.T) {
+// TestUntracedQueryGetsServerTrace speaks the raw protocol — Hello{MaxVersion},
+// then a Query frame with no trace tail — and asserts the server answers the
+// query and mints a valid trace ID for its slowlog entry.
+func TestUntracedQueryGetsServerTrace(t *testing.T) {
 	db := engine.NewDB()
 	loadPoints(t, db, 10)
 	srv := startServer(t, db, Config{SlowQueryThreshold: 0})
@@ -205,7 +205,7 @@ func TestV1ClientStillServed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if err := wire.WriteMessage(nc, &wire.Hello{Version: 1}); err != nil {
+	if err := wire.WriteMessage(nc, &wire.Hello{Version: wire.MaxVersion}); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := wire.ReadMessage(nc)
@@ -216,8 +216,8 @@ func TestV1ClientStillServed(t *testing.T) {
 	if !ok {
 		t.Fatalf("expected Welcome, got %#v", msg)
 	}
-	if w.Version != 1 {
-		t.Fatalf("negotiated version %d for a v1 client, want 1", w.Version)
+	if w.Version != wire.MaxVersion {
+		t.Fatalf("welcomed at version %d, want %d", w.Version, wire.MaxVersion)
 	}
 
 	if err := wire.WriteMessage(nc, &wire.Query{SQL: "SELECT count(*) FROM pts"}); err != nil {
@@ -234,7 +234,7 @@ func TestV1ClientStillServed(t *testing.T) {
 		case *wire.Done:
 			rows = m.RowCount
 		case *wire.Error:
-			t.Fatalf("server error for v1 query: %v", m)
+			t.Fatalf("server error for untraced query: %v", m)
 		default:
 			t.Fatalf("unexpected %T", msg)
 		}
@@ -243,7 +243,7 @@ func TestV1ClientStillServed(t *testing.T) {
 		}
 	}
 	if rows != 1 {
-		t.Fatalf("v1 query returned %d rows, want 1", rows)
+		t.Fatalf("untraced query returned %d rows, want 1", rows)
 	}
 
 	// The untraced query still got a server-minted trace in the slowlog.

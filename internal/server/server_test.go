@@ -469,26 +469,29 @@ func TestHandshakeRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestVersionMismatchRejected pins the protocol-versioning contract.
+// TestVersionMismatchRejected pins the single-version contract: the server
+// refuses every Hello but Hello{MaxVersion}, older versions included.
 func TestVersionMismatchRejected(t *testing.T) {
 	db := engine.NewDB()
 	srv := startServer(t, db, Config{})
 
-	nc, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	if err := wire.WriteMessage(nc, &wire.Hello{Version: wire.MaxVersion + 7}); err != nil {
-		t.Fatal(err)
-	}
-	nc.SetReadDeadline(time.Now().Add(2 * time.Second))
-	msg, err := wire.ReadMessage(nc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, ok := msg.(*wire.Error)
-	if !ok || e.Code != wire.CodeVersionMismatch {
-		t.Fatalf("got %#v, want CodeVersionMismatch error", msg)
+	for _, v := range []uint32{1, 2, 3, wire.MaxVersion + 7} {
+		nc, err := net.Dial("tcp", srv.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteMessage(nc, &wire.Hello{Version: v}); err != nil {
+			t.Fatal(err)
+		}
+		nc.SetReadDeadline(time.Now().Add(2 * time.Second))
+		msg, err := wire.ReadMessage(nc)
+		nc.Close()
+		if err != nil {
+			t.Fatalf("Hello{%d}: %v", v, err)
+		}
+		e, ok := msg.(*wire.Error)
+		if !ok || e.Code != wire.CodeVersionMismatch {
+			t.Fatalf("Hello{%d}: got %#v, want CodeVersionMismatch error", v, msg)
+		}
 	}
 }

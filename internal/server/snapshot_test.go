@@ -7,31 +7,40 @@ import (
 	"testing"
 
 	"sgb/internal/core"
-	"sgb/internal/engine"
 )
 
-// TestSnapshotRoundTrip covers the full sgbd -snapshot save/load cycle:
-// tables with data, secondary indexes, and the SGB algorithm selection must
-// all survive, and a loaded server must answer queries (including
-// index-assisted and SGB ones) identically to the original.
+// TestSnapshotRoundTrip covers the server's snapshot save/load cycle, the
+// store checkpoint: tables with data, an empty table, secondary indexes and
+// the SGB algorithm selection must all survive a reopen, and the recovered
+// database must answer queries (including index-assisted and SGB ones)
+// identically to the original.
 func TestSnapshotRoundTrip(t *testing.T) {
-	db := engine.NewDB()
+	dir := t.TempDir()
+	s1, err := OpenStore(StoreOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := s1.DB()
 	db.SetSGBAlgorithm(core.BoundsChecking)
-	mustExecSQL(t, db, "CREATE TABLE pts (id INT, x FLOAT, y FLOAT, tag TEXT)")
-	mustExecSQL(t, db, `INSERT INTO pts VALUES
+	mustExec(t, db, "CREATE TABLE pts (id INT, x FLOAT, y FLOAT, tag TEXT)")
+	mustExec(t, db, `INSERT INTO pts VALUES
 		(1, 0.5, 0.5, 'a'), (2, 1.0, 1.25, 'a'), (3, 9.0, 9.5, 'b'),
 		(4, 9.25, 9.75, 'b'), (5, 50.0, 50.0, 'c')`)
-	mustExecSQL(t, db, "CREATE TABLE empty_t (n INT)")
-	mustExecSQL(t, db, "CREATE INDEX pts_tag ON pts (tag)")
-
-	path := filepath.Join(t.TempDir(), "snap.sgb")
-	if err := SaveSnapshotFile(db, path); err != nil {
-		t.Fatalf("save: %v", err)
+	mustExec(t, db, "CREATE TABLE empty_t (n INT)")
+	mustExec(t, db, "CREATE INDEX pts_tag ON pts (tag)")
+	if err := s1.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
 	}
-	loaded, err := LoadSnapshotFile(path)
+	// Crash after the checkpoint: the reopen must come from the snapshot.
+	s2, err := OpenStore(StoreOptions{Dir: dir})
 	if err != nil {
-		t.Fatalf("load: %v", err)
+		t.Fatalf("reopen: %v", err)
 	}
+	defer s2.Close()
+	if got := s2.ReplayedRecords(); got != 0 {
+		t.Errorf("replayed %d records, want 0 (the snapshot covers every write)", got)
+	}
+	loaded := s2.DB()
 
 	if got := loaded.SGBAlgorithm(); got != core.BoundsChecking {
 		t.Errorf("SGB algorithm not restored: got %v", got)
@@ -52,6 +61,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for _, q := range []string{
 		"SELECT id FROM pts WHERE tag = 'b' ORDER BY id",
 		"SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 2 ON-OVERLAP FORM-NEW-GROUP ORDER BY count(*)",
+		"SELECT count(*) FROM empty_t",
 	} {
 		want, err := db.Exec(q)
 		if err != nil {
@@ -65,87 +75,49 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotCorruptedFile pins the error path: truncated and garbage
-// snapshot files must fail loudly at load, not produce an empty database.
+// TestSnapshotCorruptedFile pins the error path: a truncated or garbage
+// snapshot must fail the reopen loudly, naming the file, not produce an
+// empty database.
 func TestSnapshotCorruptedFile(t *testing.T) {
-	db := engine.NewDB()
-	mustExecSQL(t, db, "CREATE TABLE t (n INT)")
-	mustExecSQL(t, db, "INSERT INTO t VALUES (1), (2), (3)")
-
 	dir := t.TempDir()
-	path := filepath.Join(dir, "snap.sgb")
-	if err := SaveSnapshotFile(db, path); err != nil {
+	s, err := OpenStore(StoreOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, s.DB(), "CREATE TABLE t (n INT)")
+	mustExec(t, s.DB(), "INSERT INTO t VALUES (1), (2), (3)")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, checkpointFile))
+	if err != nil {
 		t.Fatal(err)
 	}
 
+	// reopen opens a store on a fresh directory whose only file is a
+	// snapshot holding image (Close trimmed the log the snapshot covers).
+	reopen := func(t *testing.T, image []byte) error {
+		t.Helper()
+		bad := t.TempDir()
+		if err := os.WriteFile(filepath.Join(bad, checkpointFile), image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenStore(StoreOptions{Dir: bad})
+		if err == nil {
+			s.Close()
+		}
+		return err
+	}
 	t.Run("truncated", func(t *testing.T) {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trunc := filepath.Join(dir, "trunc.sgb")
-		if err := os.WriteFile(trunc, raw[:len(raw)/2], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadSnapshotFile(trunc); err == nil {
+		if err := reopen(t, raw[:len(raw)/2]); err == nil {
 			t.Fatal("truncated snapshot loaded without error")
-		} else if !strings.Contains(err.Error(), "snapshot") {
+		} else if !strings.Contains(err.Error(), checkpointFile) {
 			t.Errorf("error does not identify the snapshot: %v", err)
 		}
 	})
 	t.Run("garbage", func(t *testing.T) {
-		garbage := filepath.Join(dir, "garbage.sgb")
-		if err := os.WriteFile(garbage, []byte("this is not a gob stream at all"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadSnapshotFile(garbage); err == nil {
+		if err := reopen(t, []byte("this is not a gob stream at all")); err == nil {
 			t.Fatal("garbage snapshot loaded without error")
 		}
 	})
-	t.Run("missing", func(t *testing.T) {
-		if _, err := LoadSnapshotFile(filepath.Join(dir, "nope.sgb")); !os.IsNotExist(err) {
-			t.Errorf("want IsNotExist, got %v", err)
-		}
-	})
-}
-
-// TestSnapshotSaveAtomic checks a failed save cannot clobber the previous
-// snapshot: saving over an existing file goes through a temp file + rename.
-func TestSnapshotSaveAtomic(t *testing.T) {
-	db := engine.NewDB()
-	mustExecSQL(t, db, "CREATE TABLE t (n INT)")
-	path := filepath.Join(t.TempDir(), "snap.sgb")
-	if err := SaveSnapshotFile(db, path); err != nil {
-		t.Fatal(err)
-	}
-	// Overwrite with a second save; the temp file must not linger.
-	mustExecSQL(t, db, "INSERT INTO t VALUES (42)")
-	if err := SaveSnapshotFile(db, path); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(filepath.Dir(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Errorf("stray files after save: %v", entries)
-	}
-	loaded, err := LoadSnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := loaded.Exec("SELECT count(*) FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows[0][0].I != 1 {
-		t.Errorf("second save not visible after load: %v", res.Rows)
-	}
-}
-
-func mustExecSQL(t *testing.T, db *engine.DB, sql string) {
-	t.Helper()
-	if _, err := db.Exec(sql); err != nil {
-		t.Fatalf("exec: %v", err)
-	}
 }

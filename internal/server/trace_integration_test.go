@@ -18,7 +18,6 @@ import (
 
 	"sgb/internal/client"
 	"sgb/internal/obs"
-	"sgb/internal/wire"
 )
 
 // httpGet fetches url with a deadline, returning the body.
@@ -58,9 +57,6 @@ func TestEndToEndTraceInSlowlog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if v := conn.Version(); v != wire.MaxVersion {
-		t.Fatalf("negotiated version %d, want %d", v, wire.MaxVersion)
-	}
 
 	if _, err := conn.Exec("CREATE TABLE pts (id INT, x FLOAT, y FLOAT)"); err != nil {
 		t.Fatal(err)

@@ -69,9 +69,6 @@ func PackSeq(walSeq uint64, idx int) uint64 { return walSeq<<seqShift | uint64(i
 // StmtSeq extracts the WAL sequence a delta sequence was stamped with.
 func StmtSeq(seq uint64) uint64 { return seq >> seqShift }
 
-// DeltaIndex extracts the delta's index within its statement.
-func DeltaIndex(seq uint64) uint64 { return seq & (1<<seqShift - 1) }
-
 // Delta is one group-state transition of a materialized view. Group ids are
 // stable and content-derived: a group is identified by its smallest member
 // row id, which never changes while the group exists (new rows always get

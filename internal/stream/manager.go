@@ -44,13 +44,6 @@ func NewManager() *Manager {
 	return &Manager{ringCap: DefaultRingCap, views: make(map[string]*view)}
 }
 
-// SetRingCap overrides the per-view delta ring capacity (before wiring).
-func (m *Manager) SetRingCap(n int) {
-	if n > 0 {
-		m.ringCap = n
-	}
-}
-
 // Bootstrap primes the manager from db's current catalog and contents: every
 // materialized view gets a live grouper fed the full base table, silently (no
 // deltas — this state predates any subscriber). seq is the WAL sequence the

@@ -38,9 +38,6 @@ func (f *Forest) MakeSet() int { return f.Grow(1) }
 // Len reports the number of elements in the forest.
 func (f *Forest) Len() int { return len(f.parent) }
 
-// Sets reports the current number of disjoint sets.
-func (f *Forest) Sets() int { return f.sets }
-
 // Find returns the canonical representative of x's set, compressing the path
 // along the way.
 func (f *Forest) Find(x int) int {
@@ -71,9 +68,6 @@ func (f *Forest) Union(x, y int) int {
 	f.sets--
 	return rx
 }
-
-// Same reports whether x and y currently belong to the same set.
-func (f *Forest) Same(x, y int) bool { return f.Find(x) == f.Find(y) }
 
 // Groups materializes the current partition as a map from representative id
 // to member ids. Member order within a group follows element id order.

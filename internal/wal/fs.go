@@ -180,13 +180,6 @@ func (f *FaultFS) RestoreDisk() {
 	f.mu.Unlock()
 }
 
-// DiskFull reports whether the ENOSPC budget is exhausted.
-func (f *FaultFS) DiskFull() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.enospc == 0
-}
-
 // FailRenameAt arms the shim to fail the nth subsequent Rename call with
 // ErrNoSpace — the checkpoint-publish rename on a full disk. One-shot:
 // later renames succeed, so a retrying checkpoint recovers.
@@ -203,13 +196,6 @@ func (f *FaultFS) ShortWriteNextSegment() {
 	f.mu.Lock()
 	f.shortNext = true
 	f.mu.Unlock()
-}
-
-// Writes reports the total Write calls seen so far.
-func (f *FaultFS) Writes() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.writes
 }
 
 func (f *FaultFS) Create(name string) (File, error) {

@@ -24,7 +24,7 @@
 //
 // # Fsync policy
 //
-// SyncAlways fsyncs before Append returns: an acknowledged statement
+// SyncAlways fsyncs before AppendSynced returns: an acknowledged statement
 // survives power loss. SyncInterval fsyncs on a timer: a crash can lose up
 // to one interval of acknowledged statements. SyncNever leaves flushing to
 // the OS. The first write or fsync failure latches the log into a failed
@@ -233,15 +233,10 @@ func (l *Log) startSegment() error {
 	return nil
 }
 
-// Append writes one record and, under SyncAlways, makes it durable before
-// returning. The returned sequence number identifies the record in replay.
-func (l *Log) Append(kind byte, data []byte) (uint64, error) {
-	seq, _, err := l.AppendSynced(kind, data)
-	return seq, err
-}
-
-// AppendSynced is Append reporting how long the record's fsync took (zero
-// when the policy does not fsync inline). The serving layer records the
+// AppendSynced writes one record and, under SyncAlways, makes it durable
+// before returning. It reports the record's sequence number, which identifies
+// it in replay, and how long its fsync took (zero when the policy does not
+// fsync inline). The serving layer records the
 // duration as a wal_fsync span on the committing query's trace, attributing
 // durability cost to the statement that paid it.
 func (l *Log) AppendSynced(kind byte, data []byte) (uint64, time.Duration, error) {

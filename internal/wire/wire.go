@@ -11,43 +11,21 @@
 // still streaming, and the server aborts the in-flight statement — which is
 // why server sessions read frames concurrently with query execution.
 //
-// Result rows stream as typed RowBatch frames whose batch granularity is the
-// session's engine batch size, so the wire layer reuses the executor's
-// batched row representation instead of inventing its own. Values carry the
-// engine's type tags; the encoding round-trips engine.Value exactly
-// (including the NaN bit patterns the float encoding preserves).
+// Result rows stream as typed RowBatch frames of at most 1024 rows each
+// (internal/server's rowBatchRows). Values carry the engine's type tags; the
+// encoding round-trips engine.Value exactly (including the NaN bit patterns
+// the float encoding preserves).
 //
-// Protocol versioning: MaxVersion is a single monotonically increasing
-// integer. A server accepts any Hello version in [MinVersion, MaxVersion] and
-// echoes the accepted version in Welcome; it refuses anything else with
-// CodeVersionMismatch, naming its own range in the error message. A client
-// dialing an older server retries the handshake at the server's version.
-// Additive changes (new message types, new Set keys) that old peers can
-// safely ignore do not bump the version; changes to existing frame layouts
-// do. Every negotiation site — the server's Hello check and error text, the
-// client's opening dial — must reference MaxVersion rather than a literal, so
-// a version bump cannot leave a straggler advertising the old ceiling.
-//
-// Version history:
-//
-//	1: initial server protocol (PR 4).
-//	2: Query frames may carry a trailing trace ID for cross-boundary
-//	   tracing; Introspect/IntrospectResult messages expose the server's
-//	   process list and slow-query log. A v2 server still accepts v1
-//	   clients (which simply never attach trace IDs), and a v2 client
-//	   downgrades to v1 framing against a v1 server.
-//	3: streaming subscriptions over materialized similarity-group views:
-//	   Subscribe opens a delta stream with a WAL-seq resume token,
-//	   Subscribed acknowledges it, and Delta frames push typed group
-//	   changes (created / member joined / merged / dissolved). v1/v2
-//	   clients are unaffected — they never send Subscribe — and a v3
-//	   client still downgrades for plain queries against older servers.
-//	4: graceful degradation: CodeReadOnly (store degraded, writes
-//	   rejected) and CodeOverloaded (admission shed) failures, and Error
-//	   frames may carry a trailing retry-after hint in milliseconds.
-//	   Servers strip the hint when talking to pre-v4 clients, whose
-//	   decoders reject trailing bytes; pre-v4 clients are otherwise
-//	   unaffected and v4 clients still downgrade against older servers.
+// Protocol version: there is exactly one, MaxVersion. A server accepts only
+// Hello{MaxVersion} and refuses anything else with CodeVersionMismatch; a
+// client refuses a Welcome at any other version. Every client and server
+// that speaks the protocol is built from this tree, so there is no
+// negotiation and no downgrade. Additive changes (new message types, new Set
+// keys) do not bump the version; a change to an existing frame layout does,
+// and every handshake site references MaxVersion rather than a literal so a
+// bump cannot leave a straggler. Two frames carry optional trailing fields:
+// Query's trace ID (the server mints one when it is absent) and Error's
+// retry-after hint (omitted when zero).
 package wire
 
 import (
@@ -62,13 +40,10 @@ import (
 	"sgb/internal/obs"
 )
 
-// MaxVersion is the newest protocol version this package speaks, and the
-// single source of truth every negotiation site must reference. See the
-// package comment for the compatibility policy.
+// MaxVersion is the one protocol version this package speaks, and the single
+// source of truth every handshake site must reference. See the package
+// comment for the version policy.
 const MaxVersion = 4
-
-// MinVersion is the oldest protocol version a server still accepts.
-const MinVersion = 1
 
 // Magic opens every Hello payload, so a server can reject a stray HTTP or
 // MySQL client with a protocol error instead of a confusing decode failure.
@@ -89,8 +64,8 @@ const (
 	TypeCancel     byte = 0x05 // client: abort the in-flight query
 	TypeStats      byte = 0x06 // client: request the server metrics snapshot
 	TypeClose      byte = 0x07 // client: graceful goodbye
-	TypeIntrospect byte = 0x08 // client: request process list / slowlog (v2+)
-	TypeSubscribe  byte = 0x09 // client: open a materialized-view delta stream (v3+)
+	TypeIntrospect byte = 0x08 // client: request process list / slowlog
+	TypeSubscribe  byte = 0x09 // client: open a materialized-view delta stream
 
 	TypeWelcome          byte = 0x81 // server: handshake accepted
 	TypeRowHeader        byte = 0x82 // server: result column names
@@ -99,9 +74,9 @@ const (
 	TypeError            byte = 0x85 // server: typed failure
 	TypePong             byte = 0x86 // server: ping reply
 	TypeStatsText        byte = 0x87 // server: Prometheus text metrics
-	TypeIntrospectResult byte = 0x88 // server: introspection JSON (v2+)
-	TypeSubscribed       byte = 0x89 // server: subscription accepted (v3+)
-	TypeDelta            byte = 0x8A // server: one group delta (v3+)
+	TypeIntrospectResult byte = 0x88 // server: introspection JSON
+	TypeSubscribed       byte = 0x89 // server: subscription accepted
+	TypeDelta            byte = 0x8A // server: one group delta
 )
 
 // Delta kinds carried by the Delta message. The numeric values are shared
@@ -185,10 +160,9 @@ type Welcome struct {
 // Query submits one SQL statement.
 //
 // TraceID optionally correlates the statement with an end-to-end trace: 16
-// lowercase hex digits, minted by the client (or left empty, in which case a
-// v2 server mints one itself). The field rides as an optional trailing
-// string on the v1 Query layout — a v1 peer that never writes it produces
-// exactly the v1 frame, which is what keeps the two versions interoperable.
+// lowercase hex digits, minted by the client (or left empty, in which case
+// the server mints one itself). The field rides as an optional trailing
+// string after SQL and is omitted entirely when empty.
 type Query struct {
 	SQL     string
 	TraceID string
@@ -213,7 +187,7 @@ type Cancel struct{}
 // Stats requests the server's metrics registry; answered by StatsText.
 type Stats struct{}
 
-// Introspect (v2+) requests one of the server's live-introspection surfaces
+// Introspect requests one of the server's live-introspection surfaces
 // — What is IntrospectProcessList or IntrospectSlowLog. It is part of the
 // Stats family: answered out of band of queries with an IntrospectResult.
 type Introspect struct {
@@ -228,7 +202,7 @@ type IntrospectResult struct {
 	JSON string
 }
 
-// Subscribe (v3+) opens a delta stream over a materialized similarity-group
+// Subscribe opens a delta stream over a materialized similarity-group
 // view. Token is the resume position: the WAL sequence of the last delta the
 // client has durably consumed, or 0 for "from the beginning". The server
 // replays every retained delta with a sequence greater than Token before
@@ -239,7 +213,7 @@ type Subscribe struct {
 	Token uint64
 }
 
-// Subscribed (v3+) accepts a Subscribe. Seq is the view's current position
+// Subscribed accepts a Subscribe. Seq is the view's current position
 // (the WAL sequence of the last commit folded into it). When Snapshot is
 // true, the client's resume token was 0 or predated the server's delta
 // retention, so the frames that follow are a full state snapshot (synthetic
@@ -251,7 +225,7 @@ type Subscribed struct {
 	Snapshot bool
 }
 
-// Delta (v3+) is one typed change to a materialized view's group state.
+// Delta is one typed change to a materialized view's group state.
 // Group ids are stable: a group is identified by its smallest member row id.
 // Replay semantics, applied in stream order against a map of group id →
 // member set: Created sets the group; Joined unions Members in; Merged moves
@@ -302,8 +276,7 @@ type Error struct {
 	// RetryAfterMS, when nonzero, hints how many milliseconds the client
 	// should wait before retrying (CodeReadOnly: the degraded-probe
 	// interval; CodeOverloaded: the shed backoff). Encoded as an optional
-	// trailing field only when nonzero, and only to v4+ peers — older
-	// decoders reject trailing bytes.
+	// trailing field only when nonzero.
 	RetryAfterMS uint32
 }
 
@@ -370,28 +343,8 @@ func WriteMessage(w io.Writer, m Message) error {
 // clean boundary (no partial frame read); a frame truncated mid-way surfaces
 // as io.ErrUnexpectedEOF.
 func ReadMessage(r io.Reader) (Message, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return nil, err
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[1:5])
-	if n > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	return decodePayload(hdr[0], payload)
+	m, _, err := ReadMessageTimed(r)
+	return m, err
 }
 
 // ReadMessageTimed decodes the next frame and reports how long reading and
@@ -441,8 +394,7 @@ func appendPayload(b []byte, m Message) ([]byte, error) {
 			if !obs.ValidTraceID(m.TraceID) {
 				return nil, fmt.Errorf("%w: %q", ErrBadTraceID, m.TraceID)
 			}
-			// Optional v2 tail; omitted entirely when untraced so the frame
-			// stays byte-identical to the v1 layout.
+			// Optional tail; omitted entirely when untraced.
 			b = appendString(b, m.TraceID)
 		}
 	case *Set:
@@ -499,8 +451,7 @@ func appendPayload(b []byte, m Message) ([]byte, error) {
 	case *Error:
 		b = append(b, byte(m.Code>>8), byte(m.Code))
 		b = appendString(b, m.Message)
-		// Optional trailing retry-after hint (v4); omitted when zero so the
-		// common frame stays byte-identical to v3.
+		// Optional trailing retry-after hint; omitted when zero.
 		if m.RetryAfterMS != 0 {
 			b = appendUint32(b, m.RetryAfterMS)
 		}
@@ -601,7 +552,7 @@ func decodePayload(typ byte, b []byte) (Message, error) {
 		code := d.bytes(2)
 		msg := d.string()
 		var retryMS uint32
-		// Optional trailing retry-after hint (v4 servers, nonzero only).
+		// Optional trailing retry-after hint (nonzero only).
 		if d.err == nil && d.off < len(d.b) {
 			retryMS = d.uint32()
 		}

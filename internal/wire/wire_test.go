@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sgb/internal/engine"
+	"sgb/internal/obs"
 )
 
 // TestRoundTrip encodes and decodes one instance of every message type.
@@ -223,5 +224,94 @@ func TestErrorRetryAfterEncoding(t *testing.T) {
 	}
 	if e := got.(*Error); e.RetryAfterMS != 500 || e.RetryAfter() != 500*time.Millisecond {
 		t.Fatalf("hinted frame decoded RetryAfterMS=%d RetryAfter=%v", e.RetryAfterMS, e.RetryAfter())
+	}
+}
+
+func TestQueryTraceIDRoundTrip(t *testing.T) {
+	id := obs.NewTraceID()
+	want := &Query{SQL: "SELECT 1", TraceID: id}
+	var buf bytes.Buffer
+	if err := WriteMessage(&buf, want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadMessage(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %#v want %#v", got, want)
+	}
+}
+
+// TestQueryMalformedTraceID pins the typed rejection of bad trace IDs on
+// both the encode and decode sides.
+func TestQueryMalformedTraceID(t *testing.T) {
+	bad := []string{"short", "0123456789ABCDEF", "0123456789abcdefff", "xyzw456789abcdef"}
+	for _, id := range bad {
+		var buf bytes.Buffer
+		if err := WriteMessage(&buf, &Query{SQL: "SELECT 1", TraceID: id}); !errors.Is(err, ErrBadTraceID) {
+			t.Errorf("encode %q: got %v, want ErrBadTraceID", id, err)
+		}
+	}
+	// Hand-build frames with a malformed trailing trace ID (an honest encoder
+	// refuses to produce them, so splice the tail in by hand).
+	for _, id := range append(bad, "") {
+		payload := appendString(nil, "SELECT 1")
+		payload = appendString(payload, id)
+		frame := []byte{TypeQuery, 0, 0, 0, byte(len(payload))}
+		frame = append(frame, payload...)
+		_, err := ReadMessage(bytes.NewReader(frame))
+		if !errors.Is(err, ErrBadTraceID) {
+			t.Errorf("decode with trace id %q: got %v, want ErrBadTraceID", id, err)
+		}
+	}
+}
+
+func TestIntrospectRoundTrip(t *testing.T) {
+	msgs := []Message{
+		&Introspect{What: IntrospectProcessList},
+		&Introspect{What: IntrospectSlowLog},
+		&IntrospectResult{What: IntrospectProcessList, JSON: `[{"trace_id":"00aabbccddeeff11","state":"executing"}]`},
+		&IntrospectResult{What: IntrospectSlowLog, JSON: `[]`},
+	}
+	for _, want := range msgs {
+		var buf bytes.Buffer
+		if err := WriteMessage(&buf, want); err != nil {
+			t.Fatalf("write %T: %v", want, err)
+		}
+		got, err := ReadMessage(&buf)
+		if err != nil {
+			t.Fatalf("read %T: %v", want, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip %T: got %#v want %#v", want, got, want)
+		}
+	}
+}
+
+func TestReadMessageTimed(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteMessage(&buf, &Query{SQL: "SELECT 1", TraceID: obs.NewTraceID()}); err != nil {
+		t.Fatal(err)
+	}
+	m, d, err := ReadMessageTimed(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.(*Query); !ok {
+		t.Fatalf("decoded %T", m)
+	}
+	if d < 0 || d > time.Second {
+		t.Fatalf("implausible decode duration %v", d)
+	}
+	// Truncated payload still reports a duration alongside the error.
+	var buf2 bytes.Buffer
+	if err := WriteMessage(&buf2, &Query{SQL: "SELECT 1"}); err != nil {
+		t.Fatal(err)
+	}
+	b := buf2.Bytes()
+	if _, _, err := ReadMessageTimed(bytes.NewReader(b[:len(b)-2])); err == nil ||
+		!strings.Contains(err.Error(), "unexpected EOF") {
+		t.Fatalf("truncated timed read: %v", err)
 	}
 }
