@@ -113,6 +113,26 @@ func TestExpressionEvalTable(t *testing.T) {
 }
 
 // TestExpressionEvalErrors drives the evaluator's error paths.
+// TestScalarCallAllocBudget is the scalar-function row of the counter
+// budgets: a compiled scalar call evaluates its arguments into a slice it
+// owns, so a statement of scalar calls allocates nothing per row beyond its
+// result. The result's own allocations (arena chunks, the row list) grow with
+// the log of the row count: 1000 more rows may add a handful, not one per
+// call (3000 before the scratch slice).
+func TestScalarCallAllocBudget(t *testing.T) {
+	const q = "SELECT abs(x), coalesce(x, y), greatest(x, y) FROM nums"
+	allocs := func(n int) float64 {
+		db := NewDB()
+		loadNums(t, db, n, 3)
+		return testing.AllocsPerRun(5, func() { mustExec(t, db, q) })
+	}
+	small, large := allocs(1000), allocs(2000)
+	t.Logf("%.0f allocs at 1000 rows, %.0f at 2000", small, large)
+	if large-small > 10 {
+		t.Errorf("1000 more rows cost %.0f more allocs, want at most 10 (0 per row)", large-small)
+	}
+}
+
 func TestExpressionEvalErrors(t *testing.T) {
 	db := NewDB()
 	bad := []string{

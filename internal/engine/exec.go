@@ -12,23 +12,36 @@ import (
 )
 
 // operator is the Volcano iterator interface: open, a stream of next calls
-// terminated by io.EOF, then close.
+// terminated by io.EOF, then close. A row next returns is valid until the
+// operator's following next call: projections and joins write every row into
+// one reused output row. stableRows reports that the rows instead point into
+// table storage or a list the operator owns, and stay valid for the whole
+// statement; pass-through operators report their child's answer. The two
+// consumers that keep rows across next calls, materialize and the hash-join
+// build, copy the rows of an operator whose rows are not stable.
 type operator interface {
 	schema() Schema
 	open() error
 	next() (Row, error)
 	close() error
+	stableRows() bool
 }
 
-// materialize runs an operator to completion and buffers its output. Once per
-// cancelCheckStride rows (and once for the remainder at end of stream) it polls
-// for cancellation and charges the new rows against the statement's row and
-// memory budgets. qc may be nil (no limits, no cancellation).
+// materialize runs an operator to completion and buffers its output, copying
+// borrowed rows into an arena. Once per cancelCheckStride rows (and once for
+// the remainder at end of stream) it polls for cancellation and charges the new
+// rows against the statement's row and memory budgets; the copies are covered
+// by that per-row charge, so the arena charges nothing itself. qc may be nil
+// (no limits, no cancellation).
 func materialize(op operator, qc *queryCtx) ([]Row, error) {
 	if err := op.open(); err != nil {
 		return nil, err
 	}
 	defer op.close()
+	var arena *rowArena
+	if !op.stableRows() {
+		arena = &rowArena{}
+	}
 	var rows []Row
 	charged := 0
 	charge := func() error {
@@ -55,6 +68,9 @@ func materialize(op operator, qc *queryCtx) ([]Row, error) {
 		}
 		if err != nil {
 			return nil, err
+		}
+		if arena != nil {
+			r, _ = arena.copy(r, nil) // charges nothing, so cannot fail
 		}
 		rows = append(rows, r)
 		if len(rows)-charged == cancelCheckStride {
@@ -83,9 +99,10 @@ func newScanOp(t *Table, alias string, qc *queryCtx) *scanOp {
 	return &scanOp{table: t, sch: sch, qc: qc}
 }
 
-func (s *scanOp) schema() Schema { return s.sch }
-func (s *scanOp) open() error    { s.pos = 0; return nil }
-func (s *scanOp) close() error   { return nil }
+func (s *scanOp) schema() Schema   { return s.sch }
+func (s *scanOp) open() error      { s.pos = 0; return nil }
+func (s *scanOp) close() error     { return nil }
+func (s *scanOp) stableRows() bool { return true }
 
 func (s *scanOp) next() (Row, error) {
 	if s.pos >= len(s.table.Rows) {
@@ -108,9 +125,10 @@ type valuesOp struct {
 	pos  int
 }
 
-func (v *valuesOp) schema() Schema { return v.sch }
-func (v *valuesOp) open() error    { v.pos = 0; return nil }
-func (v *valuesOp) close() error   { return nil }
+func (v *valuesOp) schema() Schema   { return v.sch }
+func (v *valuesOp) open() error      { v.pos = 0; return nil }
+func (v *valuesOp) close() error     { return nil }
+func (v *valuesOp) stableRows() bool { return true }
 
 func (v *valuesOp) next() (Row, error) {
 	if v.pos >= len(v.rows) {
@@ -140,9 +158,10 @@ type filterOp struct {
 	qc *queryCtx
 }
 
-func (f *filterOp) schema() Schema { return f.child.schema() }
-func (f *filterOp) open() error    { return f.child.open() }
-func (f *filterOp) close() error   { return f.child.close() }
+func (f *filterOp) schema() Schema   { return f.child.schema() }
+func (f *filterOp) open() error      { return f.child.open() }
+func (f *filterOp) close() error     { return f.child.close() }
+func (f *filterOp) stableRows() bool { return f.child.stableRows() }
 
 func (f *filterOp) next() (Row, error) {
 	for {
@@ -163,7 +182,7 @@ func (f *filterOp) next() (Row, error) {
 	}
 }
 
-// ---- output row arena (projection, joins) ----
+// ---- copies of borrowed rows (materialize, hash-join build) ----
 
 // Arena chunks grow geometrically between these row counts, so a small answer
 // does not pay for a full-size chunk.
@@ -172,17 +191,21 @@ const (
 	arenaMaxChunk   = 1024
 )
 
-// rowArena carves an operator's output rows from []Value chunks: one
-// allocation and one memory charge per chunk instead of one allocation per
-// row. Chunks are never recycled, so consumers may retain every row.
+// rowArena holds the copies a retaining consumer makes of borrowed rows,
+// carved from []Value chunks: one allocation and one memory charge per chunk
+// instead of one allocation per row. Chunks are never recycled, so every copy
+// stays valid for the statement.
 type rowArena struct {
 	free  []Value // unused tail of the current chunk
 	chunk int     // row count of the last chunk allocated
 }
 
-// row returns a fresh row of width w. A zero-width row is empty but non-nil:
-// it is still a row (count(*) over a join nothing above reads counts it).
-func (a *rowArena) row(w int, qc *queryCtx) (Row, error) {
+// copy returns a copy of r that outlives the producer's next call, charging
+// each new chunk to qc (nil charges nothing). A zero-width copy is empty but
+// non-nil: it is still a row (count(*) over a join nothing above reads
+// counts it).
+func (a *rowArena) copy(r Row, qc *queryCtx) (Row, error) {
+	w := len(r)
 	if w == 0 {
 		return Row{}, nil
 	}
@@ -194,6 +217,7 @@ func (a *rowArena) row(w int, qc *queryCtx) (Row, error) {
 		a.free = make([]Value, a.chunk*w)
 	}
 	out := a.free[:w:w]
+	copy(out, r)
 	a.free = a.free[w:]
 	return out, nil
 }
@@ -205,40 +229,36 @@ type projectOp struct {
 	child operator
 	sch   Schema
 	fns   []evalFn
-	qc    *queryCtx
-	arena rowArena
+	out   Row // the reused output row
 }
 
-func (p *projectOp) schema() Schema { return p.sch }
-func (p *projectOp) open() error    { return p.child.open() }
-func (p *projectOp) close() error   { return p.child.close() }
+func (p *projectOp) schema() Schema   { return p.sch }
+func (p *projectOp) open() error      { p.out = make(Row, len(p.fns)); return p.child.open() }
+func (p *projectOp) close() error     { return p.child.close() }
+func (p *projectOp) stableRows() bool { return false }
 
 func (p *projectOp) next() (Row, error) {
 	r, err := p.child.next()
 	if err != nil {
 		return nil, err
 	}
-	out, err := p.arena.row(len(p.fns), p.qc)
-	if err != nil {
-		return nil, err
-	}
 	for i, f := range p.fns {
-		if out[i], err = f(r); err != nil {
+		if p.out[i], err = f(r); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return p.out, nil
 }
 
 // ---- joins ----
 
 // joinOutput is the output side the hash and cross joins share: which input
-// columns a join emits, and the arena its output rows are carved from.
+// columns a join emits, and the one output row it writes them into.
 type joinOutput struct {
 	sch         Schema
 	left, right []int // input column positions emitted, left's then right's
 	qc          *queryCtx
-	arena       rowArena
+	out         Row // the reused output row; non-nil even at width 0
 }
 
 // newJoinOutput keeps the columns of left‖right that refs may reference, in
@@ -256,23 +276,22 @@ func newJoinOutput(left, right Schema, refs *refSet, qc *queryCtx) joinOutput {
 	}
 	o.left = keep(left)
 	o.right = keep(right)
+	o.out = make(Row, len(o.sch))
 	return o
 }
 
-// emit carves one output row from a matching pair of input rows.
-func (o *joinOutput) emit(l, r Row) (Row, error) {
-	out, err := o.arena.row(len(o.sch), o.qc)
-	if err != nil {
-		return nil, err
-	}
+func (o *joinOutput) stableRows() bool { return false }
+
+// emit writes one output row from a matching pair of input rows.
+func (o *joinOutput) emit(l, r Row) Row {
 	for i, c := range o.left {
-		out[i] = l[c]
+		o.out[i] = l[c]
 	}
 	n := len(o.left)
 	for i, c := range o.right {
-		out[n+i] = r[c]
+		o.out[n+i] = r[c]
 	}
-	return out, nil
+	return o.out
 }
 
 // ---- hash join (equi) ----
@@ -313,6 +332,12 @@ func (j *hashJoinOp) open() error {
 	j.table = make(map[string]int)
 	j.buckets = j.buckets[:0]
 	j.buildRows = 0
+	// The buckets keep the build rows, so borrowed ones are copied (and
+	// charged) here.
+	var arena *rowArena
+	if !j.right.stableRows() {
+		arena = &rowArena{}
+	}
 	for {
 		r, err := j.right.next()
 		if err == io.EOF {
@@ -339,6 +364,12 @@ func (j *hashJoinOp) open() error {
 			j.right.close()
 			return err
 		}
+		if arena != nil {
+			if r, err = arena.copy(r, j.qc); err != nil {
+				j.right.close()
+				return err
+			}
+		}
 		b, ok := j.table[string(j.keyBuf)]
 		if !ok {
 			b = len(j.buckets)
@@ -362,7 +393,7 @@ func (j *hashJoinOp) next() (Row, error) {
 		if j.matchI < len(j.matches) {
 			right := j.matches[j.matchI]
 			j.matchI++
-			return j.emit(j.probing, right)
+			return j.emit(j.probing, right), nil
 		}
 		l, err := j.left.next()
 		if err != nil {
@@ -455,7 +486,7 @@ func (j *crossJoinOp) next() (Row, error) {
 		if j.ri < len(j.rightRows) {
 			r := j.rightRows[j.ri]
 			j.ri++
-			return j.emit(j.cur, r)
+			return j.emit(j.cur, r), nil
 		}
 		l, err := j.left.next()
 		if err != nil {
@@ -477,8 +508,9 @@ type sortOp struct {
 	pos   int
 }
 
-func (s *sortOp) schema() Schema { return s.child.schema() }
-func (s *sortOp) close() error   { return nil }
+func (s *sortOp) schema() Schema   { return s.child.schema() }
+func (s *sortOp) close() error     { return nil }
+func (s *sortOp) stableRows() bool { return true }
 
 func (s *sortOp) open() error {
 	rows, err := materialize(s.child, s.qc)
@@ -541,9 +573,10 @@ type limitOp struct {
 	qc *queryCtx
 }
 
-func (l *limitOp) schema() Schema { return l.child.schema() }
-func (l *limitOp) open() error    { l.seen, l.skipped = 0, 0; return l.child.open() }
-func (l *limitOp) close() error   { return l.child.close() }
+func (l *limitOp) schema() Schema   { return l.child.schema() }
+func (l *limitOp) open() error      { l.seen, l.skipped = 0, 0; return l.child.open() }
+func (l *limitOp) close() error     { return l.child.close() }
+func (l *limitOp) stableRows() bool { return l.child.stableRows() }
 
 func (l *limitOp) next() (Row, error) {
 	for l.skipped < l.offset {
@@ -649,8 +682,9 @@ type hashAggOp struct {
 	nGroups int
 }
 
-func (a *hashAggOp) schema() Schema { return a.sch }
-func (a *hashAggOp) close() error   { return nil }
+func (a *hashAggOp) schema() Schema   { return a.sch }
+func (a *hashAggOp) close() error     { return nil }
+func (a *hashAggOp) stableRows() bool { return true }
 
 func (a *hashAggOp) open() error {
 	tbl := newAggTable(a.groupExprs, a.calls, a.qc)
@@ -750,8 +784,9 @@ type sgbAggOp struct {
 	lastDropped int
 }
 
-func (a *sgbAggOp) schema() Schema { return a.sch }
-func (a *sgbAggOp) close() error   { return nil }
+func (a *sgbAggOp) schema() Schema   { return a.sch }
+func (a *sgbAggOp) close() error     { return nil }
+func (a *sgbAggOp) stableRows() bool { return true }
 
 // colsOf maps the tuples onto the columnar grouping-space point set: one flat
 // float64 column per grouping expression, carved out of a single arena. The
@@ -891,7 +926,8 @@ func (d *distinctOp) open() error {
 	return d.child.open()
 }
 
-func (d *distinctOp) close() error { return d.child.close() }
+func (d *distinctOp) close() error     { return d.child.close() }
+func (d *distinctOp) stableRows() bool { return d.child.stableRows() }
 
 func (d *distinctOp) next() (Row, error) {
 	for {

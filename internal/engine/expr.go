@@ -445,16 +445,19 @@ func compileScalarCall(e *FuncCall, schema Schema, pc *planContext) (evalFn, err
 		}
 		return nil
 	}
+	// evalArgs evaluates the arguments into one slice the call owns, as
+	// aggCall.evalArgs does: every function below reads it before returning
+	// and none retains it, and a plan's expressions run on one goroutine.
+	scratch := make([]Value, len(args))
 	evalArgs := func(r Row) ([]Value, error) {
-		out := make([]Value, len(args))
 		for i, f := range args {
 			v, err := f(r)
 			if err != nil {
 				return nil, err
 			}
-			out[i] = v
+			scratch[i] = v
 		}
-		return out, nil
+		return scratch, nil
 	}
 	switch e.Name {
 	case "abs":

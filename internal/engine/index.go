@@ -148,8 +148,9 @@ type indexScanOp struct {
 	pos       int
 }
 
-func (s *indexScanOp) schema() Schema { return s.sch }
-func (s *indexScanOp) close() error   { return nil }
+func (s *indexScanOp) schema() Schema   { return s.sch }
+func (s *indexScanOp) close() error     { return nil }
+func (s *indexScanOp) stableRows() bool { return true }
 
 func (s *indexScanOp) open() error {
 	v, err := s.keyFn(nil)

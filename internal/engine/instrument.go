@@ -37,7 +37,8 @@ func (i *instrumentedOp) next() (Row, error) {
 	return r, err
 }
 
-func (i *instrumentedOp) close() error { return i.child.close() }
+func (i *instrumentedOp) close() error     { return i.child.close() }
+func (i *instrumentedOp) stableRows() bool { return i.child.stableRows() }
 
 // instrument wraps every node of an operator tree in an instrumentedOp,
 // rewiring each operator's child pointers in place. The returned root is the

@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"sgb/internal/core"
@@ -22,7 +21,7 @@ type Limits struct {
 	// 0 means unlimited.
 	MaxExecutionTime time.Duration
 	// MaxMemoryBytes caps the scratch memory a single statement may charge
-	// against the memory governor's accounting (projection arenas, aggregation
+	// against the memory governor's accounting (hash-join builds, aggregation
 	// tables, columnar scratch, materialized results). 0 means unlimited —
 	// the statement is then bounded only by the process budget, if one is
 	// set (DB.SetMemoryBudget).
@@ -94,8 +93,8 @@ type queryCtx struct {
 	// instrumented operators and stashes the EXPLAIN ANALYZE tree on the
 	// statement trace (see DB.SetTraceSampling).
 	analyze bool
-	rows    atomic.Int64
-	calls   atomic.Uint64
+	rows    int64
+	calls   uint64
 	// mem is the statement's memory account with the process governor; nil
 	// when no budget or per-query memory limit is configured.
 	mem *memAccount
@@ -113,7 +112,8 @@ func (q *queryCtx) tick() error {
 	if q == nil {
 		return nil
 	}
-	if q.calls.Add(1)%cancelCheckStride != 0 {
+	q.calls++
+	if q.calls%cancelCheckStride != 0 {
 		return nil
 	}
 	return q.ctx.Err()
@@ -133,7 +133,8 @@ func (q *queryCtx) addRows(n int) error {
 	if q == nil || q.maxRows <= 0 {
 		return nil
 	}
-	if q.rows.Add(int64(n)) > q.maxRows {
+	q.rows += int64(n)
+	if q.rows > q.maxRows {
 		return &ResourceLimitError{
 			Resource: "rows",
 			Limit:    fmt.Sprintf("%d rows materialized", q.maxRows),
@@ -144,7 +145,7 @@ func (q *queryCtx) addRows(n int) error {
 
 // growMem charges n bytes of statement-scratch growth against the per-query
 // memory limit and the process budget. Operators call it at the allocation
-// sites that actually grow — projection arenas, new aggregation buckets,
+// sites that actually grow — hash-join build copies, new aggregation buckets,
 // columnar scratch, materialized rows — so accounting tracks real footprint
 // without a per-row branch.
 func (q *queryCtx) growMem(n int64) error {

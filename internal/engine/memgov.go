@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"unsafe"
 )
 
 // Memory-footprint estimates for the governor's accounting. Charges are
@@ -12,9 +13,9 @@ import (
 // matters is that charges are proportional to real allocations and are
 // applied per chunk/bucket, never per row in a hot loop.
 const (
-	// memValueBytes approximates one boxed engine.Value (interface header +
-	// typical payload).
-	memValueBytes = 48
+	// memValueBytes is one Value as rows and group keys hold it: inline in a
+	// []Value, its string payload shared with storage, not copied.
+	memValueBytes = int64(unsafe.Sizeof(Value{}))
 	// memRowOverheadBytes approximates one materialized row's slice header
 	// and allocator slack.
 	memRowOverheadBytes = 24
@@ -257,7 +258,7 @@ func (a *memAccount) release() {
 }
 
 // SetMemoryBudget installs a process-wide cap, in bytes, on the statement
-// scratch memory the engine will admit concurrently — projection arenas,
+// scratch memory the engine will admit concurrently — hash-join build copies,
 // aggregation tables, columnar scratch, materialized results, matview delta
 // rings. 0 removes the cap (accounting still runs so the gauge stays
 // truthful). When the pool is exhausted, new statements queue (bounded, see

@@ -72,7 +72,7 @@ func TestMemoryGovernorPerQueryLimit(t *testing.T) {
 // the same memory however it runs: plainly, under EXPLAIN ANALYZE, or
 // trace-sampled. Each mode's smallest per-query MaxMemoryBytes at which the
 // statement succeeds must be equal, for a projection and for a hash join
-// (whose output arenas are charged too).
+// (whose materialized result is charged).
 func TestMemoryChargesMatchAcrossInstrumentation(t *testing.T) {
 	db := NewDB()
 	loadNums(t, db, 3000, 11)
@@ -115,6 +115,28 @@ func TestMemoryChargesMatchAcrossInstrumentation(t *testing.T) {
 		if plain != analyze || plain != sampled {
 			t.Errorf("%s: memory charged differs: plain %d, EXPLAIN ANALYZE %d, trace-sampled %d bytes", q, plain, analyze, sampled)
 		}
+	}
+}
+
+// TestJoinMemoryChargedWhereRetained: joins and projections reuse one output
+// row and charge nothing for it; only the consumers that keep rows charge for
+// them. Under a per-query limit an unaggregated join whose rows the result
+// keeps still fails, and the same join under count(*) no longer does (it
+// failed while every join and projection row was carved and charged).
+func TestJoinMemoryChargedWhereRetained(t *testing.T) {
+	db := analyzerDB(t)
+	const join = "SELECT n.id, d.label FROM nums n, dim d WHERE n.k = d.k"
+	db.SetLimits(Limits{MaxMemoryBytes: 64 << 10}) // 3000 result rows need ~300 KB
+	var rle *ResourceLimitError
+	if _, err := db.Exec(join); !errors.As(err, &rle) || rle.Resource != "memory" {
+		t.Fatalf("materialized join: got %v, want a memory *ResourceLimitError", err)
+	}
+	res, err := db.Exec("SELECT count(*) FROM (" + join + ") j")
+	if err != nil {
+		t.Fatalf("join under count(*): %v", err)
+	}
+	if got := res.Rows[0][0]; got != NewInt(3000) {
+		t.Fatalf("count = %v, want 3000", got)
 	}
 }
 

@@ -44,10 +44,13 @@ func TestFilterCancellationNonPollingChild(t *testing.T) {
 	}
 }
 
-// TestRowRetainContract pins the operator contract: rows a consumer retains
-// from next() stay valid (same contents) after later next() calls, through a
-// rename→project→filter→limit stack and through a hash join, each over a
-// values source. Both outputs span many arena chunks.
+// TestRowRetainContract pins the operator contract: a row is valid until its
+// operator's next call unless the operator reports stableRows, and the rows a
+// consumer keeps across next calls survive them because the keepers copy
+// borrowed rows. Rows out of materialize, a hash-join build, a sort and a cross
+// join's right side each come from a borrowed source (a join over a join, a
+// project under a sort, a join as a join's build side) spanning many arena
+// chunks.
 func TestRowRetainContract(t *testing.T) {
 	n := 10 * arenaMaxChunk
 	rows := make([]Row, n)
@@ -57,55 +60,76 @@ func TestRowRetainContract(t *testing.T) {
 	sch := Schema{{Name: "id", T: TypeInt}, {Name: "s", T: TypeString}}
 	qc := newQueryCtx(context.Background(), Limits{})
 	col := func(i int) evalFn { return func(r Row) (Value, error) { return r[i], nil } }
-
-	retain := func(t *testing.T, op operator, want int) {
+	values := func(alias string) operator { return &valuesOp{rows: rows, sch: sch.Qualify(alias)} }
+	// join matches every row of left with its id twin in right.
+	join := func(left, right operator) operator {
+		return newHashJoinOp(left, right, []evalFn{col(0)}, []evalFn{col(0)}, nil, qc)
+	}
+	// tripled is row i of a join of three values sources.
+	tripled := func(i int) Row {
+		return append(append(append(Row{}, rows[i]...), rows[i]...), rows[i]...)
+	}
+	// drain returns the rows op.next returned, and a copy of each taken
+	// before the following next call.
+	drain := func(t *testing.T, op operator) (got, copies []Row) {
 		t.Helper()
 		if err := op.open(); err != nil {
 			t.Fatal(err)
 		}
 		defer op.close()
-		type kept struct {
-			row  Row
-			want []Value
-		}
-		var retained []kept
 		for {
 			r, err := op.next()
 			if err == io.EOF {
-				break
+				return got, copies
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			retained = append(retained, kept{row: r, want: append([]Value(nil), r...)})
+			got, copies = append(got, r), append(copies, r.Clone())
 		}
-		if len(retained) != want {
-			t.Fatalf("%d rows, want %d", len(retained), want)
+	}
+	check := func(t *testing.T, got []Row, want func(i int) Row) {
+		t.Helper()
+		if len(got) != n {
+			t.Fatalf("%d rows, want %d", len(got), n)
 		}
-		for i, k := range retained {
-			if !reflect.DeepEqual([]Value(k.row), k.want) {
-				t.Fatalf("retained row %d was clobbered by a later next: %v != %v", i, k.row, k.want)
+		for i, r := range got {
+			if w := want(i); !reflect.DeepEqual(r, w) {
+				t.Fatalf("row %d = %v, want %v", i, r, w)
 			}
 		}
 	}
 
-	t.Run("project", func(t *testing.T) {
-		var op operator = &valuesOp{rows: rows, sch: sch}
-		op = &renameOp{child: op, sch: sch}
-		op = &projectOp{child: op, sch: sch, fns: []evalFn{col(0), col(1)}, qc: qc}
-		op = &filterOp{child: op, pred: func(r Row) (Value, error) {
-			return NewBool(r[0].I%3 != 1), nil
-		}, qc: qc}
-		op = &limitOp{child: op, n: n, offset: 5, qc: qc}
-		retain(t, op, n-n/3-5)
+	t.Run("materialize", func(t *testing.T) {
+		op := join(join(values("a"), values("b")), values("c"))
+		if op.stableRows() {
+			t.Fatal("a join reports stable rows")
+		}
+		got, err := materialize(op, qc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, got, tripled)
 	})
-	t.Run("hash join", func(t *testing.T) {
-		// Every left row matches its right twin: n rows of width 4, carved
-		// from chunks of 64, 128, ..., 1024 rows.
-		left := &valuesOp{rows: rows, sch: sch.Qualify("l")}
-		right := &valuesOp{rows: rows, sch: sch.Qualify("r")}
-		op := newHashJoinOp(left, right, []evalFn{col(0)}, []evalFn{col(0)}, nil, qc)
-		retain(t, op, n)
+	t.Run("hash-join build", func(t *testing.T) {
+		_, copies := drain(t, join(values("a"), join(values("b"), values("c"))))
+		check(t, copies, tripled)
+	})
+	t.Run("sort", func(t *testing.T) {
+		// The project swaps the columns; the sort orders by id descending.
+		proj := &projectOp{child: values("a"), sch: Schema{sch[1], sch[0]}, fns: []evalFn{col(1), col(0)}}
+		op := &sortOp{child: proj, keys: []evalFn{col(1)}, desc: []bool{true}, qc: qc}
+		if !op.stableRows() {
+			t.Fatal("sort reports borrowed rows")
+		}
+		got, _ := drain(t, op)
+		check(t, got, func(i int) Row { r := rows[n-1-i]; return Row{r[1], r[0]} })
+	})
+	t.Run("cross join right side", func(t *testing.T) {
+		one := &valuesOp{rows: rows[:1], sch: sch.Qualify("a")}
+		proj := &projectOp{child: values("b"), sch: sch.Qualify("b"), fns: []evalFn{col(0), col(1)}}
+		_, copies := drain(t, newCrossJoinOp(one, proj, nil, qc))
+		check(t, copies, func(i int) Row { return append(append(Row{}, rows[0]...), rows[i]...) })
 	})
 }
 
@@ -114,8 +138,11 @@ func TestRowRetainContract(t *testing.T) {
 // cross join above must pair each of them with every right row.
 func TestZeroWidthJoinRows(t *testing.T) {
 	var a rowArena
-	if r, err := a.row(0, nil); err != nil || r == nil {
-		t.Fatalf("zero-width row = %#v, %v; want a non-nil empty row", r, err)
+	if r, err := a.copy(Row{}, nil); err != nil || r == nil {
+		t.Fatalf("zero-width copy = %#v, %v; want a non-nil empty row", r, err)
+	}
+	if o := newJoinOutput(nil, nil, nil, nil); o.emit(nil, nil) == nil {
+		t.Fatal("zero-width join row is nil; want a non-nil empty row")
 	}
 	db := analyzerDB(t)
 	const q = "SELECT count(*) FROM nums n, dim d, dim e WHERE n.k = d.k"

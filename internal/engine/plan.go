@@ -47,6 +47,7 @@ func (r *renameOp) schema() Schema     { return r.sch }
 func (r *renameOp) open() error        { return r.child.open() }
 func (r *renameOp) next() (Row, error) { return r.child.next() }
 func (r *renameOp) close() error       { return r.child.close() }
+func (r *renameOp) stableRows() bool   { return r.child.stableRows() }
 
 // planSelect plans a SELECT statement: the analyzer's AST rules rewrite the
 // statement (copy-on-write), lowerSelect produces the operator tree —
@@ -389,7 +390,7 @@ func (pc *planContext) planProjection(items []SelectItem, child operator) (opera
 		fns = append(fns, f)
 		sch = append(sch, Column{Name: outputName(it, i), T: inferType(it.Expr, child.schema())})
 	}
-	return &projectOp{child: child, sch: sch, fns: fns, qc: pc.qc}, sch, nil
+	return &projectOp{child: child, sch: sch, fns: fns}, sch, nil
 }
 
 // planAggregate lowers a grouped (or globally aggregated) SELECT:
@@ -506,7 +507,7 @@ func (pc *planContext) planAggregate(stmt *SelectStmt, child operator, orderBy [
 		fns = append(fns, f)
 		outSchema = append(outSchema, Column{Name: outputName(stmt.Select[i], i), T: inferType(e, internal)})
 	}
-	return &projectOp{child: cur, sch: outSchema, fns: fns, qc: pc.qc}, nil
+	return &projectOp{child: cur, sch: outSchema, fns: fns}, nil
 }
 
 // aggRewriter replaces grouping expressions and aggregate calls with

@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -101,32 +102,57 @@ func TestForeignKeysValid(t *testing.T) {
 
 // TestTable2JoinAllocBudget is the join row of the counter budgets: what the
 // paper's Table 2 join statements allocate per execution at the benchmark's
-// size (SF 0.3, seed 1), within 5 % of the last measurement. GB2 is three
-// hash joins under a hash aggregate (252,455 before binary keys, arena join
-// rows and join column pruning; 5,542 after); GB1 is a join filtered through
-// an IN-subquery (108,906; 36,952). Budgets only ratchet down.
+// size (SF 0.3, seed 1), in objects and in bytes, within 5 % of the last
+// measurement. GB2 is three hash joins under a hash aggregate (252,455 objects
+// before binary keys, arena join rows and join column pruning; 5,542 after;
+// 11.68 MB while joins carved a row per match, 0.62 MB since they reuse one);
+// GB1 is a join filtered through an IN-subquery (108,906; 36,952; 2.76 MB
+// before the reused rows, 2.60 MB after); SGB3 is a join under a grouping
+// sub-select under SGB-All (13,759 objects and 6.55 MB before; 13,740 and
+// 1.39 MB after). Budgets only ratchet down.
 func TestTable2JoinAllocBudget(t *testing.T) {
 	db := engine.NewDB()
 	if err := Generate(Config{SF: 0.3, CustomersPerSF: 1500, Seed: 1}).Load(db); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		q      QuerySpec
-		budget float64
+		q              QuerySpec
+		allocs, mbytes float64
 	}{
-		{GB1(), 38800},
-		{GB2(), 5820},
+		{GB1(), 38800, 2.73},
+		{GB2(), 5750, 0.65},
+		{SGB3(0.2, core.JoinAny), 14430, 1.46},
 	} {
-		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := db.Exec(c.q.SQL); err != nil {
-				t.Fatal(err)
-			}
-		})
-		t.Logf("%s: %.0f allocs", c.q.ID, allocs)
-		if allocs > c.budget {
-			t.Errorf("%s: %.0f allocs, budget %.0f", c.q.ID, allocs, c.budget)
+		allocs, bytes := perExec(t, db, c.q.SQL)
+		mb := bytes / 1e6
+		t.Logf("%s: %.0f allocs, %.2f MB", c.q.ID, allocs, mb)
+		if allocs > c.allocs {
+			t.Errorf("%s: %.0f allocs, budget %.0f", c.q.ID, allocs, c.allocs)
+		}
+		if mb > c.mbytes {
+			t.Errorf("%s: %.2f MB allocated, budget %.2f MB", c.q.ID, mb, c.mbytes)
 		}
 	}
+}
+
+// perExec runs sql once to warm up, then five times, and returns the mean
+// objects and bytes allocated per execution, read from runtime.MemStats at
+// GOMAXPROCS 1 as testing.AllocsPerRun does.
+func perExec(t *testing.T, db *engine.DB, sql string) (allocs, bytes float64) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 5
+	var before, after runtime.MemStats
+	for i := 0; i <= runs; i++ {
+		if i == 1 {
+			runtime.ReadMemStats(&before)
+		}
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
 func table2DB(t *testing.T) *engine.DB {
