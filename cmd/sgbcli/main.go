@@ -59,7 +59,6 @@ import (
 
 	"sgb/internal/checkin"
 	"sgb/internal/client"
-	"sgb/internal/core"
 	"sgb/internal/engine"
 	"sgb/internal/stream"
 	"sgb/internal/tpch"
@@ -215,7 +214,7 @@ func meta(s *session, cmd string) bool {
 			fmt.Println("stats failed:", err)
 		}
 	case "\\limits":
-		lim := db.Limits()
+		lim := db.Settings().Limits
 		switch {
 		case len(fields) == 1:
 		case len(fields) == 2 && fields[1] == "off":
@@ -273,22 +272,15 @@ func meta(s *session, cmd string) bool {
 			fmt.Println("usage: \\alg auto|allpairs|bounds|index")
 			break
 		}
-		switch fields[1] {
-		case "auto":
-			db.SetSGBAlgorithmAuto()
-		case "allpairs":
-			db.SetSGBAlgorithm(core.AllPairs)
-		case "bounds":
-			db.SetSGBAlgorithm(core.BoundsChecking)
-		case "index":
-			db.SetSGBAlgorithm(core.IndexBounds)
-		default:
+		if alg, ok := engine.ParseSGBAlgorithm(fields[1]); ok {
+			db.SetSGBAlgorithm(alg)
+		} else {
 			fmt.Println("unknown algorithm:", fields[1])
 		}
-		if db.SGBAlgorithmIsAuto() {
+		if alg := db.Settings().SGBAlgorithm; alg == engine.SGBAuto {
 			fmt.Println("SGB algorithm: auto (cost-based per query)")
 		} else {
-			fmt.Println("SGB algorithm:", db.SGBAlgorithm())
+			fmt.Println("SGB algorithm:", alg)
 		}
 	case "\\save":
 		if len(fields) != 2 {

@@ -84,7 +84,6 @@ import (
 	"syscall"
 	"time"
 
-	"sgb/internal/core"
 	"sgb/internal/engine"
 	"sgb/internal/obs"
 	"sgb/internal/server"
@@ -283,18 +282,11 @@ func run(cfg daemonConfig) error {
 		streams.AttachEngine(db)
 	}
 
-	switch cfg.alg {
-	case "auto":
-		db.SetSGBAlgorithmAuto()
-	case "allpairs":
-		db.SetSGBAlgorithm(core.AllPairs)
-	case "bounds":
-		db.SetSGBAlgorithm(core.BoundsChecking)
-	case "index":
-		db.SetSGBAlgorithm(core.IndexBounds)
-	default:
+	alg, ok := engine.ParseSGBAlgorithm(cfg.alg)
+	if !ok {
 		return fmt.Errorf("unknown -alg %q (want auto|allpairs|bounds|index)", cfg.alg)
 	}
+	db.SetSGBAlgorithm(alg)
 	db.SetLimits(engine.Limits{MaxRowsMaterialized: cfg.maxRows, MaxExecutionTime: cfg.maxTime})
 	db.SetTraceSampling(cfg.traceSample)
 	db.SetAutoAnalyze(cfg.autoAnalyze)

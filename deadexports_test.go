@@ -20,7 +20,6 @@ var deadExportAllowed = map[string]string{
 	"internal/cluster.BIRCH":                     "§8 baseline that TestPaperShapes compares against",
 	"internal/cluster.DBSCAN":                    "§8 baseline that TestPaperShapes compares against",
 	"internal/cluster.KMeans":                    "§8 baseline that TestPaperShapes compares against",
-	"internal/engine.DB.SetOptimizer":            "naive-plan oracle of TestAnalyzerRewritesAreBitIdentical",
 	"internal/engine.Session.SetOptimizer":       "naive-plan oracle of TestAnalyzerRewritesAreBitIdentical",
 	"internal/engine.DB.SetExecHook":             "statement fault hook of the chaos and degraded-mode tests, beside the wal.FaultFS hooks",
 	"internal/engine.DurabilityError.Unwrap":     "errors.Is calls it",

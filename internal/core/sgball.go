@@ -30,6 +30,10 @@ const kernelBlock = 256
 // the head amortize kernel-call overhead over wide blocks.
 const kernelHead = 16
 
+// arenaChunk is the point count of AllGrouper's first storage chunk; each
+// later chunk doubles the previous one.
+const arenaChunk = 256
+
 // kernelBlockMin is the first kernel block size after the scalar head.
 // Blocks double from here up to kernelBlock, so a scan deciding at member k
 // computes fewer than 2k distances while long scans spend almost all their
@@ -78,6 +82,9 @@ type AllGrouper struct {
 	opt    Options
 	dim    int
 	points []geom.Point
+	// arena is the storage Add copies points into: points[i] is a slice of
+	// it (or of an earlier, full chunk), so the caller keeps its buffer.
+	arena []float64
 
 	active []*allGroup // groups of the current grouping round
 	final  []*allGroup // groups sealed by earlier FORM-NEW-GROUP rounds
@@ -103,6 +110,8 @@ type AllGrouper struct {
 	view  geom.Cols
 	dists []float64
 	mask  []bool
+	// ptBuf is the probe buffer AddCols feeds each row through.
+	ptBuf geom.Point
 
 	stats    Stats
 	useHull  bool
@@ -142,7 +151,9 @@ func (g *AllGrouper) checkCtx() error {
 }
 
 // Add feeds the next point, in input order, and returns its point id.
-// All points must share one dimensionality.
+// All points must share one dimensionality. The coordinates are copied into
+// chunked storage the grouper owns, without a per-point allocation, so the
+// caller may reuse p.
 func (g *AllGrouper) Add(p geom.Point) (int, error) {
 	if g.finished {
 		return 0, fmt.Errorf("core: Add after Finish")
@@ -174,8 +185,13 @@ func (g *AllGrouper) Add(p geom.Point) (int, error) {
 	} else if len(p) != g.dim {
 		return 0, ErrDimensionMismatch
 	}
+	if cap(g.arena)-len(g.arena) < g.dim {
+		g.arena = make([]float64, 0, max(arenaChunk*g.dim, 2*cap(g.arena)))
+	}
+	n := len(g.arena)
+	g.arena = append(g.arena, p...)
 	id := len(g.points)
-	g.points = append(g.points, p)
+	g.points = append(g.points, g.arena[n:len(g.arena):len(g.arena)])
 	g.stats.Points++
 	g.processPoint(id)
 	return id, nil
@@ -256,14 +272,25 @@ func (g *AllGrouper) Snapshot() (*Result, error) {
 	if g.finished {
 		return nil, fmt.Errorf("core: Snapshot after Finish")
 	}
-	res := &Result{Stats: g.stats}
+	res := &Result{Stats: g.stats, Groups: make([]Group, 0, len(g.final)+len(g.active))}
 	res.Stats.Rounds = 1
+	// Every group's ids are carved from one backing array.
+	total := 0
+	for _, grp := range g.final {
+		total += len(grp.members)
+	}
+	for _, grp := range g.active {
+		total += len(grp.members)
+	}
+	all := make([]int, 0, total)
 	collect := func(groups []*allGroup) {
 		for _, grp := range groups {
 			if len(grp.members) == 0 {
 				continue
 			}
-			ids := append([]int(nil), grp.members...)
+			n := len(all)
+			all = append(all, grp.members...)
+			ids := all[n:len(all):len(all)]
 			slices.Sort(ids)
 			res.Groups = append(res.Groups, Group{IDs: ids})
 		}
@@ -669,19 +696,12 @@ func (g *AllGrouper) rebuildGroup(grp *allGroup) {
 }
 
 // AddCols feeds every point of a columnar batch in row order, as if each had
-// been passed to Add. The coordinates are copied into a private row-major
-// arena (the grouper retains per-point storage for the rectangle and hull
-// summaries), one allocation per batch; c is not retained.
+// been passed to Add. The coordinates are copied out of c; c is not retained.
 func (g *AllGrouper) AddCols(c geom.Cols) error {
-	n, dim := c.Len(), c.Dim()
-	if n == 0 {
-		return nil
-	}
-	arena := make([]float64, n*dim)
+	n := c.Len()
 	for i := 0; i < n; i++ {
-		pt := geom.Point(arena[i*dim : (i+1)*dim : (i+1)*dim])
-		pt = c.PointAt(i, pt)
-		if _, err := g.Add(pt); err != nil {
+		g.ptBuf = c.PointAt(i, g.ptBuf)
+		if _, err := g.Add(g.ptBuf); err != nil {
 			return err
 		}
 	}

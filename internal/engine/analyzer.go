@@ -12,7 +12,7 @@ import "strings"
 // intermediate state: index-scan selection, predicate pushdown and join
 // column pruning in lowerSelect, and cost-based SGB algorithm selection in
 // planAggregate. Every applied rule is recorded on the planContext, and
-// DB.SetOptimizer(false) disables the whole pipeline except predicate
+// Session.SetOptimizer(false) disables the whole pipeline except predicate
 // pushdown (which is semantic: it fixes which source an ambiguous-looking
 // column resolves against and keeps cross joins from exploding).
 

@@ -96,12 +96,12 @@ func TestAutoAlgorithmMatchesEveryManualChoice(t *testing.T) {
 		"SELECT count(*) FROM nums GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 30 ON-OVERLAP JOIN-ANY",
 	}
 	for _, q := range queries {
-		db.SetSGBAlgorithmAuto()
+		db.SetSGBAlgorithm(SGBAuto)
 		auto, err := db.Exec(q)
 		if err != nil {
 			t.Fatalf("auto %s: %v", q, err)
 		}
-		for _, alg := range []core.Algorithm{core.AllPairs, core.BoundsChecking, core.IndexBounds} {
+		for _, alg := range []SGBAlgorithm{SGBAllPairs, SGBBounds, SGBIndex} {
 			db.SetSGBAlgorithm(alg)
 			manual, err := db.Exec(q)
 			if err != nil {
@@ -112,7 +112,7 @@ func TestAutoAlgorithmMatchesEveryManualChoice(t *testing.T) {
 			}
 		}
 	}
-	db.SetSGBAlgorithmAuto()
+	db.SetSGBAlgorithm(SGBAuto)
 }
 
 // TestAnalyzerRulesRecorded checks that each rule fires on (exactly) the plan
@@ -169,11 +169,9 @@ func TestCostBasedAlgorithmSelection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Thread the session's algorithm setting the way execTraced does; a
-		// bare planContext would always plan in auto mode.
-		pc := &planContext{db: db, qc: &queryCtx{
-			alg: db.SGBAlgorithm(), algAuto: db.SGBAlgorithmIsAuto(),
-		}}
+		// Thread the session's settings the way execTraced does; a bare
+		// planContext would always plan in auto mode.
+		pc := &planContext{db: db, qc: &queryCtx{set: db.Settings()}}
 		op, err := pc.planSelect(stmt.(*SelectStmt))
 		if err != nil {
 			t.Fatal(err)
@@ -198,8 +196,8 @@ func TestCostBasedAlgorithmSelection(t *testing.T) {
 	if op := plan("SELECT count(*) FROM nums GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 5"); op.algorithm != core.IndexBounds {
 		t.Errorf("3000-row table picked %v, want on-the-fly index", op.algorithm)
 	}
-	db.SetSGBAlgorithm(core.BoundsChecking)
-	defer db.SetSGBAlgorithmAuto()
+	db.SetSGBAlgorithm(SGBBounds)
+	defer db.SetSGBAlgorithm(SGBAuto)
 	if op := plan("SELECT count(*) FROM tiny GROUP BY x, y DISTANCE-TO-ALL L2 WITHIN 1 ON-OVERLAP JOIN-ANY"); op.algorithm != core.BoundsChecking || op.algAuto {
 		t.Errorf("manual override ignored: got %v (auto=%v)", op.algorithm, op.algAuto)
 	}

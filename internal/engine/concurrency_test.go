@@ -9,8 +9,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"sgb/internal/core"
 )
 
 // loadPoints bulk-creates a 2-D point table of n rows for long-running SGB
@@ -43,7 +41,7 @@ const slowSGBQuery = "SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 
 // canceled-queries counter, and leaves the DB fully usable.
 func TestExecContextCancellation(t *testing.T) {
 	db := NewDB()
-	db.SetSGBAlgorithm(core.AllPairs)
+	db.SetSGBAlgorithm(SGBAllPairs)
 	loadPoints(t, db, "pts", 30000, 7)
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -91,7 +89,7 @@ func TestExecContextPreCanceledDDL(t *testing.T) {
 // resource-limit error.
 func TestCallerDeadlineSurfacesAsContextError(t *testing.T) {
 	db := NewDB()
-	db.SetSGBAlgorithm(core.AllPairs)
+	db.SetSGBAlgorithm(SGBAllPairs)
 	loadPoints(t, db, "pts", 30000, 11)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -107,7 +105,7 @@ func TestCallerDeadlineSurfacesAsContextError(t *testing.T) {
 
 func TestMaxExecutionTimeLimit(t *testing.T) {
 	db := NewDB()
-	db.SetSGBAlgorithm(core.AllPairs)
+	db.SetSGBAlgorithm(SGBAllPairs)
 	loadPoints(t, db, "pts", 30000, 13)
 	db.SetLimits(Limits{MaxExecutionTime: 50 * time.Millisecond})
 	start := time.Now()
@@ -250,10 +248,10 @@ func TestConcurrentExecStress(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		algs := []core.Algorithm{core.AllPairs, core.IndexBounds}
+		algs := []SGBAlgorithm{SGBAllPairs, SGBIndex}
 		for i := 0; i < iters; i++ {
 			db.SetSGBAlgorithm(algs[i%2])
-			_ = db.SGBAlgorithm()
+			_ = db.Settings()
 			_ = db.LastTrace()
 			_ = db.LastSGBStats()
 		}
@@ -274,7 +272,7 @@ func TestConcurrentExecStress(t *testing.T) {
 // coarse (4x margin) to stay robust on loaded CI machines.
 func TestConcurrentReadersShareLock(t *testing.T) {
 	db := NewDB()
-	db.SetSGBAlgorithm(core.AllPairs)
+	db.SetSGBAlgorithm(SGBAllPairs)
 	loadPoints(t, db, "pts", 4000, 17)
 	q := "SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.001"
 

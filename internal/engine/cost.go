@@ -301,12 +301,12 @@ func sgbCost(mode SGBMode, alg core.Algorithm, n, g, k float64) float64 {
 }
 
 // resolveSGBAlgorithm picks the physical SGB algorithm for one aggregation:
-// the session's explicit \alg override when set, otherwise the cost-minimal
-// candidate under the statistics catalog. With the optimizer disabled, auto
-// resolves to the engine default (the on-the-fly index).
+// the algorithm the session's setting forces, otherwise (SGBAuto) the
+// cost-minimal candidate under the statistics catalog. With the optimizer
+// disabled, auto resolves to the engine default (the on-the-fly index).
 func (pc *planContext) resolveSGBAlgorithm(child operator, spec *SimilaritySpec) (core.Algorithm, bool) {
-	if !pc.qc.algorithmAuto() {
-		return pc.qc.algorithm(), false
+	if alg, ok := pc.qc.sgbAlgorithm().forced(); ok {
+		return alg, false
 	}
 	if !pc.qc.optimize() {
 		return core.IndexBounds, true

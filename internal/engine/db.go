@@ -12,35 +12,26 @@ import (
 	"sgb/internal/obs"
 )
 
-// DB is the engine's top-level handle: a catalog plus session settings.
+// DB is the engine's top-level handle: a catalog plus its default Session.
+// DB.Exec, SetSGBAlgorithm, SetLimits, LastTrace and the other Session
+// methods are the default session's, promoted; NewSession hands out further
+// sessions that start from a copy of its settings.
 //
 // A DB is safe for concurrent use. Statements are isolated by a
 // readers-writer lock: read-only statements (SELECT, EXPLAIN) run
 // concurrently with each other, while DDL/DML (CREATE, DROP, INSERT, UPDATE,
 // DELETE, COPY, index maintenance) runs exclusively. A statement that fails
 // or is canceled mid-flight leaves no partial catalog or table mutations
-// behind. Per-session state accessors (LastTrace, LastSGBStats,
-// SetSGBAlgorithm, SetLimits, ...) are individually thread-safe and reflect
-// the most recently completed statement.
+// behind.
 type DB struct {
+	// Session is the default session. Its own mutex guards only its
+	// settings and last-statement state.
+	Session
+
 	// mu is the statement lock: RLock for read-only statements, Lock for
 	// DDL/DML.
 	mu  sync.RWMutex
 	cat *Catalog
-
-	// stateMu guards the session settings and most-recent-statement state
-	// below, which concurrent read statements would otherwise race on.
-	stateMu sync.Mutex
-	sgbAlg  core.Algorithm
-	// sgbAuto, when set, lets the cost-based optimizer choose the SGB
-	// algorithm per query; sgbAlg is then only the fallback hint. Explicit
-	// SetSGBAlgorithm clears it, making sgbAlg a manual override.
-	sgbAuto bool
-	// noOptimize disables the cost-based analyzer rules (the plans fall back
-	// to the naive lowering) — the reference behaviour property tests compare
-	// against.
-	noOptimize bool
-	limits     Limits
 
 	metrics atomic.Pointer[obs.Registry]
 
@@ -72,22 +63,16 @@ type DB struct {
 	aaMu      sync.Mutex
 	aaCh      chan string
 	aaPending map[string]struct{}
-
-	// lastSGBStats holds the cost counters of the most recent SGB operator
-	// execution, when the last statement contained one.
-	lastSGBStats *core.Stats
-
-	// lastTrace is the completed trace of the most recent statement.
-	lastTrace *obs.Trace
 }
 
-// NewDB returns an empty database. SGB algorithm selection defaults to auto
-// (the cost-based optimizer picks per query, falling back to the on-the-fly
-// index — the paper's best-performing variant — when it has nothing to go
-// on). Each DB owns its metrics registry; callers wanting process-wide
-// aggregation can swap in obs.Default via SetMetrics.
+// NewDB returns an empty database whose default session has the zero
+// Settings: SGB algorithm selection is auto (the cost-based optimizer picks
+// per query), no limits, optimizer on. Each DB owns its metrics registry;
+// callers wanting process-wide aggregation can swap in obs.Default via
+// SetMetrics.
 func NewDB() *DB {
-	db := &DB{cat: NewCatalog(), sgbAlg: core.IndexBounds, sgbAuto: true}
+	db := &DB{cat: NewCatalog()}
+	db.Session.db = db
 	db.metrics.Store(obs.NewRegistry())
 	db.traceEvery.Store(DefaultTraceSampling)
 	db.gov.db = db
@@ -186,87 +171,11 @@ func (e *DurabilityError) Error() string {
 
 func (e *DurabilityError) Unwrap() error { return e.Err }
 
-// LastTrace returns the span trace (parse/plan/execute) of the most recent
-// statement, or nil before the first one.
-func (db *DB) LastTrace() *obs.Trace {
-	db.stateMu.Lock()
-	defer db.stateMu.Unlock()
-	return db.lastTrace
-}
-
 // Catalog exposes the table catalog for programmatic loading (the data
 // generators bypass SQL INSERT for bulk loads). The catalog is not
 // independently locked; load data before serving concurrent queries, or
 // synchronize externally.
 func (db *DB) Catalog() *Catalog { return db.cat }
-
-// SetSGBAlgorithm forces the physical implementation used by subsequent
-// similarity group-by executions (All-Pairs, Bounds-Checking, or the
-// on-the-fly index), overriding the optimizer's cost-based choice. It is the
-// engine-level switch the benchmark harness flips between the paper's
-// algorithm variants; SetSGBAlgorithmAuto restores cost-based selection.
-func (db *DB) SetSGBAlgorithm(a core.Algorithm) {
-	db.stateMu.Lock()
-	db.sgbAlg = a
-	db.sgbAuto = false
-	db.stateMu.Unlock()
-}
-
-// SetSGBAlgorithmAuto restores cost-based SGB algorithm selection (the
-// default): the optimizer picks per query from the statistics catalog.
-func (db *DB) SetSGBAlgorithmAuto() {
-	db.stateMu.Lock()
-	db.sgbAuto = true
-	db.stateMu.Unlock()
-}
-
-// SGBAlgorithm reports the currently selected SGB implementation (under auto
-// selection: the fallback hint the optimizer starts from).
-func (db *DB) SGBAlgorithm() core.Algorithm {
-	db.stateMu.Lock()
-	defer db.stateMu.Unlock()
-	return db.sgbAlg
-}
-
-// SGBAlgorithmIsAuto reports whether SGB algorithm selection is cost-based
-// (true, the default) or forced by SetSGBAlgorithm.
-func (db *DB) SGBAlgorithmIsAuto() bool {
-	db.stateMu.Lock()
-	defer db.stateMu.Unlock()
-	return db.sgbAuto
-}
-
-// SetOptimizer enables or disables the cost-based analyzer rules for
-// subsequent statements. Disabling (on=false) yields the naive plan lowering
-// — semantically identical, used as the reference in plan-equivalence tests.
-func (db *DB) SetOptimizer(on bool) {
-	db.stateMu.Lock()
-	db.noOptimize = !on
-	db.stateMu.Unlock()
-}
-
-// SetLimits installs per-query resource limits applied to every subsequent
-// statement. The zero Limits removes all bounds.
-func (db *DB) SetLimits(lim Limits) {
-	db.stateMu.Lock()
-	db.limits = lim
-	db.stateMu.Unlock()
-}
-
-// Limits reports the currently configured per-query resource limits.
-func (db *DB) Limits() Limits {
-	db.stateMu.Lock()
-	defer db.stateMu.Unlock()
-	return db.limits
-}
-
-// LastSGBStats returns the core operator counters from the most recent
-// statement that executed a similarity group-by, or nil.
-func (db *DB) LastSGBStats() *core.Stats {
-	db.stateMu.Lock()
-	defer db.stateMu.Unlock()
-	return db.lastSGBStats
-}
 
 // Result is a materialized statement result.
 type Result struct {
@@ -276,67 +185,6 @@ type Result struct {
 	Rows []Row
 	// RowsAffected counts rows inserted, updated, deleted or copied by DML.
 	RowsAffected int
-}
-
-// Exec parses and executes one SQL statement.
-func (db *DB) Exec(sql string) (*Result, error) {
-	return db.ExecContext(context.Background(), sql)
-}
-
-// ExecContext parses and executes one SQL statement under a context: once
-// ctx is canceled or its deadline expires, the statement aborts promptly
-// (operators poll on a row stride) and ExecContext returns ctx.Err(). A
-// canceled statement leaves no partial catalog or table mutations behind.
-func (db *DB) ExecContext(ctx context.Context, sql string) (*Result, error) {
-	return db.execSQL(ctx, sql, db.settings())
-}
-
-// settings snapshots the DB-level default settings. DB-level setters
-// (SetSGBAlgorithm, SetLimits, SetOptimizer) configure this
-// default; Sessions take an independent copy at creation time.
-func (db *DB) settings() Settings {
-	db.stateMu.Lock()
-	defer db.stateMu.Unlock()
-	return Settings{
-		SGBAlgorithm: db.sgbAlg,
-		SGBAuto:      db.sgbAuto,
-		Limits:       db.limits,
-		NoOptimize:   db.noOptimize,
-	}
-}
-
-// execSQL is the shared parse-then-execute driver behind DB.ExecContext and
-// Session.ExecContext; set is the caller's settings snapshot.
-func (db *DB) execSQL(ctx context.Context, sql string, set Settings) (*Result, error) {
-	return db.execSQLTrace(ctx, sql, set, obs.NewTrace())
-}
-
-// execSQLTrace is execSQL recording onto a caller-provided trace — the
-// server threads each remote query's propagated trace through here, so the
-// engine's parse/plan/execute spans land on the same trace as the server's
-// wire-decode and streaming spans.
-func (db *DB) execSQLTrace(ctx context.Context, sql string, set Settings, tr *obs.Trace) (*Result, error) {
-	if hp := db.execHook.Load(); hp != nil {
-		(*hp)(sql)
-	}
-	tr.SetState("parsing")
-	span := tr.StartSpan("parse")
-	stmt, err := Parse(sql)
-	span.End()
-	if err != nil {
-		db.stateMu.Lock()
-		db.lastTrace = tr
-		db.stateMu.Unlock()
-		db.Metrics().Counter("engine_parse_errors_total").Inc()
-		return nil, err
-	}
-	return db.execTraced(ctx, stmt, tr, set, sql)
-}
-
-// ExecStmtContext executes an already parsed statement under a context, with
-// the same cancellation semantics as ExecContext.
-func (db *DB) ExecStmtContext(ctx context.Context, stmt Statement) (*Result, error) {
-	return db.execTraced(ctx, stmt, obs.NewTrace(), db.settings(), "")
 }
 
 // isReadOnly reports whether stmt cannot mutate the catalog or table data,
@@ -352,13 +200,15 @@ func isReadOnly(stmt Statement) bool {
 
 // execTraced is the shared statement driver: it applies the configured time
 // limit, takes the statement lock in the right mode, runs the statement, and
-// folds the outcome into the metrics registry and the session state. set is
-// the caller's settings snapshot — the statement's whole execution shape
-// (algorithm, limits, optimizer) is fixed here, at plan time,
-// so concurrent sessions adjusting their own knobs cannot affect it. sql is
-// the statement's original text ("" for pre-parsed statements), handed to
-// the commit hook for write-ahead logging.
-func (db *DB) execTraced(ctx context.Context, stmt Statement, tr *obs.Trace, set Settings, sql string) (*Result, error) {
+// folds the outcome into the metrics registry and the session state. The
+// session's settings are snapshotted once here — the statement's whole
+// execution shape (algorithm, limits, optimizer) is fixed at plan time, so
+// concurrent sessions adjusting their own knobs cannot affect it. sql is the
+// statement's original text ("" for pre-parsed statements), handed to the
+// commit hook for write-ahead logging.
+func (s *Session) execTraced(ctx context.Context, stmt Statement, tr *obs.Trace, sql string) (*Result, error) {
+	db := s.db
+	set := s.Settings()
 	m := db.Metrics()
 	m.Counter("engine_statements_total").Inc()
 
@@ -385,11 +235,7 @@ func (db *DB) execTraced(ctx context.Context, stmt Statement, tr *obs.Trace, set
 		}
 	}
 	if err == nil {
-		qc := newQueryCtx(ctx, lim)
-		qc.mem = acct
-		qc.alg = set.SGBAlgorithm
-		qc.algAuto = set.SGBAuto
-		qc.noOpt = set.NoOptimize
+		qc := &queryCtx{ctx: ctx, set: set, sess: s, mem: acct}
 		if qc.analyze = db.sampleNow(); qc.analyze {
 			m.Counter("engine_statements_sampled_total").Inc()
 		}
@@ -441,9 +287,9 @@ func (db *DB) execTraced(ctx context.Context, stmt Statement, tr *obs.Trace, set
 	if errors.Is(err, context.DeadlineExceeded) && parent.Err() == nil && lim.MaxExecutionTime > 0 {
 		err = &ResourceLimitError{Resource: "time", Limit: lim.MaxExecutionTime.String()}
 	}
-	db.stateMu.Lock()
-	db.lastTrace = tr
-	db.stateMu.Unlock()
+	s.mu.Lock()
+	s.lastTrace = tr
+	s.mu.Unlock()
 	if err != nil {
 		m.Counter("engine_errors_total").Inc()
 		var rle *ResourceLimitError
@@ -457,21 +303,22 @@ func (db *DB) execTraced(ctx context.Context, stmt Statement, tr *obs.Trace, set
 	return res, err
 }
 
-// recordQueryMetrics folds one executed query into the registry and stashes
-// the SGB cost counters for LastSGBStats and the trace annotations.
+// recordQueryMetrics folds one executed query into the registry, the trace
+// annotations and the issuing session's LastSGBStats.
 func (db *DB) recordQueryMetrics(pc *planContext, tr *obs.Trace, dur time.Duration, rowsOut int) {
 	m := db.Metrics()
 	m.Counter("engine_queries_total").Inc()
 	m.Counter("engine_rows_returned_total").Add(int64(rowsOut))
 	m.Histogram("engine_query_seconds", obs.DefBuckets).Observe(dur.Seconds())
-	db.stateMu.Lock()
+	var last *core.Stats
 	if n := len(pc.sgbOps); n > 0 {
 		stats := pc.sgbOps[n-1].lastStats
-		db.lastSGBStats = &stats
-	} else {
-		db.lastSGBStats = nil
+		last = &stats
 	}
-	db.stateMu.Unlock()
+	s := pc.qc.sess
+	s.mu.Lock()
+	s.lastSGBStats = last
+	s.mu.Unlock()
 	for _, op := range pc.sgbOps {
 		s := op.lastStats
 		m.Counter("sgb_queries_total").Inc()

@@ -3,8 +3,6 @@ package engine
 import (
 	"strings"
 	"testing"
-
-	"sgb/internal/core"
 )
 
 // evalScalar parses and evaluates a single constant SELECT item.
@@ -204,7 +202,7 @@ func TestAllPairsExactComparisonCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.SetSGBAlgorithm(core.AllPairs)
+	db.SetSGBAlgorithm(SGBAllPairs)
 	if _, err := db.Query("SELECT count(*) FROM iso GROUP BY x, y DISTANCE-TO-ALL L2 WITHIN 1 ON-OVERLAP ELIMINATE"); err != nil {
 		t.Fatal(err)
 	}

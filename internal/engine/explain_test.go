@@ -4,8 +4,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-
-	"sgb/internal/core"
 )
 
 // explainDB builds deterministic fixtures for the EXPLAIN golden tests:
@@ -183,8 +181,8 @@ func TestExplainGolden(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			if c.alg == "index" {
-				db.SetSGBAlgorithm(core.IndexBounds)
-				defer db.SetSGBAlgorithmAuto()
+				db.SetSGBAlgorithm(SGBIndex)
+				defer db.SetSGBAlgorithm(SGBAuto)
 			}
 			got := planLines(t, db, c.sql)
 			if len(got) != len(c.want) {

@@ -2,13 +2,12 @@ package engine
 
 import (
 	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-
-	"sgb/internal/core"
 )
 
 func TestExplainSimple(t *testing.T) {
@@ -54,7 +53,7 @@ func TestExplainSGB(t *testing.T) {
 	if !strings.Contains(plan, "SimilarityGroupBy DISTANCE-TO-ALL ELIMINATE L2 WITHIN 0.5") {
 		t.Errorf("SGB operator not in plan:\n%s", plan)
 	}
-	db.SetSGBAlgorithm(core.BoundsChecking)
+	db.SetSGBAlgorithm(SGBBounds)
 	res, err = db.Exec(`EXPLAIN SELECT count(*) FROM pts
 		GROUP BY x, y DISTANCE-TO-ANY LINF WITHIN 2`)
 	if err != nil {
@@ -143,9 +142,55 @@ func TestCopyErrors(t *testing.T) {
 	}
 }
 
+// TestLoadOldShapeSnapshot loads a checkpoint written while snapshots still
+// stored the SGB algorithm setting: gob skips the two fields the snapshot no
+// longer has, the tables and materialized views restore, and the loaded DB's
+// session starts from the default (auto) settings.
+func TestLoadOldShapeSnapshot(t *testing.T) {
+	src := NewDB()
+	mustExec(t, src, "CREATE TABLE pts (id INT, x FLOAT, y FLOAT)")
+	mustExec(t, src, "INSERT INTO pts VALUES (1, 0.5, 0.5), (2, 0.75, 0.5), (3, 9.0, 9.5)")
+	mustExec(t, src, "CREATE MATERIALIZED VIEW near AS SELECT x, y FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.5")
+	pts, err := src.Catalog().Get("pts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := struct {
+		Version   int
+		Tables    []*Table
+		SGBAlg    uint8
+		SGBManual bool
+		MatViews  []SavedMatView
+	}{
+		Version:   snapshotVersion,
+		Tables:    []*Table{pts},
+		SGBAlg:    1, // Bounds-Checking, forced
+		SGBManual: true,
+		MatViews:  []SavedMatView{{Name: "near", SQL: src.cat.MatViews()[0].SQL}},
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatalf("loading an old-shape snapshot: %v", err)
+	}
+	if got := loaded.Settings(); got != (Settings{}) {
+		t.Errorf("loaded DB settings = %+v, want the defaults (auto)", got)
+	}
+	const q = "SELECT id, x, y FROM pts ORDER BY id"
+	if got, want := queryStrings(t, loaded, q), queryStrings(t, src, q); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored rows %v, want %v", got, want)
+	}
+	if mv, ok := loaded.Catalog().MatView("near"); !ok || mv.SQL != old.MatViews[0].SQL {
+		t.Errorf("materialized view not restored: %+v", mv)
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	db := testDB(t)
-	db.SetSGBAlgorithm(core.BoundsChecking)
+	db.SetSGBAlgorithm(SGBBounds)
 	for _, sql := range []string{
 		"CREATE TABLE pts (id INT, x FLOAT, y FLOAT)",
 		`INSERT INTO pts VALUES (1, 0.5, 0.5), (2, 1.0, 1.25), (3, 9.0, 9.5),
@@ -164,14 +209,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.SGBAlgorithm() != core.BoundsChecking {
-		t.Error("SGB algorithm not restored")
-	}
 	if names := restored.Catalog().Names(); len(names) != 4 {
 		t.Errorf("catalog names = %v, want 4 tables", names)
 	}
 	// The restored database answers queries identically, including an SGB
-	// statement through the restored algorithm and a scan of the empty table.
+	// statement (Bounds-Checking on the original, auto selection on the
+	// restored DB, which starts from default settings) and a scan of the
+	// empty table.
 	for _, q := range []string{
 		"SELECT name, salary FROM emp ORDER BY id",
 		"SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 2 ON-OVERLAP FORM-NEW-GROUP ORDER BY count(*)",

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"time"
-
-	"sgb/internal/core"
 )
 
 // Limits bounds the resources a single statement may consume. A query that
@@ -72,23 +70,18 @@ func (e *ResourceLimitError) Global() bool { return e.Scope == LimitScopeGlobal 
 // the rest tick the statement's shared counter (see queryCtx.tick).
 const cancelCheckStride = 1024
 
-// queryCtx threads cancellation, row accounting, and the execution-shape
-// settings (SGB algorithm, optimizer) through one statement's operator tree.
-// Every operator of a plan shares one instance (including the plans of
-// scalar/IN subqueries), so the row budget is per statement, not per
-// operator. The nil *queryCtx is valid and never cancels or limits —
-// plan-only contexts (view validation) use it.
+// queryCtx threads cancellation, row accounting, and the statement's
+// Settings snapshot (SGB algorithm, limits, optimizer) through one
+// statement's operator tree. Every operator of a plan shares one instance
+// (including the plans of scalar/IN subqueries), so the row budget is per
+// statement, not per operator. The nil *queryCtx is valid and never cancels
+// or limits — plan-only contexts (view validation) use it.
 type queryCtx struct {
-	ctx     context.Context
-	maxRows int64 // 0 = unlimited
-	// alg is the statement's SGB physical algorithm, resolved from the
-	// session settings when the statement starts. algAuto marks it as a
-	// fallback hint only: the optimizer is free to pick per query.
-	alg     core.Algorithm
-	algAuto bool
-	// noOpt disables the cost-based analyzer rules for this statement,
-	// yielding the naive plan lowering (session setting, see DB.SetOptimizer).
-	noOpt bool
+	ctx context.Context
+	set Settings
+	// sess is the issuing session, which records the statement's
+	// LastSGBStats.
+	sess *Session
 	// analyze marks a trace-sampled statement: the executor wraps the plan in
 	// instrumented operators and stashes the EXPLAIN ANALYZE tree on the
 	// statement trace (see DB.SetTraceSampling).
@@ -98,10 +91,6 @@ type queryCtx struct {
 	// mem is the statement's memory account with the process governor; nil
 	// when no budget or per-query memory limit is configured.
 	mem *memAccount
-}
-
-func newQueryCtx(ctx context.Context, lim Limits) *queryCtx {
-	return &queryCtx{ctx: ctx, maxRows: lim.MaxRowsMaterialized}
 }
 
 // tick is called once per row-at-a-time operator step; every
@@ -130,14 +119,14 @@ func (q *queryCtx) poll() error {
 
 // addRows charges n newly materialized rows against the row budget.
 func (q *queryCtx) addRows(n int) error {
-	if q == nil || q.maxRows <= 0 {
+	if q == nil || q.set.Limits.MaxRowsMaterialized <= 0 {
 		return nil
 	}
 	q.rows += int64(n)
-	if q.rows > q.maxRows {
+	if limit := q.set.Limits.MaxRowsMaterialized; q.rows > limit {
 		return &ResourceLimitError{
 			Resource: "rows",
-			Limit:    fmt.Sprintf("%d rows materialized", q.maxRows),
+			Limit:    fmt.Sprintf("%d rows materialized", limit),
 		}
 	}
 	return nil
@@ -164,23 +153,17 @@ func (q *queryCtx) context() context.Context {
 	return q.ctx
 }
 
-// algorithm is the statement's SGB physical algorithm. Plan-only contexts
-// (view validation) have no executing statement and get the engine default.
-func (q *queryCtx) algorithm() core.Algorithm {
+// sgbAlgorithm is the statement's SGB algorithm setting. Plan-only contexts
+// (view validation) have no session and plan under SGBAuto.
+func (q *queryCtx) sgbAlgorithm() SGBAlgorithm {
 	if q == nil {
-		return core.IndexBounds
+		return SGBAuto
 	}
-	return q.alg
-}
-
-// algorithmAuto reports whether the statement's SGB algorithm is subject to
-// cost-based selection. Plan-only contexts are: they have no session override.
-func (q *queryCtx) algorithmAuto() bool {
-	return q == nil || q.algAuto
+	return q.set.SGBAlgorithm
 }
 
 // optimize reports whether the cost-based analyzer rules run for this
 // statement. Plan-only contexts optimize (the rules are semantics-preserving).
 func (q *queryCtx) optimize() bool {
-	return q == nil || !q.noOpt
+	return q == nil || !q.set.NoOptimize
 }

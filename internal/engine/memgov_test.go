@@ -38,7 +38,7 @@ const govQuery = "SELECT count(*), avg(x) FROM pts GROUP BY x, y DISTANCE-TO-ANY
 // with a query-scoped typed error, and the pool drains back to zero.
 func TestMemoryGovernorPerQueryLimit(t *testing.T) {
 	db := govTestDB(t, 2000)
-	lim := db.Limits()
+	lim := db.Settings().Limits
 	lim.MaxMemoryBytes = 4 << 10 // far below the query's working set
 	db.SetLimits(lim)
 

@@ -4,36 +4,19 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-
-	"sgb/internal/core"
 )
 
-// algFromByte decodes a stored algorithm selector, defaulting to the index
-// variant on unknown values.
-func algFromByte(b uint8) core.Algorithm {
-	switch a := core.Algorithm(b); a {
-	case core.AllPairs, core.BoundsChecking, core.IndexBounds:
-		return a
-	default:
-		return core.IndexBounds
-	}
-}
-
-// snapshot is the gob-encoded durable form of a database: the full catalog
-// plus session settings. The engine is an in-memory system like the paper's
-// prototype; snapshot persistence lets long-lived datasets (generated
-// benchmarks, loaded CSVs) be saved and reopened without regeneration.
-// Views are session-scoped query definitions and are not persisted;
-// materialized views are durable catalog objects and are.
+// snapshot is the gob-encoded durable form of a database: the full catalog.
+// The engine is an in-memory system like the paper's prototype; snapshot
+// persistence lets long-lived datasets (generated benchmarks, loaded CSVs) be
+// saved and reopened without regeneration. Views are session-scoped query
+// definitions and are not persisted; materialized views are durable catalog
+// objects and are. Session settings are not data and are not stored either:
+// gob skips the SGBAlg and SGBManual fields older snapshots still carry, and
+// a loaded DB starts from the default settings.
 type snapshot struct {
 	Version int
 	Tables  []*Table
-	SGBAlg  uint8
-	// SGBManual marks SGBAlg as an explicit override rather than the auto
-	// fallback hint. The field is inverted from DB.sgbAuto so snapshots
-	// written before cost-based selection existed (field absent, decodes
-	// false) restore into auto mode, today's default.
-	SGBManual bool
 	// MatViews stores each materialized view as its name plus the original
 	// SELECT text, re-parsed on load. The field is additive: snapshots from
 	// before materialized views existed decode it empty.
@@ -63,11 +46,7 @@ func (db *DB) SaveLocked(w io.Writer, locked func()) error {
 	if locked != nil {
 		locked()
 	}
-	snap := snapshot{
-		Version:   snapshotVersion,
-		SGBAlg:    uint8(db.SGBAlgorithm()),
-		SGBManual: !db.SGBAlgorithmIsAuto(),
-	}
+	snap := snapshot{Version: snapshotVersion}
 	for _, name := range db.cat.Names() {
 		t, err := db.cat.Get(name)
 		if err != nil {
@@ -91,13 +70,6 @@ func Load(r io.Reader) (*DB, error) {
 		return nil, fmt.Errorf("engine: unsupported snapshot version %d", snap.Version)
 	}
 	db := NewDB()
-	if snap.SGBManual {
-		db.SetSGBAlgorithm(algFromByte(snap.SGBAlg))
-	} else {
-		// Keep auto selection on but restore the fallback hint. Load runs
-		// before the DB is shared, so the direct write cannot race.
-		db.sgbAlg = algFromByte(snap.SGBAlg)
-	}
 	for _, t := range snap.Tables {
 		created, err := db.cat.Create(t.Name, t.Schema)
 		if err != nil {

@@ -29,7 +29,7 @@ func TestFilterCancellationNonPollingChild(t *testing.T) {
 	sch := Schema{{Name: "id", T: TypeInt}}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // canceled before the first row
-	qc := newQueryCtx(ctx, Limits{})
+	qc := &queryCtx{ctx: ctx}
 	f := &filterOp{
 		child: &distinctOp{child: &valuesOp{rows: rows, sch: sch}},
 		pred:  alwaysFalse,
@@ -58,7 +58,7 @@ func TestRowRetainContract(t *testing.T) {
 		rows[i] = Row{NewInt(int64(i)), NewString(fmt.Sprintf("s%d", i))}
 	}
 	sch := Schema{{Name: "id", T: TypeInt}, {Name: "s", T: TypeString}}
-	qc := newQueryCtx(context.Background(), Limits{})
+	qc := &queryCtx{ctx: context.Background()}
 	col := func(i int) evalFn { return func(r Row) (Value, error) { return r[i], nil } }
 	values := func(alias string) operator { return &valuesOp{rows: rows, sch: sch.Qualify(alias)} }
 	// join matches every row of left with its id twin in right.

@@ -46,7 +46,7 @@ func TestCostBasedChoiceCountedCost(t *testing.T) {
 	if _, err := db.Exec("ANALYZE"); err != nil {
 		t.Fatal(err)
 	}
-	defer db.SetSGBAlgorithmAuto()
+	defer db.SetSGBAlgorithm(engine.SGBAuto)
 
 	work := func(sql string, sgbAny bool) float64 {
 		t.Helper()
@@ -64,12 +64,12 @@ func TestCostBasedChoiceCountedCost(t *testing.T) {
 		{"SELECT count(*) FROM checkins GROUP BY lat, lon DISTANCE-TO-ANY L2 WITHIN 0.25", true},
 		{"SELECT count(*) FROM checkins GROUP BY lat, lon DISTANCE-TO-ALL LINF WITHIN 0.25 ON-OVERLAP ELIMINATE", false},
 	} {
-		db.SetSGBAlgorithmAuto()
+		db.SetSGBAlgorithm(engine.SGBAuto)
 		auto := work(c.sql, c.sgbAny)
 		best, bestAlg := math.Inf(1), ""
 		// SGB-Any's Bounds-Checking runs as the index; listed after it, the
 		// tie reports the index.
-		for _, alg := range []core.Algorithm{core.AllPairs, core.IndexBounds, core.BoundsChecking} {
+		for _, alg := range []engine.SGBAlgorithm{engine.SGBAllPairs, engine.SGBIndex, engine.SGBBounds} {
 			db.SetSGBAlgorithm(alg)
 			if w := work(c.sql, c.sgbAny); w < best {
 				best, bestAlg = w, alg.String()

@@ -53,17 +53,14 @@ func TestSessionSettingsIsolated(t *testing.T) {
 	b := db.NewSession()
 
 	a.SetLimits(Limits{MaxRowsMaterialized: 10})
-	a.SetSGBAlgorithm(core.AllPairs)
+	a.SetSGBAlgorithm(SGBAllPairs)
 
-	// b and the DB defaults are untouched by a's setters.
-	if got := b.Settings(); got.Limits.MaxRowsMaterialized != 0 || got.SGBAlgorithm != core.IndexBounds {
+	// b and the DB's default session are untouched by a's setters.
+	if got := b.Settings(); got.Limits.MaxRowsMaterialized != 0 || got.SGBAlgorithm != SGBAuto {
 		t.Fatalf("session b settings contaminated by a: %+v", got)
 	}
-	if db.SGBAlgorithm() != core.IndexBounds || !db.SGBAlgorithmIsAuto() {
-		t.Fatalf("DB defaults contaminated by session setters")
-	}
-	if db.Limits().MaxRowsMaterialized != 0 {
-		t.Fatalf("DB limits contaminated by session setters: %+v", db.Limits())
+	if got := db.Settings(); got != (Settings{}) {
+		t.Fatalf("DB default session contaminated by session setters: %+v", got)
 	}
 
 	// a's row limit applies to a only: the table has 100 rows.
@@ -96,9 +93,9 @@ func TestSessionSettingsResolvedAtPlanTime(t *testing.T) {
 	loadSessionTable(t, db, 4096)
 
 	allPairs := db.NewSession()
-	allPairs.SetSGBAlgorithm(core.AllPairs)
+	allPairs.SetSGBAlgorithm(SGBAllPairs)
 	index := db.NewSession()
-	index.SetSGBAlgorithm(core.IndexBounds)
+	index.SetSGBAlgorithm(SGBIndex)
 
 	const q = "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.5"
 	planOf := func(s *Session) string {
@@ -137,9 +134,9 @@ func TestSessionSettingsRace(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				s.SetLimits(Limits{MaxRowsMaterialized: int64(4096) << (i % 3)})
 				if i%2 == 0 {
-					s.SetSGBAlgorithm(core.AllPairs)
+					s.SetSGBAlgorithm(SGBAllPairs)
 				} else {
-					s.SetSGBAlgorithm(core.IndexBounds)
+					s.SetSGBAlgorithm(SGBIndex)
 				}
 				res, err := s.Exec("SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.5")
 				if err != nil {

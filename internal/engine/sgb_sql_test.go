@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"sgb/internal/core"
 )
 
 // sgbDB builds a table with the paper's Figure 2 points.
@@ -161,7 +159,7 @@ func TestSGBAlgorithmChoiceDoesNotChangeAnswers(t *testing.T) {
 	      GROUP BY x, y DISTANCE-TO-ALL L2 WITHIN 0.8 ON-OVERLAP ELIMINATE
 	      ORDER BY count(*)`
 	var results [][][]string
-	for _, alg := range []core.Algorithm{core.AllPairs, core.BoundsChecking, core.IndexBounds} {
+	for _, alg := range []SGBAlgorithm{SGBAllPairs, SGBBounds, SGBIndex} {
 		db.SetSGBAlgorithm(alg)
 		results = append(results, queryStrings(t, db, q))
 	}
@@ -293,9 +291,9 @@ func TestColumnarMatchesRowPath(t *testing.T) {
 					fmt.Sprintf("SELECT %s, count(*) FROM pts GROUP BY %s DISTANCE-TO-ALL %s WITHIN %g ON-OVERLAP FORM-NEW-GROUP", group, group, m, eps),
 				)
 			}
-			check := func(q string, algs ...core.Algorithm) {
+			check := func(q string, algs ...SGBAlgorithm) {
 				var ref []string // All-Pairs
-				for _, alg := range append([]core.Algorithm{core.AllPairs}, algs...) {
+				for _, alg := range append([]SGBAlgorithm{SGBAllPairs}, algs...) {
 					db.SetSGBAlgorithm(alg)
 					res, err := db.Query(q)
 					if err != nil {
@@ -309,10 +307,10 @@ func TestColumnarMatchesRowPath(t *testing.T) {
 				}
 			}
 			for _, q := range anyQ {
-				check(q, core.IndexBounds)
+				check(q, SGBIndex)
 			}
 			for _, q := range allQ {
-				check(q, core.BoundsChecking, core.IndexBounds)
+				check(q, SGBBounds, SGBIndex)
 			}
 		}
 	}

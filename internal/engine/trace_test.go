@@ -57,7 +57,7 @@ func TestExecContextTraceThreading(t *testing.T) {
 		t.Errorf("final engine state = %q, want executing (the caller owns later transitions)", st)
 	}
 	// The session's trace is the same object the caller handed in.
-	if db.LastTrace() != tr {
+	if sess.LastTrace() != tr {
 		t.Error("LastTrace is not the caller-supplied trace")
 	}
 }

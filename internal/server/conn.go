@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"sgb/internal/core"
 	"sgb/internal/engine"
 	"sgb/internal/obs"
 	"sgb/internal/stream"
@@ -598,11 +597,7 @@ func (c *conn) applySetting(m *wire.Set) bool {
 	}
 	switch m.Name {
 	case "sgb_algorithm":
-		if m.Value == "auto" {
-			c.sess.SetSGBAlgorithmAuto()
-			break
-		}
-		alg, ok := parseAlgorithm(m.Value)
+		alg, ok := engine.ParseSGBAlgorithm(m.Value)
 		if !ok {
 			return fail("unknown SGB algorithm %q (want auto|allpairs|bounds|index)", m.Value)
 		}
@@ -638,38 +633,7 @@ func (c *conn) writeMsg(m wire.Message) error {
 // settingsString summarizes the session knobs that shaped a statement's plan,
 // recorded alongside the statement in the slowlog.
 func (c *conn) settingsString() string {
-	st := c.sess.Settings()
-	name := algName(st.SGBAlgorithm)
-	if st.SGBAuto {
-		name = "auto"
-	}
-	return "algorithm=" + name
-}
-
-// algName is the inverse of parseAlgorithm.
-func algName(a core.Algorithm) string {
-	switch a {
-	case core.AllPairs:
-		return "allpairs"
-	case core.BoundsChecking:
-		return "bounds"
-	case core.IndexBounds:
-		return "index"
-	}
-	return fmt.Sprintf("alg(%d)", a)
-}
-
-// parseAlgorithm maps the wire spelling onto the core enum.
-func parseAlgorithm(s string) (core.Algorithm, bool) {
-	switch s {
-	case "allpairs":
-		return core.AllPairs, true
-	case "bounds":
-		return core.BoundsChecking, true
-	case "index":
-		return core.IndexBounds, true
-	}
-	return 0, false
+	return "algorithm=" + c.sess.Settings().SGBAlgorithm.String()
 }
 
 // countingConn counts every socket byte into the server traffic metrics.

@@ -6,14 +6,13 @@ import (
 	"strings"
 	"testing"
 
-	"sgb/internal/core"
+	"sgb/internal/engine"
 )
 
 // TestSnapshotRoundTrip covers the server's snapshot save/load cycle, the
-// store checkpoint: tables with data, an empty table, secondary indexes and
-// the SGB algorithm selection must all survive a reopen, and the recovered
-// database must answer queries (including index-assisted and SGB ones)
-// identically to the original.
+// store checkpoint: tables with data, an empty table and secondary indexes
+// must all survive a reopen, and the recovered database must answer queries
+// (including index-assisted and SGB ones) identically to the original.
 func TestSnapshotRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := OpenStore(StoreOptions{Dir: dir})
@@ -21,7 +20,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := s1.DB()
-	db.SetSGBAlgorithm(core.BoundsChecking)
+	db.SetSGBAlgorithm(engine.SGBBounds)
 	mustExec(t, db, "CREATE TABLE pts (id INT, x FLOAT, y FLOAT, tag TEXT)")
 	mustExec(t, db, `INSERT INTO pts VALUES
 		(1, 0.5, 0.5, 'a'), (2, 1.0, 1.25, 'a'), (3, 9.0, 9.5, 'b'),
@@ -42,9 +41,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	loaded := s2.DB()
 
-	if got := loaded.SGBAlgorithm(); got != core.BoundsChecking {
-		t.Errorf("SGB algorithm not restored: got %v", got)
-	}
 	if names := loaded.Catalog().Names(); len(names) != 2 {
 		t.Errorf("catalog names = %v, want 2 tables", names)
 	}
@@ -57,7 +53,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// Queries over the restored DB match the original, including one the
-	// restored index serves and one through the restored SGB algorithm.
+	// restored index serves and an SGB one (Bounds-Checking on the original,
+	// auto selection on the reopened DB: settings are not checkpointed).
 	for _, q := range []string{
 		"SELECT id FROM pts WHERE tag = 'b' ORDER BY id",
 		"SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 2 ON-OVERLAP FORM-NEW-GROUP ORDER BY count(*)",

@@ -119,8 +119,7 @@ func (v *view) applyAppend(db *engine.DB) ([]Delta, error) {
 			out = append(out, ds...)
 			return err
 		}
-		// AllGrouper retains the point slice; coords is a reused buffer.
-		_, err := v.allG.Add(append(geom.Point(nil), coords...))
+		_, err := v.allG.Add(coords)
 		return err
 	})
 	if err != nil {
@@ -206,7 +205,7 @@ func (v *view) applyRebuild(db *engine.DB) ([]Delta, error) {
 			_, err := v.anyG.Add(v.ptBuf)
 			return err
 		}
-		_, err := v.allG.Add(append(geom.Point(nil), coords...))
+		_, err := v.allG.Add(coords)
 		return err
 	})
 	if err != nil {
@@ -259,11 +258,18 @@ func (v *view) rebuildGroupOf() {
 }
 
 // stateFromGroups converts core groups (sorted members, group id = smallest
-// member) into the state-map representation.
+// member) into the state-map representation. The member slices are carved,
+// capacity-capped, from one backing array.
 func stateFromGroups(groups []core.Group) map[int64][]int64 {
 	state := make(map[int64][]int64, len(groups))
+	n := 0
 	for _, g := range groups {
-		ids := make([]int64, len(g.IDs))
+		n += len(g.IDs)
+	}
+	all := make([]int64, n)
+	for _, g := range groups {
+		ids := all[:len(g.IDs):len(g.IDs)]
+		all = all[len(g.IDs):]
 		for i, id := range g.IDs {
 			ids[i] = int64(id)
 		}

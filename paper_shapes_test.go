@@ -90,7 +90,7 @@ func tpchDB(t *testing.T, sf float64) *engine.DB {
 	if err := tpch.Generate(tpch.Config{SF: sf, CustomersPerSF: 300, Seed: 1}).Load(db); err != nil {
 		t.Fatal(err)
 	}
-	db.SetSGBAlgorithm(core.IndexBounds)
+	db.SetSGBAlgorithm(engine.SGBIndex)
 	return db
 }
 

@@ -169,8 +169,8 @@ func GroupAnyParallelCtx(ctx context.Context, points []Point, opt Options, _ int
 }
 
 // Limits bounds the resources a single SQL statement may consume; install
-// with DB.SetLimits. A query that exceeds a limit fails with a typed
-// *ResourceLimitError.
+// with SetLimits on a DB (its default session) or on a Session. A query that
+// exceeds a limit fails with a typed *ResourceLimitError.
 type Limits = engine.Limits
 
 // ResourceLimitError is the typed error a statement fails with when it
