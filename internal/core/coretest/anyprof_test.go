@@ -6,6 +6,7 @@ package coretest
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sgb/internal/checkin"
@@ -100,15 +101,17 @@ func servedCheckins(n int, seed int64) []geom.Point {
 // JOIN-ANY — on the ε-grid of group regions must agree with All-Pairs, probe
 // once per point, register each of its 871 groups once, and rect-test
 // exactly 33,259 groups (51,836 through the R-tree it replaced). One grouping
-// allocates within 10 % of the 12,791 objects measured when it landed (46,238
-// on the R-tree); the race detector adds one per group, 13,662. Budgets only
-// ratchet down.
+// allocates within 10 % of the 156 objects measured since a group became an
+// id into struct-of-arrays state (157 under the race detector); it was 12,791
+// while every group was a heap object with its own member, column and MBR
+// slices (13,662 under race), and 46,238 on the R-tree. Budgets only ratchet
+// down.
 func TestAllGridBudget(t *testing.T) {
 	const (
 		n         = 5000
 		groups    = 871
 		rectTests = 33259
-		allocs    = 12791
+		allocs    = 156
 	)
 	pts := servedCheckins(n, 1)
 	opt := core.Options{Metric: geom.LInf, Eps: 0.05, Overlap: core.JoinAny, Algorithm: core.IndexBounds}
@@ -143,6 +146,54 @@ func TestAllGridBudget(t *testing.T) {
 	}
 }
 
+// TestServeReadStatementAllocBudget is the statement row above
+// TestAllGridBudget: the benchmark's serve_read statement, end to end through
+// the embedded engine, over the same 5000 check-ins loaded as the benchmark
+// loads them (user_id 1 + i mod 997). It must stay within 5 % of the objects
+// and bytes one execution allocated when the row last moved: 18,253 objects
+// and 3.47 MB while every group was a heap object and every aggregate state a
+// boxed accumulator; 382 and 3.00 MB since both are ids into columns (392
+// and 3.20 MB under the race detector, which the bytes budget admits).
+// Budgets only ratchet down.
+func TestServeReadStatementAllocBudget(t *testing.T) {
+	const (
+		objects = 382
+		mbytes  = 3.10
+		sql     = "SELECT count(*), min(lat), max(lat), min(lon), max(lon) FROM checkins " +
+			"GROUP BY lat, lon DISTANCE-TO-ALL LINF WITHIN 0.05 ON-OVERLAP JOIN-ANY"
+	)
+	pts := servedCheckins(5000, 1)
+	cs := make([]checkin.Checkin, len(pts))
+	for i, p := range pts {
+		cs[i] = checkin.Checkin{UserID: 1 + i%997, Lat: p[0], Lon: p[1]}
+	}
+	db := engine.NewDB()
+	if err := checkin.Load(db, "checkins", cs); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 5
+	var before, after runtime.MemStats
+	for i := 0; i <= runs; i++ {
+		if i == 1 {
+			runtime.ReadMemStats(&before)
+		}
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1e6
+	t.Logf("%.0f allocs, %.2f MB per statement", allocs, mb)
+	if allocs > 1.05*objects {
+		t.Errorf("%.0f allocs per statement, budget %.0f", allocs, 1.05*objects)
+	}
+	if mb > 1.05*mbytes {
+		t.Errorf("%.2f MB per statement, budget %.2f MB", mb, 1.05*mbytes)
+	}
+}
+
 // BenchmarkAnyIndexCheckin runs the SGB-Any IndexBounds grouper over the
 // clustered check-in dataset — the same shape as the benchmark's core.any_ms
 // probe. The clustered distribution matters: hotspots are where a point has
@@ -172,7 +223,10 @@ func BenchmarkAnyIndexCheckin(b *testing.B) {
 // (7,724 once aggregate arguments reused one slice per call, 2 × 8000 fewer
 // than before). The third is a filtered hash aggregation (13,287; 3,361 once
 // group keys became a reused binary buffer and group values a reused scratch
-// slice). Budgets only ratchet down.
+// slice). Since aggregate states are columns indexed by group id and result
+// rows are carved from shared chunks, they read 6,062, 6,094 and 585 (615
+// under the race detector; 6,886, 7,741 and 3,362 with a boxed accumulator
+// per group). Budgets only ratchet down.
 func TestAnyStatementAllocBudget(t *testing.T) {
 	db := engine.NewDB()
 	if err := checkin.Load(db, "checkins", checkin.Generate(checkin.Config{N: 8000, Seed: 1})); err != nil {
@@ -182,9 +236,9 @@ func TestAnyStatementAllocBudget(t *testing.T) {
 		sql    string
 		budget float64
 	}{
-		{"SELECT lat, lon, count(*) FROM checkins GROUP BY lat, lon DISTANCE-TO-ANY L2 WITHIN 0.25", 7200},
-		{"SELECT count(*), avg(lat), avg(lon) FROM checkins GROUP BY lat, lon DISTANCE-TO-ANY L2 WITHIN 0.25", 8100},
-		{"SELECT user_id, count(*), avg(lat) FROM checkins WHERE lon > -96 GROUP BY user_id", 3530},
+		{"SELECT lat, lon, count(*) FROM checkins GROUP BY lat, lon DISTANCE-TO-ANY L2 WITHIN 0.25", 6380},
+		{"SELECT count(*), avg(lat), avg(lon) FROM checkins GROUP BY lat, lon DISTANCE-TO-ANY L2 WITHIN 0.25", 6450},
+		{"SELECT user_id, count(*), avg(lat) FROM checkins WHERE lon > -96 GROUP BY user_id", 645},
 	} {
 		allocs := testing.AllocsPerRun(5, func() {
 			if _, err := db.Exec(c.sql); err != nil {

@@ -30,8 +30,8 @@ const kernelBlock = 256
 // the head amortize kernel-call overhead over wide blocks.
 const kernelHead = 16
 
-// arenaChunk is the point count of AllGrouper's first storage chunk; each
-// later chunk doubles the previous one.
+// arenaChunk is the group count of AllGrouper's first MBR chunk; each later
+// chunk doubles the previous one.
 const arenaChunk = 256
 
 // kernelBlockMin is the first kernel block size after the scalar head.
@@ -67,42 +67,55 @@ func headLen(n int) int {
 	return kernelHead
 }
 
-// allGroup is one live SGB-All group under construction.
-type allGroup struct {
-	id      int
-	members []int         // point ids, in insertion order
-	cols    geom.Cols     // columnar mirror of the member coordinates, row i = members[i]
-	rect    *geom.EpsRect // ε-All bounding rectangle, through the member MBR
-	hull    *hull.Incremental
-}
-
 // AllGrouper is a streaming SGB-All operator instance. Points are fed in
 // input order with Add and the final grouping is materialized by Finish.
+//
+// A group is an integer: groups are numbered in creation order across every
+// FORM-NEW-GROUP round, and a group's state is one row of the struct-of-arrays
+// fields below, indexed by that id, with no heap object per group.
 type AllGrouper struct {
-	opt    Options
-	dim    int
-	points []geom.Point
-	// arena is the storage Add copies points into: points[i] is a slice of
-	// it (or of an earlier, full chunk), so the caller keeps its buffer.
+	opt Options
+	dim int
+	// coords holds the points Add copied, point id i at [i*dim, (i+1)*dim),
+	// so the caller keeps its buffer. A point handed out by point stays
+	// valid when coords grows: the values never change.
+	coords []float64
+	// arena is the chunked storage group MBRs are carved from.
 	arena []float64
 
-	active []*allGroup // groups of the current grouping round
-	final  []*allGroup // groups sealed by earlier FORM-NEW-GROUP rounds
-	nextID int
+	// rects[gid] is group gid's ε-All rectangle, through a member MBR carved
+	// from arena; rects[gid].Len() is its member count. The members, in
+	// insertion order, are head[gid], next[head[gid]], … up to tail[gid]:
+	// next is indexed by point id and read only as far as the count reaches.
+	rects      []geom.EpsRect
+	head, tail []int
+	next       []int
+	// cols[gid] is the columnar mirror of group gid's members, row i the i-th
+	// member, kept only when mirror is set: under All-Pairs, the ELIMINATE and
+	// FORM-NEW-GROUP clauses, and L1/L2 beyond 1-D without a hull, where a
+	// member scan reads it. hulls[gid] is its hull when useHull is set.
+	cols  []geom.Cols
+	hulls []*hull.Incremental
+	// round is the id of the current grouping round's first group: groups
+	// [round, len(rects)) are active, earlier ones sealed by FORM-NEW-GROUP.
+	round int
 	// regions is Groups_IX, the on-the-fly index of IndexBounds: every
 	// active group registered on the ε-grid under its candidate region and
-	// its position in active. Nil for the other algorithms and above
-	// gridBlockCap, where IndexBounds scans the group list as BoundsChecking
-	// does.
+	// its position gid-round in the round. Nil for the other algorithms and
+	// above gridBlockCap, where IndexBounds scans the group list as
+	// BoundsChecking does.
 	regions *grid.Regions
 
 	deferred []int // S′: points diverted by FORM-NEW-GROUP
 	dropped  []int // points discarded by ELIMINATE
 
-	// Probe scratch, reused across Add: the candidate and overlap groups of
-	// one point and the active positions one Regions.Block probe lists.
-	candidates, overlaps []*allGroup
-	block                []int
+	// Probe scratch, reused across Add: the candidate and overlap group ids
+	// of one point, the positions one Regions.Block probe lists, and one
+	// group's members and their points while processOverlap partitions and
+	// rebuilds it.
+	candidates, overlaps []int
+	block, members       []int
+	pts                  []geom.Point
 
 	// Kernel scratch, reused across every member scan: a column view of the
 	// current block plus the distance/verdict buffers for one WithinMask
@@ -115,6 +128,7 @@ type AllGrouper struct {
 
 	stats    Stats
 	useHull  bool
+	mirror   bool
 	finished bool
 
 	// ctx, when set via WithContext, lets a canceled or deadline-expired
@@ -152,8 +166,7 @@ func (g *AllGrouper) checkCtx() error {
 
 // Add feeds the next point, in input order, and returns its point id.
 // All points must share one dimensionality. The coordinates are copied into
-// chunked storage the grouper owns, without a per-point allocation, so the
-// caller may reuse p.
+// storage the grouper owns, so the caller may reuse p.
 func (g *AllGrouper) Add(p geom.Point) (int, error) {
 	if g.finished {
 		return 0, fmt.Errorf("core: Add after Finish")
@@ -176,6 +189,9 @@ func (g *AllGrouper) Add(p geom.Point) (int, error) {
 		// the metrics coincide) or we fall back to exact member scans.
 		g.useHull = (g.opt.Metric == geom.L2 || g.opt.Metric == geom.L1) &&
 			g.dim == 2 && !g.opt.disableHullRefine
+		// Only a member scan reads the columnar mirror (see cols).
+		g.mirror = g.opt.Algorithm == AllPairs || g.opt.Overlap != JoinAny ||
+			(g.opt.Metric != geom.LInf && g.dim > 1 && !g.useHull)
 		// Group regions sit on cells of side ε whatever the metric, so a
 		// probe block is 3^d cells: the grid serves while that stays under
 		// SGB-Any's cap (d ≤ 6).
@@ -185,13 +201,9 @@ func (g *AllGrouper) Add(p geom.Point) (int, error) {
 	} else if len(p) != g.dim {
 		return 0, ErrDimensionMismatch
 	}
-	if cap(g.arena)-len(g.arena) < g.dim {
-		g.arena = make([]float64, 0, max(arenaChunk*g.dim, 2*cap(g.arena)))
-	}
-	n := len(g.arena)
-	g.arena = append(g.arena, p...)
-	id := len(g.points)
-	g.points = append(g.points, g.arena[n:len(g.arena):len(g.arena)])
+	id := len(g.next)
+	g.coords = append(g.coords, p...)
+	g.next = append(g.next, 0)
 	g.stats.Points++
 	g.processPoint(id)
 	return id, nil
@@ -216,8 +228,7 @@ func (g *AllGrouper) Finish() (*Result, error) {
 		// check below turns any pathological counterexample into an error
 		// instead of a livelock.
 		before := len(g.deferred)
-		g.final = append(g.final, g.active...)
-		g.active = nil
+		g.round = len(g.rects)
 		if g.regions != nil {
 			g.regions = grid.NewRegions(g.opt.Eps, g.dim)
 		}
@@ -234,22 +245,63 @@ func (g *AllGrouper) Finish() (*Result, error) {
 			return nil, fmt.Errorf("core: FORM-NEW-GROUP made no progress (%d -> %d deferred)", before, len(g.deferred))
 		}
 	}
-	g.final = append(g.final, g.active...)
-	g.active = nil
-
 	res := &Result{Stats: g.stats}
-	for _, grp := range g.final {
-		if len(grp.members) == 0 {
-			continue
-		}
-		ids := append([]int(nil), grp.members...)
-		slices.Sort(ids)
-		res.Groups = append(res.Groups, Group{IDs: ids})
-	}
+	g.collect(res)
 	slices.SortFunc(res.Groups, byFirstID)
 	slices.Sort(g.dropped)
 	res.Dropped = g.dropped
 	return res, nil
+}
+
+// point returns point id's coordinates.
+func (g *AllGrouper) point(id int) geom.Point {
+	return g.coords[id*g.dim : (id+1)*g.dim : (id+1)*g.dim]
+}
+
+// carve returns n floats of arena, starting a new chunk (arenaChunk·n floats
+// or twice the last chunk) when the current one is full. Earlier chunks stay
+// alive through the slices carved from them.
+func (g *AllGrouper) carve(n int) []float64 {
+	if cap(g.arena)-len(g.arena) < n {
+		g.arena = make([]float64, 0, max(arenaChunk*n, 2*cap(g.arena)))
+	}
+	m := len(g.arena)
+	g.arena = g.arena[:m+n]
+	return g.arena[m : m+n : m+n]
+}
+
+// appendMembers appends group gid's members, in insertion order, to dst.
+func (g *AllGrouper) appendMembers(dst []int, gid int) []int {
+	m := g.head[gid]
+	for i := g.rects[gid].Len(); i > 0; i-- {
+		dst = append(dst, m)
+		m = g.next[m]
+	}
+	return dst
+}
+
+// collect appends every non-empty group to res.Groups in id order, each
+// one's ids sorted and carved from one backing array.
+func (g *AllGrouper) collect(res *Result) {
+	total := 0
+	for gid := range g.rects {
+		total += g.rects[gid].Len()
+	}
+	if total == 0 {
+		return
+	}
+	all := make([]int, 0, total)
+	res.Groups = slices.Grow(res.Groups, len(g.rects))
+	for gid := range g.rects {
+		if g.rects[gid].Len() == 0 {
+			continue
+		}
+		n := len(all)
+		all = g.appendMembers(all, gid)
+		ids := all[n:len(all):len(all)]
+		slices.Sort(ids)
+		res.Groups = append(res.Groups, Group{IDs: ids})
+	}
 }
 
 // byFirstID orders groups by their smallest member id, the Result order.
@@ -261,42 +313,20 @@ func byFirstID(a, b Group) int { return cmp.Compare(a.IDs[0], b.IDs[0]) }
 // groups, same dropped set, same round count) — the invariant incremental
 // view maintenance is checked against.
 //
-// Sealed and active groups are copied out directly. A non-empty deferred set
-// (FORM-NEW-GROUP) is resolved on a scratch grouper fed the deferred points
-// in order: Finish's first recursion round processes exactly those points
-// against an empty group universe, so the scratch run reproduces the
-// recursion without touching this grouper's state. (Only FORM-NEW-GROUP
-// defers points, and that mode never consults opt.Rand, so the scratch run
-// has no side effects.)
+// Sealed and active groups are copied out directly, their ids carved from
+// one backing array. A non-empty deferred set (FORM-NEW-GROUP) is resolved
+// on a scratch grouper fed the deferred points in order: Finish's first
+// recursion round processes exactly those points against an empty group
+// universe, so the scratch run reproduces the recursion without touching
+// this grouper's state. (Only FORM-NEW-GROUP defers points, and that mode
+// never consults opt.Rand, so the scratch run has no side effects.)
 func (g *AllGrouper) Snapshot() (*Result, error) {
 	if g.finished {
 		return nil, fmt.Errorf("core: Snapshot after Finish")
 	}
-	res := &Result{Stats: g.stats, Groups: make([]Group, 0, len(g.final)+len(g.active))}
+	res := &Result{Stats: g.stats}
 	res.Stats.Rounds = 1
-	// Every group's ids are carved from one backing array.
-	total := 0
-	for _, grp := range g.final {
-		total += len(grp.members)
-	}
-	for _, grp := range g.active {
-		total += len(grp.members)
-	}
-	all := make([]int, 0, total)
-	collect := func(groups []*allGroup) {
-		for _, grp := range groups {
-			if len(grp.members) == 0 {
-				continue
-			}
-			n := len(all)
-			all = append(all, grp.members...)
-			ids := all[n:len(all):len(all)]
-			slices.Sort(ids)
-			res.Groups = append(res.Groups, Group{IDs: ids})
-		}
-	}
-	collect(g.final)
-	collect(g.active)
+	g.collect(res)
 	dropped := append([]int(nil), g.dropped...)
 	if len(g.deferred) > 0 {
 		sub, err := NewAllGrouper(g.opt)
@@ -304,7 +334,7 @@ func (g *AllGrouper) Snapshot() (*Result, error) {
 			return nil, err
 		}
 		for _, id := range g.deferred {
-			if _, err := sub.Add(g.points[id]); err != nil {
+			if _, err := sub.Add(g.point(id)); err != nil {
 				return nil, err
 			}
 		}
@@ -336,7 +366,7 @@ func (g *AllGrouper) Snapshot() (*Result, error) {
 // processPoint runs Procedure 1 for one point: find the candidate and
 // overlap groups, arbitrate membership, then apply the overlap semantics.
 func (g *AllGrouper) processPoint(id int) {
-	p := g.points[id]
+	p := g.point(id)
 	g.candidates, g.overlaps = g.candidates[:0], g.overlaps[:0]
 	switch {
 	case g.opt.Algorithm == AllPairs:
@@ -370,7 +400,7 @@ func (g *AllGrouper) processPoint(id int) {
 	}
 
 	if g.opt.Overlap != JoinAny && len(g.overlaps) > 0 {
-		g.processOverlap(p, g.overlaps)
+		g.processOverlap(p)
 	}
 }
 
@@ -378,16 +408,19 @@ func (g *AllGrouper) processPoint(id int) {
 // similarity predicate between p and every previously grouped point.
 func (g *AllGrouper) findAllPairs(p geom.Point) {
 	joinAny := g.opt.Overlap == JoinAny
-	for _, grp := range g.active {
-		if len(grp.members) == 0 {
+	for gid := g.round; gid < len(g.rects); gid++ {
+		if g.rects[gid].Len() == 0 {
 			continue
 		}
-		candidate, overlap := g.scanMembers(grp, p, joinAny)
+		// Under JOIN-ANY the overlap verdict is never consulted, so the
+		// scan stops at the first violation; otherwise every member is
+		// evaluated, preserving the row-at-a-time scan's DistanceComps.
+		candidate, overlap := g.scan(gid, p, false, joinAny)
 		switch {
 		case candidate:
-			g.candidates = append(g.candidates, grp)
+			g.candidates = append(g.candidates, gid)
 		case !joinAny && overlap:
-			g.overlaps = append(g.overlaps, grp)
+			g.overlaps = append(g.overlaps, gid)
 		}
 	}
 }
@@ -402,44 +435,37 @@ func (g *AllGrouper) scratch(n int) ([]float64, []bool) {
 	return g.dists[:n], g.mask[:n]
 }
 
-// scanMembers evaluates the similarity predicate between p and every member
-// of grp: a scalar head of geom.Within calls (so a scan deciding on its
-// first members costs what the historical per-row scan did), then one
-// WithinMask kernel call per ramping block of the group's columnar mirror.
-// allIn reports whether every member qualifies, anyIn whether at least one
-// does. Under JOIN-ANY the overlap verdict is never consulted, so the scan
-// stops at the first violation (head) or first violating block (tail);
-// otherwise every member is evaluated, preserving the row-at-a-time scan's
-// DistanceComps accounting exactly.
-func (g *AllGrouper) scanMembers(grp *allGroup, p geom.Point, joinAny bool) (allIn, anyIn bool) {
+// scan evaluates the similarity predicate between p and the members of group
+// gid in insertion order: a scalar head of geom.Within calls (so a scan
+// deciding on its first members costs what the historical per-row scan did),
+// then one WithinMask kernel call per ramping block of the group's columnar
+// mirror. allIn reports whether every member scanned qualifies, anyIn whether
+// at least one does. The scan stops at the first qualifying member (head) or
+// block (tail) when stopIn is set, and at the first violating one when
+// stopOut is.
+func (g *AllGrouper) scan(gid int, p geom.Point, stopIn, stopOut bool) (allIn, anyIn bool) {
 	allIn = true
-	head := headLen(len(grp.members))
-	for i := 0; i < head; i++ {
+	n := g.rects[gid].Len()
+	head := headLen(n)
+	for i, m := 0, g.head[gid]; i < head; i, m = i+1, g.next[m] {
 		g.stats.DistanceComps++
-		if geom.Within(g.opt.Metric, p, g.points[grp.members[i]], g.opt.Eps) {
+		if geom.Within(g.opt.Metric, p, g.point(m), g.opt.Eps) {
 			anyIn = true
 		} else {
 			allIn = false
-			if joinAny {
-				return
-			}
+		}
+		if (stopIn && anyIn) || (stopOut && !allIn) {
+			return
 		}
 	}
-	scanBlocks(head, grp.cols.Len(), func(lo, hi int) bool {
-		g.view.SliceInto(grp.cols, lo, hi)
+	scanBlocks(head, n, func(lo, hi int) bool {
+		g.view.SliceInto(g.cols[gid], lo, hi)
 		dists, mask := g.scratch(hi - lo)
 		g.stats.DistanceComps += int64(hi - lo)
 		cnt := geom.WithinMask(g.opt.Metric, g.view, p, g.opt.Eps, dists, mask)
-		if cnt > 0 {
-			anyIn = true
-		}
-		if cnt < hi-lo {
-			allIn = false
-			if joinAny {
-				return false
-			}
-		}
-		return true
+		anyIn = anyIn || cnt > 0
+		allIn = allIn && cnt == hi-lo
+		return !(stopIn && anyIn) && !(stopOut && !allIn)
 	})
 	return
 }
@@ -448,8 +474,8 @@ func (g *AllGrouper) scanMembers(grp *allGroup, p geom.Point, joinAny bool) (all
 // rectangle decides candidacy in constant time per group (exactly under L∞,
 // as a conservative filter refined by Procedure 6 under L2).
 func (g *AllGrouper) findBounds(p geom.Point) {
-	for _, grp := range g.active {
-		g.classify(grp, p)
+	for gid := g.round; gid < len(g.rects); gid++ {
+		g.classify(gid, p)
 	}
 }
 
@@ -463,39 +489,40 @@ func (g *AllGrouper) findIndexed(p geom.Point) {
 	g.stats.WindowQueries++
 	if g.opt.Overlap == JoinAny {
 		for _, i := range g.regions.Own(p) {
-			g.classify(g.active[i], p)
+			g.classify(g.round+i, p)
 		}
 		return
 	}
 	g.block = g.regions.Block(p, g.block[:0])
 	for _, i := range g.block {
-		g.classify(g.active[i], p)
+		g.classify(g.round+i, p)
 	}
 	// Their candidates' order is never read, but FORM-NEW-GROUP defers the
 	// members processOverlap pulls out in overlap order, which the linear
 	// scan makes ascending.
-	slices.SortFunc(g.overlaps, func(a, b *allGroup) int { return cmp.Compare(a.id, b.id) })
+	slices.Sort(g.overlaps)
 }
 
-// classify runs the per-group tests of Procedures 4 and 5 on grp: the ε-All
-// rectangle test, refined by qualifies, makes it a candidate; otherwise,
+// classify runs the per-group tests of Procedures 4 and 5 on group gid: the
+// ε-All rectangle test, refined by qualifies, makes it a candidate; otherwise,
 // unless the clause is JOIN-ANY, the overlap rectangle test and a member scan
 // make it an overlap group. Emptied groups are skipped.
-func (g *AllGrouper) classify(grp *allGroup, p geom.Point) {
-	if len(grp.members) == 0 {
+func (g *AllGrouper) classify(gid int, p geom.Point) {
+	r := &g.rects[gid]
+	if r.Len() == 0 {
 		return
 	}
 	joinAny := g.opt.Overlap == JoinAny
 	g.stats.RectTests++
-	if grp.rect.ContainsPoint(p) {
-		if g.qualifies(grp, p) {
-			g.candidates = append(g.candidates, grp)
+	if r.ContainsPoint(p) {
+		if g.qualifies(gid, p) {
+			g.candidates = append(g.candidates, gid)
 			return
 		}
 		// An L2 false positive of the rectangle filter can still
 		// partially overlap the group.
-		if !joinAny && g.anyWithin(grp, p) {
-			g.overlaps = append(g.overlaps, grp)
+		if !joinAny && g.anyWithin(gid, p) {
+			g.overlaps = append(g.overlaps, gid)
 		}
 		return
 	}
@@ -505,8 +532,8 @@ func (g *AllGrouper) classify(grp *allGroup, p geom.Point) {
 	// OverlapRectangleTest: p can only be within ε of some member if it is
 	// within ε of the member MBR.
 	g.stats.RectTests++
-	if grp.rect.Reaches(p) && g.anyWithin(grp, p) {
-		g.overlaps = append(g.overlaps, grp)
+	if r.Reaches(p) && g.anyWithin(gid, p) {
+		g.overlaps = append(g.overlaps, gid)
 	}
 }
 
@@ -515,14 +542,15 @@ func (g *AllGrouper) classify(grp *allGroup, p geom.Point) {
 // is exact. Under 2-D L2 the convex hull test (Procedure 6) is used: a point
 // inside the hull is within ε of all members, and otherwise the hull vertex
 // farthest from p bounds the farthest member. Other dimensionalities fall
-// back to an exact member scan.
-func (g *AllGrouper) qualifies(grp *allGroup, p geom.Point) bool {
+// back to an exact member scan, stopping at the first violation.
+func (g *AllGrouper) qualifies(gid int, p geom.Point) bool {
 	if g.opt.Metric == geom.LInf || g.dim == 1 {
 		return true
 	}
-	if grp.hull != nil {
+	if g.useHull {
+		h := g.hulls[gid]
 		g.stats.HullTests++
-		if grp.hull.Contains(p) {
+		if h.Contains(p) {
 			return true
 		}
 		// Farthest-vertex bound, evaluated sqrt-free: every vertex within ε
@@ -530,82 +558,41 @@ func (g *AllGrouper) qualifies(grp *allGroup, p geom.Point) bool {
 		// vertex is. Counted as one comparison like the Farthest sweep it
 		// replaces.
 		g.stats.DistanceComps++
-		return grp.hull.AllWithin(g.opt.Metric, p, g.opt.Eps)
+		return h.AllWithin(g.opt.Metric, p, g.opt.Eps)
 	}
-	return g.allWithin(grp, p)
-}
-
-// anyWithin reports whether any member of grp satisfies the predicate with p.
-// The scan is block-wise and stops at the first block containing a hit.
-func (g *AllGrouper) anyWithin(grp *allGroup, p geom.Point) bool {
-	head := headLen(len(grp.members))
-	for i := 0; i < head; i++ {
-		g.stats.DistanceComps++
-		if geom.Within(g.opt.Metric, p, g.points[grp.members[i]], g.opt.Eps) {
-			return true
-		}
-	}
-	found := false
-	scanBlocks(head, grp.cols.Len(), func(lo, hi int) bool {
-		g.view.SliceInto(grp.cols, lo, hi)
-		dists, mask := g.scratch(hi - lo)
-		g.stats.DistanceComps += int64(hi - lo)
-		if geom.WithinMask(g.opt.Metric, g.view, p, g.opt.Eps, dists, mask) > 0 {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// allWithin reports whether every member of grp satisfies the predicate.
-// The scan is block-wise and stops at the first block containing a violation.
-func (g *AllGrouper) allWithin(grp *allGroup, p geom.Point) bool {
-	head := headLen(len(grp.members))
-	for i := 0; i < head; i++ {
-		g.stats.DistanceComps++
-		if !geom.Within(g.opt.Metric, p, g.points[grp.members[i]], g.opt.Eps) {
-			return false
-		}
-	}
-	all := true
-	scanBlocks(head, grp.cols.Len(), func(lo, hi int) bool {
-		g.view.SliceInto(grp.cols, lo, hi)
-		dists, mask := g.scratch(hi - lo)
-		g.stats.DistanceComps += int64(hi - lo)
-		if geom.WithinMask(g.opt.Metric, g.view, p, g.opt.Eps, dists, mask) < hi-lo {
-			all = false
-			return false
-		}
-		return true
-	})
+	all, _ := g.scan(gid, p, false, true)
 	return all
 }
 
-func (g *AllGrouper) newGroup(id int) *allGroup {
-	p := g.points[id]
-	grp := &allGroup{
-		id:      g.nextID,
-		members: []int{id},
-		cols:    geom.NewCols(g.dim),
-		rect:    geom.NewEpsRect(p, g.opt.Eps),
-	}
-	grp.cols.AppendPoint(p)
-	g.nextID++
-	if g.useHull {
-		grp.hull = hull.NewIncremental(p)
-	}
-	g.active = append(g.active, grp)
-	g.register(grp)
-	return grp
+// anyWithin reports whether any member of group gid satisfies the predicate
+// with p, stopping at the first hit.
+func (g *AllGrouper) anyWithin(gid int, p geom.Point) bool {
+	_, any := g.scan(gid, p, true, false)
+	return any
 }
 
-// register records grp's candidate region in Groups_IX under the group's
-// position in the round's group list.
-func (g *AllGrouper) register(grp *allGroup) {
+func (g *AllGrouper) newGroup(id int) {
+	p := g.point(id)
+	gid := len(g.rects)
+	g.rects = append(g.rects, geom.MakeEpsRect(g.carve(2*g.dim), g.opt.Eps))
+	g.rects[gid].Add(p)
+	g.head = append(g.head, id)
+	g.tail = append(g.tail, id)
+	if g.mirror {
+		g.cols = append(g.cols, geom.NewCols(g.dim))
+		g.cols[gid].AppendPoint(p)
+	}
+	if g.useHull {
+		g.hulls = append(g.hulls, hull.NewIncremental(p))
+	}
+	g.register(gid)
+}
+
+// register records group gid's candidate region in Groups_IX under its
+// position in the round.
+func (g *AllGrouper) register(gid int) {
 	if g.regions != nil {
-		g.regions.Register(grp.rect.MBR(), grp.id-g.active[0].id)
+		g.regions.Register(g.rects[gid].MBR(), gid-g.round)
 		g.stats.IndexUpdates++
 	}
 }
@@ -613,13 +600,16 @@ func (g *AllGrouper) register(grp *allGroup) {
 // insert is ProcessInsert: add the point and shrink the ε-All rectangle.
 // The group's registration is left untouched — it only ever needs to cover
 // the live region, and insertions only shrink it.
-func (g *AllGrouper) insert(grp *allGroup, id int) {
-	p := g.points[id]
-	grp.members = append(grp.members, id)
-	grp.cols.AppendPoint(p)
-	grp.rect.Add(p)
-	if grp.hull != nil {
-		grp.hull.Add(p)
+func (g *AllGrouper) insert(gid, id int) {
+	p := g.point(id)
+	g.next[g.tail[gid]] = id
+	g.tail[gid] = id
+	g.rects[gid].Add(p)
+	if g.mirror {
+		g.cols[gid].AppendPoint(p)
+	}
+	if g.useHull {
+		g.hulls[gid].Add(p)
 	}
 }
 
@@ -627,72 +617,68 @@ func (g *AllGrouper) insert(grp *allGroup, id int) {
 // each partially overlapping group that satisfy the predicate with p are
 // pulled out — discarded under ELIMINATE, diverted to S′ under
 // FORM-NEW-GROUP — and the group's summaries are rebuilt.
-func (g *AllGrouper) processOverlap(p geom.Point, overlaps []*allGroup) {
-	for _, grp := range overlaps {
+func (g *AllGrouper) processOverlap(p geom.Point) {
+	out := &g.dropped
+	if g.opt.Overlap == FormNewGroup {
+		out = &g.deferred
+	}
+	for _, gid := range g.overlaps {
 		// Partition the members by one block-wise kernel pass: mask row i
-		// decides members[i]. The keep compaction is in place — its write
-		// index never passes the read index.
-		n := grp.cols.Len()
-		keep := grp.members[:0]
-		var removed []int
+		// decides the i-th member. The keep compaction is in place — its
+		// write index never passes the read index.
+		g.members = g.appendMembers(g.members[:0], gid)
+		n, before := len(g.members), len(*out)
+		keep := g.members[:0]
 		for lo := 0; lo < n; lo += kernelBlock {
-			hi := lo + kernelBlock
-			if hi > n {
-				hi = n
-			}
-			g.view.SliceInto(grp.cols, lo, hi)
+			hi := min(lo+kernelBlock, n)
+			g.view.SliceInto(g.cols[gid], lo, hi)
 			dists, mask := g.scratch(hi - lo)
 			g.stats.DistanceComps += int64(hi - lo)
 			geom.WithinMask(g.opt.Metric, g.view, p, g.opt.Eps, dists, mask)
 			for i, in := range mask {
-				m := grp.members[lo+i]
-				if in {
-					removed = append(removed, m)
+				if m := g.members[lo+i]; in {
+					*out = append(*out, m)
 				} else {
 					keep = append(keep, m)
 				}
 			}
 		}
-		if len(removed) == 0 {
-			continue
+		if len(*out) > before {
+			g.rebuildGroup(gid, keep)
 		}
-		grp.members = keep
-		switch g.opt.Overlap {
-		case Eliminate:
-			g.dropped = append(g.dropped, removed...)
-		case FormNewGroup:
-			g.deferred = append(g.deferred, removed...)
-		}
-		g.rebuildGroup(grp)
 	}
 }
 
-// rebuildGroup recomputes a group's rectangle and hull after removals. The
-// ε-All rectangle can legitimately grow, so the group is registered again:
-// Register adds the cells the region grew into, and the cells it left keep a
-// stale entry that the rectangle test turns away.
-func (g *AllGrouper) rebuildGroup(grp *allGroup) {
-	pts := make([]geom.Point, len(grp.members))
-	grp.cols.Reset()
-	for i, m := range grp.members {
-		pts[i] = g.points[m]
-		grp.cols.AppendPoint(g.points[m])
+// rebuildGroup relinks group gid to the members keep and recomputes its
+// mirror, rectangle and hull. The ε-All rectangle can legitimately grow, so
+// the group is registered again: Register adds the cells the region grew
+// into, and the cells it left keep a stale entry that the rectangle test
+// turns away.
+func (g *AllGrouper) rebuildGroup(gid int, keep []int) {
+	g.pts = g.pts[:0]
+	g.cols[gid].Reset()
+	for i, m := range keep {
+		if i > 0 {
+			g.next[keep[i-1]] = m
+		}
+		g.pts = append(g.pts, g.point(m))
+		g.cols[gid].AppendPoint(g.point(m))
 	}
-	if len(grp.members) == 0 {
+	g.rects[gid].Rebuild(g.pts)
+	if len(keep) == 0 {
 		// Unreachable while the ε-All rectangle test never rejects a point
 		// geom.Within accepts against every member (see geom.EpsRect): an
 		// overlap group then keeps the member p is not within ε of. Should
 		// an ε whose square under- or overflows break that, the emptied
 		// group stays behind inert: every find path skips it and Finish
 		// drops it.
-		grp.rect.Rebuild(nil)
 		return
 	}
-	grp.rect.Rebuild(pts)
-	if grp.hull != nil {
-		grp.hull.Rebuild(pts)
+	g.head[gid], g.tail[gid] = keep[0], keep[len(keep)-1]
+	if g.useHull {
+		g.hulls[gid].Rebuild(g.pts)
 	}
-	g.register(grp)
+	g.register(gid)
 }
 
 // AddCols feeds every point of a columnar batch in row order, as if each had

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -10,230 +12,277 @@ import (
 	"sgb/internal/hull"
 )
 
+// aggKind is the aggregate an aggCall computes.
+type aggKind uint8
+
+const (
+	aggCount aggKind = iota
+	aggSum
+	aggAvg
+	aggMin
+	aggMax
+	aggArray
+	aggPolygon
+	aggVariance
+	aggStddev
+)
+
+// aggKinds maps every aggregate function name onto its kind.
+var aggKinds = map[string]aggKind{
+	"count": aggCount, "sum": aggSum, "avg": aggAvg, "average": aggAvg,
+	"min": aggMin, "max": aggMax, "array_agg": aggArray, "list_id": aggArray,
+	"st_polygon": aggPolygon, "variance": aggVariance, "stddev": aggStddev,
+}
+
 // isAggregateName reports whether name denotes an aggregate function.
 func isAggregateName(name string) bool {
-	switch name {
-	case "count", "sum", "avg", "average", "min", "max",
-		"array_agg", "list_id", "st_polygon", "stddev", "variance":
-		return true
+	_, ok := aggKinds[name]
+	return ok
+}
+
+// aggKindOf checks an aggregate call's arity and returns its kind.
+func aggKindOf(name string, star, distinct bool, argc int) (aggKind, error) {
+	kind, ok := aggKinds[name]
+	if !ok {
+		return 0, fmt.Errorf("engine: unknown aggregate %s()", name)
 	}
-	return false
-}
-
-// aggState accumulates one aggregate over the rows of one group. add must
-// not retain args: the caller reuses the slice for the next row.
-type aggState interface {
-	add(args []Value) error
-	result() Value
-}
-
-// newAggState constructs the accumulator for an aggregate call.
-func newAggState(name string, star bool, argc int) (aggState, error) {
-	switch name {
-	case "count":
-		if !star && argc != 1 {
-			return nil, fmt.Errorf("engine: count() expects * or one argument")
-		}
-		return &countAgg{star: star}, nil
-	case "sum":
-		if argc != 1 {
-			return nil, fmt.Errorf("engine: sum() expects one argument")
-		}
-		return &sumAgg{}, nil
-	case "avg", "average":
-		if argc != 1 {
-			return nil, fmt.Errorf("engine: avg() expects one argument")
-		}
-		return &avgAgg{}, nil
-	case "min", "max":
-		if argc != 1 {
-			return nil, fmt.Errorf("engine: %s() expects one argument", name)
-		}
-		return &minMaxAgg{max: name == "max"}, nil
-	case "array_agg", "list_id":
-		if argc != 1 {
-			return nil, fmt.Errorf("engine: %s() expects one argument", name)
-		}
-		return &arrayAgg{}, nil
-	case "st_polygon":
-		if argc != 2 {
-			return nil, fmt.Errorf("engine: st_polygon() expects two arguments (x, y)")
-		}
-		return &polygonAgg{}, nil
-	case "stddev", "variance":
-		if argc != 1 {
-			return nil, fmt.Errorf("engine: %s() expects one argument", name)
-		}
-		return &varianceAgg{stddev: name == "stddev"}, nil
+	if distinct && star {
+		return 0, fmt.Errorf("engine: %s(DISTINCT *) is not valid", name)
 	}
-	return nil, fmt.Errorf("engine: unknown aggregate %s()", name)
+	want := 1
+	switch {
+	case kind == aggCount && star:
+		want = 0
+	case kind == aggPolygon:
+		want = 2
+	}
+	if argc != want {
+		return 0, fmt.Errorf("engine: %s() expects %d argument(s), got %d", name, want, argc)
+	}
+	return kind, nil
 }
 
-type countAgg struct {
-	star bool
-	n    int64
+// Bits of aggCall.bits for sum.
+const (
+	sumAnyRow  = 1 << iota // a non-NULL row was folded
+	sumIsFloat             // a float input — or an int64 overflow — promoted the sum
+)
+
+// aggCall is one aggregate invocation extracted from the SELECT/HAVING
+// expressions by the grouping rewrite. It owns the aggregate's state for every
+// group of an execution, as columns indexed by group id: distributive and
+// algebraic aggregates keep a fixed-size state per group in flat typed
+// slices, and only the holistic array_agg and st_polygon keep a slice per
+// group. A plan runs on its statement's goroutine, so the columns serve
+// every row of the aggregation that opens the call.
+type aggCall struct {
+	kind     aggKind
+	star     bool
+	distinct bool
+	args     []evalFn
+
+	n     []int64        // count; avg, variance: non-NULL rows folded
+	i     []int64        // sum: the exact int64 sum
+	f     []float64      // sum: the promoted sum; avg: the sum; variance: the mean
+	m2    []float64      // variance: Welford's sum of squared deviations
+	bits  []uint8        // sum: sumAnyRow | sumIsFloat
+	best  []Value        // min, max: the extreme so far, NULL before the first row
+	items [][]string     // array_agg: the rendered values
+	pts   [][]geom.Point // st_polygon: the points
+	// seen holds, under DISTINCT, the group id and argument key of every row
+	// folded, so each distinct argument tuple counts once per group.
+	seen   map[string]struct{}
+	keyBuf []byte
 }
 
-func (a *countAgg) add(args []Value) error {
-	if a.star || !args[0].IsNull() {
-		a.n++
+// reset empties every column for a new execution, keeping its capacity.
+func (c *aggCall) reset() {
+	c.n, c.i, c.f, c.m2, c.bits = c.n[:0], c.i[:0], c.f[:0], c.m2[:0], c.bits[:0]
+	c.best, c.items, c.pts = c.best[:0], c.items[:0], c.pts[:0]
+	if c.distinct {
+		if c.seen == nil {
+			c.seen = make(map[string]struct{})
+		}
+		clear(c.seen)
+	}
+}
+
+// grow appends the empty states of n more groups, numbered on from the last.
+func (c *aggCall) grow(n int) {
+	switch c.kind {
+	case aggCount:
+		c.n = extend(c.n, n)
+	case aggSum:
+		c.i, c.f, c.bits = extend(c.i, n), extend(c.f, n), extend(c.bits, n)
+	case aggAvg:
+		c.n, c.f = extend(c.n, n), extend(c.f, n)
+	case aggMin, aggMax:
+		c.best = extend(c.best, n)
+	case aggArray:
+		c.items = extend(c.items, n)
+	case aggPolygon:
+		c.pts = extend(c.pts, n)
+	case aggVariance, aggStddev:
+		c.n, c.f, c.m2 = extend(c.n, n), extend(c.f, n), extend(c.m2, n)
+	}
+}
+
+// extend appends n zero values to s, growing it geometrically.
+func extend[T any](s []T, n int) []T {
+	s = slices.Grow(s, n)[:len(s)+n]
+	clear(s[len(s)-n:])
+	return s
+}
+
+// add folds one row's arguments into group g. It does not retain args.
+func (c *aggCall) add(g int, args []Value) error {
+	if c.distinct {
+		c.keyBuf = appendKey(binary.LittleEndian.AppendUint64(c.keyBuf[:0], uint64(g)), args)
+		if _, dup := c.seen[string(c.keyBuf)]; dup {
+			return nil
+		}
+		c.seen[string(c.keyBuf)] = struct{}{}
+	}
+	if c.kind == aggCount {
+		if c.star || !args[0].IsNull() {
+			c.n[g]++
+		}
+		return nil
+	}
+	v := args[0]
+	if v.IsNull() || (c.kind == aggPolygon && args[1].IsNull()) {
+		return nil
+	}
+	switch c.kind {
+	case aggSum:
+		return c.addSum(g, v)
+	case aggAvg:
+		f, err := v.AsFloat()
+		if err != nil {
+			return fmt.Errorf("engine: avg over non-numeric %s", v.T)
+		}
+		c.n[g]++
+		c.f[g] += f
+	case aggMin, aggMax:
+		best := c.best[g]
+		switch {
+		case best.IsNull():
+			c.best[g] = v
+		case v.T == TypeFloat && best.T == TypeFloat:
+			// Compare's order on two floats, without its dispatch.
+			if (c.kind == aggMax && v.F > best.F) || (c.kind == aggMin && v.F < best.F) {
+				c.best[g] = v
+			}
+		default:
+			cmp, err := Compare(v, best)
+			if err != nil {
+				return err
+			}
+			if (c.kind == aggMax && cmp > 0) || (c.kind == aggMin && cmp < 0) {
+				c.best[g] = v
+			}
+		}
+	case aggArray:
+		c.items[g] = append(c.items[g], v.String())
+	case aggPolygon:
+		x, err := v.AsFloat()
+		if err != nil {
+			return fmt.Errorf("engine: st_polygon x: %v", err)
+		}
+		y, err := args[1].AsFloat()
+		if err != nil {
+			return fmt.Errorf("engine: st_polygon y: %v", err)
+		}
+		c.pts[g] = append(c.pts[g], geom.Point{x, y})
+	case aggVariance, aggStddev:
+		// Welford's online algorithm.
+		f, err := v.AsFloat()
+		if err != nil {
+			return fmt.Errorf("engine: variance over non-numeric %s", v.T)
+		}
+		c.n[g]++
+		delta := f - c.f[g]
+		c.f[g] += delta / float64(c.n[g])
+		c.m2[g] += delta * (f - c.f[g])
 	}
 	return nil
 }
 
-func (a *countAgg) result() Value { return NewInt(a.n) }
-
-type sumAgg struct {
-	anyRow  bool
-	isFloat bool // a float input — or an int64 overflow — promoted the sum
-	i       int64
-	f       float64
-}
-
-func (a *sumAgg) add(args []Value) error {
-	v := args[0]
-	if v.IsNull() {
-		return nil
-	}
-	a.anyRow = true
+// addSum folds a non-NULL value into sum group g: exact in int64 until a
+// float input or an overflow promotes the group to float.
+func (c *aggCall) addSum(g int, v Value) error {
+	c.bits[g] |= sumAnyRow
 	switch v.T {
 	case TypeInt:
-		if a.isFloat {
-			a.f += float64(v.I)
+		if c.bits[g]&sumIsFloat != 0 {
+			c.f[g] += float64(v.I)
 			return nil
 		}
-		s := a.i + v.I
-		if (a.i > 0 && v.I > 0 && s < 0) || (a.i < 0 && v.I < 0 && s >= 0) {
+		a := c.i[g]
+		s := a + v.I
+		if (a > 0 && v.I > 0 && s < 0) || (a < 0 && v.I < 0 && s >= 0) {
 			// The exact int64 sum just overflowed: degrade to float, keeping
 			// the magnitude right instead of silently wrapping the sign.
-			a.isFloat = true
-			a.f = float64(a.i) + float64(v.I)
+			c.bits[g] |= sumIsFloat
+			c.f[g] = float64(a) + float64(v.I)
 			return nil
 		}
-		a.i = s
+		c.i[g] = s
 	case TypeFloat:
-		if !a.isFloat {
-			a.isFloat = true
-			a.f = float64(a.i)
+		if c.bits[g]&sumIsFloat == 0 {
+			c.bits[g] |= sumIsFloat
+			c.f[g] = float64(c.i[g])
 		}
-		a.f += v.F
+		c.f[g] += v.F
 	default:
 		return fmt.Errorf("engine: sum over non-numeric %s", v.T)
 	}
 	return nil
 }
 
-func (a *sumAgg) result() Value {
-	if !a.anyRow {
+// result returns group g's aggregate value.
+func (c *aggCall) result(g int) Value {
+	switch c.kind {
+	case aggCount:
+		return NewInt(c.n[g])
+	case aggSum:
+		switch {
+		case c.bits[g]&sumAnyRow == 0:
+			return Null
+		case c.bits[g]&sumIsFloat != 0:
+			return NewFloat(c.f[g])
+		}
+		return NewInt(c.i[g])
+	case aggAvg:
+		if c.n[g] == 0 {
+			return Null
+		}
+		return NewFloat(c.f[g] / float64(c.n[g]))
+	case aggMin, aggMax:
+		return c.best[g]
+	case aggArray:
+		// PostgreSQL-style: {v1,v2,...}.
+		return NewString("{" + strings.Join(c.items[g], ",") + "}")
+	case aggPolygon:
+		return polygonWKT(c.pts[g])
+	}
+	if c.n[g] < 2 {
+		return Null // sample variance is undefined below two values
+	}
+	v := c.m2[g] / float64(c.n[g]-1)
+	if c.kind == aggStddev {
+		return NewFloat(sqrtNonNeg(v))
+	}
+	return NewFloat(v)
+}
+
+// polygonWKT renders ST_Polygon(x, y), the WKT convex hull of a group's
+// points used by the paper's MANET and geo-social queries, or NULL for none.
+func polygonWKT(pts []geom.Point) Value {
+	if len(pts) == 0 {
 		return Null
 	}
-	if a.isFloat {
-		return NewFloat(a.f)
-	}
-	return NewInt(a.i)
-}
-
-type avgAgg struct {
-	n int64
-	f float64
-}
-
-func (a *avgAgg) add(args []Value) error {
-	v := args[0]
-	if v.IsNull() {
-		return nil
-	}
-	f, err := v.AsFloat()
-	if err != nil {
-		return fmt.Errorf("engine: avg over non-numeric %s", v.T)
-	}
-	a.n++
-	a.f += f
-	return nil
-}
-
-func (a *avgAgg) result() Value {
-	if a.n == 0 {
-		return Null
-	}
-	return NewFloat(a.f / float64(a.n))
-}
-
-type minMaxAgg struct {
-	max  bool
-	seen bool
-	best Value
-}
-
-func (a *minMaxAgg) add(args []Value) error {
-	v := args[0]
-	if v.IsNull() {
-		return nil
-	}
-	if !a.seen {
-		a.best, a.seen = v, true
-		return nil
-	}
-	c, err := Compare(v, a.best)
-	if err != nil {
-		return err
-	}
-	if (a.max && c > 0) || (!a.max && c < 0) {
-		a.best = v
-	}
-	return nil
-}
-
-func (a *minMaxAgg) result() Value {
-	if !a.seen {
-		return Null
-	}
-	return a.best
-}
-
-// arrayAgg renders the collected values PostgreSQL-style: {v1,v2,...}.
-type arrayAgg struct {
-	items []string
-}
-
-func (a *arrayAgg) add(args []Value) error {
-	if !args[0].IsNull() {
-		a.items = append(a.items, args[0].String())
-	}
-	return nil
-}
-
-func (a *arrayAgg) result() Value {
-	return NewString("{" + strings.Join(a.items, ",") + "}")
-}
-
-// polygonAgg implements ST_Polygon(x, y): the WKT convex-hull polygon of the
-// group's points, used by the paper's MANET and geo-social queries.
-type polygonAgg struct {
-	pts []geom.Point
-}
-
-func (a *polygonAgg) add(args []Value) error {
-	if args[0].IsNull() || args[1].IsNull() {
-		return nil
-	}
-	x, err := args[0].AsFloat()
-	if err != nil {
-		return fmt.Errorf("engine: st_polygon x: %v", err)
-	}
-	y, err := args[1].AsFloat()
-	if err != nil {
-		return fmt.Errorf("engine: st_polygon y: %v", err)
-	}
-	a.pts = append(a.pts, geom.Point{x, y})
-	return nil
-}
-
-func (a *polygonAgg) result() Value {
-	if len(a.pts) == 0 {
-		return Null
-	}
-	h := hull.Compute(a.pts)
+	h := hull.Compute(pts)
 	var sb strings.Builder
 	switch len(h) {
 	case 1:
@@ -250,42 +299,6 @@ func (a *polygonAgg) result() Value {
 	return NewString(sb.String())
 }
 
-// varianceAgg computes the sample variance with Welford's online algorithm;
-// stddev is its square root.
-type varianceAgg struct {
-	stddev bool
-	n      int64
-	mean   float64
-	m2     float64
-}
-
-func (a *varianceAgg) add(args []Value) error {
-	v := args[0]
-	if v.IsNull() {
-		return nil
-	}
-	f, err := v.AsFloat()
-	if err != nil {
-		return fmt.Errorf("engine: variance over non-numeric %s", v.T)
-	}
-	a.n++
-	delta := f - a.mean
-	a.mean += delta / float64(a.n)
-	a.m2 += delta * (f - a.mean)
-	return nil
-}
-
-func (a *varianceAgg) result() Value {
-	if a.n < 2 {
-		return Null // sample variance is undefined below two values
-	}
-	v := a.m2 / float64(a.n-1)
-	if a.stddev {
-		return NewFloat(sqrtNonNeg(v))
-	}
-	return NewFloat(v)
-}
-
 func sqrtNonNeg(v float64) float64 {
 	if v < 0 {
 		return 0 // numerical noise on constant inputs
@@ -293,110 +306,25 @@ func sqrtNonNeg(v float64) float64 {
 	return math.Sqrt(v)
 }
 
-// aggCall is one aggregate invocation extracted from the SELECT/HAVING
-// expressions by the grouping rewrite.
-type aggCall struct {
-	name     string
-	star     bool
-	distinct bool
-	args     []evalFn
-	// scratch holds one row's argument values. A plan runs on its statement's
-	// goroutine, so one slice per call serves every row; no aggState keeps
-	// it (distinctAgg encodes a key, arrayAgg stores String(), minMaxAgg
-	// copies the Value, polygonAgg copies floats).
-	scratch []Value
-}
-
-func (c *aggCall) newState() (aggState, error) {
-	st, err := newAggState(c.name, c.star, len(c.args))
-	if err != nil {
-		return nil, err
-	}
-	if c.distinct {
-		if c.star {
-			return nil, fmt.Errorf("engine: %s(DISTINCT *) is not valid", c.name)
-		}
-		st = &distinctAgg{inner: st, seen: make(map[string]bool)}
-	}
-	return st, nil
-}
-
-// distinctAgg wraps an accumulator so each distinct argument tuple is
-// accumulated once per group (count/sum/avg/... DISTINCT).
-type distinctAgg struct {
-	inner  aggState
-	seen   map[string]bool
-	keyBuf []byte
-}
-
-func (a *distinctAgg) add(args []Value) error {
-	a.keyBuf = appendKey(a.keyBuf[:0], args)
-	if a.seen[string(a.keyBuf)] {
-		return nil
-	}
-	a.seen[string(a.keyBuf)] = true
-	return a.inner.add(args)
-}
-
-func (a *distinctAgg) result() Value { return a.inner.result() }
-
-// evalArgs evaluates the call's arguments over r into c.scratch.
-func (c *aggCall) evalArgs(r Row) ([]Value, error) {
-	if c.scratch == nil {
-		c.scratch = make([]Value, len(c.args))
-	}
-	for i, f := range c.args {
-		v, err := f(r)
-		if err != nil {
-			return nil, err
-		}
-		c.scratch[i] = v
-	}
-	return c.scratch, nil
-}
-
-// groupAccumulator bundles the states of all aggregate calls for one group.
-type groupAccumulator struct {
-	states []aggState
-}
-
-func newGroupAccumulator(calls []*aggCall) (*groupAccumulator, error) {
-	acc := &groupAccumulator{states: make([]aggState, 0, len(calls))}
-	return acc, acc.reset(calls)
-}
-
-// reset starts a new group: a fresh state per call in the reused states slice.
-func (g *groupAccumulator) reset(calls []*aggCall) error {
-	g.states = g.states[:0]
+// foldRow folds row r into group g of every call, in call order. Each call's
+// arguments are evaluated into one array on the stack, which add does not
+// retain: no call takes more than two.
+func foldRow(calls []*aggCall, g int, r Row) error {
+	var buf [2]Value
 	for _, c := range calls {
-		st, err := c.newState()
-		if err != nil {
-			return err
+		args := buf[:len(c.args)]
+		for i, f := range c.args {
+			v, err := f(r)
+			if err != nil {
+				return err
+			}
+			args[i] = v
 		}
-		g.states = append(g.states, st)
-	}
-	return nil
-}
-
-func (g *groupAccumulator) add(calls []*aggCall, r Row) error {
-	for i, c := range calls {
-		args, err := c.evalArgs(r)
-		if err != nil {
-			return err
-		}
-		if err := g.states[i].add(args); err != nil {
+		if err := c.add(g, args); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// appendResults appends each call's result to dst, in call order.
-func (g *groupAccumulator) appendResults(dst []Value) []Value {
-	for _, st := range g.states {
-		dst = append(dst, st.result())
-	}
-	return dst
 }
 
 // exprEqual reports structural equality of two expressions, used to match

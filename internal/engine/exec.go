@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"sort"
 
 	"sgb/internal/core"
@@ -601,33 +600,50 @@ func (l *limitOp) next() (Row, error) {
 
 // ---- standard hash aggregation (equality Group-By) ----
 
-// aggBucket is one group's key values and accumulator states.
-type aggBucket struct {
-	keyVals []Value
-	acc     *groupAccumulator
-}
-
-// aggTable is a grouping hash table keyed by the encoded grouping values,
-// preserving insertion order.
+// aggTable is a grouping hash table: it maps the encoded grouping values to a
+// dense group id, in order of first appearance. Group g's output row,
+// rows[g], holds its grouping values from the start and the calls' results,
+// read from their state columns at the same id, once the input is drained;
+// the rows are carved from shared chunks.
 type aggTable struct {
 	groupFns []evalFn
 	calls    []*aggCall
 	qc       *queryCtx // charges one budget row per new group
-	buckets  map[string]*aggBucket
-	order    []*aggBucket
+	ids      map[string]int32
+	rows     []Row
+	arena    []Value // the chunk new rows are carved from
 	inRows   int64
 	// scratch and keyBuf hold one row's group values and their encoding;
-	// a bucket clones the values only when the row starts a new group.
+	// a new group's row copies the values.
 	scratch []Value
 	keyBuf  []byte
 }
 
 func newAggTable(groupFns []evalFn, calls []*aggCall, qc *queryCtx) *aggTable {
+	for _, c := range calls {
+		c.reset()
+	}
 	return &aggTable{
 		groupFns: groupFns, calls: calls, qc: qc,
-		buckets: make(map[string]*aggBucket),
+		ids:     make(map[string]int32),
 		scratch: make([]Value, len(groupFns)),
 	}
+}
+
+// addGroup appends a group with the values in scratch and returns its id.
+func (t *aggTable) addGroup() int {
+	width := len(t.scratch) + len(t.calls)
+	if cap(t.arena)-len(t.arena) < width {
+		t.arena = make([]Value, 0, max(64*width, 2*cap(t.arena)))
+	}
+	n := len(t.arena)
+	t.arena = t.arena[:n+width]
+	t.rows = append(t.rows, t.arena[n:n+width:n+width])
+	copy(t.arena[n:], t.scratch)
+	for _, c := range t.calls {
+		c.grow(1)
+	}
+	return len(t.rows) - 1
 }
 
 func (t *aggTable) addRow(r Row) error {
@@ -639,7 +655,7 @@ func (t *aggTable) addRow(r Row) error {
 		}
 	}
 	t.keyBuf = appendKey(t.keyBuf[:0], t.scratch)
-	b, ok := t.buckets[string(t.keyBuf)]
+	id, ok := t.ids[string(t.keyBuf)]
 	if !ok {
 		if err := t.qc.addRows(1); err != nil {
 			return err
@@ -647,15 +663,21 @@ func (t *aggTable) addRow(r Row) error {
 		if err := t.qc.growMem(memBucketOverheadBytes + memValueBytes*int64(len(t.scratch))); err != nil {
 			return err
 		}
-		acc, err := newGroupAccumulator(t.calls)
-		if err != nil {
-			return err
-		}
-		b = &aggBucket{keyVals: slices.Clone(t.scratch), acc: acc}
-		t.buckets[string(t.keyBuf)] = b
-		t.order = append(t.order, b)
+		id = int32(t.addGroup())
+		t.ids[string(t.keyBuf)] = id
 	}
-	return b.acc.add(t.calls, r)
+	return foldRow(t.calls, int(id), r)
+}
+
+// finish fills in every group's aggregate results and returns the rows,
+// [groupValues..., aggResults...], in group id order.
+func (t *aggTable) finish() []Row {
+	for g, row := range t.rows {
+		for j, c := range t.calls {
+			row[len(t.scratch)+j] = c.result(g)
+		}
+	}
+	return t.rows
 }
 
 // hashAggOp implements the standard Group-By: groups are the distinct values
@@ -691,24 +713,13 @@ func (a *hashAggOp) open() error {
 	if err := a.build(tbl); err != nil {
 		return err
 	}
-	if len(a.groupExprs) == 0 && len(tbl.buckets) == 0 {
+	if len(a.groupExprs) == 0 && len(tbl.rows) == 0 {
 		// Global aggregate over an empty input still yields one row.
-		acc, err := newGroupAccumulator(a.calls)
-		if err != nil {
-			return err
-		}
-		b := &aggBucket{acc: acc}
-		tbl.buckets[""] = b
-		tbl.order = append(tbl.order, b)
+		tbl.addGroup()
 	}
 	a.inRows = tbl.inRows
-	a.nGroups = len(tbl.buckets)
-	a.rows = a.rows[:0]
-	for _, b := range tbl.order {
-		out := make(Row, 0, len(a.groupExprs)+len(a.calls))
-		out = append(out, b.keyVals...)
-		a.rows = append(a.rows, b.acc.appendResults(out))
-	}
+	a.nGroups = len(tbl.rows)
+	a.rows = tbl.finish()
 	sortRowsStable(a.rows, len(a.groupExprs))
 	a.pos = 0
 	return nil
@@ -874,27 +885,31 @@ func (a *sgbAggOp) open() error {
 	if err := a.qc.growMem(int64(len(res.Groups)) * (memBucketOverheadBytes + memRowBytes(outWidth))); err != nil {
 		return err
 	}
-	// Groups are folded one at a time, so one accumulator serves them all.
-	var acc groupAccumulator
-	for _, grp := range res.Groups {
-		if err := acc.reset(a.calls); err != nil {
-			return err
-		}
+	// Result group i is aggregate group id i; the output rows are carved
+	// from one backing array.
+	for _, c := range a.calls {
+		c.reset()
+		c.grow(len(res.Groups))
+	}
+	all := make([]Value, 0, len(res.Groups)*outWidth)
+	for i, grp := range res.Groups {
 		for _, id := range grp.IDs {
-			if err := acc.add(a.calls, tuples[id]); err != nil {
+			if err := foldRow(a.calls, i, tuples[id]); err != nil {
 				return err
 			}
 		}
 		rep := tuples[grp.IDs[0]]
-		out := make(Row, 0, outWidth)
 		for _, g := range a.groupExprs {
 			v, err := g(rep)
 			if err != nil {
 				return err
 			}
-			out = append(out, v)
+			all = append(all, v)
 		}
-		a.rows = append(a.rows, acc.appendResults(out))
+		for _, c := range a.calls {
+			all = append(all, c.result(i))
+		}
+		a.rows = append(a.rows, all[i*outWidth:(i+1)*outWidth:(i+1)*outWidth])
 	}
 	return nil
 }

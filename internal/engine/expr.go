@@ -213,6 +213,7 @@ func compileExpr(e Expr, schema Schema, pc *planContext) (evalFn, error) {
 		// Uncorrelated: materialize the subquery once, lazily.
 		var set map[string]bool
 		var keyBuf []byte
+		var ints, floats int // the set's INT and FLOAT keys
 		probe := func(v Value) bool {
 			keyBuf = appendKey(keyBuf[:0], []Value{v})
 			return set[string(keyBuf)]
@@ -231,6 +232,12 @@ func compileExpr(e Expr, schema Schema, pc *planContext) (evalFn, error) {
 				}
 				set = make(map[string]bool, len(rows))
 				for _, row := range rows {
+					switch row[0].T {
+					case TypeInt:
+						ints++
+					case TypeFloat:
+						floats++
+					}
 					keyBuf = appendKey(keyBuf[:0], row[:1])
 					set[string(keyBuf)] = true
 				}
@@ -243,13 +250,14 @@ func compileExpr(e Expr, schema Schema, pc *planContext) (evalFn, error) {
 				return Null, nil
 			}
 			// Match integer keys against float sets and vice versa by
-			// probing both encodings.
+			// probing the other encoding too, when the set holds any: a float
+			// converts only when it is integral and inside the int64 range.
 			hit := probe(v)
 			if !hit {
-				if v.T == TypeInt {
+				if v.T == TypeInt && floats > 0 {
 					hit = probe(NewFloat(float64(v.I)))
-				} else if v.T == TypeFloat && v.F == math.Trunc(v.F) {
-					hit = probe(NewInt(int64(v.F)))
+				} else if c := canonicalKeyValue(v); v.T == TypeFloat && c.T == TypeInt && ints > 0 {
+					hit = probe(c)
 				}
 			}
 			return NewBool(hit != not), nil
@@ -445,9 +453,9 @@ func compileScalarCall(e *FuncCall, schema Schema, pc *planContext) (evalFn, err
 		}
 		return nil
 	}
-	// evalArgs evaluates the arguments into one slice the call owns, as
-	// aggCall.evalArgs does: every function below reads it before returning
-	// and none retains it, and a plan's expressions run on one goroutine.
+	// evalArgs evaluates the arguments into one slice the call owns: every
+	// function below reads it before returning and none retains it, and a
+	// plan's expressions run on one goroutine.
 	scratch := make([]Value, len(args))
 	evalArgs := func(r Row) ([]Value, error) {
 		for i, f := range args {

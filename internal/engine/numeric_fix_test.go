@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -129,5 +130,58 @@ func TestSumNegativeOverflow(t *testing.T) {
 	v := res.Rows[0][0]
 	if v.T != TypeFloat || v.F != 3*float64(big) {
 		t.Fatalf("sum = %s %v, want float %v", v.T, v, 3*float64(big))
+	}
+}
+
+// TestInSubqueryCrossTypeRange: x IN (SELECT …) matches INT and FLOAT keys by
+// SQL numeric equality, converting a float to an int only inside the int64
+// range, so ±1e19 cannot wrap onto MinInt64. The rows with MinInt64 go in
+// through Table.Insert, because the lexer reads -9223372036854775808 as FLOAT.
+func TestInSubqueryCrossTypeRange(t *testing.T) {
+	db := NewDB()
+	tables := []struct {
+		name string
+		typ  Type
+		vals []Value
+	}{
+		{"a", TypeInt, []Value{NewInt(math.MinInt64), NewInt(5)}},
+		{"b", TypeFloat, []Value{NewFloat(1e19), NewFloat(5), NewFloat(-1e19), NewFloat(-exactInt64Bound), Null}},
+		{"i3", TypeInt, []Value{NewInt(3), NewInt(4)}},
+		{"f3", TypeFloat, []Value{NewFloat(3), NewFloat(4.5)}},
+	}
+	for _, tb := range tables {
+		tbl, err := db.Catalog().Create(tb.name, Schema{{Name: "v", T: tb.typ}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range tb.vals {
+			if err := tbl.Insert(Row{v}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	str := func(vs ...Value) [][]string {
+		out := [][]string{}
+		for _, v := range vs {
+			out = append(out, []string{v.String()})
+		}
+		return out
+	}
+	for _, c := range []struct {
+		sql  string
+		want [][]string
+	}{
+		{"SELECT v FROM b WHERE v IN (SELECT v FROM a) ORDER BY v", str(NewFloat(-exactInt64Bound), NewFloat(5))},
+		{"SELECT v FROM b WHERE v NOT IN (SELECT v FROM a) ORDER BY v", str(NewFloat(-1e19), NewFloat(1e19))},
+		// In insertion order: 1e19, 5, -1e19, -2^63, and the NULL probe.
+		{"SELECT v IN (SELECT v FROM a) FROM b", str(NewBool(false), NewBool(true), NewBool(false), NewBool(true), Null)},
+		{"SELECT v FROM a WHERE v IN (SELECT v FROM b) ORDER BY v", str(NewInt(math.MinInt64), NewInt(5))},
+		{"SELECT v FROM i3 WHERE v IN (SELECT v FROM f3)", str(NewInt(3))},
+		{"SELECT v FROM f3 WHERE v IN (SELECT v FROM i3)", str(NewFloat(3))},
+		{"SELECT v FROM f3 WHERE v NOT IN (SELECT v FROM i3)", str(NewFloat(4.5))},
+	} {
+		if got := queryStrings(t, db, c.sql); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s = %v, want %v", c.sql, got, c.want)
+		}
 	}
 }

@@ -622,8 +622,12 @@ func (rw *aggRewriter) rewrite(e Expr) (Expr, error) {
 			}
 			args[i] = f
 		}
+		kind, err := aggKindOf(e.Name, e.Star, e.Distinct, len(args))
+		if err != nil {
+			return nil, err
+		}
 		j := len(rw.calls)
-		rw.calls = append(rw.calls, &aggCall{name: e.Name, star: e.Star, distinct: e.Distinct, args: args})
+		rw.calls = append(rw.calls, &aggCall{kind: kind, star: e.Star, distinct: e.Distinct, args: args})
 		rw.callExprs = append(rw.callExprs, e)
 		rw.callTypes = append(rw.callTypes, aggResultType(e, rw.input))
 		return &ColumnRef{Name: "$agg" + strconv.Itoa(j)}, nil

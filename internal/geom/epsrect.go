@@ -27,15 +27,22 @@ package geom
 // ε-sided box because the members of a clique span at most ε per axis.
 // Removing a member (the ELIMINATE and FORM-NEW-GROUP overlap semantics) can
 // grow it, so Rebuild recomputes it from the surviving members.
+//
+// An EpsRect is a value over storage its caller owns: the MBR's corners are
+// the two halves of the buffer passed to MakeEpsRect, so a grouper can carve
+// every group's rectangle from one slab without an allocation per group.
 type EpsRect struct {
 	eps float64
 	mbr Rect // minimum bounding rectangle of the members; valid iff n > 0
 	n   int
 }
 
-// NewEpsRect returns an ε-All rectangle seeded with a first member p.
-func NewEpsRect(p Point, eps float64) *EpsRect {
-	return &EpsRect{eps: eps, mbr: PointRect(p), n: 1}
+// MakeEpsRect returns an empty ε-All rectangle whose MBR lives in buf, which
+// holds 2d floats for d-dimensional members and must not be shared. The
+// first Add seeds it.
+func MakeEpsRect(buf []float64, eps float64) EpsRect {
+	d := len(buf) / 2
+	return EpsRect{eps: eps, mbr: Rect{Min: buf[:d:d], Max: buf[d : 2*d : 2*d]}}
 }
 
 // Len reports the number of members the rectangle currently summarizes.
@@ -83,11 +90,11 @@ func (e *EpsRect) Reaches(p Point) bool {
 // Rε-All empty, which no legitimate member can.
 func (e *EpsRect) Add(p Point) {
 	if e.n == 0 {
-		e.mbr = PointRect(p)
+		copy(e.mbr.Min, p)
+		copy(e.mbr.Max, p)
 		e.n = 1
 		return
 	}
-	// The MBR is mutated in place — EpsRect owns its storage.
 	for i, v := range p {
 		if v < e.mbr.Min[i] {
 			e.mbr.Min[i] = v

@@ -17,6 +17,13 @@ func (e *EpsRect) Bound() Rect {
 	return b
 }
 
+// newEpsRect returns an ε-All rectangle over fresh storage, seeded with p.
+func newEpsRect(p Point, eps float64) *EpsRect {
+	e := MakeEpsRect(make([]float64, 2*len(p)), eps)
+	e.Add(p)
+	return &e
+}
+
 // TestEpsRectRejectsWhatWithinRejects is the ε-boundary counterexample the
 // cross-algorithm matrix found: p - ε rounds onto q's coordinate, so a test
 // against the stored rectangle q + ε admitted p, while Within computes
@@ -29,7 +36,7 @@ func TestEpsRectRejectsWhatWithinRejects(t *testing.T) {
 		t.Fatalf("Within(%v, %v, %v) holds; the counterexample no longer applies", p, q, eps)
 	}
 	for _, c := range [][2]Point{{q, p}, {p, q}} {
-		e := NewEpsRect(c[0], eps)
+		e := newEpsRect(c[0], eps)
 		if e.ContainsPoint(c[1]) || e.Reaches(c[1]) {
 			t.Errorf("{%v}: ContainsPoint(%v) = %v, Reaches = %v; Within rejects the pair", c[0], c[1], e.ContainsPoint(c[1]), e.Reaches(c[1]))
 		}
@@ -39,8 +46,8 @@ func TestEpsRectRejectsWhatWithinRejects(t *testing.T) {
 	for near[0]-q[0] > eps {
 		near[0] = math.Nextafter(near[0], -1)
 	}
-	if !Within(LInf, near, q, eps) || !NewEpsRect(q, eps).ContainsPoint(near) {
-		t.Errorf("%v: Within %v, ContainsPoint %v; want both true", near, Within(LInf, near, q, eps), NewEpsRect(q, eps).ContainsPoint(near))
+	if !Within(LInf, near, q, eps) || !newEpsRect(q, eps).ContainsPoint(near) {
+		t.Errorf("%v: Within %v, ContainsPoint %v; want both true", near, Within(LInf, near, q, eps), newEpsRect(q, eps).ContainsPoint(near))
 	}
 }
 
@@ -60,7 +67,7 @@ func TestEpsRectFilterNeverRejectsWithin(t *testing.T) {
 	for _, m := range []Metric{LInf, L1, L2} {
 		for trial := 0; trial < 2000; trial++ {
 			members := []Point{{coord(), coord()}}
-			e := NewEpsRect(members[0], eps)
+			e := newEpsRect(members[0], eps)
 			for i := 0; i < 6; i++ {
 				c := Point{coord(), coord()}
 				all := true
@@ -92,7 +99,7 @@ func TestEpsRectFilterNeverRejectsWithin(t *testing.T) {
 // a1(2,2) with ε=2 under L∞, shrinking its ε-All rectangle as members join.
 func TestEpsRectPaperExample(t *testing.T) {
 	eps := 2.0
-	e := NewEpsRect(Point{2, 2}, eps)
+	e := newEpsRect(Point{2, 2}, eps)
 	if got, want := e.Bound(), NewRect(Point{0, 0}, Point{4, 4}); !got.Equal(want) {
 		t.Fatalf("initial Rε-All = %v, want %v (2ε-sided box centred at a1)", got, want)
 	}
@@ -130,7 +137,7 @@ func TestEpsRectInvariantLInf(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		eps := 0.5 + r.Float64()*2
 		seed := Point{r.Float64() * 10, r.Float64() * 10}
-		e := NewEpsRect(seed, eps)
+		e := newEpsRect(seed, eps)
 		members := []Point{seed}
 		// Grow a clique by acceptance through the rectangle.
 		for i := 0; i < 30; i++ {
@@ -172,7 +179,7 @@ func TestEpsRectConservativeL2(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		eps := 0.5 + r.Float64()*2
 		seed := Point{r.Float64() * 10, r.Float64() * 10}
-		e := NewEpsRect(seed, eps)
+		e := newEpsRect(seed, eps)
 		members := []Point{seed}
 		for i := 0; i < 30; i++ {
 			c := Point{r.Float64() * 10, r.Float64() * 10}
@@ -212,7 +219,7 @@ func TestEpsRectConservativeL2(t *testing.T) {
 func TestEpsRectLowerBound(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	eps := 1.0
-	e := NewEpsRect(Point{0, 0}, eps)
+	e := newEpsRect(Point{0, 0}, eps)
 	for i := 0; i < 500; i++ {
 		c := Point{r.Float64()*4 - 2, r.Float64()*4 - 2}
 		if e.ContainsPoint(c) {
@@ -230,7 +237,7 @@ func TestEpsRectLowerBound(t *testing.T) {
 func TestEpsRectMBRInsideBound(t *testing.T) {
 	// A clique's member MBR is always inside Rε-All (every member lies in
 	// every other member's ε-box).
-	e := NewEpsRect(Point{0, 0}, 3)
+	e := newEpsRect(Point{0, 0}, 3)
 	for _, p := range []Point{{1, 1}, {2, 0}, {0, 2}, {-1, -1}} {
 		if e.ContainsPoint(p) {
 			e.Add(p)
@@ -245,7 +252,7 @@ func TestEpsRectRebuildAfterRemoval(t *testing.T) {
 	eps := 2.0
 	a := Point{0, 0}
 	b := Point{1.5, 0}
-	e := NewEpsRect(a, eps)
+	e := newEpsRect(a, eps)
 	e.Add(b)
 	shrunk := e.Bound()
 	// Removing b must grow the rectangle back to a's box.
@@ -263,7 +270,7 @@ func TestEpsRectRebuildAfterRemoval(t *testing.T) {
 }
 
 func TestEpsRectAddPanicsOnForeignPoint(t *testing.T) {
-	e := NewEpsRect(Point{0, 0}, 1)
+	e := newEpsRect(Point{0, 0}, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Add accepted a point disjoint from the ε-All rectangle")
@@ -273,7 +280,7 @@ func TestEpsRectAddPanicsOnForeignPoint(t *testing.T) {
 }
 
 func TestEpsRectAddToEmpty(t *testing.T) {
-	e := NewEpsRect(Point{0, 0}, 1)
+	e := newEpsRect(Point{0, 0}, 1)
 	e.Rebuild(nil)
 	e.Add(Point{5, 5})
 	if e.Len() != 1 || !e.Bound().Equal(BoxAround(Point{5, 5}, 1)) {

@@ -113,9 +113,15 @@ func (t *table) add(cs []int64, slot int) int {
 	t.slots[slot] = int32(i + 1)
 	t.coords = append(t.coords, cs...)
 	if 2*t.n > len(t.slots) {
+		// Rehash: the cells are distinct, so each takes the first empty slot
+		// of its probe sequence, as find would return it, without comparing.
 		t.slots = make([]int32, 2*len(t.slots))
+		mask := len(t.slots) - 1
 		for j := 0; j < t.n; j++ {
-			_, s := t.find(t.coords[j*t.dim : (j+1)*t.dim])
+			s := int(hash(t.coords[j*t.dim:(j+1)*t.dim])) & mask
+			for t.slots[s] != 0 {
+				s = (s + 1) & mask
+			}
 			t.slots[s] = int32(j + 1)
 		}
 	}
@@ -293,11 +299,11 @@ func (ix *Index) Block(p geom.Point, out []int) []int {
 // Regions indexes the candidate regions of SGB-All groups on a grid of side ε,
 // whatever the metric: cell c lists, in ascending order, the id of every group
 // registered in it. Ids are small non-negative integers (Block keeps a mark
-// per id up to the largest). A group whose members span the rectangle mbr is
-// registered in every cell that its candidate region [mbr.Max-ε′, mbr.Min+ε′]
-// overlaps — at most three cells per axis, four when the region ends within
-// ε′-ε of a cell wall. The zero value is not usable; construct with
-// NewRegions.
+// per id up to the largest, in a slice that grows geometrically). A group
+// whose members span the rectangle mbr is registered in every cell that its
+// candidate region [mbr.Max-ε′, mbr.Min+ε′] overlaps — at most three cells
+// per axis, four when the region ends within ε′-ε of a cell wall. The zero
+// value is not usable; construct with NewRegions.
 //
 // Two guarantees, for members that pass geom.Within pairwise:
 //
@@ -321,8 +327,9 @@ type Regions struct {
 }
 
 // listCap is the capacity a new cell's id list is carved with: most cells
-// hold a handful of groups, and carving them from shared chunks saves an
-// allocation per cell.
+// hold a handful of groups. Lists are carved from shared chunks, and a full
+// list moves to a carved one of twice its capacity, so registering a group
+// allocates nothing of its own.
 const listCap = 4
 
 // NewRegions returns an empty region grid for the predicate δ(p,q) ≤ eps over
@@ -342,27 +349,37 @@ func (r *Regions) Register(mbr geom.Rect, id int) {
 			return
 		}
 	}
-	if id >= len(r.mark) {
-		r.mark = append(r.mark, make([]uint32, id+1-len(r.mark))...)
+	for len(r.mark) <= id {
+		r.mark = append(r.mark, 0)
 	}
 	copy(r.cur, r.lo)
 	for {
 		i, slot := r.find(r.cur)
 		if i < 0 {
 			i = r.add(r.cur, slot)
-			if len(r.spare) < listCap {
-				r.spare = make([]int, 256*listCap)
-			}
-			r.ids = append(r.ids, r.spare[:0:listCap])
-			r.spare = r.spare[listCap:]
+			r.ids = append(r.ids, r.carve(listCap))
 		}
-		if at, found := slices.BinarySearch(r.ids[i], id); !found {
-			r.ids[i] = slices.Insert(r.ids[i], at, id)
+		ids := r.ids[i]
+		if at, found := slices.BinarySearch(ids, id); !found {
+			if len(ids) == cap(ids) {
+				ids = append(r.carve(2*cap(ids)), ids...)
+			}
+			r.ids[i] = slices.Insert(ids, at, id)
 		}
 		if !r.next() {
 			return
 		}
 	}
+}
+
+// carve returns an empty id list of capacity n from the shared chunks.
+func (r *Regions) carve(n int) []int {
+	if len(r.spare) < n {
+		r.spare = make([]int, max(256*listCap, n))
+	}
+	list := r.spare[:0:n]
+	r.spare = r.spare[n:]
+	return list
 }
 
 // Own returns the ids registered in p's cell, ascending. The slice is valid

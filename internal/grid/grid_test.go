@@ -143,7 +143,7 @@ func TestRegionsListEveryGroup(t *testing.T) {
 			for _, eps := range []float64{0.25, 1, 3.7} {
 				pts := wallPoints(r, 200, dim, eps)
 				var groups [][]geom.Point
-				var rects []*geom.EpsRect
+				var rects []geom.EpsRect
 				reg := NewRegions(eps, dim)
 				for _, p := range pts {
 					g := 0
@@ -158,10 +158,9 @@ func TestRegionsListEveryGroup(t *testing.T) {
 					}
 					if g == len(groups) {
 						groups = append(groups, nil)
-						rects = append(rects, geom.NewEpsRect(p, eps))
-					} else {
-						rects[g].Add(p)
+						rects = append(rects, geom.MakeEpsRect(make([]float64, 2*dim), eps))
 					}
+					rects[g].Add(p)
 					groups[g] = append(groups[g], p)
 					reg.Register(rects[g].MBR(), g)
 				}
