@@ -196,9 +196,10 @@ func (r *Result) Sizes() []int {
 type Stats struct {
 	// Points is the number of input points processed.
 	Points int
-	// DistanceComps counts similarity-predicate evaluations δ(p,q) ≤ ε. Pairs
-	// joined without evaluating it — two points of one certified ε-grid cell
-	// — count nothing.
+	// DistanceComps counts similarity-predicate evaluations δ(p,q) ≤ ε: one
+	// per geom.Within call, and one per convex-hull farthest-vertex bound.
+	// Pairs joined without evaluating it — two points of one certified
+	// ε-grid cell — count nothing.
 	DistanceComps int64
 	// RectTests counts ε-All rectangle containment/overlap tests.
 	RectTests int64

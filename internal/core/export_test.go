@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"sgb/internal/geom"
 )
 
 // Test hooks: exported only to this package's tests, because no non-test
@@ -23,28 +21,4 @@ func ParseOverlap(s string) (Overlap, error) {
 	default:
 		return 0, fmt.Errorf("core: unknown ON-OVERLAP clause %q", s)
 	}
-}
-
-// SGBAllCols is SGBAll over a columnar point set.
-func SGBAllCols(c geom.Cols, opt Options) (*Result, error) {
-	g, err := NewAllGrouper(opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.AddCols(c); err != nil {
-		return nil, err
-	}
-	return g.Finish()
-}
-
-// SGBAnyCols is SGBAny over a columnar point set.
-func SGBAnyCols(c geom.Cols, opt Options) (*Result, error) {
-	g, err := NewAnyGrouper(opt)
-	if err != nil {
-		return nil, err
-	}
-	if err := g.AddCols(c); err != nil {
-		return nil, err
-	}
-	return g.Finish()
 }

@@ -88,6 +88,7 @@ func TestStreamingMatchesBatch(t *testing.T) {
 // every point through one reused buffer. For each algorithm × ON-OVERLAP
 // mode the answer must equal SGBAll's on distinct slices; before Add copied,
 // the first five points below corrupted the groups' rectangles and panicked.
+// SGB-Any's Add and AddLinked copy too, on every point index.
 func TestAddReusedBuffer(t *testing.T) {
 	r := rand.New(rand.NewSource(141))
 	pts := append([]geom.Point{{0, 0}, {0.1, 0}, {5, 5}, {5.1, 5}, {0.05, 0}},
@@ -118,6 +119,42 @@ func TestAddReusedBuffer(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%v/%v/%v: reused-buffer feed differs from SGBAll:\n%v\nvs\n%v", m, alg, ov, got, want)
 				}
+			}
+		}
+		want := referenceComponents(pts, m, 0.6)
+		for _, c := range []struct {
+			name     string
+			alg      Algorithm
+			blockCap float64
+			linked   bool
+		}{
+			{"all-pairs", AllPairs, gridBlockCap, false},
+			{"grid", IndexBounds, gridBlockCap, false},
+			{"rtree", IndexBounds, 0, false},
+			{"grid/AddLinked", IndexBounds, gridBlockCap, true},
+		} {
+			g, err := newAnyGrouper(Options{Metric: m, Eps: 0.6, Algorithm: c.alg}, c.blockCap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make(geom.Point, 2)
+			for _, p := range pts {
+				copy(buf, p)
+				if c.linked {
+					_, _, err = g.AddLinked(buf)
+				} else {
+					_, err = g.Add(buf)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := g.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Groups, want) {
+				t.Fatalf("SGB-Any %v/%s: reused-buffer feed differs from the connected components", m, c.name)
 			}
 		}
 	}

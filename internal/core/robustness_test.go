@@ -101,8 +101,8 @@ func TestNonFiniteCoordinatesRejected(t *testing.T) {
 	}
 	opt.Algorithm = IndexBounds
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := SGBAnyCols(geom.ColsFromPoints([]geom.Point{{1, 2}, {v, 0}}), opt); !errors.Is(err, ErrNonFiniteCoordinate) {
-			t.Fatalf("SGBAnyCols(%v) on the grid: err = %v, want ErrNonFiniteCoordinate", v, err)
+		if _, err := SGBAny([]geom.Point{{1, 2}, {v, 0}}, opt); !errors.Is(err, ErrNonFiniteCoordinate) {
+			t.Fatalf("SGBAny(%v) on the grid: err = %v, want ErrNonFiniteCoordinate", v, err)
 		}
 	}
 
@@ -122,67 +122,34 @@ func TestNonFiniteCoordinatesRejected(t *testing.T) {
 	}
 }
 
-// TestParallelCtxCancel: the batch feed the engine uses — AddCols on the
-// ε-grid — aborts on a canceled context instead of grouping on, and a live
-// context changes nothing.
-func TestParallelCtxCancel(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	cols := geom.ColsFromPoints(randomPoints(r, 5000, 2, 3))
-	opt := Options{Metric: geom.L2, Eps: 0.5, Algorithm: IndexBounds}
-	run := func(ctx context.Context) (*Result, error) {
-		g, err := NewAnyGrouper(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.WithContext(ctx).AddCols(cols); err != nil {
-			return nil, err
-		}
-		return g.Finish()
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := run(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	want, err := SGBAnyCols(cols, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Groups, want.Groups) || got.Stats != want.Stats {
-		t.Fatal("a live context changed the grouping")
-	}
-}
-
 // TestGrouperWithContextCancel: once the armed context dies, streaming Add
-// fails within one poll stride.
+// fails within one poll stride, under All-Pairs and on the indexes.
 func TestGrouperWithContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opt := Options{Metric: geom.L2, Eps: 0.5, Algorithm: AllPairs}
+	for _, alg := range []Algorithm{AllPairs, IndexBounds} {
+		opt := Options{Metric: geom.L2, Eps: 0.5, Algorithm: alg}
+		any, err := NewAnyGrouper(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		any.WithContext(ctx)
+		if err := addUntilError(func(p geom.Point) error { _, e := any.Add(p); return e }); !errors.Is(err, context.Canceled) {
+			t.Fatalf("AnyGrouper/%v: err = %v, want context.Canceled", alg, err)
+		}
 
-	any, err := NewAnyGrouper(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	any.WithContext(ctx)
-	if err := addUntilError(func(p geom.Point) error { _, e := any.Add(p); return e }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AnyGrouper: err = %v, want context.Canceled", err)
-	}
-
-	all, err := NewAllGrouper(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all.WithContext(ctx)
-	if err := addUntilError(func(p geom.Point) error { _, e := all.Add(p); return e }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AllGrouper: err = %v, want context.Canceled", err)
+		all, err := NewAllGrouper(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all.WithContext(ctx)
+		if err := addUntilError(func(p geom.Point) error { _, e := all.Add(p); return e }); !errors.Is(err, context.Canceled) {
+			t.Fatalf("AllGrouper/%v: err = %v, want context.Canceled", alg, err)
+		}
 	}
 
 	// A deadline works the same way through the shared context machinery.
+	opt := Options{Metric: geom.L2, Eps: 0.5, Algorithm: AllPairs}
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
 	g2, err := NewAnyGrouper(opt)
@@ -195,9 +162,59 @@ func TestGrouperWithContextCancel(t *testing.T) {
 	}
 }
 
-// addUntilError feeds points until the grouper reports an error, bounded by a
-// few poll strides so a broken cancellation path fails the test instead of
-// spinning.
+// TestParallelCtxCancel: the feed the engine uses — Add on the ε-grid — stops
+// within one poll stride of the context dying mid-stream instead of grouping
+// on, and a live context changes nothing.
+func TestParallelCtxCancel(t *testing.T) {
+	pts := randomPoints(rand.New(rand.NewSource(7)), 5000, 2, 3)
+	opt := Options{Metric: geom.L2, Eps: 0.5, Algorithm: IndexBounds}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	g, err := NewAnyGrouper(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.WithContext(ctx)
+	half := len(pts) / 2
+	for _, p := range pts[:half] {
+		if _, err := g.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cancel()
+	err = nil
+	for _, p := range pts[half : half+ctxCheckStride+1] {
+		if _, err = g.Add(p); err != nil {
+			break
+		}
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v after %d points past the cancel, want context.Canceled", err, ctxCheckStride+1)
+	}
+
+	want, err := SGBAny(pts, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := NewAnyGrouper(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.WithContext(context.Background())
+	for _, p := range pts {
+		if _, err := live.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := live.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Groups, want.Groups) || got.Stats != want.Stats {
+		t.Fatal("a live context changed the grouping")
+	}
+}
+
 func addUntilError(add func(geom.Point) error) error {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 4*ctxCheckStride; i++ {

@@ -16,56 +16,9 @@ import (
 // well under a second, rare enough to keep the hot path branch-predictable.
 const ctxCheckStride = 1024
 
-// kernelBlock is the maximum row count of one batch-kernel probe: member
-// scans walk a group's columnar mirror in slabs of up to this many points per
-// geom.WithinMask call. It bounds the kernel scratch buffers; large enough to
-// amortize the call and let the inner loop vectorize.
-const kernelBlock = 256
-
-// kernelHead is the number of members an early-exit scan probes
-// row-at-a-time with geom.Within before switching to batch kernels. A scan
-// that decides on its first member — the common case for JOIN-ANY candidacy
-// over sparse data — pays exactly one distance computation and no kernel
-// dispatch, matching the historical per-row scan; only scans that survive
-// the head amortize kernel-call overhead over wide blocks.
-const kernelHead = 16
-
 // arenaChunk is the group count of AllGrouper's first MBR chunk; each later
 // chunk doubles the previous one.
 const arenaChunk = 256
-
-// kernelBlockMin is the first kernel block size after the scalar head.
-// Blocks double from here up to kernelBlock, so a scan deciding at member k
-// computes fewer than 2k distances while long scans spend almost all their
-// rows in full-width blocks.
-const kernelBlockMin = 32
-
-// scanBlocks iterates [lo, n) in kernel blocks ramping from kernelBlockMin
-// up to kernelBlock. f returns false to stop the scan early.
-func scanBlocks(lo, n int, f func(lo, hi int) bool) {
-	blk := kernelBlockMin
-	for lo < n {
-		hi := lo + blk
-		if hi > n {
-			hi = n
-		}
-		if !f(lo, hi) {
-			return
-		}
-		lo = hi
-		if blk < kernelBlock {
-			blk <<= 1
-		}
-	}
-}
-
-// headLen caps the scalar head of a scan at kernelHead members.
-func headLen(n int) int {
-	if n < kernelHead {
-		return n
-	}
-	return kernelHead
-}
 
 // AllGrouper is a streaming SGB-All operator instance. Points are fed in
 // input order with Add and the final grouping is materialized by Finish.
@@ -90,11 +43,7 @@ type AllGrouper struct {
 	rects      []geom.EpsRect
 	head, tail []int
 	next       []int
-	// cols[gid] is the columnar mirror of group gid's members, row i the i-th
-	// member, kept only when mirror is set: under All-Pairs, the ELIMINATE and
-	// FORM-NEW-GROUP clauses, and L1/L2 beyond 1-D without a hull, where a
-	// member scan reads it. hulls[gid] is its hull when useHull is set.
-	cols  []geom.Cols
+	// hulls[gid] is group gid's hull when useHull is set.
 	hulls []*hull.Incremental
 	// round is the id of the current grouping round's first group: groups
 	// [round, len(rects)) are active, earlier ones sealed by FORM-NEW-GROUP.
@@ -117,18 +66,8 @@ type AllGrouper struct {
 	block, members       []int
 	pts                  []geom.Point
 
-	// Kernel scratch, reused across every member scan: a column view of the
-	// current block plus the distance/verdict buffers for one WithinMask
-	// call. Bounded by kernelBlock, alloc-free in steady state.
-	view  geom.Cols
-	dists []float64
-	mask  []bool
-	// ptBuf is the probe buffer AddCols feeds each row through.
-	ptBuf geom.Point
-
 	stats    Stats
 	useHull  bool
-	mirror   bool
 	finished bool
 
 	// ctx, when set via WithContext, lets a canceled or deadline-expired
@@ -189,9 +128,6 @@ func (g *AllGrouper) Add(p geom.Point) (int, error) {
 		// the metrics coincide) or we fall back to exact member scans.
 		g.useHull = (g.opt.Metric == geom.L2 || g.opt.Metric == geom.L1) &&
 			g.dim == 2 && !g.opt.disableHullRefine
-		// Only a member scan reads the columnar mirror (see cols).
-		g.mirror = g.opt.Algorithm == AllPairs || g.opt.Overlap != JoinAny ||
-			(g.opt.Metric != geom.LInf && g.dim > 1 && !g.useHull)
 		// Group regions sit on cells of side ε whatever the metric, so a
 		// probe block is 3^d cells: the grid serves while that stays under
 		// SGB-Any's cap (d ≤ 6).
@@ -414,7 +350,7 @@ func (g *AllGrouper) findAllPairs(p geom.Point) {
 		}
 		// Under JOIN-ANY the overlap verdict is never consulted, so the
 		// scan stops at the first violation; otherwise every member is
-		// evaluated, preserving the row-at-a-time scan's DistanceComps.
+		// evaluated, as Procedure 2's naive scan does.
 		candidate, overlap := g.scan(gid, p, false, joinAny)
 		switch {
 		case candidate:
@@ -425,29 +361,14 @@ func (g *AllGrouper) findAllPairs(p geom.Point) {
 	}
 }
 
-// scratch returns the distance and mask buffers grown to hold n rows
-// (n ≤ kernelBlock).
-func (g *AllGrouper) scratch(n int) ([]float64, []bool) {
-	if cap(g.dists) < n {
-		g.dists = make([]float64, kernelBlock)
-		g.mask = make([]bool, kernelBlock)
-	}
-	return g.dists[:n], g.mask[:n]
-}
-
 // scan evaluates the similarity predicate between p and the members of group
-// gid in insertion order: a scalar head of geom.Within calls (so a scan
-// deciding on its first members costs what the historical per-row scan did),
-// then one WithinMask kernel call per ramping block of the group's columnar
-// mirror. allIn reports whether every member scanned qualifies, anyIn whether
-// at least one does. The scan stops at the first qualifying member (head) or
-// block (tail) when stopIn is set, and at the first violating one when
-// stopOut is.
+// gid in insertion order, one geom.Within call per member. allIn reports
+// whether every member scanned qualifies, anyIn whether at least one does. The
+// scan stops at the first qualifying member when stopIn is set, and at the
+// first violating one when stopOut is.
 func (g *AllGrouper) scan(gid int, p geom.Point, stopIn, stopOut bool) (allIn, anyIn bool) {
 	allIn = true
-	n := g.rects[gid].Len()
-	head := headLen(n)
-	for i, m := 0, g.head[gid]; i < head; i, m = i+1, g.next[m] {
+	for i, m := g.rects[gid].Len(), g.head[gid]; i > 0; i, m = i-1, g.next[m] {
 		g.stats.DistanceComps++
 		if geom.Within(g.opt.Metric, p, g.point(m), g.opt.Eps) {
 			anyIn = true
@@ -458,15 +379,6 @@ func (g *AllGrouper) scan(gid int, p geom.Point, stopIn, stopOut bool) (allIn, a
 			return
 		}
 	}
-	scanBlocks(head, n, func(lo, hi int) bool {
-		g.view.SliceInto(g.cols[gid], lo, hi)
-		dists, mask := g.scratch(hi - lo)
-		g.stats.DistanceComps += int64(hi - lo)
-		cnt := geom.WithinMask(g.opt.Metric, g.view, p, g.opt.Eps, dists, mask)
-		anyIn = anyIn || cnt > 0
-		allIn = allIn && cnt == hi-lo
-		return !(stopIn && anyIn) && !(stopOut && !allIn)
-	})
 	return
 }
 
@@ -578,10 +490,6 @@ func (g *AllGrouper) newGroup(id int) {
 	g.rects[gid].Add(p)
 	g.head = append(g.head, id)
 	g.tail = append(g.tail, id)
-	if g.mirror {
-		g.cols = append(g.cols, geom.NewCols(g.dim))
-		g.cols[gid].AppendPoint(p)
-	}
 	if g.useHull {
 		g.hulls = append(g.hulls, hull.NewIncremental(p))
 	}
@@ -605,9 +513,6 @@ func (g *AllGrouper) insert(gid, id int) {
 	g.next[g.tail[gid]] = id
 	g.tail[gid] = id
 	g.rects[gid].Add(p)
-	if g.mirror {
-		g.cols[gid].AppendPoint(p)
-	}
 	if g.useHull {
 		g.hulls[gid].Add(p)
 	}
@@ -623,24 +528,17 @@ func (g *AllGrouper) processOverlap(p geom.Point) {
 		out = &g.deferred
 	}
 	for _, gid := range g.overlaps {
-		// Partition the members by one block-wise kernel pass: mask row i
-		// decides the i-th member. The keep compaction is in place — its
-		// write index never passes the read index.
+		// Partition the members by one Within call each. The keep compaction
+		// is in place: its write index never passes the read index.
 		g.members = g.appendMembers(g.members[:0], gid)
-		n, before := len(g.members), len(*out)
+		before := len(*out)
 		keep := g.members[:0]
-		for lo := 0; lo < n; lo += kernelBlock {
-			hi := min(lo+kernelBlock, n)
-			g.view.SliceInto(g.cols[gid], lo, hi)
-			dists, mask := g.scratch(hi - lo)
-			g.stats.DistanceComps += int64(hi - lo)
-			geom.WithinMask(g.opt.Metric, g.view, p, g.opt.Eps, dists, mask)
-			for i, in := range mask {
-				if m := g.members[lo+i]; in {
-					*out = append(*out, m)
-				} else {
-					keep = append(keep, m)
-				}
+		for _, m := range g.members {
+			g.stats.DistanceComps++
+			if geom.Within(g.opt.Metric, p, g.point(m), g.opt.Eps) {
+				*out = append(*out, m)
+			} else {
+				keep = append(keep, m)
 			}
 		}
 		if len(*out) > before {
@@ -650,19 +548,17 @@ func (g *AllGrouper) processOverlap(p geom.Point) {
 }
 
 // rebuildGroup relinks group gid to the members keep and recomputes its
-// mirror, rectangle and hull. The ε-All rectangle can legitimately grow, so
+// rectangle and hull. The ε-All rectangle can legitimately grow, so
 // the group is registered again: Register adds the cells the region grew
 // into, and the cells it left keep a stale entry that the rectangle test
 // turns away.
 func (g *AllGrouper) rebuildGroup(gid int, keep []int) {
 	g.pts = g.pts[:0]
-	g.cols[gid].Reset()
 	for i, m := range keep {
 		if i > 0 {
 			g.next[keep[i-1]] = m
 		}
 		g.pts = append(g.pts, g.point(m))
-		g.cols[gid].AppendPoint(g.point(m))
 	}
 	g.rects[gid].Rebuild(g.pts)
 	if len(keep) == 0 {
@@ -679,19 +575,6 @@ func (g *AllGrouper) rebuildGroup(gid int, keep []int) {
 		g.hulls[gid].Rebuild(g.pts)
 	}
 	g.register(gid)
-}
-
-// AddCols feeds every point of a columnar batch in row order, as if each had
-// been passed to Add. The coordinates are copied out of c; c is not retained.
-func (g *AllGrouper) AddCols(c geom.Cols) error {
-	n := c.Len()
-	for i := 0; i < n; i++ {
-		g.ptBuf = c.PointAt(i, g.ptBuf)
-		if _, err := g.Add(g.ptBuf); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SGBAll groups points with the DISTANCE-TO-ALL semantics in input order and

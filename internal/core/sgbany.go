@@ -29,27 +29,18 @@ type AnyGrouper struct {
 	dim int
 	uf  *unionfind.Forest
 
+	// coords holds the points Add copied, point id i at [i*dim, (i+1)*dim),
+	// so the caller keeps its buffer.
+	coords []float64
+
 	// The on-the-fly point index of IndexBounds (Points_IX): the ε-grid while
 	// its probe block stays under blockCap, the paper's R-tree above it.
 	blockCap float64
 	grid     *grid.Index
 	tree     *rtree.Tree
-	cols     geom.Cols // every processed point (AllPairs and the R-tree path)
-
-	// Reusable kernel scratch: candidate ids (or cells) gathered from the
-	// index, a columnar slab of their coordinates, and the distance/verdict
-	// buffers for one geom.WithinMask call. All are grow-once, alloc-free
-	// steady state.
+	// idxBuf is probe scratch, reused across Add: the cells of one grid
+	// block.
 	idxBuf []int
-	scr    geom.Cols
-	view   geom.Cols
-	dists  []float64
-	mask   []bool
-	ptBuf  geom.Point
-	// verBuf is the candidate-side scratch of the scalar verification path.
-	// It must stay distinct from ptBuf: AddCols feeds probe points through
-	// ptBuf, so reusing it inside Add would clobber p mid-scan.
-	verBuf geom.Point
 
 	stats    Stats
 	finished bool
@@ -107,6 +98,8 @@ func (g *AnyGrouper) checkCtx() error {
 }
 
 // Add feeds the next point, in input order, and returns its point id.
+// All points must share one dimensionality. The coordinates are copied into
+// storage the grouper owns, so the caller may reuse p.
 func (g *AnyGrouper) Add(p geom.Point) (int, error) {
 	if g.finished {
 		return 0, fmt.Errorf("core: Add after Finish")
@@ -123,19 +116,18 @@ func (g *AnyGrouper) Add(p geom.Point) (int, error) {
 		}
 		g.dim = len(p)
 		switch {
-		case g.opt.Algorithm == AllPairs:
-			g.cols = geom.NewCols(g.dim)
+		case g.opt.Algorithm == AllPairs: // no index: every point is probed
 		case grid.BlockCells(g.opt.Metric, g.dim) <= g.blockCap:
 			g.grid = grid.New(g.opt.Metric, g.opt.Eps, g.dim)
 		default:
-			g.cols = geom.NewCols(g.dim)
-			g.scr = geom.NewCols(g.dim)
 			g.tree = rtree.New(g.dim)
 		}
 	} else if len(p) != g.dim {
 		return 0, ErrDimensionMismatch
 	}
 	id := g.uf.MakeSet()
+	g.coords = append(g.coords, p...)
+	p = g.point(id)
 	g.stats.Points++
 	switch {
 	case g.grid != nil:
@@ -148,25 +140,15 @@ func (g *AnyGrouper) Add(p geom.Point) (int, error) {
 	return id, nil
 }
 
+// point returns point id's coordinates.
+func (g *AnyGrouper) point(id int) geom.Point {
+	return g.coords[id*g.dim : (id+1)*g.dim : (id+1)*g.dim]
+}
+
 // addAllPairs is the naive FindCandidateGroups: probe every processed point.
-// The probe runs block-wise through the columnar store — one WithinMask kernel
-// call per kernelBlock rows instead of a geom.Within call per point.
 func (g *AnyGrouper) addAllPairs(id int, p geom.Point) {
-	g.cols.AppendPoint(p)
-	for lo := 0; lo < id; lo += kernelBlock {
-		hi := lo + kernelBlock
-		if hi > id {
-			hi = id
-		}
-		g.view.SliceInto(g.cols, lo, hi)
-		dists, mask := g.scratch(hi - lo)
-		g.stats.DistanceComps += int64(hi - lo)
-		geom.WithinMask(g.opt.Metric, g.view, p, g.opt.Eps, dists, mask)
-		for i, in := range mask[:hi-lo] {
-			if in {
-				g.union(id, lo+i)
-			}
-		}
+	for q := 0; q < id; q++ {
+		g.verify(id, p, q)
 	}
 }
 
@@ -205,88 +187,36 @@ func (g *AnyGrouper) addGrid(id int, p geom.Point) {
 // p: only the first one found when c is a clique, whose members share one
 // component, else every one of them.
 func (g *AnyGrouper) linkCell(id int, p geom.Point, c *grid.Cell, n int) {
-	scanBlocks(0, n, func(lo, hi int) bool {
-		g.view.SliceInto(c.Pts, lo, hi)
-		dists, mask := g.scratch(hi - lo)
-		g.stats.DistanceComps += int64(hi - lo)
-		if geom.WithinMask(g.opt.Metric, g.view, p, g.opt.Eps, dists, mask) == 0 {
-			return true
+	for _, q := range c.IDs[:n] {
+		if g.verify(id, p, q) && c.Clique() {
+			return
 		}
-		for i, in := range mask {
-			if in {
-				g.union(id, c.IDs[lo+i])
-				if c.Clique() {
-					return false
-				}
-			}
-		}
-		return true
-	})
+	}
 }
 
 // addRTree is FindCandidateGroups as the paper has it (Procedure 8): a window
 // query on the R-tree Points_IX is a conservative filter — the box is padded
 // to grid.Reach so that float rounding of p±ε cannot drop a neighbour — and
-// VerifyPoints re-checks each hit with the exact predicate, gathered into a
-// columnar slab and verified with one kernel call instead of per-hit Within
-// calls.
+// VerifyPoints re-checks each hit with the exact predicate.
 func (g *AnyGrouper) addRTree(id int, p geom.Point) {
-	g.cols.AppendPoint(p)
 	g.stats.WindowQueries++
-	g.idxBuf = g.idxBuf[:0]
 	g.tree.Search(geom.BoxAround(p, grid.Reach(g.opt.Eps)), func(ref int64) bool {
-		g.idxBuf = append(g.idxBuf, int(ref))
+		g.verify(id, p, int(ref))
 		return true
 	})
-	if n := len(g.idxBuf); n <= kernelHead {
-		// Small candidate sets verify point-at-a-time: the gather copy
-		// and kernel dispatch cost more than the handful of distance
-		// computations they would batch.
-		for _, q := range g.idxBuf {
-			g.stats.DistanceComps++
-			g.verBuf = g.cols.PointAt(q, g.verBuf)
-			if geom.Within(g.opt.Metric, g.verBuf, p, g.opt.Eps) {
-				g.union(id, q)
-			}
-		}
-	} else {
-		g.scr.Gather(g.cols, g.idxBuf)
-		dists, mask := g.scratch(n)
-		g.stats.DistanceComps += int64(n)
-		geom.WithinMask(g.opt.Metric, g.scr, p, g.opt.Eps, dists, mask)
-		for i, in := range mask[:n] {
-			if in {
-				g.union(id, g.idxBuf[i])
-			}
-		}
-	}
 	g.tree.Insert(geom.PointRect(p), int64(id))
 	g.stats.IndexUpdates++
 }
 
-// scratch returns the distance and mask buffers grown to hold n rows.
-func (g *AnyGrouper) scratch(n int) ([]float64, []bool) {
-	if cap(g.dists) < n {
-		// Grow with headroom: candidate sets in dense clusters grow with
-		// every insertion, so exact-fit growth would reallocate on nearly
-		// every new running max.
-		g.dists = make([]float64, 2*n)
-		g.mask = make([]bool, 2*n)
+// verify evaluates the similarity predicate between p, point id, and point q,
+// uniting the two when it holds, and reports whether it did.
+func (g *AnyGrouper) verify(id int, p geom.Point, q int) bool {
+	g.stats.DistanceComps++
+	if !geom.Within(g.opt.Metric, p, g.point(q), g.opt.Eps) {
+		return false
 	}
-	return g.dists[:n], g.mask[:n]
-}
-
-// AddCols feeds every point of a columnar batch in row order, as if each had
-// been passed to Add. The coordinates are copied out of c; c is not retained.
-func (g *AnyGrouper) AddCols(c geom.Cols) error {
-	n := c.Len()
-	for i := 0; i < n; i++ {
-		g.ptBuf = c.PointAt(i, g.ptBuf)
-		if _, err := g.Add(g.ptBuf); err != nil {
-			return err
-		}
-	}
-	return nil
+	g.union(id, q)
+	return true
 }
 
 // union merges the groups of a and b, counting actual merges.

@@ -232,6 +232,19 @@ func TestAnyGridEdgeCases(t *testing.T) {
 	}
 }
 
+// TestParallelColsMatchesSerial runs every SGB-Any path against the
+// brute-force components on 2-D points on and a few ulps off the cell walls,
+// at an ε below and above the cells' side.
+func TestParallelColsMatchesSerial(t *testing.T) {
+	r := rand.New(rand.NewSource(78))
+	for _, m := range []geom.Metric{geom.L2, geom.LInf, geom.L1} {
+		for _, e := range []float64{0.25, 1.5} {
+			pts := adversarialPoints(r, 120+r.Intn(80), 2, e)
+			checkAnyAgainstOracle(t, fmt.Sprintf("cell walls/eps%g", e), pts, m, e)
+		}
+	}
+}
+
 // TestAnyGridCertificateFailure forces a cell whose members are not mutually
 // within ε — coordinates past the grid's index range share the outermost cell
 // — and checks that the cell stops being treated as one component: members
@@ -452,5 +465,33 @@ func TestAnyL2VerifyStep(t *testing.T) {
 	}
 	if len(res.Groups) != 1 {
 		t.Fatalf("LInf window query should connect the pair: %v", res.Groups)
+	}
+}
+
+// TestGrouperAddAllocBudget pins SGB-Any's All-Pairs Add allocation-free in
+// steady state: each call appends one point to the grouper's coordinates and
+// one union-find slot, whose amortized growth rounds to zero over 200 calls,
+// and verifies 2000+ points with Within, which must allocate nothing. The
+// budget was 4 while the probe ran through batch kernels; measured 0.
+func TestGrouperAddAllocBudget(t *testing.T) {
+	r := rand.New(rand.NewSource(79))
+	g, err := NewAnyGrouper(Options{Metric: geom.L2, Eps: 0.25, Algorithm: AllPairs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		if _, err := g.Add(geom.Point{r.Float64(), r.Float64()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := geom.Point{0.5, 0.5}
+	avg := testing.AllocsPerRun(200, func() {
+		if _, err := g.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("AnyGrouper.Add: %.2f allocations per call", avg)
+	if avg > 0 {
+		t.Fatalf("AnyGrouper.Add allocates %.1f per call in steady state, want 0", avg)
 	}
 }

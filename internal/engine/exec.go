@@ -763,14 +763,13 @@ func (a *hashAggOp) next() (Row, error) {
 // ---- similarity group-by aggregation ----
 
 // sgbAggOp is the physical SGB operator, and the only way a similarity
-// aggregate runs: it buffers the child's tuples in input order, transposes the
-// grouping expressions into one coordinate column each (colsOf), groups the
-// points with the core SGB-All/SGB-Any machinery, and folds the aggregate
-// calls over each group's member tuples. The output rows are
-// [representativeGroupValues..., aggResults...], where the representative
-// values come from the group's first member (similarity groups have no single
-// key value). ELIMINATE'd tuples contribute to no group. Output order follows
-// the smallest member position per group.
+// aggregate runs: it buffers the child's tuples in input order, feeds each
+// one's grouping-space point to the core SGB-All/SGB-Any grouper with Add,
+// and folds the aggregate calls over each group's member tuples. The output
+// rows are [representativeGroupValues..., aggResults...], where the
+// representative values come from the group's first member (similarity
+// groups have no single key value). ELIMINATE'd tuples contribute to no
+// group. Output order follows the smallest member position per group.
 type sgbAggOp struct {
 	planEst
 	child      operator
@@ -799,58 +798,52 @@ func (a *sgbAggOp) schema() Schema   { return a.sch }
 func (a *sgbAggOp) close() error     { return nil }
 func (a *sgbAggOp) stableRows() bool { return true }
 
-// colsOf maps the tuples onto the columnar grouping-space point set: one flat
-// float64 column per grouping expression, carved out of a single arena. The
-// columns flow straight into the core groupers' batch entry points, so the
-// engine never materializes per-row Point slices on the SGB hot path.
-func (a *sgbAggOp) colsOf(tuples []Row) (geom.Cols, error) {
+// group feeds the tuples' grouping-space points, in input order, through the
+// core grouper matching the spec's mode and the session's algorithm. Each
+// tuple's grouping expressions are evaluated into one reused point, which Add
+// copies into the grouper's own storage; that copy is what growMem charges.
+func (a *sgbAggOp) group(tuples []Row, opt core.Options) (*core.Result, error) {
 	dim := len(a.groupExprs)
 	if err := a.qc.growMem(int64(dim) * int64(len(tuples)) * 8); err != nil {
-		return geom.Cols{}, err
+		return nil, err
 	}
-	cols := geom.MakeCols(dim, len(tuples))
-	for i, g := range a.groupExprs {
-		col := cols.Col(i)
-		for t, r := range tuples {
-			v, err := g(r)
-			if err != nil {
-				return geom.Cols{}, err
-			}
-			if v.IsNull() {
-				return geom.Cols{}, fmt.Errorf("engine: NULL in similarity grouping attribute %d", i+1)
-			}
-			if col[t], err = v.AsFloat(); err != nil {
-				return geom.Cols{}, fmt.Errorf("engine: similarity grouping attribute %d: %v", i+1, err)
-			}
-		}
+	var g interface {
+		Add(geom.Point) (int, error)
+		Finish() (*core.Result, error)
 	}
-	return cols, nil
-}
-
-// group feeds the columnar point set through the core grouper matching the
-// spec's mode and the session's algorithm.
-func (a *sgbAggOp) group(pts geom.Cols, opt core.Options) (*core.Result, error) {
 	if a.spec.Mode == SGBAllMode {
-		g, err := core.NewAllGrouper(opt)
+		all, err := core.NewAllGrouper(opt)
 		if err != nil {
 			return nil, err
 		}
-		g.WithContext(a.qc.context())
-		if err := g.AddCols(pts); err != nil {
+		g = all.WithContext(a.qc.context())
+	} else {
+		if opt.Algorithm == core.BoundsChecking {
+			opt.Algorithm = core.IndexBounds // SGB-Any has no bounds variant
+		}
+		anyG, err := core.NewAnyGrouper(opt)
+		if err != nil {
 			return nil, err
 		}
-		return g.Finish()
+		g = anyG.WithContext(a.qc.context())
 	}
-	if opt.Algorithm == core.BoundsChecking {
-		opt.Algorithm = core.IndexBounds // SGB-Any has no bounds variant
-	}
-	g, err := core.NewAnyGrouper(opt)
-	if err != nil {
-		return nil, err
-	}
-	g.WithContext(a.qc.context())
-	if err := g.AddCols(pts); err != nil {
-		return nil, err
+	p := make(geom.Point, dim)
+	for _, r := range tuples {
+		for i, e := range a.groupExprs {
+			v, err := e(r)
+			if err != nil {
+				return nil, err
+			}
+			if v.IsNull() {
+				return nil, fmt.Errorf("engine: NULL in similarity grouping attribute %d", i+1)
+			}
+			if p[i], err = v.AsFloat(); err != nil {
+				return nil, fmt.Errorf("engine: similarity grouping attribute %d: %v", i+1, err)
+			}
+		}
+		if _, err := g.Add(p); err != nil {
+			return nil, err
+		}
 	}
 	return g.Finish()
 }
@@ -864,11 +857,7 @@ func (a *sgbAggOp) open() error {
 	if len(tuples) == 0 {
 		return nil
 	}
-	cols, err := a.colsOf(tuples)
-	if err != nil {
-		return err
-	}
-	res, err := a.group(cols, core.Options{
+	res, err := a.group(tuples, core.Options{
 		Metric:    a.spec.Metric,
 		Eps:       a.spec.Eps,
 		Overlap:   a.spec.Overlap,

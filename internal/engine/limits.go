@@ -20,7 +20,7 @@ type Limits struct {
 	MaxExecutionTime time.Duration
 	// MaxMemoryBytes caps the scratch memory a single statement may charge
 	// against the memory governor's accounting (hash-join builds, aggregation
-	// tables, columnar scratch, materialized results). 0 means unlimited —
+	// tables, SGB grouping points, materialized results). 0 means unlimited —
 	// the statement is then bounded only by the process budget, if one is
 	// set (DB.SetMemoryBudget).
 	MaxMemoryBytes int64
@@ -135,7 +135,7 @@ func (q *queryCtx) addRows(n int) error {
 // growMem charges n bytes of statement-scratch growth against the per-query
 // memory limit and the process budget. Operators call it at the allocation
 // sites that actually grow — hash-join build copies, new aggregation buckets,
-// columnar scratch, materialized rows — so accounting tracks real footprint
+// SGB grouping points, materialized rows — so accounting tracks real footprint
 // without a per-row branch.
 func (q *queryCtx) growMem(n int64) error {
 	if q == nil || q.mem == nil {

@@ -259,7 +259,7 @@ func (a *memAccount) release() {
 
 // SetMemoryBudget installs a process-wide cap, in bytes, on the statement
 // scratch memory the engine will admit concurrently — hash-join build copies,
-// aggregation tables, columnar scratch, materialized results, matview delta
+// aggregation tables, SGB grouping points, materialized results, matview delta
 // rings. 0 removes the cap (accounting still runs so the gauge stays
 // truthful). When the pool is exhausted, new statements queue (bounded, see
 // SetMemoryAdmissionQueue) and the allocation that drives the pool over

@@ -231,8 +231,8 @@ func TestSGBL1MetricViaSQL(t *testing.T) {
 
 // loadGrid populates a table with ε-grid-adversarial float coordinates:
 // exact multiples of eps nudged by ±ULP-scale deltas, the inputs most likely
-// to expose any disagreement between the ε-grid's cell arithmetic, the batch
-// kernels and the per-point geom.Within calls.
+// to expose any disagreement between the ε-grid's cell arithmetic and the
+// per-point geom.Within calls.
 func loadGrid(t *testing.T, db *DB, n int, dim int, eps float64, seed int64) {
 	t.Helper()
 	cols := "x FLOAT"
@@ -326,46 +326,5 @@ func TestSGBRespectsRowLimit(t *testing.T) {
 	var rle *ResourceLimitError
 	if !errors.As(err, &rle) {
 		t.Fatalf("err = %v, want ResourceLimitError", err)
-	}
-}
-
-// TestPointConversionAllocs pins the allocation profile of the row→column
-// conversion: one coordinate arena plus one column-header slice, regardless
-// of tuple count — not one allocation per row.
-func TestPointConversionAllocs(t *testing.T) {
-	op := &sgbAggOp{groupExprs: []evalFn{
-		func(r Row) (Value, error) { return r[0], nil },
-		func(r Row) (Value, error) { return r[1], nil },
-	}}
-	tuples := make([]Row, 512)
-	for i := range tuples {
-		tuples[i] = Row{NewFloat(float64(i)), NewFloat(float64(i * 2))}
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := op.colsOf(tuples); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 2 {
-		t.Fatalf("colsOf allocates %v times per run, want <= 2 (arena + headers)", allocs)
-	}
-}
-
-// BenchmarkPointConversion measures the arena-backed conversion so an
-// accidental return to per-row allocation is visible in the bench smoke run.
-func BenchmarkPointConversion(b *testing.B) {
-	op := &sgbAggOp{groupExprs: []evalFn{
-		func(r Row) (Value, error) { return r[0], nil },
-		func(r Row) (Value, error) { return r[1], nil },
-	}}
-	tuples := make([]Row, 1024)
-	for i := range tuples {
-		tuples[i] = Row{NewFloat(float64(i)), NewFloat(float64(i * 3))}
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := op.colsOf(tuples); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -143,7 +143,7 @@ func TestKernelMatchesWithin(t *testing.T) {
 				if cnt != want {
 					t.Fatalf("%s dim=%d eps=%g: count=%d want %d", m, dim, eps, cnt, want)
 				}
-				// DistsSquared must be the comparable distance: Dist once
+				// distsSquared must be the comparable distance: Dist once
 				// mapped through the same scale (and NaN where Dist is NaN).
 				for i, p := range pts {
 					d := Dist(m, p, q)
@@ -163,84 +163,35 @@ func TestKernelMatchesWithin(t *testing.T) {
 	}
 }
 
-// TestColsBasics covers the columnar container: construction, gather,
-// slicing, and point materialization.
+// TestColsBasics covers the columnar container: ColsFromPoints transposes
+// the points into columns, and an empty input yields an empty set.
 func TestColsBasics(t *testing.T) {
 	pts := []Point{{1, 2}, {3, 4}, {5, 6}, {7, 8}}
 	c := ColsFromPoints(pts)
-	if c.Dim() != 2 || c.Len() != 4 {
-		t.Fatalf("dim/len = %d/%d", c.Dim(), c.Len())
+	if len(c.dims) != 2 || c.Len() != 4 {
+		t.Fatalf("dim/len = %d/%d", len(c.dims), c.Len())
 	}
-	if got := c.PointAt(2, nil); !got.Equal(pts[2]) {
-		t.Fatalf("PointAt(2) = %v", got)
+	for i, p := range pts {
+		for d, v := range p {
+			if c.dims[d][i] != v {
+				t.Fatalf("column %d row %d = %v, want %v", d, i, c.dims[d][i], v)
+			}
+		}
 	}
-	v := c.Slice(1, 3)
-	if v.Len() != 2 || v.Col(0)[0] != 3 || v.Col(1)[1] != 6 {
-		t.Fatalf("Slice view wrong: %v %v", v.Col(0), v.Col(1))
-	}
-	var sv Cols
-	sv.SliceInto(c, 1, 3)
-	if sv.Len() != 2 || sv.Col(0)[0] != 3 {
-		t.Fatalf("SliceInto view wrong")
-	}
-
-	var g Cols
-	g.Gather(c, []int{3, 0, 3})
-	if g.Len() != 3 || g.Col(0)[0] != 7 || g.Col(1)[1] != 2 || g.Col(0)[2] != 7 {
-		t.Fatalf("Gather wrong: %v %v", g.Col(0), g.Col(1))
-	}
-	g.Gather(c, []int{1})
-	if g.Len() != 1 || g.Col(1)[0] != 4 {
-		t.Fatalf("re-Gather wrong")
-	}
-
-	a := NewCols(3)
-	a.AppendPoint(Point{1, 2, 3})
-	a.AppendPoint(Point{4, 5, 6})
-	if a.Len() != 2 || a.Col(2)[1] != 6 {
-		t.Fatalf("AppendPoint wrong")
-	}
-	a.Reset()
-	if a.Len() != 0 {
-		t.Fatalf("Reset left %d rows", a.Len())
-	}
-
-	mk := MakeCols(2, 3)
-	mk.Col(0)[1] = 9
-	mk.Col(1)[2] = 8
-	if mk.Len() != 3 || mk.Col(0)[1] != 9 || mk.Col(1)[2] != 8 {
-		t.Fatalf("MakeCols fill wrong")
+	if e := ColsFromPoints(nil); e.Len() != 0 {
+		t.Fatalf("empty Cols has %d rows", e.Len())
 	}
 }
 
 // TestKernelScratchAllocs pins the kernel hot path allocation-free: with
-// warm scratch buffers, DistsSquared, WithinMask, Gather, and SliceInto must
-// not allocate.
+// caller-owned scratch buffers, distsSquared and WithinMask must not
+// allocate.
 func TestKernelScratchAllocs(t *testing.T) {
 	const n = 512
-	rng := rand.New(rand.NewSource(3))
-	pts := make([]Point, n)
-	for i := range pts {
-		pts[i] = Point{rng.Float64(), rng.Float64()}
-	}
-	cols := ColsFromPoints(pts)
-	q := Point{0.5, 0.5}
-	dists := make([]float64, n)
-	mask := make([]bool, n)
-	idx := make([]int, 0, n)
-	for i := 0; i < n; i += 2 {
-		idx = append(idx, i)
-	}
-	scratch := NewCols(2)
-	scratch.Gather(cols, idx) // warm to working-set size
-	var view Cols
-	view.SliceInto(cols, 0, n)
-
+	cols, q, dists, mask := kernelBenchData(n)
 	for name, fn := range map[string]func(){
-		"DistsSquared": func() { DistsSquared(L2, cols, q, dists) },
+		"distsSquared": func() { distsSquared(L2, cols, q, dists) },
 		"WithinMask":   func() { WithinMask(L2, cols, q, 0.25, dists, mask) },
-		"Gather":       func() { scratch.Gather(cols, idx) },
-		"SliceInto":    func() { view.SliceInto(cols, 16, 256) },
 	} {
 		if a := testing.AllocsPerRun(100, fn); a != 0 {
 			t.Errorf("%s allocates %.1f per call, want 0", name, a)
@@ -286,7 +237,7 @@ func BenchmarkKernelDistsSquared(b *testing.B) {
 		b.Run(m.String(), func(b *testing.B) {
 			b.SetBytes(int64(n * 16))
 			for i := 0; i < b.N; i++ {
-				DistsSquared(m, cols, q, dists)
+				distsSquared(m, cols, q, dists)
 			}
 		})
 	}
@@ -299,7 +250,7 @@ func BenchmarkScalarWithinColumn(b *testing.B) {
 	cols, q, _, _ := kernelBenchData(n)
 	pts := make([]Point, n)
 	for i := range pts {
-		pts[i] = cols.PointAt(i, nil)
+		pts[i] = Point{cols.dims[0][i], cols.dims[1][i]}
 	}
 	for _, m := range []Metric{L2, LInf, L1} {
 		b.Run(m.String(), func(b *testing.B) {

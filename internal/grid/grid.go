@@ -191,13 +191,11 @@ func (t *table) existing(out []int) []int {
 	}
 }
 
-// Cell is one non-empty grid cell: a columnar slab of its members.
+// Cell is one non-empty grid cell: its members' ids and bounding box.
 type Cell struct {
 	// IDs are the member point ids in insertion order; IDs[0] represents the
 	// cell while it is a clique.
 	IDs []int
-	// Pts holds the members' coordinates, row i belonging to IDs[i].
-	Pts geom.Cols
 
 	lo, hi geom.Point // bounding box of the members
 	clique bool
@@ -266,7 +264,6 @@ func (ix *Index) Insert(p geom.Point, id int) int {
 		copy(box, p)
 		copy(box[ix.dim:], p)
 		ix.cells = append(ix.cells, Cell{
-			Pts:    geom.NewCols(ix.dim),
 			lo:     box[:ix.dim:ix.dim],
 			hi:     box[ix.dim:],
 			clique: true,
@@ -283,7 +280,6 @@ func (ix *Index) Insert(p geom.Point, id int) int {
 	}
 	c.clique = c.clique && geom.Within(ix.metric, c.lo, c.hi, ix.eps)
 	c.IDs = append(c.IDs, id)
-	c.Pts.AppendPoint(p)
 	return i
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"sgb/internal/core"
 	"sgb/internal/engine"
-	"sgb/internal/geom"
 )
 
 // view is the manager's live state for one materialized view: the long-lived
@@ -61,8 +60,6 @@ type view struct {
 	lastApplyNS int64
 	rateEWMA    float64
 	rateNS      int64
-
-	ptBuf geom.Point
 }
 
 // newView builds the live state for shape, with an empty grouper.
@@ -143,8 +140,7 @@ func (v *view) applyAppend(db *engine.DB) ([]Delta, error) {
 // is also the minimum member overall (each group id is its smallest member
 // and the new row id is larger than all of them), so ids stay content-stable.
 func (v *view) addAny(coords []float64) ([]Delta, error) {
-	v.ptBuf = append(v.ptBuf[:0], coords...)
-	id64, links, err := v.anyG.AddLinked(v.ptBuf)
+	id64, links, err := v.anyG.AddLinked(coords)
 	if err != nil {
 		return nil, err
 	}
@@ -201,8 +197,7 @@ func (v *view) applyRebuild(db *engine.DB) ([]Delta, error) {
 	}
 	n, err := db.ScanFloats(v.shape.Table, v.shape.ColIdx, 0, func(row int, coords []float64) error {
 		if v.mode == engine.SGBAnyMode {
-			v.ptBuf = append(v.ptBuf[:0], coords...)
-			_, err := v.anyG.Add(v.ptBuf)
+			_, err := v.anyG.Add(coords)
 			return err
 		}
 		_, err := v.allG.Add(coords)
