@@ -9,8 +9,8 @@
 //	\tables              list tables
 //	\load tpch <SF>      generate and load TPC-H-style data
 //	\load checkin <N>    generate and load a check-in table ("checkins")
-//	\alg <name>          pick the SGB algorithm: auto (cost-based, the
-//	                     default) | allpairs | bounds | index
+//	\alg <name>          pick the SGB algorithm: index (the on-the-fly
+//	                     index, the default) | allpairs | bounds
 //	\save <file>         snapshot the database to a file
 //	\open <file>         replace the session database with a snapshot
 //	\timing              toggle query timing (with parse/plan/execute spans;
@@ -269,19 +269,15 @@ func meta(s *session, cmd string) bool {
 		}
 	case "\\alg":
 		if len(fields) != 2 {
-			fmt.Println("usage: \\alg auto|allpairs|bounds|index")
+			fmt.Println("usage: \\alg index|allpairs|bounds")
 			break
 		}
-		if alg, ok := engine.ParseSGBAlgorithm(fields[1]); ok {
+		if alg, err := engine.ParseSGBAlgorithm(fields[1]); err != nil {
+			fmt.Println(err)
+		} else {
 			db.SetSGBAlgorithm(alg)
-		} else {
-			fmt.Println("unknown algorithm:", fields[1])
 		}
-		if alg := db.Settings().SGBAlgorithm; alg == engine.SGBAuto {
-			fmt.Println("SGB algorithm: auto (cost-based per query)")
-		} else {
-			fmt.Println("SGB algorithm:", alg)
-		}
+		fmt.Println("SGB algorithm:", db.Settings().SGBAlgorithm)
 	case "\\save":
 		if len(fields) != 2 {
 			fmt.Println("usage: \\save <file>")
@@ -447,7 +443,7 @@ func metaRemote(s *session, cmd string) bool {
 		fmt.Print(text)
 	case "\\alg":
 		if len(fields) != 2 {
-			fmt.Println("usage: \\alg auto|allpairs|bounds|index")
+			fmt.Println("usage: \\alg index|allpairs|bounds")
 			break
 		}
 		set("sgb_algorithm", fields[1])

@@ -19,8 +19,6 @@
 //	-idle-timeout D  close connections idle between statements for D (0 = off)
 //	-max-rows N      default per-query row-materialization limit (0 = off)
 //	-max-time D      default per-query execution time limit (0 = off)
-//	-alg NAME        default SGB algorithm: auto (cost-based) | allpairs |
-//	                 bounds | index
 //	-drain-timeout D grace period for in-flight statements on shutdown
 //	-slow-query D    slowlog threshold: statements at least this slow are
 //	                 kept with their full trace (0 keeps all, -1 disables)
@@ -109,7 +107,6 @@ func main() {
 		idleTimeout  = flag.Duration("idle-timeout", 0, "close connections idle between statements this long (0 = never)")
 		maxRows      = flag.Int64("max-rows", 0, "default per-query rows-materialized limit (0 = unlimited)")
 		maxTime      = flag.Duration("max-time", 0, "default per-query execution time limit (0 = unlimited)")
-		alg          = flag.String("alg", "auto", "default SGB algorithm: auto|allpairs|bounds|index")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight statements on shutdown")
 		slowQuery    = flag.Duration("slow-query", 100*time.Millisecond, "slowlog threshold (0 logs every statement, negative disables)")
 		slowlogSize  = flag.Int("slowlog-size", 128, "slow-query ring buffer capacity")
@@ -132,8 +129,8 @@ func main() {
 		dataDir: *dataDir, fsync: *fsyncPolicy, fsyncInterval: *fsyncEvery,
 		checkpointInterval: *ckptEvery, maxConns: *maxConns,
 		idleTimeout: *idleTimeout, maxRows: *maxRows, maxTime: *maxTime,
-		alg: *alg, drainTimeout: *drainTimeout,
-		slowQuery: *slowQuery, slowlogSize: *slowlogSize, traceSample: *traceSample,
+		drainTimeout: *drainTimeout, slowQuery: *slowQuery,
+		slowlogSize: *slowlogSize, traceSample: *traceSample,
 		autoAnalyze: *autoAnalyze,
 		maxActive:   *maxActive, admitQueue: *admitQueue,
 		probeInterval: *probeEvery, faultDiskBudget: *faultBudget,
@@ -159,7 +156,6 @@ type daemonConfig struct {
 	idleTimeout        time.Duration
 	maxRows            int64
 	maxTime            time.Duration
-	alg                string
 	drainTimeout       time.Duration
 	slowQuery          time.Duration
 	slowlogSize        int
@@ -282,11 +278,6 @@ func run(cfg daemonConfig) error {
 		streams.AttachEngine(db)
 	}
 
-	alg, ok := engine.ParseSGBAlgorithm(cfg.alg)
-	if !ok {
-		return fmt.Errorf("unknown -alg %q (want auto|allpairs|bounds|index)", cfg.alg)
-	}
-	db.SetSGBAlgorithm(alg)
 	db.SetLimits(engine.Limits{MaxRowsMaterialized: cfg.maxRows, MaxExecutionTime: cfg.maxTime})
 	db.SetTraceSampling(cfg.traceSample)
 	db.SetAutoAnalyze(cfg.autoAnalyze)

@@ -23,7 +23,6 @@ func main() {
 	if err := tpch.Generate(tpch.Config{SF: sf, CustomersPerSF: 300, Seed: 1}).Load(db); err != nil {
 		log.Fatal(err)
 	}
-	db.SetSGBAlgorithm(engine.SGBIndex)
 
 	fmt.Printf("TPC-H-style workload, SF=%g, eps=%g\n\n", sf, eps)
 	for _, q := range tpch.AllQueries(eps, core.JoinAny) {

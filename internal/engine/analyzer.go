@@ -7,11 +7,10 @@ import "strings"
 // style of planning where the optimizer is a pipeline of named rules rather
 // than one monolithic pass. Rules operate at two levels: AST rules rewrite
 // the SELECT statement before lowering (projection pruning), and tree rules
-// rewrite the physical operator tree after lowering (limit pushdown). Four
+// rewrite the physical operator tree after lowering (limit pushdown). Three
 // more rules live inside the lowering itself because they need its
 // intermediate state: index-scan selection, predicate pushdown and join
-// column pruning in lowerSelect, and cost-based SGB algorithm selection in
-// planAggregate. Every applied rule is recorded on the planContext, and
+// column pruning in lowerSelect. Every applied rule is recorded on the planContext, and
 // Session.SetOptimizer(false) disables the whole pipeline except predicate
 // pushdown (which is semantic: it fixes which source an ambiguous-looking
 // column resolves against and keeps cross joins from exploding).

@@ -52,9 +52,9 @@ func analyzerDB(t *testing.T) *DB {
 }
 
 // TestAnalyzerRewritesAreBitIdentical is the property test behind every
-// analyzer rule: for each workload query, the fully optimized plan (auto
-// algorithm selection included) must return byte-identical rows, in the same
-// order, as the naive plan produced with the optimizer off. A statement the
+// analyzer rule: for each workload query, the fully optimized plan must
+// return byte-identical rows, in the same order, as the naive plan produced
+// with the optimizer off. A statement the
 // naive plan rejects as ambiguous must fail with the same error. Run under
 // -race in CI.
 func TestAnalyzerRewritesAreBitIdentical(t *testing.T) {
@@ -86,33 +86,32 @@ func TestAnalyzerRewritesAreBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAutoAlgorithmMatchesEveryManualChoice pins what makes cost-based
-// selection safe: all SGB algorithms produce identical groups, so whatever
-// auto picks, the result equals every manual override bit-for-bit.
+// TestAutoAlgorithmMatchesEveryManualChoice pins that the forced baselines
+// answer like the engine's algorithm: all SGB algorithms produce identical
+// groups, so the unset default's rows equal every forced \alg's bit-for-bit.
 func TestAutoAlgorithmMatchesEveryManualChoice(t *testing.T) {
 	db := analyzerDB(t)
 	queries := []string{
 		"SELECT x, y, count(*) FROM nums GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 10",
 		"SELECT count(*) FROM nums GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 30 ON-OVERLAP JOIN-ANY",
 	}
+	forcedSess := db.NewSession()
 	for _, q := range queries {
-		db.SetSGBAlgorithm(SGBAuto)
-		auto, err := db.Exec(q)
+		def, err := db.Exec(q)
 		if err != nil {
-			t.Fatalf("auto %s: %v", q, err)
+			t.Fatalf("default %s: %v", q, err)
 		}
 		for _, alg := range []SGBAlgorithm{SGBAllPairs, SGBBounds, SGBIndex} {
-			db.SetSGBAlgorithm(alg)
-			manual, err := db.Exec(q)
+			forcedSess.SetSGBAlgorithm(alg)
+			forced, err := forcedSess.Exec(q)
 			if err != nil {
 				t.Fatalf("%v %s: %v", alg, q, err)
 			}
-			if strings.Join(rowStrings(auto), "\n") != strings.Join(rowStrings(manual), "\n") {
-				t.Errorf("%s: auto result differs from manual %v", q, alg)
+			if strings.Join(rowStrings(def), "\n") != strings.Join(rowStrings(forced), "\n") {
+				t.Errorf("%s: default result differs from forced %v", q, alg)
 			}
 		}
 	}
-	db.SetSGBAlgorithm(SGBAuto)
 }
 
 // TestAnalyzerRulesRecorded checks that each rule fires on (exactly) the plan
@@ -134,8 +133,6 @@ func TestAnalyzerRulesRecorded(t *testing.T) {
 		{"SELECT n.id FROM nums n, dim d WHERE n.k = d.k", "prune_join_columns", true},
 		{"SELECT * FROM nums n, dim d WHERE n.k = d.k", "prune_join_columns", false},
 		{"SELECT id, k FROM nums WHERE v > 5", "prune_join_columns", false},
-		{"SELECT count(*) FROM nums GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 5", "sgb_algorithm_selection", true},
-		{"SELECT k, count(*) FROM nums GROUP BY k", "sgb_algorithm_selection", false},
 	}
 	for _, c := range cases {
 		stmt, err := Parse(c.sql)
@@ -158,9 +155,9 @@ func TestAnalyzerRulesRecorded(t *testing.T) {
 	}
 }
 
-// TestCostBasedAlgorithmSelection exercises the selector's two regimes: tiny
-// inputs cost out to All-Pairs, large analyzed tables to the on-the-fly
-// index — and a manual override always wins over the cost model.
+// TestCostBasedAlgorithmSelection pins that statistics choose no algorithm:
+// a tiny table and an analyzed 3000-row one both plan the on-the-fly index,
+// and a forced \alg wins.
 func TestCostBasedAlgorithmSelection(t *testing.T) {
 	db := analyzerDB(t)
 	plan := func(sql string) *sgbAggOp {
@@ -170,7 +167,7 @@ func TestCostBasedAlgorithmSelection(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Thread the session's settings the way execTraced does; a bare
-		// planContext would always plan in auto mode.
+		// planContext would always plan the default.
 		pc := &planContext{db: db, qc: &queryCtx{set: db.Settings()}}
 		op, err := pc.planSelect(stmt.(*SelectStmt))
 		if err != nil {
@@ -190,16 +187,16 @@ func TestCostBasedAlgorithmSelection(t *testing.T) {
 
 	mustExec(t, db, "CREATE TABLE tiny (x FLOAT, y FLOAT)")
 	mustExec(t, db, "INSERT INTO tiny VALUES (1, 1), (2, 2), (3, 3)")
-	if op := plan("SELECT count(*) FROM tiny GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1"); op.algorithm != core.AllPairs || !op.algAuto {
-		t.Errorf("tiny table picked %v (auto=%v), want All-Pairs under auto", op.algorithm, op.algAuto)
+	if op := plan("SELECT count(*) FROM tiny GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1"); op.algorithm != core.IndexBounds {
+		t.Errorf("tiny table planned %v, want on-the-fly index", op.algorithm)
 	}
 	if op := plan("SELECT count(*) FROM nums GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 5"); op.algorithm != core.IndexBounds {
-		t.Errorf("3000-row table picked %v, want on-the-fly index", op.algorithm)
+		t.Errorf("3000-row table planned %v, want on-the-fly index", op.algorithm)
 	}
 	db.SetSGBAlgorithm(SGBBounds)
-	defer db.SetSGBAlgorithm(SGBAuto)
-	if op := plan("SELECT count(*) FROM tiny GROUP BY x, y DISTANCE-TO-ALL L2 WITHIN 1 ON-OVERLAP JOIN-ANY"); op.algorithm != core.BoundsChecking || op.algAuto {
-		t.Errorf("manual override ignored: got %v (auto=%v)", op.algorithm, op.algAuto)
+	defer db.SetSGBAlgorithm(SGBIndex)
+	if op := plan("SELECT count(*) FROM tiny GROUP BY x, y DISTANCE-TO-ALL L2 WITHIN 1 ON-OVERLAP JOIN-ANY"); op.algorithm != core.BoundsChecking {
+		t.Errorf("forced bounds ignored: got %v", op.algorithm)
 	}
 }
 

@@ -8,11 +8,12 @@ import (
 
 // This file is the planner's cost model. Every physical operator embeds a
 // planEst and exposes Cost()/EstRows(); estimateTree stamps the whole tree
-// bottom-up from the statistics catalog (stats.go). The SGB cost formulas
-// follow the paper's complexity analysis — All-Pairs O(n·g), Bounds-Checking
-// O(n·g) rectangle tests plus O(n·k) distances — and, for the on-the-fly
-// Index, what its ε-grids count: a flat probe per point, plus O(n·k)
-// distances under SGB-All. One cost unit is one distance computation (≈ 10 ns
+// bottom-up from the statistics catalog (stats.go). No planning decision
+// reads the estimates: they price EXPLAIN. The SGB cost formulas follow the
+// paper's complexity analysis — All-Pairs O(n·g), Bounds-Checking O(n·g)
+// rectangle tests plus O(n·k) distances — and, for the on-the-fly Index,
+// what its ε-grids count: a flat probe per point, plus O(n·k) distances
+// under SGB-All. One cost unit is one distance computation (≈ 10 ns
 // on the reference host when the constants were first calibrated against
 // the wall-clock probe snapshot committed with this cost model, now in git
 // history).
@@ -49,11 +50,13 @@ const (
 	// search the few cells not yet in the point's component. The grid counts
 	// one window query per point and 0.1–0.4 verified pairs per point on
 	// clustered data whatever the ε-neighbour count k, so the curve is linear
-	// in n and has no k term. The constant is fitted in this model's own
-	// units: it puts the break-even with All-Pairs (0.5·n² units) at the
-	// measured n ≈ 300 (check-ins, ε = 0.25: n = 256 All-Pairs 95 µs vs
-	// index 116 µs; n = 1024, 1293 µs vs 434 µs).
-	costGridProbe = 150.0
+	// in n and has no k term. The constant is the index's wall time per point
+	// over All-Pairs' wall time per distance comparison, sgb.GroupAny on
+	// check-ins (seed 2, L2, ε = 0.25), GOMAXPROCS 1, 2 vCPU, the median of 8
+	// alternating reps in each of three runs: n = 200 reads 56.8 / 58.1 /
+	// 63.0, n = 1000 59.2 / 69.1 / 70.4, n = 5000 58.2 / 64.1 / 65.9. The
+	// median of the nine is 63.
+	costGridProbe = 63.0
 )
 
 // planEst holds an operator's planner estimates. Every physical operator
@@ -106,9 +109,8 @@ func underlyingTable(op operator) *Table {
 }
 
 // estimateTree computes (and stamps) rows/cost estimates for op's subtree,
-// returning op's own. It is idempotent: the analyzer calls it on subtrees
-// mid-planning (SGB algorithm selection needs the input cardinality before
-// the aggregation operator exists) and once more on the final root.
+// returning op's own. The planner calls it once, on the final root; no
+// planning decision reads its figures, which price EXPLAIN.
 func (pc *planContext) estimateTree(op operator) (rows, cost float64) {
 	switch op := op.(type) {
 	case *scanOp:
@@ -191,9 +193,8 @@ func (pc *planContext) estimateTree(op operator) (rows, cost float64) {
 
 	case *sgbAggOp:
 		r, c := pc.estimateTree(op.child)
-		n, g, k := pc.sgbShape(op.child, &op.spec)
-		groupCost := sgbCost(op.spec.Mode, op.algorithm, n, g, k)
-		op.setEst(g, c+r*costHashRow+groupCost)
+		g, k := sgbShape(op.child, &op.spec, r)
+		op.setEst(g, c+r*costHashRow+sgbCost(op.spec.Mode, op.algorithm, r, g, k))
 
 	default:
 		// Unknown operator (tests may wrap operators): pass through zero.
@@ -241,15 +242,12 @@ func (pc *planContext) estGroups(groupExprs []Expr, child operator, inRows float
 	return clampEst(distinct, 1, math.Max(inRows, 1))
 }
 
-// sgbShape estimates the three quantities the SGB cost formulas need for a
-// similarity aggregation over child: n (input points), g (groups — how many
+// sgbShape estimates what the SGB cost formulas need beside the n input
+// points of a similarity aggregation over child: g (groups — how many
 // ε-sized clusters the data sustains, from the density sketch's occupied
-// area), and k (expected ε-neighbors per point, from the sketch's density
-// moment). Without fresh statistics it falls back to fixed fractions, which
-// deterministically keep tiny inputs on All-Pairs and large ones on the
-// index — the paper's qualitative regimes.
-func (pc *planContext) sgbShape(child operator, spec *SimilaritySpec) (n, g, k float64) {
-	n, _ = pc.estimateTree(child)
+// area) and k (expected ε-neighbors per point, from the sketch's density
+// moment). Without fresh statistics it falls back to fixed fractions.
+func sgbShape(child operator, spec *SimilaritySpec, n float64) (g, k float64) {
 	area := neighborArea(spec.Metric, spec.Eps)
 	if t := underlyingTable(child); t != nil && t.Stats.Fresh() && t.Stats.Sketch != nil {
 		sk := t.Stats.Sketch
@@ -270,7 +268,7 @@ func (pc *planContext) sgbShape(child operator, spec *SimilaritySpec) (n, g, k f
 		k = 4
 	}
 	k = clampEst(k, 0, math.Max(n, 1))
-	return n, g, k
+	return g, k
 }
 
 // sgbCost is the grouping cost of one SGB execution, per physical algorithm.
@@ -284,7 +282,7 @@ func sgbCost(mode SGBMode, alg core.Algorithm, n, g, k float64) float64 {
 	if mode == SGBAnyMode {
 		// SGB-Any merges groups transitively: All-Pairs degenerates to
 		// point-vs-point comparison (n²/2); Bounds-Checking has no Any
-		// variant and executes as the index (see sgbAggOp.groupSerial).
+		// variant and executes as the index (see sgbAggOp.group).
 		if alg == core.AllPairs {
 			return 0.5 * n * n * costDistComp
 		}
@@ -298,33 +296,6 @@ func sgbCost(mode SGBMode, alg core.Algorithm, n, g, k float64) float64 {
 	default: // core.IndexBounds
 		return n*(costWindowQuery+costRegionTests*costRectTest) + n*k*costDistComp
 	}
-}
-
-// resolveSGBAlgorithm picks the physical SGB algorithm for one aggregation:
-// the algorithm the session's setting forces, otherwise (SGBAuto) the
-// cost-minimal candidate under the statistics catalog. With the optimizer
-// disabled, auto resolves to the engine default (the on-the-fly index).
-func (pc *planContext) resolveSGBAlgorithm(child operator, spec *SimilaritySpec) (core.Algorithm, bool) {
-	if alg, ok := pc.qc.sgbAlgorithm().forced(); ok {
-		return alg, false
-	}
-	if !pc.qc.optimize() {
-		return core.IndexBounds, true
-	}
-	n, g, k := pc.sgbShape(child, spec)
-	candidates := []core.Algorithm{core.AllPairs, core.IndexBounds}
-	if spec.Mode == SGBAllMode {
-		candidates = append(candidates, core.BoundsChecking)
-	}
-	best := core.IndexBounds
-	bestCost := math.Inf(1)
-	for _, a := range candidates {
-		if c := sgbCost(spec.Mode, a, n, g, k); c < bestCost {
-			best, bestCost = a, c
-		}
-	}
-	pc.ruleApplied("sgb_algorithm_selection")
-	return best, true
 }
 
 // selectivity estimates the fraction of rows a predicate passes, using fresh

@@ -66,10 +66,9 @@ type DB struct {
 }
 
 // NewDB returns an empty database whose default session has the zero
-// Settings: SGB algorithm selection is auto (the cost-based optimizer picks
-// per query), no limits, optimizer on. Each DB owns its metrics registry;
-// callers wanting process-wide aggregation can swap in obs.Default via
-// SetMetrics.
+// Settings: the on-the-fly index, no limits, optimizer on. Each DB owns its
+// metrics registry; callers wanting process-wide aggregation can swap in
+// obs.Default via SetMetrics.
 func NewDB() *DB {
 	db := &DB{cat: NewCatalog()}
 	db.Session.db = db
@@ -332,14 +331,7 @@ func (db *DB) recordQueryMetrics(pc *planContext, tr *obs.Trace, dur time.Durati
 		m.Counter("sgb_rounds_total").Add(int64(s.Rounds))
 		tr.Annotate("points=%d distance_comps=%d rounds=%d",
 			s.Points, s.DistanceComps, s.Rounds)
-		// Surface what the planner picked: operators can tell auto selection
-		// from a manual \alg override, so \timing and the slowlog show both
-		// the algorithm and how it was chosen.
-		how := "manual"
-		if op.algAuto {
-			how = "auto"
-		}
-		tr.Annotate("sgb_alg=%s (%s)", op.algorithm, how)
+		tr.Annotate("sgb_alg=%s", op.algorithm)
 	}
 }
 

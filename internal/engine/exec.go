@@ -778,10 +778,7 @@ type sgbAggOp struct {
 	sch        Schema
 	spec       SimilaritySpec
 	algorithm  core.Algorithm
-	// algAuto records that algorithm came from cost-based selection rather
-	// than an explicit \alg override, for the trace annotation.
-	algAuto bool
-	qc      *queryCtx
+	qc         *queryCtx
 
 	rows []Row
 	pos  int

@@ -49,7 +49,7 @@ func TestExplainGolden(t *testing.T) {
 	cases := []struct {
 		name string
 		sql  string
-		alg  string // manual \alg override; "" keeps the auto default
+		alg  SGBAlgorithm // the zero value is the default index
 		want []string
 	}{
 		{
@@ -129,10 +129,11 @@ func TestExplainGolden(t *testing.T) {
 			},
 		},
 		{
-			// Five points is far below the index algorithms' breakeven, so the
-			// cost-based selector picks All-Pairs for every SGB shape here.
+			// The SGB shapes force the All-Pairs baseline, so its rendering
+			// stays covered; the last case is the default index.
 			name: "sgb all join-any l2",
 			sql:  "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL L2 WITHIN 3 ON-OVERLAP JOIN-ANY",
+			alg:  SGBAllPairs,
 			want: []string{
 				"Project (count) (est_rows=1 est_cost=20.0)",
 				"  SimilarityGroupBy DISTANCE-TO-ALL JOIN-ANY L2 WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=18.8)",
@@ -142,6 +143,7 @@ func TestExplainGolden(t *testing.T) {
 		{
 			name: "sgb all eliminate linf",
 			sql:  "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 3 ON-OVERLAP ELIMINATE",
+			alg:  SGBAllPairs,
 			want: []string{
 				"Project (count) (est_rows=1 est_cost=20.0)",
 				"  SimilarityGroupBy DISTANCE-TO-ALL ELIMINATE LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=18.8)",
@@ -151,6 +153,7 @@ func TestExplainGolden(t *testing.T) {
 		{
 			name: "sgb all form-new-group linf",
 			sql:  "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 3 ON-OVERLAP FORM-NEW-GROUP",
+			alg:  SGBAllPairs,
 			want: []string{
 				"Project (count) (est_rows=1 est_cost=20.0)",
 				"  SimilarityGroupBy DISTANCE-TO-ALL FORM-NEW-GROUP LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=18.8)",
@@ -160,6 +163,7 @@ func TestExplainGolden(t *testing.T) {
 		{
 			name: "sgb any l2",
 			sql:  "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1.5",
+			alg:  SGBAllPairs,
 			want: []string{
 				"Project (count) (est_rows=1 est_cost=26.2)",
 				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=25.0)",
@@ -167,23 +171,20 @@ func TestExplainGolden(t *testing.T) {
 			},
 		},
 		{
-			// A manual \alg override bypasses the cost-based choice entirely.
+			// No \alg: the engine's algorithm, the on-the-fly index.
 			name: "sgb manual index override",
 			sql:  "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1.5",
-			alg:  "index",
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=763.8)",
-				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [on-the-fly Index] (1 aggregate(s)) (est_rows=1 est_cost=762.5)",
+				"Project (count) (est_rows=1 est_cost=328.8)",
+				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [on-the-fly Index] (1 aggregate(s)) (est_rows=1 est_cost=327.5)",
 				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5)",
 			},
 		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if c.alg == "index" {
-				db.SetSGBAlgorithm(SGBIndex)
-				defer db.SetSGBAlgorithm(SGBAuto)
-			}
+			db.SetSGBAlgorithm(c.alg)
+			defer db.SetSGBAlgorithm(SGBIndex)
 			got := planLines(t, db, c.sql)
 			if len(got) != len(c.want) {
 				t.Fatalf("got %d lines, want %d:\n%s", len(got), len(c.want), strings.Join(got, "\n"))
@@ -222,6 +223,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 	cases := []struct {
 		name string
 		sql  string
+		alg  SGBAlgorithm // the zero value is the default index
 		want []string
 	}{
 		{
@@ -277,11 +279,12 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		},
 		{
 			// The Figure 2 points under LINF/3 with JOIN-ANY form groups
-			// {1,2,5} and {3,4} (first-candidate arbitration). Auto selection
-			// picks All-Pairs at n=5, so the counters show distance
+			// {1,2,5} and {3,4} (first-candidate arbitration). The SGB
+			// cases force All-Pairs, so the counters show distance
 			// computations instead of window queries.
 			name: "sgb all join-any linf",
 			sql:  "EXPLAIN ANALYZE SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 3 ON-OVERLAP JOIN-ANY",
+			alg:  SGBAllPairs,
 			want: []string{
 				"Project (count) (est_rows=1 est_cost=20.0) (actual rows=2 loops=1 time=X ms)",
 				"  SimilarityGroupBy DISTANCE-TO-ALL JOIN-ANY LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=18.8) (actual rows=2 loops=1 time=X ms)",
@@ -294,6 +297,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		{
 			name: "sgb all eliminate linf",
 			sql:  "EXPLAIN ANALYZE SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 3 ON-OVERLAP ELIMINATE",
+			alg:  SGBAllPairs,
 			want: []string{
 				"Project (count) (est_rows=1 est_cost=20.0) (actual rows=2 loops=1 time=X ms)",
 				"  SimilarityGroupBy DISTANCE-TO-ALL ELIMINATE LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=18.8) (actual rows=2 loops=1 time=X ms)",
@@ -306,6 +310,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		{
 			name: "sgb any l2",
 			sql:  "EXPLAIN ANALYZE SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1.5",
+			alg:  SGBAllPairs,
 			want: []string{
 				"Project (count) (est_rows=1 est_cost=26.2) (actual rows=3 loops=1 time=X ms)",
 				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=25.0) (actual rows=3 loops=1 time=X ms)",
@@ -318,6 +323,8 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			db.SetSGBAlgorithm(c.alg)
+			defer db.SetSGBAlgorithm(SGBIndex)
 			got := normalizeAnalyze(planLines(t, db, c.sql))
 			if len(got) != len(c.want) {
 				t.Fatalf("got %d lines, want %d:\n%s", len(got), len(c.want), strings.Join(got, "\n"))

@@ -145,7 +145,7 @@ func TestCopyErrors(t *testing.T) {
 // TestLoadOldShapeSnapshot loads a checkpoint written while snapshots still
 // stored the SGB algorithm setting: gob skips the two fields the snapshot no
 // longer has, the tables and materialized views restore, and the loaded DB's
-// session starts from the default (auto) settings.
+// session starts from the default settings (the on-the-fly index).
 func TestLoadOldShapeSnapshot(t *testing.T) {
 	src := NewDB()
 	mustExec(t, src, "CREATE TABLE pts (id INT, x FLOAT, y FLOAT)")
@@ -177,7 +177,7 @@ func TestLoadOldShapeSnapshot(t *testing.T) {
 		t.Fatalf("loading an old-shape snapshot: %v", err)
 	}
 	if got := loaded.Settings(); got != (Settings{}) {
-		t.Errorf("loaded DB settings = %+v, want the defaults (auto)", got)
+		t.Errorf("loaded DB settings = %+v, want the defaults (index)", got)
 	}
 	const q = "SELECT id, x, y FROM pts ORDER BY id"
 	if got, want := queryStrings(t, loaded, q), queryStrings(t, src, q); !reflect.DeepEqual(got, want) {
@@ -213,7 +213,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Errorf("catalog names = %v, want 4 tables", names)
 	}
 	// The restored database answers queries identically, including an SGB
-	// statement (Bounds-Checking on the original, auto selection on the
+	// statement (Bounds-Checking on the original, the default index on the
 	// restored DB, which starts from default settings) and a scan of the
 	// empty table.
 	for _, q := range []string{

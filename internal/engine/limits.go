@@ -154,16 +154,16 @@ func (q *queryCtx) context() context.Context {
 }
 
 // sgbAlgorithm is the statement's SGB algorithm setting. Plan-only contexts
-// (view validation) have no session and plan under SGBAuto.
+// (view validation) have no session and plan SGBIndex.
 func (q *queryCtx) sgbAlgorithm() SGBAlgorithm {
 	if q == nil {
-		return SGBAuto
+		return SGBIndex
 	}
 	return q.set.SGBAlgorithm
 }
 
-// optimize reports whether the cost-based analyzer rules run for this
-// statement. Plan-only contexts optimize (the rules are semantics-preserving).
+// optimize reports whether the analyzer rules run for this statement.
+// Plan-only contexts optimize (the rules are semantics-preserving).
 func (q *queryCtx) optimize() bool {
 	return q == nil || !q.set.NoOptimize
 }

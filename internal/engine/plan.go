@@ -456,18 +456,13 @@ func (pc *planContext) planAggregate(stmt *SelectStmt, child operator, orderBy [
 
 	var aggOp operator
 	if spec != nil {
-		// Analyzer rule sgb_algorithm_selection: under \alg auto the
-		// physical SGB variant is a cost-based choice from the statistics
-		// catalog; an explicit \alg override wins unconditionally.
-		alg, auto := pc.resolveSGBAlgorithm(child, spec)
 		op := &sgbAggOp{
 			child:      child,
 			groupExprs: groupFns,
 			calls:      rw.calls,
 			sch:        internal,
 			spec:       *spec,
-			algorithm:  alg,
-			algAuto:    auto,
+			algorithm:  pc.qc.sgbAlgorithm().core(),
 			qc:         pc.qc,
 		}
 		pc.sgbOps = append(pc.sgbOps, op)

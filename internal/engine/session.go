@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 
 	"sgb/internal/core"
@@ -15,76 +16,71 @@ import (
 // at plan time: concurrent sessions changing their own knobs can never race a
 // statement that is already in flight, and two sessions can hold different
 // settings against the same shared DB. The zero Settings is the default:
-// cost-based SGB algorithm selection, no limits, optimizer on.
+// the on-the-fly index, no limits, optimizer on.
 type Settings struct {
-	// SGBAlgorithm selects the physical similarity group-by implementation.
-	// Its zero value, SGBAuto, lets the cost-based optimizer choose per query
-	// from the statistics catalog.
+	// SGBAlgorithm selects the physical similarity group-by implementation;
+	// its zero value is SGBIndex.
 	SGBAlgorithm SGBAlgorithm
 	// Limits bounds the resources a single statement may consume.
 	Limits Limits
-	// NoOptimize disables the cost-based analyzer rules, producing the naive
-	// plan lowering. Semantics are unchanged; plan-equivalence tests use it
-	// as the reference.
+	// NoOptimize disables the analyzer rules, producing the naive plan
+	// lowering. Semantics are unchanged; plan-equivalence tests use it as the
+	// reference.
 	NoOptimize bool
 }
 
 // SGBAlgorithm is a session's choice of physical similarity group-by
-// implementation: SGBAuto (the zero value) leaves it to the cost-based
-// optimizer, the others force one of the paper's three variants.
+// implementation: SGBIndex (the zero value) runs the on-the-fly index, the
+// others force one of the paper's baselines.
 type SGBAlgorithm uint8
 
+// The settings, in sgbAlgorithms' order. SGBBounds forces Bounds-Checking
+// under SGB-All only; SGB-Any has no bounds variant and runs the index.
 const (
-	// SGBAuto picks the cost-minimal variant per query.
-	SGBAuto SGBAlgorithm = iota
-	// SGBAllPairs forces core.AllPairs.
+	SGBIndex SGBAlgorithm = iota
 	SGBAllPairs
-	// SGBBounds forces core.BoundsChecking (SGB-All only; SGB-Any runs the
-	// on-the-fly index instead).
 	SGBBounds
-	// SGBIndex forces core.IndexBounds, the on-the-fly index.
-	SGBIndex
 )
 
-// String is the algorithm's spelling in sgbd's -alg flag, sgbcli's \alg and
-// the wire's sgb_algorithm setting: auto, allpairs, bounds or index.
+// sgbAlgorithms is the one spelling table: each setting's name in sgbcli's
+// \alg and the wire's sgb_algorithm setting, and the core algorithm it runs.
+var sgbAlgorithms = [...]struct {
+	name string
+	alg  core.Algorithm
+}{
+	SGBIndex:    {"index", core.IndexBounds},
+	SGBAllPairs: {"allpairs", core.AllPairs},
+	SGBBounds:   {"bounds", core.BoundsChecking},
+}
+
+// String is the algorithm's spelling: index, allpairs or bounds.
 func (a SGBAlgorithm) String() string {
-	switch a {
-	case SGBAuto:
-		return "auto"
-	case SGBAllPairs:
-		return "allpairs"
-	case SGBBounds:
-		return "bounds"
-	case SGBIndex:
-		return "index"
+	if int(a) < len(sgbAlgorithms) {
+		return sgbAlgorithms[a].name
 	}
 	return fmt.Sprintf("SGBAlgorithm(%d)", uint8(a))
 }
 
-// ParseSGBAlgorithm is the inverse of SGBAlgorithm.String; ok is false for
-// any other spelling.
-func ParseSGBAlgorithm(s string) (SGBAlgorithm, bool) {
-	for a := SGBAuto; a <= SGBIndex; a++ {
-		if a.String() == s {
-			return a, true
+// ParseSGBAlgorithm is the inverse of SGBAlgorithm.String. Any other
+// spelling is an error that names the valid ones.
+func ParseSGBAlgorithm(s string) (SGBAlgorithm, error) {
+	var names []string
+	for a, e := range sgbAlgorithms {
+		if e.name == s {
+			return SGBAlgorithm(a), nil
 		}
+		names = append(names, e.name)
 	}
-	return SGBAuto, false
+	return SGBIndex, fmt.Errorf("unknown SGB algorithm %q (want %s)", s, strings.Join(names, "|"))
 }
 
-// forced returns the core algorithm a manual choice pins; ok is false under
-// SGBAuto.
-func (a SGBAlgorithm) forced() (alg core.Algorithm, ok bool) {
-	switch a {
-	case SGBAllPairs:
-		return core.AllPairs, true
-	case SGBBounds:
-		return core.BoundsChecking, true
-	case SGBIndex:
-		return core.IndexBounds, true
+// core returns the core algorithm the setting runs; a value outside the
+// table runs the default.
+func (a SGBAlgorithm) core() core.Algorithm {
+	if int(a) < len(sgbAlgorithms) {
+		return sgbAlgorithms[a].alg
 	}
-	return 0, false
+	return core.IndexBounds
 }
 
 // Session is a per-client view of a shared DB: it carries its own Settings
@@ -122,15 +118,14 @@ func (s *Session) Settings() Settings {
 }
 
 // SetSGBAlgorithm selects the SGB physical implementation for subsequent
-// statements on this session: SGBAuto restores cost-based selection, the
-// other values override it.
+// statements on this session; SGBIndex restores the default.
 func (s *Session) SetSGBAlgorithm(a SGBAlgorithm) {
 	s.mu.Lock()
 	s.set.SGBAlgorithm = a
 	s.mu.Unlock()
 }
 
-// SetOptimizer enables or disables the cost-based analyzer rules for
+// SetOptimizer enables or disables the analyzer rules for
 // subsequent statements on this session. Disabling (on=false) yields the
 // naive plan lowering — semantically identical, used as the reference in
 // plan-equivalence tests.

@@ -56,7 +56,7 @@ func TestSessionSettingsIsolated(t *testing.T) {
 	a.SetSGBAlgorithm(SGBAllPairs)
 
 	// b and the DB's default session are untouched by a's setters.
-	if got := b.Settings(); got.Limits.MaxRowsMaterialized != 0 || got.SGBAlgorithm != SGBAuto {
+	if got := b.Settings(); got.Limits.MaxRowsMaterialized != 0 || got.SGBAlgorithm != SGBIndex {
 		t.Fatalf("session b settings contaminated by a: %+v", got)
 	}
 	if got := db.Settings(); got != (Settings{}) {
@@ -151,4 +151,26 @@ func TestSessionSettingsRace(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestSGBAlgorithmSpellings pins the one spelling table: every algorithm
+// parses back from its String, and anything else — "auto" included, the
+// cost-based choice the engine no longer has — is an error naming the valid
+// spellings.
+func TestSGBAlgorithmSpellings(t *testing.T) {
+	for a := SGBIndex; a <= SGBBounds; a++ {
+		got, err := ParseSGBAlgorithm(a.String())
+		if err != nil || got != a {
+			t.Errorf("ParseSGBAlgorithm(%q) = %v, %v; want %v", a.String(), got, err, a)
+		}
+	}
+	for _, s := range []string{"auto", "", "Index"} {
+		_, err := ParseSGBAlgorithm(s)
+		if err == nil {
+			t.Fatalf("ParseSGBAlgorithm(%q) succeeded", s)
+		}
+		if want := "want index|allpairs|bounds"; !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseSGBAlgorithm(%q) error %q does not name the spellings (%s)", s, err, want)
+		}
+	}
 }

@@ -7,7 +7,7 @@ import (
 	"sgb/internal/geom"
 )
 
-// This file is the statistics catalog behind the cost-based planner: per-table
+// This file is the statistics catalog behind EXPLAIN's estimates: per-table
 // row counts, per-column min/max and distinct estimates, and a 2-D grid
 // density sketch over the first two FLOAT columns — the grouping space of the
 // paper's similarity queries. Full statistics are computed by ANALYZE;

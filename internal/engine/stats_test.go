@@ -172,8 +172,8 @@ func TestStatsSurviveSnapshot(t *testing.T) {
 	if lt.Stats.AnalyzedRows != tab.Stats.AnalyzedRows || lt.Stats.Sketch.N != tab.Stats.Sketch.N {
 		t.Errorf("stats mismatch after load: %+v vs %+v", lt.Stats, tab.Stats)
 	}
-	if got := loaded.Settings().SGBAlgorithm; got != SGBAuto {
-		t.Errorf("loaded DB runs %v, want auto algorithm selection", got)
+	if got := loaded.Settings().SGBAlgorithm; got != SGBIndex {
+		t.Errorf("loaded DB runs %v, want the default on-the-fly index", got)
 	}
 }
 

@@ -597,9 +597,9 @@ func (c *conn) applySetting(m *wire.Set) bool {
 	}
 	switch m.Name {
 	case "sgb_algorithm":
-		alg, ok := engine.ParseSGBAlgorithm(m.Value)
-		if !ok {
-			return fail("unknown SGB algorithm %q (want auto|allpairs|bounds|index)", m.Value)
+		alg, err := engine.ParseSGBAlgorithm(m.Value)
+		if err != nil {
+			return fail("%v", err)
 		}
 		c.sess.SetSGBAlgorithm(alg)
 	case "max_rows":

@@ -261,6 +261,33 @@ func TestMaxConnectionsRejected(t *testing.T) {
 	}
 }
 
+// TestSetSGBAlgorithmRejectsAuto: the wire's sgb_algorithm setting takes the
+// engine's spelling table, so "auto" fails with the table's error, and the
+// session stays usable afterwards.
+func TestSetSGBAlgorithmRejectsAuto(t *testing.T) {
+	db := engine.NewDB()
+	loadPoints(t, db, 100)
+	srv := startServer(t, db, Config{})
+	c := connect(t, srv)
+
+	_, want := engine.ParseSGBAlgorithm("auto")
+	var se *client.ServerError
+	err := c.Set("sgb_algorithm", "auto")
+	if !errors.As(err, &se) || se.Code != wire.CodeUnknownSetting || se.Message != want.Error() {
+		t.Fatalf("set sgb_algorithm auto: got %v, want CodeUnknownSetting %q", err, want)
+	}
+	if err := c.Set("sgb_algorithm", "bounds"); err != nil {
+		t.Fatalf("set after the rejected value: %v", err)
+	}
+	res, err := c.Query(context.Background(), "SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL L2 WITHIN 1 ON-OVERLAP JOIN-ANY")
+	if err != nil {
+		t.Fatalf("query after the rejected value: %v", err)
+	}
+	if len(res.Rows) == 0 {
+		t.Fatal("query after the rejected value returned no groups")
+	}
+}
+
 // TestSessionSettingsScopedPerConnection pins the wire-level version of the
 // settings-isolation bugfix: one connection's Set must not leak into another
 // connection's statements.
