@@ -23,9 +23,9 @@ const arenaChunk = 256
 // AllGrouper is a streaming SGB-All operator instance. Points are fed in
 // input order with Add and the final grouping is materialized by Finish.
 //
-// A group is an integer: groups are numbered in creation order across every
-// FORM-NEW-GROUP round, and a group's state is one row of the struct-of-arrays
-// fields below, indexed by that id, with no heap object per group.
+// A group is an integer: groups are numbered in creation order, and a group's
+// state is one row of the struct-of-arrays fields below, indexed by that id,
+// with no heap object per group.
 type AllGrouper struct {
 	opt Options
 	dim int
@@ -45,14 +45,10 @@ type AllGrouper struct {
 	next       []int
 	// hulls[gid] is group gid's hull when useHull is set.
 	hulls []*hull.Incremental
-	// round is the id of the current grouping round's first group: groups
-	// [round, len(rects)) are active, earlier ones sealed by FORM-NEW-GROUP.
-	round int
-	// regions is Groups_IX, the on-the-fly index of IndexBounds: every
-	// active group registered on the ε-grid under its candidate region and
-	// its position gid-round in the round. Nil for the other algorithms and
-	// above gridBlockCap, where IndexBounds scans the group list as
-	// BoundsChecking does.
+	// regions is Groups_IX, the on-the-fly index of IndexBounds: every group
+	// registered on the ε-grid under its candidate region and its id. Nil for
+	// the other algorithms and above gridBlockCap, where IndexBounds scans
+	// the group list as BoundsChecking does.
 	regions *grid.Regions
 
 	deferred []int // S′: points diverted by FORM-NEW-GROUP
@@ -145,48 +141,15 @@ func (g *AllGrouper) Add(p geom.Point) (int, error) {
 	return id, nil
 }
 
-// Finish runs the FORM-NEW-GROUP recursion over the deferred set S′ (if any)
-// and materializes the result. The grouper cannot be reused afterwards.
+// Finish materializes the result as Snapshot does, FORM-NEW-GROUP recursion
+// included, and seals the grouper: it cannot be reused afterwards.
 func (g *AllGrouper) Finish() (*Result, error) {
 	if g.finished {
 		return nil, fmt.Errorf("core: Finish called twice")
 	}
+	res, err := g.Snapshot()
 	g.finished = true
-	g.stats.Rounds = 1
-	for len(g.deferred) > 0 {
-		// Each round groups S′ against a fresh group universe: the points
-		// in S′ form new groups among themselves (Procedures 1 and 3).
-		// Progress is expected: the ProcessOverlap removals only ever
-		// take the members of a group that are within ε of the probe and
-		// the OverlapGroups definition requires at least one member that
-		// is not, so groups are never fully emptied (see rebuildGroup) and
-		// at least one group survives every round, so |S′| decreases. The
-		// check below turns any pathological counterexample into an error
-		// instead of a livelock.
-		before := len(g.deferred)
-		g.round = len(g.rects)
-		if g.regions != nil {
-			g.regions = grid.NewRegions(g.opt.Eps, g.dim)
-		}
-		round := g.deferred
-		g.deferred = nil
-		for _, id := range round {
-			if err := g.checkCtx(); err != nil {
-				return nil, err
-			}
-			g.processPoint(id)
-		}
-		g.stats.Rounds++
-		if len(g.deferred) >= before {
-			return nil, fmt.Errorf("core: FORM-NEW-GROUP made no progress (%d -> %d deferred)", before, len(g.deferred))
-		}
-	}
-	res := &Result{Stats: g.stats}
-	g.collect(res)
-	slices.SortFunc(res.Groups, byFirstID)
-	slices.Sort(g.dropped)
-	res.Dropped = g.dropped
-	return res, nil
+	return res, err
 }
 
 // point returns point id's coordinates.
@@ -246,16 +209,16 @@ func byFirstID(a, b Group) int { return cmp.Compare(a.IDs[0], b.IDs[0]) }
 // Snapshot materializes the grouping as it stands without consuming the
 // grouper: unlike Finish, the grouper keeps accepting points afterwards. The
 // result is bit-identical to what Finish would return at this prefix (same
-// groups, same dropped set, same round count) — the invariant incremental
-// view maintenance is checked against.
+// groups, same dropped set, same round count, same counters) — the invariant
+// incremental view maintenance is checked against.
 //
-// Sealed and active groups are copied out directly, their ids carved from
-// one backing array. A non-empty deferred set (FORM-NEW-GROUP) is resolved
-// on a scratch grouper fed the deferred points in order: Finish's first
-// recursion round processes exactly those points against an empty group
-// universe, so the scratch run reproduces the recursion without touching
-// this grouper's state. (Only FORM-NEW-GROUP defers points, and that mode
-// never consults opt.Rand, so the scratch run has no side effects.)
+// The groups are copied out directly, their ids carved from one backing
+// array. A non-empty deferred set S′ is FORM-NEW-GROUP's next round: the
+// points in S′ form new groups among themselves (Procedures 1 and 3), so a
+// scratch grouper is fed them in order and its Finish runs the rest of the
+// recursion without touching this grouper's state. (Only FORM-NEW-GROUP
+// defers points, and that mode never consults opt.Rand, so the scratch run
+// has no side effects.)
 func (g *AllGrouper) Snapshot() (*Result, error) {
 	if g.finished {
 		return nil, fmt.Errorf("core: Snapshot after Finish")
@@ -269,10 +232,21 @@ func (g *AllGrouper) Snapshot() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		sub.ctx = g.ctx
 		for _, id := range g.deferred {
 			if _, err := sub.Add(g.point(id)); err != nil {
 				return nil, err
 			}
+		}
+		// Progress is expected: the ProcessOverlap removals only ever take
+		// the members of a group that are within ε of the probe and the
+		// OverlapGroups definition requires at least one member that is not,
+		// so groups are never fully emptied (see rebuildGroup) and at least
+		// one group survives every round, so |S′| decreases. The check turns
+		// any pathological counterexample into an error instead of endless
+		// recursion.
+		if len(sub.deferred) >= len(g.deferred) {
+			return nil, fmt.Errorf("core: FORM-NEW-GROUP made no progress (%d -> %d deferred)", len(g.deferred), len(sub.deferred))
 		}
 		subRes, err := sub.Finish()
 		if err != nil {
@@ -291,6 +265,11 @@ func (g *AllGrouper) Snapshot() (*Result, error) {
 		for _, sid := range subRes.Dropped {
 			dropped = append(dropped, g.deferred[sid])
 		}
+		res.Stats.DistanceComps += subRes.Stats.DistanceComps
+		res.Stats.RectTests += subRes.Stats.RectTests
+		res.Stats.HullTests += subRes.Stats.HullTests
+		res.Stats.WindowQueries += subRes.Stats.WindowQueries
+		res.Stats.IndexUpdates += subRes.Stats.IndexUpdates
 		res.Stats.Rounds = subRes.Stats.Rounds + 1
 	}
 	slices.SortFunc(res.Groups, byFirstID)
@@ -344,7 +323,7 @@ func (g *AllGrouper) processPoint(id int) {
 // similarity predicate between p and every previously grouped point.
 func (g *AllGrouper) findAllPairs(p geom.Point) {
 	joinAny := g.opt.Overlap == JoinAny
-	for gid := g.round; gid < len(g.rects); gid++ {
+	for gid := range g.rects {
 		if g.rects[gid].Len() == 0 {
 			continue
 		}
@@ -386,7 +365,7 @@ func (g *AllGrouper) scan(gid int, p geom.Point, stopIn, stopOut bool) (allIn, a
 // rectangle decides candidacy in constant time per group (exactly under L∞,
 // as a conservative filter refined by Procedure 6 under L2).
 func (g *AllGrouper) findBounds(p geom.Point) {
-	for gid := g.round; gid < len(g.rects); gid++ {
+	for gid := range g.rects {
 		g.classify(gid, p)
 	}
 }
@@ -401,13 +380,13 @@ func (g *AllGrouper) findIndexed(p geom.Point) {
 	g.stats.WindowQueries++
 	if g.opt.Overlap == JoinAny {
 		for _, i := range g.regions.Own(p) {
-			g.classify(g.round+i, p)
+			g.classify(i, p)
 		}
 		return
 	}
 	g.block = g.regions.Block(p, g.block[:0])
 	for _, i := range g.block {
-		g.classify(g.round+i, p)
+		g.classify(i, p)
 	}
 	// Their candidates' order is never read, but FORM-NEW-GROUP defers the
 	// members processOverlap pulls out in overlap order, which the linear
@@ -496,11 +475,10 @@ func (g *AllGrouper) newGroup(id int) {
 	g.register(gid)
 }
 
-// register records group gid's candidate region in Groups_IX under its
-// position in the round.
+// register records group gid's candidate region in Groups_IX under its id.
 func (g *AllGrouper) register(gid int) {
 	if g.regions != nil {
-		g.regions.Register(g.rects[gid].MBR(), gid-g.round)
+		g.regions.Register(g.rects[gid].MBR(), gid)
 		g.stats.IndexUpdates++
 	}
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"sgb/internal/geom"
 	"sgb/internal/grid"
@@ -23,7 +23,7 @@ const gridBlockCap = 1024
 // identity is tracked in a Union-Find forest over point ids: a new point
 // unions with one ε-neighbour of every component it touches, which
 // transparently merges all candidate groups into one (Procedure 9's
-// MergeGroupsInsert).
+// MergeGroupsInsert). A group's id is its forest root, its smallest member.
 type AnyGrouper struct {
 	opt Options
 	dim int
@@ -45,8 +45,8 @@ type AnyGrouper struct {
 	stats    Stats
 	finished bool
 
-	// trackLinks arms AddLinked's merge recording: union appends to links
-	// whenever a union actually joins two distinct components.
+	// trackLinks arms AddLinked's merge recording: union appends the prior
+	// group's id to links whenever a union actually joins two components.
 	trackLinks bool
 	links      []int
 
@@ -219,24 +219,25 @@ func (g *AnyGrouper) verify(id int, p geom.Point, q int) bool {
 	return true
 }
 
-// union merges the groups of a and b, counting actual merges.
+// union merges the groups of a and b, counting actual merges. a is the point
+// being added, so b's root is the id of a prior group it joins.
 func (g *AnyGrouper) union(a, b int) {
-	if g.uf.Find(a) != g.uf.Find(b) {
+	if rb := g.uf.Find(b); g.uf.Find(a) != rb {
 		g.stats.GroupsMerged++
 		g.uf.Union(a, b)
 		if g.trackLinks {
-			g.links = append(g.links, b)
+			g.links = append(g.links, rb)
 		}
 	}
 }
 
 // AddLinked is the incremental-maintenance entry point: it feeds the next
 // point like Add and additionally reports which pre-existing groups the point
-// connected to. links holds exactly one member point id per distinct prior
-// connected component the new point was united with (the component's
-// representative at union time), in probe order — an empty slice means the
-// point founded a new singleton group. The returned slice is reused by the
-// next AddLinked call; callers that retain it must copy.
+// joined. links holds the ids (smallest members) of the distinct prior groups
+// the new point was united with, ascending: the first is the id of the merged
+// group, the rest are the groups it absorbed. An empty slice means the point
+// founded a new singleton group. The returned slice is reused by the next
+// AddLinked call; callers that retain it must copy.
 func (g *AnyGrouper) AddLinked(p geom.Point) (id int, links []int, err error) {
 	g.trackLinks = true
 	g.links = g.links[:0]
@@ -245,6 +246,7 @@ func (g *AnyGrouper) AddLinked(p geom.Point) (id int, links []int, err error) {
 	if err != nil {
 		return 0, nil, err
 	}
+	slices.Sort(g.links)
 	return id, g.links, nil
 }
 
@@ -257,34 +259,30 @@ func (g *AnyGrouper) Snapshot() ([]Group, error) {
 	if g.finished {
 		return nil, fmt.Errorf("core: Snapshot after Finish")
 	}
-	var groups []Group
-	for _, ids := range g.uf.Groups() {
-		sort.Ints(ids)
-		groups = append(groups, Group{IDs: ids})
+	sets := g.uf.Groups()
+	if len(sets) == 0 {
+		return nil, nil
 	}
-	sort.Slice(groups, func(i, j int) bool {
-		return groups[i].IDs[0] < groups[j].IDs[0]
-	})
+	groups := make([]Group, len(sets))
+	for i, ids := range sets {
+		groups[i] = Group{IDs: ids}
+	}
 	return groups, nil
 }
 
-// Finish materializes the connected components as groups. The grouper cannot
-// be reused afterwards.
+// Finish materializes the connected components as groups, as Snapshot does,
+// and seals the grouper: it cannot be reused afterwards.
 func (g *AnyGrouper) Finish() (*Result, error) {
 	if g.finished {
 		return nil, fmt.Errorf("core: Finish called twice")
 	}
+	groups, err := g.Snapshot()
+	if err != nil {
+		return nil, err
+	}
 	g.finished = true
 	g.stats.Rounds = 1
-	res := &Result{Stats: g.stats}
-	for _, ids := range g.uf.Groups() {
-		sort.Ints(ids)
-		res.Groups = append(res.Groups, Group{IDs: ids})
-	}
-	sort.Slice(res.Groups, func(i, j int) bool {
-		return res.Groups[i].IDs[0] < res.Groups[j].IDs[0]
-	})
-	return res, nil
+	return &Result{Groups: groups, Stats: g.stats}, nil
 }
 
 // SGBAny groups points with the DISTANCE-TO-ANY semantics in input order and

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sgb/internal/geom"
@@ -285,9 +286,11 @@ func TestAnyGridCertificateFailure(t *testing.T) {
 }
 
 // TestAddLinkedMatchesReplay checks AddLinked's contract on every index —
-// exactly one member id per distinct prior component the point is within ε
-// of, none for a new singleton — against a brute-force union-find replay, and
-// that Snapshot at every prefix is what Finish returns for that prefix.
+// links are the ids (smallest members) of the distinct prior components the
+// point is within ε of, ascending, none for a new singleton — against a
+// brute-force replay that labels every point with its component's smallest
+// member, and that Snapshot at every prefix is what Finish returns for that
+// prefix.
 func TestAddLinkedMatchesReplay(t *testing.T) {
 	r := rand.New(rand.NewSource(62))
 	for _, m := range []geom.Metric{geom.L2, geom.LInf, geom.L1} {
@@ -299,30 +302,29 @@ func TestAddLinkedMatchesReplay(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				replay := unionfind.New(len(pts))
+				label := make([]int, len(pts)) // label[j]: smallest member of j's component
 				for i, p := range pts {
-					want := map[int]bool{} // roots of the prior components p touches
+					want := []int{} // labels of the prior components p touches, ascending
 					for j := 0; j < i; j++ {
-						if geom.Within(m, p, pts[j], eps) {
-							want[replay.Find(j)] = true
+						if geom.Within(m, p, pts[j], eps) && !slices.Contains(want, label[j]) {
+							want = append(want, label[j])
 						}
 					}
+					slices.Sort(want)
 					id, links, err := g.AddLinked(p)
 					if err != nil || id != i {
 						t.Fatalf("AddLinked(%d) = %d, %v", i, id, err)
 					}
-					got := map[int]bool{}
-					for _, l := range links {
-						if l >= i || !geom.Within(m, p, pts[l], eps) {
-							t.Fatalf("%v/dim%d/cap%g: point %d linked to %d, which is not an earlier ε-neighbour", m, dim, blockCap, i, l)
+					if !slices.Equal(links, want) {
+						t.Fatalf("%v/dim%d/cap%g: point %d links %v, want the prior groups %v", m, dim, blockCap, i, links, want)
+					}
+					label[i] = i
+					if len(want) > 0 {
+						for j := 0; j <= i; j++ {
+							if j == i || slices.Contains(want, label[j]) {
+								label[j] = want[0]
+							}
 						}
-						got[replay.Find(l)] = true
-					}
-					if len(got) != len(links) || !reflect.DeepEqual(got, want) {
-						t.Fatalf("%v/dim%d/cap%g: point %d links %v name components %v, want one each of %v", m, dim, blockCap, i, links, got, want)
-					}
-					for _, l := range links {
-						replay.Union(i, l)
 					}
 					snap, err := g.Snapshot()
 					if err != nil {

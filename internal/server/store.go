@@ -176,16 +176,17 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 		if rec.Kind != wal.KindStatement {
 			return nil // unknown kinds are forward-compatible no-ops
 		}
-		if _, err := db.ExecContext(context.Background(), string(rec.Data)); err != nil {
+		// Parse once: the observer sees the typed statement that executed,
+		// as the live hook hands it.
+		stmt, err := engine.Parse(string(rec.Data))
+		if err != nil {
+			return err
+		}
+		if _, err := db.ExecStmtContext(context.Background(), stmt); err != nil {
 			return err
 		}
 		if opts.Observer != nil {
-			// Re-parse so the observer sees the same typed statement the live
-			// hook hands it; parse errors are impossible here (the statement
-			// just executed).
-			if parsed, perr := engine.Parse(string(rec.Data)); perr == nil {
-				opts.Observer.Commit(parsed, rec.Seq)
-			}
+			opts.Observer.Commit(stmt, rec.Seq)
 		}
 		return nil
 	})

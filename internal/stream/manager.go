@@ -127,40 +127,48 @@ func (m *Manager) Commit(stmt engine.Statement, seq uint64) {
 // applyToViews advances every view over table: incremental append feed, or a
 // full rebuild-and-diff for mutating statements.
 func (m *Manager) applyToViews(table string, seq uint64, rebuild bool) {
-	reg := m.metrics()
 	for _, v := range m.views {
-		if v.err != nil || !strings.EqualFold(v.shape.Table, table) {
-			continue
+		if v.err == nil && strings.EqualFold(v.shape.Table, table) {
+			m.apply(v, seq, rebuild)
 		}
-		start := time.Now()
-		var deltas []Delta
-		var err error
-		if rebuild {
-			deltas, err = v.applyRebuild(m.db)
-			reg.Counter("stream_rebuilds_total").Inc()
-		} else {
-			deltas, err = v.applyAppend(m.db)
-		}
-		if err != nil {
-			// The view can no longer mirror the table faithfully; freeze it
-			// and cut its subscribers rather than stream wrong state. The
-			// write itself already committed and is not affected.
-			v.err = err
-			for sub := range v.subs {
-				sub.drop()
-			}
-			reg.Counter("stream_view_errors_total").Inc()
-			continue
-		}
-		m.publish(v, seq, deltas)
-		v.noteApply(len(deltas), time.Now())
-		reg.Counter("stream_deltas_total").Add(int64(len(deltas)))
-		reg.Histogram("stream_apply_seconds", obs.DefBuckets).Observe(time.Since(start).Seconds())
 	}
+}
+
+// apply advances one view — incremental append feed, or a full
+// rebuild-and-diff — and publishes the resulting deltas at seq.
+func (m *Manager) apply(v *view, seq uint64, rebuild bool) {
+	reg := m.metrics()
+	start := time.Now()
+	var deltas []Delta
+	var err error
+	if rebuild {
+		deltas, err = v.applyRebuild(m.db)
+		reg.Counter("stream_rebuilds_total").Inc()
+	} else {
+		deltas, err = v.applyAppend(m.db)
+	}
+	if err != nil {
+		// The view can no longer mirror the table faithfully; freeze it and
+		// cut its subscribers rather than stream wrong state. The write
+		// itself already committed and is not affected.
+		v.err = err
+		for sub := range v.subs {
+			sub.drop()
+		}
+		reg.Counter("stream_view_errors_total").Inc()
+		return
+	}
+	m.publish(v, seq, deltas)
+	v.noteApply(len(deltas), time.Now())
+	reg.Counter("stream_deltas_total").Add(int64(len(deltas)))
+	reg.Histogram("stream_apply_seconds", obs.DefBuckets).Observe(time.Since(start).Seconds())
 }
 
 // publish stamps deltas with their composite sequence, appends them to the
 // ring (evicting the oldest past capacity), and fans them out to subscribers.
+// Eviction reslices the ring's front away; once that has used up the backing
+// array, the live entries move to a fresh one of 2×ringCap, so eviction costs
+// amortized O(1) and the ring retains at most 2×ringCap entries.
 // A subscriber whose buffer is full is lagging: it is dropped, and the server
 // side re-attaches it from its last delivered token (delta replay from the
 // ring), which is cheaper than blocking the commit path.
@@ -180,7 +188,10 @@ func (m *Manager) publish(v *view, walSeq uint64, deltas []Delta) {
 		if len(v.ring) >= v.ringCap {
 			v.floor = v.ring[0].Seq
 			memDelta -= deltaBytes(v.ring[0])
-			v.ring = append(v.ring[:0], v.ring[1:]...)
+			v.ring = v.ring[1:]
+			if len(v.ring) == cap(v.ring) {
+				v.ring = append(make([]Delta, 0, 2*v.ringCap), v.ring...)
+			}
 		}
 		v.ring = append(v.ring, d)
 		memDelta += deltaBytes(d)
@@ -231,24 +242,10 @@ func (m *Manager) Resync(db *engine.DB, seq uint64) {
 	if m.db == nil {
 		m.db = db
 	}
-	reg := m.metrics()
 	for _, v := range m.views {
-		if v.err != nil {
-			continue
+		if v.err == nil {
+			m.apply(v, seq, true)
 		}
-		deltas, err := v.applyRebuild(m.db)
-		if err != nil {
-			v.err = err
-			for sub := range v.subs {
-				sub.drop()
-			}
-			reg.Counter("stream_view_errors_total").Inc()
-			continue
-		}
-		m.publish(v, seq, deltas)
-		v.noteApply(len(deltas), time.Now())
-		reg.Counter("stream_rebuilds_total").Inc()
-		reg.Counter("stream_deltas_total").Add(int64(len(deltas)))
 	}
 }
 
@@ -330,10 +327,14 @@ func (m *Manager) Subscribe(name string, token uint64, buf int) (*Attach, error)
 			}
 		}
 	} else {
+		state, err := v.groups()
+		if err != nil {
+			return nil, fmt.Errorf("stream: view %s: %v", name, err)
+		}
 		at.Snapshot = true
 		at.Seq = v.lastSeq
-		gids := make([]int64, 0, len(v.state))
-		for g := range v.state {
+		gids := make([]int64, 0, len(state))
+		for g := range state {
 			gids = append(gids, g)
 		}
 		sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
@@ -343,7 +344,7 @@ func (m *Manager) Subscribe(name string, token uint64, buf int) (*Attach, error)
 				Seq:     v.lastSeq,
 				Kind:    GroupCreated,
 				Group:   g,
-				Members: append([]int64(nil), v.state[g]...),
+				Members: state[g],
 			})
 		}
 	}
@@ -389,8 +390,9 @@ func (m *Manager) Views() []ViewStatus {
 	out := make([]ViewStatus, 0, len(m.views))
 	now := time.Now()
 	for _, v := range m.views {
+		state, err := v.groups()
 		members := 0
-		for _, ms := range v.state {
+		for _, ms := range state {
 			members += len(ms)
 		}
 		mode := "all"
@@ -403,7 +405,7 @@ func (m *Manager) Views() []ViewStatus {
 			Mode:            mode,
 			Metric:          v.shape.Spec.Metric.String(),
 			Eps:             v.shape.Spec.Eps,
-			Groups:          len(v.state),
+			Groups:          len(state),
 			Members:         members,
 			AppliedRows:     v.applied,
 			LastSeq:         v.lastSeq,
@@ -417,8 +419,11 @@ func (m *Manager) Views() []ViewStatus {
 		if v.lastApplyNS != 0 {
 			st.StalenessSeconds = now.Sub(time.Unix(0, v.lastApplyNS)).Seconds()
 		}
-		if v.err != nil {
+		switch {
+		case v.err != nil:
 			st.Error = v.err.Error()
+		case err != nil:
+			st.Error = err.Error()
 		}
 		out = append(out, st)
 	}
@@ -426,8 +431,8 @@ func (m *Manager) Views() []ViewStatus {
 	return out
 }
 
-// State returns a deep copy of a view's current group state (tests and the
-// snapshot path of reconnects).
+// State returns a view's current group state, freshly materialized from its
+// grouper (tests and the snapshot path of reconnects).
 func (m *Manager) State(name string) (map[int64][]int64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -438,9 +443,5 @@ func (m *Manager) State(name string) (map[int64][]int64, error) {
 	if v.err != nil {
 		return nil, fmt.Errorf("stream: view %s is broken: %v", name, v.err)
 	}
-	out := make(map[int64][]int64, len(v.state))
-	for g, ms := range v.state {
-		out[g] = append([]int64(nil), ms...)
-	}
-	return out, nil
+	return v.groups()
 }

@@ -346,10 +346,11 @@ func TestDeltaReplayThroughRebuilds(t *testing.T) {
 // nothing; a token below the floor (after ring eviction) rebases onto a
 // snapshot image that Apply-reconstructs the full state.
 func TestResumeTokenReplay(t *testing.T) {
+	const ringCap = 8
 	cfg := configs()[0]
 	db := engine.NewDB()
 	m := NewManager()
-	m.SetRingCap(8)
+	m.SetRingCap(ringCap)
 	exec(t, db, "CREATE TABLE pts (x FLOAT, y FLOAT)")
 	m.AttachEngine(db)
 	exec(t, db, "CREATE MATERIALIZED VIEW v AS SELECT x, y FROM pts GROUP BY x, y "+cfg.sql)
@@ -432,6 +433,43 @@ func TestResumeTokenReplay(t *testing.T) {
 	}
 	at3.Sub.Close()
 	atNow.Sub.Close()
+
+	// Past 10×ringCap deltas the ring has evicted many times over: a token
+	// at the floor still replays exactly the suffix after it, and the ring
+	// retains at most 2×ringCap entries.
+	v := m.views["v"]
+	live, err := m.Subscribe("v", v.lastSeq, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range randPoints(rng, 100, 10) {
+		exec(t, db, insertSQL(p))
+	}
+	all := drainDeltas(live)
+	if len(all) < 10*ringCap {
+		t.Fatalf("only %d deltas emitted, want at least %d", len(all), 10*ringCap)
+	}
+	if cap(v.ring) > 2*ringCap {
+		t.Fatalf("ring retains %d entries, want at most %d", cap(v.ring), 2*ringCap)
+	}
+	at4, err := m.Subscribe("v", v.floor, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at4.Snapshot {
+		t.Fatal("a token at the floor must replay deltas, not snapshot")
+	}
+	var suffix []Delta
+	for _, d := range all {
+		if d.Seq > v.floor {
+			suffix = append(suffix, d)
+		}
+	}
+	if len(suffix) != ringCap || !reflect.DeepEqual(at4.Backlog, suffix) {
+		t.Fatalf("token at the floor replayed %d deltas, want the %d after it", len(at4.Backlog), len(suffix))
+	}
+	at4.Sub.Close()
+	live.Sub.Close()
 }
 
 // TestLaggingSubscriberDropped pins the overflow policy: a subscriber that

@@ -10,9 +10,10 @@ import (
 )
 
 // view is the manager's live state for one materialized view: the long-lived
-// grouper the committed row stream feeds, the current group state, the delta
-// ring, and the attached subscribers. All access is serialized by the
-// manager's mutex.
+// grouper the committed row stream feeds, the delta ring, and the attached
+// subscribers. The grouper holds the view's groups and groups reads them from
+// it; an SGB-All view also keeps its last grouping, the base of its next
+// diff. All access is serialized by the manager's mutex.
 type view struct {
 	name  string
 	shape *engine.MatViewShape
@@ -27,11 +28,11 @@ type view struct {
 	allG    *core.AllGrouper
 	applied int
 
-	// state is the materialized grouping: group id (smallest member row id)
-	// → ascending member row ids. groupOf inverts it for the SGB-Any fast
-	// path, whose per-insert delta derivation never scans the whole state.
-	state   map[int64][]int64
-	groupOf map[int64]int64
+	// last is an SGB-All view's grouping as of its last delta, group id
+	// (smallest member row id) → ascending member row ids: the state its
+	// next diff starts from. Nil for SGB-Any, whose deltas come from the
+	// grouper's merge links.
+	last map[int64][]int64
 
 	// lastSeq is the Seq of the newest emitted delta; floor bounds ring
 	// retention (deltas with Seq <= floor are gone — tokens below it rebase
@@ -69,8 +70,6 @@ func newView(name string, shape *engine.MatViewShape, ringCap int) (*view, error
 		shape:   shape,
 		mode:    shape.Spec.Mode,
 		ringCap: ringCap,
-		state:   make(map[int64][]int64),
-		groupOf: make(map[int64]int64),
 		subs:    make(map[*Subscription]struct{}),
 	}
 	v.opt = core.Options{
@@ -83,7 +82,7 @@ func newView(name string, shape *engine.MatViewShape, ringCap int) (*view, error
 }
 
 // resetGrouper replaces the grouper with a fresh one (view creation and full
-// rebuilds). The group state maps are left to the caller.
+// rebuilds). An SGB-All view's last state is left to the caller.
 func (v *view) resetGrouper() error {
 	v.applied = 0
 	switch v.mode {
@@ -124,67 +123,42 @@ func (v *view) applyAppend(db *engine.DB) ([]Delta, error) {
 	}
 	v.applied = n
 	if v.mode != engine.SGBAnyMode && grew {
-		newState, err := v.allState()
+		newState, err := v.groups()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, diffGroups(v.state, newState)...)
-		v.state = newState
+		out = append(out, diffGroups(v.last, newState)...)
+		v.last = newState
 	}
 	return out, nil
 }
 
 // addAny feeds one point to the SGB-Any grouper and derives the deltas
 // directly from the merge links — O(probe) work, no state-wide scan. The
-// surviving group id of a merge is the minimum of the linked group ids, which
-// is also the minimum member overall (each group id is its smallest member
-// and the new row id is larger than all of them), so ids stay content-stable.
+// links are the joined groups' ids, ascending; the survivor of a merge is the
+// first, the smallest member overall (the new row id is larger than all of
+// them), so ids stay content-stable.
 func (v *view) addAny(coords []float64) ([]Delta, error) {
 	id64, links, err := v.anyG.AddLinked(coords)
 	if err != nil {
 		return nil, err
 	}
 	id := int64(id64)
-	if len(links) == 0 {
-		v.state[id] = []int64{id}
-		v.groupOf[id] = id
+	switch len(links) {
+	case 0:
 		return []Delta{{View: v.name, Kind: GroupCreated, Group: id, Members: []int64{id}}}, nil
+	case 1:
+		return []Delta{{View: v.name, Kind: MemberJoined, Group: int64(links[0]), Members: []int64{id}}}, nil
 	}
-	// Distinct prior groups the new point connected, ascending.
-	gids := make([]int64, 0, len(links))
-	for _, l := range links {
-		g := v.groupOf[int64(l)]
-		dup := false
-		for _, seen := range gids {
-			if seen == g {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			gids = append(gids, g)
-		}
+	survivor := int64(links[0])
+	merged := make([]int64, len(links)-1)
+	for i, l := range links[1:] {
+		merged[i] = int64(l)
 	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-	survivor := gids[0]
-	var out []Delta
-	if len(gids) > 1 {
-		merged := append([]int64(nil), gids[1:]...)
-		acc := v.state[survivor]
-		for _, g := range merged {
-			for _, m := range v.state[g] {
-				v.groupOf[m] = survivor
-			}
-			acc = mergeSorted(acc, v.state[g])
-			delete(v.state, g)
-		}
-		v.state[survivor] = acc
-		out = append(out, Delta{View: v.name, Kind: GroupsMerged, Group: survivor, Merged: merged})
-	}
-	v.state[survivor] = append(v.state[survivor], id) // id is the largest: stays sorted
-	v.groupOf[id] = survivor
-	out = append(out, Delta{View: v.name, Kind: MemberJoined, Group: survivor, Members: []int64{id}})
-	return out, nil
+	return []Delta{
+		{View: v.name, Kind: GroupsMerged, Group: survivor, Merged: merged},
+		{View: v.name, Kind: MemberJoined, Group: survivor, Members: []int64{id}},
+	}, nil
 }
 
 // applyRebuild recomputes the grouping from scratch — the fallback for
@@ -192,6 +166,10 @@ func (v *view) addAny(coords []float64) ([]Delta, error) {
 // emits the difference against the previous state as ordinary deltas, so
 // subscribers never need a special rebuild message.
 func (v *view) applyRebuild(db *engine.DB) ([]Delta, error) {
+	old, err := v.groups()
+	if err != nil {
+		return nil, err
+	}
 	if err := v.resetGrouper(); err != nil {
 		return nil, err
 	}
@@ -208,18 +186,19 @@ func (v *view) applyRebuild(db *engine.DB) ([]Delta, error) {
 	}
 	v.applied = n
 	v.rebuilds++
-	newState, err := v.currentState()
+	newState, err := v.groups()
 	if err != nil {
 		return nil, err
 	}
-	out := diffGroups(v.state, newState)
-	v.state = newState
-	v.rebuildGroupOf()
-	return out, nil
+	if v.mode != engine.SGBAnyMode {
+		v.last = newState
+	}
+	return diffGroups(old, newState), nil
 }
 
-// currentState materializes the live grouper's grouping as a state map.
-func (v *view) currentState() (map[int64][]int64, error) {
+// groups materializes the view's grouping from its grouper as a fresh state
+// map: group id (smallest member row id) → ascending member row ids.
+func (v *view) groups() (map[int64][]int64, error) {
 	if v.mode == engine.SGBAnyMode {
 		groups, err := v.anyG.Snapshot()
 		if err != nil {
@@ -227,29 +206,11 @@ func (v *view) currentState() (map[int64][]int64, error) {
 		}
 		return stateFromGroups(groups), nil
 	}
-	return v.allState()
-}
-
-// allState snapshots the SGB-All grouper into a state map.
-func (v *view) allState() (map[int64][]int64, error) {
 	res, err := v.allG.Snapshot()
 	if err != nil {
 		return nil, err
 	}
 	return stateFromGroups(res.Groups), nil
-}
-
-// rebuildGroupOf re-derives the member→group index from state (SGB-Any).
-func (v *view) rebuildGroupOf() {
-	if v.mode != engine.SGBAnyMode {
-		return
-	}
-	v.groupOf = make(map[int64]int64, len(v.groupOf))
-	for g, members := range v.state {
-		for _, m := range members {
-			v.groupOf[m] = g
-		}
-	}
 }
 
 // stateFromGroups converts core groups (sorted members, group id = smallest

@@ -2,6 +2,7 @@ package unionfind
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -49,29 +50,22 @@ func TestUnionIdempotent(t *testing.T) {
 
 func TestGroups(t *testing.T) {
 	f := New(6)
+	f.Union(4, 3)
 	f.Union(0, 1)
-	f.Union(2, 3)
-	f.Union(3, 4)
+	f.Union(3, 2)
 	groups := f.Groups()
-	if len(groups) != 3 {
-		t.Fatalf("got %d groups, want 3", len(groups))
+	want := [][]int{{0, 1}, {2, 3, 4}, {5}}
+	if !reflect.DeepEqual(groups, want) {
+		t.Fatalf("Groups() = %v, want %v: sets ordered by smallest member, members ascending", groups, want)
 	}
-	sizes := map[int]int{}
-	for _, members := range groups {
-		sizes[len(members)]++
-		for i := 1; i < len(members); i++ {
-			if members[i] <= members[i-1] {
-				t.Fatal("group members not in ascending order")
-			}
-		}
-	}
-	if sizes[2] != 1 || sizes[3] != 1 || sizes[1] != 1 {
-		t.Fatalf("unexpected group size histogram: %v", sizes)
+	if New(0).Groups() != nil {
+		t.Fatal("an empty forest must have nil groups")
 	}
 }
 
 // TestAgainstNaiveModel drives the forest with random unions and checks every
-// Find/Same answer against a brute-force partition model.
+// Find/Same answer against a brute-force partition model: Find(x) must be the
+// smallest element of x's model set.
 func TestAgainstNaiveModel(t *testing.T) {
 	const n = 200
 	r := rand.New(rand.NewSource(42))
@@ -96,6 +90,15 @@ func TestAgainstNaiveModel(t *testing.T) {
 		x, y := r.Intn(n), r.Intn(n)
 		if got, want := f.Same(x, y), model[x] == model[y]; got != want {
 			t.Fatalf("op %d: Same(%d,%d)=%v, model says %v", op, x, y, got, want)
+		}
+		smallest := x
+		for i := range model {
+			if model[i] == model[x] && i < smallest {
+				smallest = i
+			}
+		}
+		if got := f.Find(x); got != smallest {
+			t.Fatalf("op %d: Find(%d)=%d, want the set's smallest element %d", op, x, got, smallest)
 		}
 	}
 	// Set count must match the model.
