@@ -615,3 +615,52 @@ func FuzzSGBAllAgree(f *testing.F) {
 		agreeOK(t, pts, m, ov, eps)
 	})
 }
+
+// FuzzSGBAnyAgree: the ε-grid, the R-tree of points and All-Pairs return one
+// and the same SGB-Any grouping. raw holds two bytes per coordinate — a
+// multiple of ε/4 (as int8) and a selector — and mode picks the metric
+// (mode%3) and the dimensionality (1+mode/3%4). The selector's nudge (k%5)
+// puts the coordinate on or an ulp or 1e-9 off a grid wall; selectors from
+// 240 up also shift it by a far value (k%4), out of the range whose cell
+// indexes are exact, up to ±MaxFloat64, where cells clamp.
+func FuzzSGBAnyAgree(f *testing.F) {
+	r := rand.New(rand.NewSource(57))
+	for mode := uint8(0); mode < 12; mode++ {
+		raw := make([]byte, 2*60*4)
+		r.Read(raw)
+		f.Add(raw, mode, []float64{0.25, 1, 1.7}[mode%3])
+	}
+	far := []float64{1e15, -1e18, 1e300, -math.MaxFloat64}
+	f.Fuzz(func(t *testing.T, raw []byte, mode uint8, eps float64) {
+		if !(eps >= 1e-6 && eps <= 1e6) {
+			t.Skip("ε outside [1e-6, 1e6]")
+		}
+		m := []geom.Metric{geom.LInf, geom.L2, geom.L1}[mode%3]
+		dim := 1 + int(mode/3%4)
+		pts := make([]geom.Point, min(len(raw)/(2*dim), 64))
+		for i := range pts {
+			p := make(geom.Point, dim)
+			for d := range p {
+				b := raw[2*(i*dim+d):]
+				v := float64(int8(b[0])) * eps / 4
+				if b[1] >= 240 {
+					v += far[b[1]%4]
+				}
+				p[d] = nudge(v, int(b[1]))
+			}
+			pts[i] = p
+		}
+		var want *Result
+		for _, ix := range anyIndexes {
+			res, err := ix.run(pts, m, eps)
+			if err != nil {
+				t.Fatalf("%v/%s: %v", m, ix.name, err)
+			}
+			if want == nil {
+				want = res
+			} else if !reflect.DeepEqual(res.Groups, want.Groups) {
+				t.Fatalf("%v/d%d: %s disagrees with %s:\n got %v\nwant %v", m, dim, ix.name, anyIndexes[0].name, res.Groups, want.Groups)
+			}
+		}
+	})
+}

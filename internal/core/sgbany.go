@@ -38,9 +38,6 @@ type AnyGrouper struct {
 	blockCap float64
 	grid     *grid.Index
 	tree     *rtree.Tree
-	// idxBuf is probe scratch, reused across Add: the cells of one grid
-	// block.
-	idxBuf []int
 
 	stats    Stats
 	finished bool
@@ -162,32 +159,30 @@ func (g *AnyGrouper) addGrid(id int, p geom.Point) {
 	g.stats.WindowQueries++
 	home := ix.Insert(p, id)
 	g.stats.IndexUpdates++
-	hc := ix.Cell(home)
-	if prior := len(hc.IDs) - 1; prior > 0 {
+	if hc := ix.Cell(home); hc.First() != id {
 		if hc.Clique() {
-			g.union(id, hc.IDs[0])
+			g.union(id, hc.First())
 		} else {
-			g.linkCell(id, p, hc, prior)
+			g.linkCell(id, p, hc)
 		}
 	}
-	g.idxBuf = ix.Block(p, g.idxBuf[:0])
-	for _, ci := range g.idxBuf {
+	for _, ci := range ix.Block(p, home) {
 		if ci == home {
 			continue
 		}
 		c := ix.Cell(ci)
-		if c.Clique() && g.uf.Find(c.IDs[0]) == g.uf.Find(id) {
+		if c.Clique() && g.uf.Find(c.First()) == g.uf.Find(id) {
 			continue
 		}
-		g.linkCell(id, p, c, len(c.IDs))
+		g.linkCell(id, p, c)
 	}
 }
 
-// linkCell unites id with the members among c's first n that are within ε of
-// p: only the first one found when c is a clique, whose members share one
-// component, else every one of them.
-func (g *AnyGrouper) linkCell(id int, p geom.Point, c *grid.Cell, n int) {
-	for _, q := range c.IDs[:n] {
+// linkCell unites id with the members of c inserted before it that are
+// within ε of p: only the first one found when c is a clique, whose members
+// share one component, else every one of them.
+func (g *AnyGrouper) linkCell(id int, p geom.Point, c grid.Cell) {
+	for q := c.First(); q >= 0 && q != id; q = g.grid.Next(q) {
 		if g.verify(id, p, q) && c.Clique() {
 			return
 		}

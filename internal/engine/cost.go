@@ -46,17 +46,19 @@ const (
 	// 200–5000 check-ins at ε 0.01–1, L∞ and L2; the median is about 4.
 	costRegionTests = 4.0
 	// costGridProbe is one SGB-Any point through its on-the-fly point index,
-	// the ε-grid: hash the point's cell, join it, enumerate the ε-block and
-	// search the few cells not yet in the point's component. The grid counts
-	// one window query per point and 0.1–0.4 verified pairs per point on
-	// clustered data whatever the ε-neighbour count k, so the curve is linear
-	// in n and has no k term. The constant is the index's wall time per point
-	// over All-Pairs' wall time per distance comparison, sgb.GroupAny on
-	// check-ins (seed 2, L2, ε = 0.25), GOMAXPROCS 1, 2 vCPU, the median of 8
-	// alternating reps in each of three runs: n = 200 reads 56.8 / 58.1 /
-	// 63.0, n = 1000 59.2 / 69.1 / 70.4, n = 5000 58.2 / 64.1 / 65.9. The
-	// median of the nine is 63.
-	costGridProbe = 63.0
+	// the ε-grid: hash the point's cell, join it, walk the cell's list of
+	// the cells around it (a new cell looks them up once and enters itself
+	// in their lists) and search the few listed cells of the point's ε-block
+	// not yet in its component. The grid counts one window query per point
+	// and 0.1–0.4 verified pairs per point on clustered data whatever the
+	// ε-neighbour count k, so the curve is linear in n and has no k term.
+	// The constant is the index's wall time per point over All-Pairs' wall
+	// time per distance comparison, sgb.GroupAny on check-ins (seed 2, L2,
+	// ε = 0.25), GOMAXPROCS 1, 2 vCPU, the median of 8 alternating reps in
+	// each of three runs: n = 200 reads 54.9 / 60.2 / 48.3, n = 1000
+	// 49.1 / 47.4 / 40.1, n = 5000 39.5 / 42.9 / 36.2. The median of the
+	// nine is 47.4.
+	costGridProbe = 47.4
 )
 
 // planEst holds an operator's planner estimates. Every physical operator

@@ -175,8 +175,8 @@ func TestExplainGolden(t *testing.T) {
 			name: "sgb manual index override",
 			sql:  "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1.5",
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=328.8)",
-				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [on-the-fly Index] (1 aggregate(s)) (est_rows=1 est_cost=327.5)",
+				"Project (count) (est_rows=1 est_cost=250.8)",
+				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [on-the-fly Index] (1 aggregate(s)) (est_rows=1 est_cost=249.5)",
 				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5)",
 			},
 		},

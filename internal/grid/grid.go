@@ -20,12 +20,18 @@
 //     summation are monotone, so the corner distance bounds every member
 //     pair under the very predicate the operator evaluates. A cell that ever
 //     fails the certificate stays a plain bag of points.
-//   - Completeness. Block enumerates the cells whose per-axis index lies in
-//     [cell(p-ε′), cell(p+ε′)] with ε′ = ε(1+2⁻²⁰). The cell function is
-//     monotone non-decreasing, and every q the predicate accepts has
-//     p-ε′ ≤ q ≤ p+ε′ on every axis (δ∞ ≤ δ for all three metrics; the pad
-//     dwarfs the rounding of the distance chain), so q's cell is in the
-//     block.
+//   - Completeness. A point within ε of p lies in p's ε′-block: the cells
+//     whose per-axis index lies in [cell(p-ε′), cell(p+ε′)] with
+//     ε′ = ε(1+2⁻²⁰). The cell function is monotone non-decreasing, and
+//     every q the predicate accepts has p-ε′ ≤ q ≤ p+ε′ on every axis
+//     (δ∞ ≤ δ for all three metrics; the pad dwarfs the rounding of the
+//     distance chain), so q's cell is in the block.
+//
+// Once the grid holds (2r+1)^dim cells, r = ⌈ε/side⌉, an Index cell lists
+// every cell that ever exists within r of it on every axis, and Block filters
+// p's home cell's list by p's block: a superset of it whenever the block fits
+// inside home ± r. Otherwise (points within about 2⁻²⁰·side of a wall, cell
+// indexes that round or clamp) Block enumerates: completeness never needs r.
 package grid
 
 import (
@@ -156,25 +162,17 @@ func (t *table) next() bool {
 	return false
 }
 
-// existing appends to out the indexes of the cells in the box [lo, hi], and
-// returns the extended slice: lexicographic by cell coordinates, or in cell
-// creation order when the box holds more cells than the table does.
-func (t *table) existing(out []int) []int {
-	size := 1.0
+// existing appends the cells in the box [lo, hi] to out: lexicographic by
+// coordinates, or in creation order when scanning is cheaper, one lookup
+// costing as much as testing lookup cells (probes, whose order matters, pass 1).
+func (t *table) existing(out []int, lookup float64) []int {
+	size := lookup
 	for d := range t.lo {
 		size *= float64(t.hi[d]-t.lo[d]) + 1
 	}
 	if size > float64(t.n) {
 		for i := 0; i < t.n; i++ {
-			at := t.coords[i*t.dim:]
-			in := true
-			for d := 0; d < t.dim; d++ {
-				if at[d] < t.lo[d] || at[d] > t.hi[d] {
-					in = false
-					break
-				}
-			}
-			if in {
+			if t.inBox(i) {
 				out = append(out, i)
 			}
 		}
@@ -191,26 +189,64 @@ func (t *table) existing(out []int) []int {
 	}
 }
 
-// Cell is one non-empty grid cell: its members' ids and bounding box.
-type Cell struct {
-	// IDs are the member point ids in insertion order; IDs[0] represents the
-	// cell while it is a clique.
-	IDs []int
+// at returns cell i's coordinates.
+func (t *table) at(i int) []int64 { return t.coords[i*t.dim : (i+1)*t.dim] }
 
-	lo, hi geom.Point // bounding box of the members
-	clique bool
+// inBox reports whether cell i lies in the box [lo, hi].
+func (t *table) inBox(i int) bool {
+	for d, c := range t.at(i) {
+		if c < t.lo[d] || c > t.hi[d] {
+			return false
+		}
+	}
+	return true
+}
+
+// listCap is a new list's least capacity: most hold a handful of entries.
+// Lists are carved from shared chunks, and a full list moves to a carved one
+// of twice its capacity, so growing a list allocates nothing of its own.
+const listCap = 4
+
+// carve returns an empty list of capacity n from the shared chunk *spare.
+func carve[T any](spare *[]T, n int) []T {
+	if len(*spare) < n {
+		*spare = make([]T, max(256*listCap, n))
+	}
+	list := (*spare)[:0:n]
+	*spare = (*spare)[n:]
+	return list
+}
+
+// Cell is one non-empty grid cell of an Index. Its members are a chain of
+// point ids in insertion order: First, then Index.Next of each.
+type Cell struct {
+	first, last int32 // point ids
+	sorted      int32 // the sorted prefix of the cell's list
+	clique      bool
 }
 
 // Clique reports whether every pair of members is certified within ε.
-func (c *Cell) Clique() bool { return c.clique }
+func (c Cell) Clique() bool { return c.clique }
 
-// Index is an insert-only uniform grid of points. The zero value is not
-// usable; construct with New.
+// First returns the id of the cell's first member, which represents the cell
+// while it is a clique.
+func (c Cell) First() int { return int(c.first) }
+
+// Index is an insert-only uniform grid of points whose cells list the cells
+// around them. The zero value is not usable; construct with New.
 type Index struct {
 	table
-	metric geom.Metric
-	eps    float64
-	cells  []Cell // creation order
+	metric    geom.Metric
+	eps       float64
+	reach     int64      // r = ⌈ε/side⌉
+	span      float64    // (2r+1)^dim, the cells within reach of one cell
+	cells     []Cell     // creation order
+	boxes     []float64  // cell i's member bounding box: lo, then hi, at 2*i*dim
+	next      []int32    // per point id, the next member of its cell, or -1
+	nbrs      [][]uint64 // per cell, the entries of the cells within reach, or empty
+	spare     []uint64
+	block     []int // scratch: one box enumeration or Block probe
+	fallbacks int   // Block probes whose block reached past home ± r
 }
 
 // side returns the cell side for which a cell's diameter is ε.
@@ -225,7 +261,7 @@ func side(m geom.Metric, eps float64, dim int) float64 {
 	}
 }
 
-// BlockCells is the nominal number of cells Block inspects around a point:
+// BlockCells is the nominal number of cells in a point's ε′-block:
 // (⌈2ε/side⌉+1)^dim. Callers compare it against a cap to decide whether the
 // grid is the right index for a (metric, dimensionality) pair. Regions, whose
 // cells have side ε, probe BlockCells(geom.LInf, dim) = 3^dim.
@@ -243,53 +279,138 @@ func Reach(eps float64) float64 { return eps * (1 + 1.0/(1<<20)) }
 // New returns an empty grid for the predicate δ(p,q) ≤ eps over dim-dimensional
 // points. eps must be positive and finite.
 func New(m geom.Metric, eps float64, dim int) *Index {
-	return &Index{table: newTable(side(m, eps, dim), eps, dim), metric: m, eps: eps}
+	r := int64(1) // ⌈ε/side⌉ exactly: ⌈√dim⌉ under L2, dim under L1, 1 under L∞
+	for m == geom.L2 && r*r < int64(dim) || m == geom.L1 && r < int64(dim) {
+		r++
+	}
+	return &Index{table: newTable(side(m, eps, dim), eps, dim), metric: m, eps: eps,
+		reach: r, span: math.Pow(float64(2*r+1), float64(dim))}
 }
 
 // Len reports the number of cells.
 func (ix *Index) Len() int { return len(ix.cells) }
 
-// Cell returns cell i. The pointer is valid until the next Insert.
-func (ix *Index) Cell(i int) *Cell { return &ix.cells[i] }
+// Cell returns cell i.
+func (ix *Index) Cell(i int) Cell { return ix.cells[i] }
+
+// Next returns the member inserted after point id in its cell, or -1.
+func (ix *Index) Next(id int) int { return int(ix.next[id]) }
 
 // Insert adds point p with the given id to its cell, creating the cell if
 // needed, and returns the cell's index. If the cell is a clique afterwards, p
-// is certified within ε of every earlier member.
+// is certified within ε of every earlier member. id must be the number of
+// points inserted before p.
 func (ix *Index) Insert(p geom.Point, id int) int {
 	ix.setCur(p)
 	i, slot := ix.find(ix.cur)
 	if i < 0 {
 		i = ix.add(ix.cur, slot)
-		box := make([]float64, 2*ix.dim)
-		copy(box, p)
-		copy(box[ix.dim:], p)
-		ix.cells = append(ix.cells, Cell{
-			lo:     box[:ix.dim:ix.dim],
-			hi:     box[ix.dim:],
-			clique: true,
-		})
+		ix.cells = append(ix.cells, Cell{first: int32(id), clique: true})
+		ix.boxes = append(append(ix.boxes, p...), p...)
+		ix.nbrs = append(ix.nbrs, nil)
+		if float64(ix.n) >= ix.span {
+			ix.link(i)
+		}
+	} else {
+		ix.next[ix.cells[i].last] = int32(id)
 	}
+	ix.next = append(ix.next, -1)
 	c := &ix.cells[i]
+	c.last = int32(id)
+	lo := ix.boxes[2*i*ix.dim : (2*i+1)*ix.dim]
+	hi := ix.boxes[(2*i+1)*ix.dim : (2*i+2)*ix.dim]
 	for d, v := range p {
-		if v < c.lo[d] {
-			c.lo[d] = v
-		}
-		if v > c.hi[d] {
-			c.hi[d] = v
-		}
+		lo[d] = min(lo[d], v)
+		hi[d] = max(hi[d], v)
 	}
-	c.clique = c.clique && geom.Within(ix.metric, c.lo, c.hi, ix.eps)
-	c.IDs = append(c.IDs, id)
+	c.clique = c.clique && geom.Within(ix.metric, lo, hi, ix.eps)
 	return i
 }
 
-// Block appends to out the indexes of the cells that can hold a point within
-// ε of p, and returns the extended slice. The order is a function of p and of
-// the points inserted so far only: lexicographic by cell coordinates, or cell
-// creation order when the block holds more cells than the grid does.
-func (ix *Index) Block(p geom.Point, out []int) []int {
+// entry is cell a's entry in the list of cell c, within reach of it: a's rank
+// in c's box in lexicographic order, then a, in 32 bits each (ranks are below
+// span ≤ n < 2³¹ once cells have lists), so sorted entries are lexicographic.
+func (ix *Index) entry(a, c int) uint64 {
+	var rank uint64
+	for d, x := range ix.at(a) {
+		rank = rank*uint64(2*ix.reach+1) + uint64(x-ix.at(c)[d]+ix.reach)
+	}
+	return rank<<32 | uint64(a)
+}
+
+// neighbours returns the list of the cells within reach of cell i, i
+// included. A lookup costs about as much as testing 8 cells in a scan.
+func (ix *Index) neighbours(i int) []uint64 {
+	for d, c := range ix.at(i) {
+		ix.lo[d] = c - ix.reach
+		ix.hi[d] = c + ix.reach
+	}
+	ix.block = ix.existing(ix.block[:0], 8)
+	list := carve(&ix.spare, max(listCap, 2*len(ix.block)))
+	for _, c := range ix.block {
+		list = append(list, ix.entry(c, i))
+	}
+	slices.Sort(list)
+	return list
+}
+
+// link gives the new cell i its list and appends i to that of each cell within
+// reach with a list (Block sorts it in); the others find i when they get one.
+func (ix *Index) link(i int) {
+	list := ix.neighbours(i)
+	for _, e := range list {
+		c := uint32(e)
+		l := ix.nbrs[c]
+		if len(l) == 0 { // i itself, or a cell without a list
+			continue
+		}
+		if len(l) == cap(l) {
+			l = append(carve(&ix.spare, 2*cap(l)), l...)
+		}
+		// i's rank in c's box mirrors c's rank in i's.
+		ix.nbrs[c] = append(l, (uint64(ix.span)-1-e>>32)<<32|uint64(i))
+	}
+	ix.nbrs[i], ix.cells[i].sorted = list, int32(len(list))
+}
+
+// Block returns the cells that can hold a point within ε of p, just inserted
+// into cell home: those of p's ε′-block, in the order existing(…, 1) gives
+// them. A cell created while the grid held fewer than span cells gets its
+// list at its first probe after that; until then, or when the block reaches
+// past home ± r, Block enumerates. The slice lives until Insert or Block.
+func (ix *Index) Block(p geom.Point, home int) []int {
+	c, l := &ix.cells[home], ix.nbrs[home]
+	if len(l) == 0 && float64(ix.n) >= ix.span {
+		l = ix.neighbours(home)
+		ix.nbrs[home] = l
+	}
+	for k := int(c.sorted); k < len(l); k++ { // binary insertion of the appended
+		e := l[k]
+		at, _ := slices.BinarySearch(l[:k], e)
+		copy(l[at+1:k+1], l[at:k])
+		l[at] = e
+	}
+	c.sorted = int32(len(l))
 	ix.setWindow(p)
-	return ix.existing(out)
+	ix.block = ix.block[:0]
+	walk := len(l) > 0 // else the grid holds fewer cells than a list covers
+	for d, x := range ix.at(home) {
+		if ix.lo[d] < x-ix.reach || ix.hi[d] > x+ix.reach {
+			ix.fallbacks++
+			walk = false
+			break
+		}
+	}
+	if !walk {
+		ix.block = ix.existing(ix.block, 1)
+		return ix.block
+	}
+	for _, e := range l {
+		if b := int(uint32(e)); ix.inBox(b) {
+			ix.block = append(ix.block, b)
+		}
+	}
+	return ix.block
 }
 
 // Regions indexes the candidate regions of SGB-All groups on a grid of side ε,
@@ -322,12 +443,6 @@ type Regions struct {
 	probe uint32
 }
 
-// listCap is the capacity a new cell's id list is carved with: most cells
-// hold a handful of groups. Lists are carved from shared chunks, and a full
-// list moves to a carved one of twice its capacity, so registering a group
-// allocates nothing of its own.
-const listCap = 4
-
 // NewRegions returns an empty region grid for the predicate δ(p,q) ≤ eps over
 // dim-dimensional points. eps must be positive and finite.
 func NewRegions(eps float64, dim int) *Regions {
@@ -353,12 +468,12 @@ func (r *Regions) Register(mbr geom.Rect, id int) {
 		i, slot := r.find(r.cur)
 		if i < 0 {
 			i = r.add(r.cur, slot)
-			r.ids = append(r.ids, r.carve(listCap))
+			r.ids = append(r.ids, carve(&r.spare, listCap))
 		}
 		ids := r.ids[i]
 		if at, found := slices.BinarySearch(ids, id); !found {
 			if len(ids) == cap(ids) {
-				ids = append(r.carve(2*cap(ids)), ids...)
+				ids = append(carve(&r.spare, 2*cap(ids)), ids...)
 			}
 			r.ids[i] = slices.Insert(ids, at, id)
 		}
@@ -366,16 +481,6 @@ func (r *Regions) Register(mbr geom.Rect, id int) {
 			return
 		}
 	}
-}
-
-// carve returns an empty id list of capacity n from the shared chunks.
-func (r *Regions) carve(n int) []int {
-	if len(r.spare) < n {
-		r.spare = make([]int, max(256*listCap, n))
-	}
-	list := r.spare[:0:n]
-	r.spare = r.spare[n:]
-	return list
 }
 
 // Own returns the ids registered in p's cell, ascending. The slice is valid
@@ -393,7 +498,7 @@ func (r *Regions) Own(p geom.Point) []int {
 // Index.Block orders them), then ascending within a cell.
 func (r *Regions) Block(p geom.Point, out []int) []int {
 	r.setWindow(p)
-	r.block = r.existing(r.block[:0])
+	r.block = r.existing(r.block[:0], 1)
 	if r.probe++; r.probe == 0 { // wrapped: forget every old mark
 		clear(r.mark)
 		r.probe = 1

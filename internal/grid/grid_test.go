@@ -52,40 +52,47 @@ func wallPoints(r *rand.Rand, n, dim int, eps float64) []geom.Point {
 	return pts
 }
 
-// TestBlockHoldsEveryNeighbour is the grid's completeness contract: whenever
-// the predicate accepts (p, q), q's cell is in Block(p) — in both enumeration
-// modes (the grid is probed while it grows from empty) — and a cell counts as
-// a clique only if every pair of its members passes the predicate.
+// TestBlockHoldsEveryNeighbour is the grid's completeness contract: each
+// point is inserted, then probed, and whenever the predicate accepts (p, q)
+// for an earlier q, q's cell is in Block(p). Block must return exactly the
+// cells of p's ε′-block that the full window enumeration finds, in its order,
+// through the home cell's list or through the fallback, which the
+// wall-hugging points reach; both paths must run. A cell counts as a clique
+// only if every pair of its members passes the predicate.
 func TestBlockHoldsEveryNeighbour(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
+	fallbacks, listed := 0, 0
 	for _, m := range metrics {
 		for dim := 1; dim <= 4; dim++ {
 			for _, eps := range []float64{0.25, 1, 3.7} {
 				pts := wallPoints(r, 250, dim, eps)
 				ix := New(m, eps, dim)
 				cellOf := make([]int, len(pts))
-				var block []int
 				for i, p := range pts {
-					block = ix.Block(p, block[:0])
-					in := map[int]bool{}
-					for _, c := range block {
-						in[c] = true
+					cellOf[i] = ix.Insert(p, i)
+					block := slices.Clone(ix.Block(p, cellOf[i]))
+					ix.setWindow(p)
+					if want := ix.existing(nil, 1); !slices.Equal(block, want) {
+						t.Fatalf("%v/dim%d/eps%g: Block(%v) = %v, the window enumeration finds %v", m, dim, eps, p, block, want)
 					}
 					for j := 0; j < i; j++ {
-						if geom.Within(m, p, pts[j], eps) && !in[cellOf[j]] {
+						if geom.Within(m, p, pts[j], eps) && !slices.Contains(block, cellOf[j]) {
 							t.Fatalf("%v/dim%d/eps%g: %v is within ε of %v, whose cell %d is not in its block %v",
 								m, dim, eps, pts[j], p, cellOf[j], block)
 						}
 					}
-					cellOf[i] = ix.Insert(p, i)
+				}
+				fallbacks += ix.Fallbacks()
+				for _, l := range ix.nbrs {
+					listed += min(len(l), 1)
 				}
 				for c := 0; c < ix.Len(); c++ {
 					cell := ix.Cell(c)
 					if !cell.Clique() {
 						continue
 					}
-					for _, a := range cell.IDs {
-						for _, b := range cell.IDs {
+					for a := cell.First(); a >= 0; a = ix.Next(a) {
+						for b := cell.First(); b >= 0; b = ix.Next(b) {
 							if !geom.Within(m, pts[a], pts[b], eps) {
 								t.Fatalf("%v/dim%d/eps%g: certified cell holds %v and %v, which are not within ε", m, dim, eps, pts[a], pts[b])
 							}
@@ -94,6 +101,9 @@ func TestBlockHoldsEveryNeighbour(t *testing.T) {
 				}
 			}
 		}
+	}
+	if fallbacks == 0 || listed == 0 {
+		t.Fatalf("%d probes fell back, %d cells got a list: both paths must be tested", fallbacks, listed)
 	}
 }
 
@@ -111,7 +121,10 @@ func TestCellsFloorAcrossTheOrigin(t *testing.T) {
 
 // TestOutOfRangeCoordinatesShareACell: coordinates past ±maxCoord cells clamp
 // into the outermost cell, which loses its certificate instead of being
-// trusted, and probing there stays bounded by the number of cells.
+// trusted, and probing there stays bounded by the number of cells. A side
+// that underflows to zero clamps every cell index, and 0/0 lands in the
+// maxCoord cell while 0±ε′ reach both extremes: that probe cannot use its
+// home cell's list and enumerates the cells instead.
 func TestOutOfRangeCoordinatesShareACell(t *testing.T) {
 	ix := New(geom.L2, 1e-3, 2)
 	a := ix.Insert(geom.Point{1e300, -1e300}, 0)
@@ -123,8 +136,18 @@ func TestOutOfRangeCoordinatesShareACell(t *testing.T) {
 	if c := ix.Insert(geom.Point{0, 0}, 2); c == a {
 		t.Fatal("the origin landed in the outermost cell")
 	}
-	if got := ix.Block(geom.Point{1e300, -1e300}, nil); len(got) != 1 || got[0] != a {
+	if got := ix.Block(geom.Point{math.MaxFloat64, -math.MaxFloat64}, b); !slices.Equal(got, []int{a}) {
 		t.Fatalf("Block at the clamp = %v, want [%d]", got, a)
+	}
+
+	ix = New(geom.L1, 5e-324, 3) // side ε/3 rounds to 0
+	far := ix.Insert(geom.Point{-1, -1, -1}, 0)
+	origin := ix.Insert(geom.Point{0, 0, 0}, 1)
+	if got := ix.Block(geom.Point{0, 0, 0}, origin); !slices.Equal(got, []int{far, origin}) {
+		t.Fatalf("Block at the origin of a zero-side grid = %v, want [%d %d]", got, far, origin)
+	}
+	if ix.Fallbacks() != 1 {
+		t.Fatalf("Fallbacks() = %d, want 1: the origin's block spans every cell", ix.Fallbacks())
 	}
 }
 

@@ -12,15 +12,16 @@ import (
 // TestInsertMaintenanceAllocBudget is the stream row of the counter budgets:
 // over 5000 check-ins, one INSERT with live view maintenance must allocate at
 // least 10× less than recomputing the view (DROP + CREATE MATERIALIZED VIEW),
-// and stay within 5 % of what it measured when the row last moved: 37 for the
-// SGB-Any view, whose deltas come from the grouper's merge links (39 while
+// and stay within 5 % of what it measured when the row last moved: 36 for the
+// SGB-Any view, whose deltas come from the grouper's merge links (37 while
+// the grid's cells kept a slice of member ids and a box each, 39 while
 // the view kept its own state map and member index beside the grouper, 41
 // while the grid's cells kept a columnar copy of their points), and 47 for
 // the SGB-All view, which diffs a snapshot of its groups (50 before its
 // groups became struct-of-arrays, 704 while the snapshot and the state map
 // allocated a member slice per group, 1,372 before the diff stopped
-// allocating a source list per group that grew in place; recompute: 11,646
-// (21,712 while the forest's groups came out of a map, 24,207 with the cell
+// allocating a source list per group that grew in place; recompute: 10,221
+// (11,646 with a member slice and a box per grid cell, 21,712 while the forest's groups came out of a map, 24,207 with the cell
 // copies) and 549 — 3,885 before the struct-of-arrays groups, 9,490 before
 // AllGrouper.Add copied into chunked storage, 39,328 before SGB-All's index
 // moved to the ε-grid).
@@ -36,7 +37,7 @@ func TestInsertMaintenanceAllocBudget(t *testing.T) {
 		mode   string
 		budget float64
 	}{
-		{"DISTANCE-TO-ANY L2 WITHIN 0.25", 39},
+		{"DISTANCE-TO-ANY L2 WITHIN 0.25", 38},
 		{"DISTANCE-TO-ALL LINF WITHIN 0.25 ON-OVERLAP JOIN-ANY", 49},
 	} {
 		db := engine.NewDB()

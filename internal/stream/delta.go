@@ -8,8 +8,10 @@
 // core grouper per view and feeds it each committed base-table row in row
 // order — exactly the computation a from-scratch recompute performs — so the
 // incrementally maintained state is bit-identical to a fresh recompute at
-// every prefix of the insert stream. That order-independence invariant is the
-// correctness contract subscribers rely on, and what the property tests pin.
+// every prefix of the insert stream. That prefix invariant is the correctness
+// contract subscribers rely on, and what the property tests pin. It needs row
+// order, not order independence: SGB-Any's groups do not depend on the order
+// rows arrive in, but SGB-All's are deterministic only given that order.
 //
 // Every state transition is published as a Delta. Deltas are totally ordered
 // by Seq, a composite of the producing statement's WAL sequence and a

@@ -4,9 +4,11 @@
 // The engine applies a committed DML/DDL statement in memory and, before the
 // statement is acknowledged to the client, appends one logical record for it
 // here. On restart, the server loads the latest checkpoint snapshot and
-// replays the log tail; the paper's order-independent SGB semantics
-// (arXiv:1412.4303) make statement-level replay deterministic, so the
-// recovered database is exactly the acknowledged prefix of history.
+// replays the log tail. Statement-level replay is deterministic because the
+// engine has no nondeterministic functions and every table comes back in its
+// pre-crash scan order: SGB-Any's answer does not depend on order, and
+// SGB-All's is deterministic given scan order. So the recovered database is
+// exactly the acknowledged prefix of history.
 //
 // # On-disk format
 //
