@@ -79,7 +79,7 @@ type aggCall struct {
 	kind     aggKind
 	star     bool
 	distinct bool
-	args     []evalFn
+	args     []operand // a bare column argument is read by index
 
 	n     []int64        // count; avg, variance: non-NULL rows folded
 	i     []int64        // sum: the exact int64 sum
@@ -313,8 +313,8 @@ func foldRow(calls []*aggCall, g int, r Row) error {
 	var buf [2]Value
 	for _, c := range calls {
 		args := buf[:len(c.args)]
-		for i, f := range c.args {
-			v, err := f(r)
+		for i, a := range c.args {
+			v, err := a.eval(r)
 			if err != nil {
 				return err
 			}

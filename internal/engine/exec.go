@@ -299,26 +299,27 @@ type hashJoinOp struct {
 	planEst
 	joinOutput
 	left, right         operator
-	leftKeys, rightKeys []evalFn
+	leftKeys, rightKeys []operand
 
-	// table maps an encoded build key to its bucket in buckets, whose rows
-	// keep build (input) order. keyBuf is the reused key encoding buffer.
-	table     map[string]int
-	buckets   [][]Row
-	keyBuf    []byte
-	buildRows int // rows hashed into the build side
-	probing   Row // current left row
-	matches   []Row
-	matchI    int
+	// keys maps a build row's canonical key to its bucket id. Bucket b's rows
+	// are a chain from head[b] to tail[b], in build order.
+	keys       keyTable
+	rows       []Row   // the build rows
+	chain      []int32 // the following row of the same bucket, -1 at its tail
+	head, tail []int32
+	key        []Value // one row's canonical key values
+	probing    Row     // current left row
+	match      int32   // next row of probing's bucket to emit, -1 when none
 }
 
 // newHashJoinOp joins left and right on the key pairs; lk and rk compile
 // against the unpruned inputs, and the output keeps the columns refs may
 // reference (all of them for nil refs).
-func newHashJoinOp(left, right operator, lk, rk []evalFn, refs *refSet, qc *queryCtx) *hashJoinOp {
+func newHashJoinOp(left, right operator, lk, rk []operand, refs *refSet, qc *queryCtx) *hashJoinOp {
 	return &hashJoinOp{
 		joinOutput: newJoinOutput(left.schema(), right.schema(), refs, qc),
 		left:       left, right: right, leftKeys: lk, rightKeys: rk,
+		key: make([]Value, len(lk)),
 	}
 }
 
@@ -328,10 +329,9 @@ func (j *hashJoinOp) open() error {
 	if err := j.right.open(); err != nil {
 		return err
 	}
-	j.table = make(map[string]int)
-	j.buckets = j.buckets[:0]
-	j.buildRows = 0
-	// The buckets keep the build rows, so borrowed ones are copied (and
+	j.keys = newKeyTable()
+	j.rows, j.chain, j.head, j.tail = j.rows[:0], j.chain[:0], j.head[:0], j.tail[:0]
+	// The chains keep the build rows, so borrowed ones are copied (and
 	// charged) here.
 	var arena *rowArena
 	if !j.right.stableRows() {
@@ -346,8 +346,7 @@ func (j *hashJoinOp) open() error {
 			j.right.close()
 			return err
 		}
-		var null bool
-		j.keyBuf, null, err = joinKey(j.keyBuf[:0], r, j.rightKeys)
+		null, err := j.joinKey(r, j.rightKeys)
 		if err != nil {
 			j.right.close()
 			return err
@@ -369,19 +368,19 @@ func (j *hashJoinOp) open() error {
 				return err
 			}
 		}
-		b, ok := j.table[string(j.keyBuf)]
-		if !ok {
-			b = len(j.buckets)
-			j.table[string(j.keyBuf)] = b
-			j.buckets = append(j.buckets, nil)
+		at := int32(len(j.rows))
+		j.rows, j.chain = append(j.rows, r), append(j.chain, -1)
+		if b := j.keys.find(j.key); b >= 0 {
+			j.chain[j.tail[b]], j.tail[b] = at, at
+		} else {
+			j.keys.add(j.key)
+			j.head, j.tail = append(j.head, at), append(j.tail, at)
 		}
-		j.buckets[b] = append(j.buckets[b], r)
-		j.buildRows++
 	}
 	if err := j.right.close(); err != nil {
 		return err
 	}
-	j.probing, j.matches, j.matchI = nil, nil, 0
+	j.probing, j.match = nil, -1
 	return j.left.open()
 }
 
@@ -389,28 +388,42 @@ func (j *hashJoinOp) close() error { return j.left.close() }
 
 func (j *hashJoinOp) next() (Row, error) {
 	for {
-		if j.matchI < len(j.matches) {
-			right := j.matches[j.matchI]
-			j.matchI++
+		if j.match >= 0 {
+			right := j.rows[j.match]
+			j.match = j.chain[j.match]
 			return j.emit(j.probing, right), nil
 		}
 		l, err := j.left.next()
 		if err != nil {
 			return nil, err
 		}
-		var null bool
-		j.keyBuf, null, err = joinKey(j.keyBuf[:0], l, j.leftKeys)
+		null, err := j.joinKey(l, j.leftKeys)
 		if err != nil {
 			return nil, err
 		}
 		if null {
 			continue
 		}
-		j.probing, j.matches, j.matchI = l, nil, 0
-		if b, ok := j.table[string(j.keyBuf)]; ok {
-			j.matches = j.buckets[b]
+		if b := j.keys.find(j.key); b >= 0 {
+			j.probing, j.match = l, j.head[b]
 		}
 	}
+}
+
+// joinKey evaluates r's key into j.key as canonical values (SQL equality
+// across INT and FLOAT); null reports a NULL key, which never matches.
+func (j *hashJoinOp) joinKey(r Row, keys []operand) (null bool, _ error) {
+	for i, k := range keys {
+		v, err := k.eval(r)
+		if err != nil {
+			return false, err
+		}
+		if v.IsNull() {
+			return true, nil
+		}
+		j.key[i] = canonicalKeyValue(v)
+	}
+	return false, nil
 }
 
 // exactInt64Bound is 2^63 as a float64 (exactly representable); floats in
@@ -419,9 +432,8 @@ const exactInt64Bound = 9223372036854775808.0
 
 // canonicalKeyValue maps a key value onto a canonical encoding under SQL
 // numeric equality: a float holding an exact integer folds onto the int
-// encoding, so INT 3 and FLOAT 3.0 hash identically. Crucially, ints are kept
-// as ints — the old int→float widening rounded every key above 2^53 and made
-// distinct large keys collide.
+// encoding, so INT 3 and FLOAT 3.0 hash identically, and ints stay ints, so
+// keys above 2^53 stay distinct.
 func canonicalKeyValue(v Value) Value {
 	if v.T == TypeFloat && v.F == math.Trunc(v.F) &&
 		v.F >= -exactInt64Bound && v.F < exactInt64Bound {
@@ -430,22 +442,53 @@ func canonicalKeyValue(v Value) Value {
 	return v
 }
 
-// joinKey evaluates the key expressions and appends their canonical encoding
-// to dst, so cross-type equi-joins behave like SQL equality without losing int
-// precision. null reports a NULL key, which never matches.
-func joinKey(dst []byte, r Row, keys []evalFn) (_ []byte, null bool, _ error) {
-	for _, k := range keys {
-		v, err := k(r)
-		if err != nil {
-			return dst, false, err
-		}
-		if v.IsNull() {
-			return dst, true, nil
-		}
-		dst = appendKey(dst, []Value{canonicalKeyValue(v)})
-	}
-	return dst, false, nil
+// keyTable maps key tuples to dense int32 ids in order of first insertion. A
+// tuple of at most two INTs keys as its machine words (a table's tuples share
+// one width, so a spare word is zero), any other as its appendKey encoding;
+// INT 3 and FLOAT 3.0 differ unless the caller canonicalizes.
+type keyTable struct {
+	words map[[2]int64]int32
+	enc   map[string]int32
+	buf   []byte // the last encoded tuple; find and add reuse it
 }
+
+func newKeyTable() keyTable {
+	return keyTable{words: make(map[[2]int64]int32), enc: make(map[string]int32)}
+}
+
+// wordKey packs vals into two words when they are at most two INTs.
+func wordKey(vals []Value) (w [2]int64, ok bool) {
+	for i, v := range vals {
+		if i == 2 || v.T != TypeInt {
+			return w, false
+		}
+		w[i] = v.I
+	}
+	return w, true
+}
+
+// find returns the id of vals, or -1 when the table does not hold it. The
+// maps hold id+1, so a missing tuple reads as -1.
+func (t *keyTable) find(vals []Value) int32 {
+	if w, words := wordKey(vals); words {
+		return t.words[w] - 1
+	}
+	t.buf = appendKey(t.buf[:0], vals)
+	return t.enc[string(t.buf)] - 1
+}
+
+// add gives vals, which the last find reported absent, the next id.
+func (t *keyTable) add(vals []Value) int32 {
+	id := t.len()
+	if w, words := wordKey(vals); words {
+		t.words[w] = id + 1
+	} else {
+		t.enc[string(t.buf)] = id + 1
+	}
+	return id
+}
+
+func (t *keyTable) len() int32 { return int32(len(t.words) + len(t.enc)) }
 
 // ---- nested-loop cross join (fallback when no equi predicate exists) ----
 
@@ -600,32 +643,29 @@ func (l *limitOp) next() (Row, error) {
 
 // ---- standard hash aggregation (equality Group-By) ----
 
-// aggTable is a grouping hash table: it maps the encoded grouping values to a
-// dense group id, in order of first appearance. Group g's output row,
+// aggTable is a grouping hash table: its key table maps the grouping values
+// to a dense group id, in order of first appearance. Group g's output row,
 // rows[g], holds its grouping values from the start and the calls' results,
 // read from their state columns at the same id, once the input is drained;
 // the rows are carved from shared chunks.
 type aggTable struct {
-	groupFns []evalFn
+	groupFns []operand
 	calls    []*aggCall
 	qc       *queryCtx // charges one budget row per new group
-	ids      map[string]int32
+	keys     keyTable
 	rows     []Row
 	arena    []Value // the chunk new rows are carved from
 	inRows   int64
-	// scratch and keyBuf hold one row's group values and their encoding;
-	// a new group's row copies the values.
+	// scratch holds one row's group values; a new group's row copies them.
 	scratch []Value
-	keyBuf  []byte
 }
 
-func newAggTable(groupFns []evalFn, calls []*aggCall, qc *queryCtx) *aggTable {
+func newAggTable(groupFns []operand, calls []*aggCall, qc *queryCtx) *aggTable {
 	for _, c := range calls {
 		c.reset()
 	}
 	return &aggTable{
-		groupFns: groupFns, calls: calls, qc: qc,
-		ids:     make(map[string]int32),
+		groupFns: groupFns, calls: calls, qc: qc, keys: newKeyTable(),
 		scratch: make([]Value, len(groupFns)),
 	}
 }
@@ -650,21 +690,20 @@ func (t *aggTable) addRow(r Row) error {
 	t.inRows++
 	for i, g := range t.groupFns {
 		var err error
-		if t.scratch[i], err = g(r); err != nil {
+		if t.scratch[i], err = g.eval(r); err != nil {
 			return err
 		}
 	}
-	t.keyBuf = appendKey(t.keyBuf[:0], t.scratch)
-	id, ok := t.ids[string(t.keyBuf)]
-	if !ok {
+	id := t.keys.find(t.scratch)
+	if id < 0 {
 		if err := t.qc.addRows(1); err != nil {
 			return err
 		}
 		if err := t.qc.growMem(memBucketOverheadBytes + memValueBytes*int64(len(t.scratch))); err != nil {
 			return err
 		}
-		id = int32(t.addGroup())
-		t.ids[string(t.keyBuf)] = id
+		t.addGroup()
+		id = t.keys.add(t.scratch)
 	}
 	return foldRow(t.calls, int(id), r)
 }
@@ -687,7 +726,7 @@ func (t *aggTable) finish() []Row {
 type hashAggOp struct {
 	planEst
 	child      operator
-	groupExprs []evalFn
+	groupExprs []operand
 	// astGroups is the grouping expressions' AST form, kept for group-count
 	// estimation against the statistics catalog.
 	astGroups []Expr
@@ -773,7 +812,7 @@ func (a *hashAggOp) next() (Row, error) {
 type sgbAggOp struct {
 	planEst
 	child      operator
-	groupExprs []evalFn
+	groupExprs []operand
 	calls      []*aggCall
 	sch        Schema
 	spec       SimilaritySpec
@@ -827,15 +866,18 @@ func (a *sgbAggOp) group(tuples []Row, opt core.Options) (*core.Result, error) {
 	p := make(geom.Point, dim)
 	for _, r := range tuples {
 		for i, e := range a.groupExprs {
-			v, err := e(r)
-			if err != nil {
+			v, err := e.eval(r)
+			switch {
+			case err != nil:
 				return nil, err
-			}
-			if v.IsNull() {
+			case v.T == TypeFloat:
+				p[i] = v.F
+			case v.IsNull():
 				return nil, fmt.Errorf("engine: NULL in similarity grouping attribute %d", i+1)
-			}
-			if p[i], err = v.AsFloat(); err != nil {
-				return nil, fmt.Errorf("engine: similarity grouping attribute %d: %v", i+1, err)
+			default:
+				if p[i], err = v.AsFloat(); err != nil {
+					return nil, fmt.Errorf("engine: similarity grouping attribute %d: %v", i+1, err)
+				}
 			}
 		}
 		if _, err := g.Add(p); err != nil {
@@ -886,7 +928,7 @@ func (a *sgbAggOp) open() error {
 		}
 		rep := tuples[grp.IDs[0]]
 		for _, g := range a.groupExprs {
-			v, err := g(rep)
+			v, err := g.eval(rep)
 			if err != nil {
 				return err
 			}

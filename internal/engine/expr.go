@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strings"
@@ -11,8 +12,181 @@ type evalFn func(Row) (Value, error)
 
 // compileExpr resolves column references against schema and returns an
 // evaluator. pc supplies subquery planning for IN (SELECT ...); it may be
-// nil when the expression cannot contain subqueries.
+// nil when the expression cannot contain subqueries. A binary operator over
+// literals folds to its value, and typed arithmetic (see compileNum) runs
+// unboxed, falling back to the generic arm for a row it cannot evaluate.
 func compileExpr(e Expr, schema Schema, pc *planContext) (evalFn, error) {
+	f, err := compileGeneric(e, schema, pc)
+	if err != nil {
+		return nil, err
+	}
+	switch e.(type) {
+	case *UnaryExpr, *BinaryExpr:
+		if !literalOnly(e) {
+			if n, ok := compileNum(e, schema); ok {
+				return n.box(f), nil
+			}
+		} else if _, bin := e.(*BinaryExpr); bin {
+			if v, err := f(nil); err == nil {
+				return func(Row) (Value, error) { return v, nil }, nil
+			}
+		}
+	}
+	return f, nil // a literal-only tree that fails fails on the rows that run it
+}
+
+// operand reads a bare column by index (fn nil, col its position) instead of
+// through a closure. eval is written to stay under the inlining budget.
+type operand struct {
+	col int
+	fn  evalFn
+}
+
+func (o operand) eval(r Row) (v Value, err error) {
+	if o.fn == nil {
+		v = r[o.col]
+	} else {
+		v, err = o.fn(r)
+	}
+	return
+}
+
+// compileOperand compiles e, as its position when it is a bare column.
+func compileOperand(e Expr, schema Schema, pc *planContext) (operand, error) {
+	if ref, ok := e.(*ColumnRef); ok {
+		col, err := schema.Resolve(ref.Table, ref.Name)
+		return operand{col: col}, err
+	}
+	fn, err := compileExpr(e, schema, pc)
+	return operand{fn: fn}, err
+}
+
+// literalOnly reports an operator tree over literals.
+func literalOnly(e Expr) bool {
+	switch e := e.(type) {
+	case *Literal:
+		return true
+	case *UnaryExpr:
+		return literalOnly(e.X)
+	case *BinaryExpr:
+		return literalOnly(e.L) && literalOnly(e.R)
+	}
+	return false
+}
+
+// numFn is a typed arithmetic subtree evaluated unboxed, i for INT and f for
+// FLOAT. ok is false for a leaf whose tag is not its static type (NULL too)
+// or a zero divisor; the generic arm then returns the NULL or the error.
+type numFn struct {
+	i func(Row) (int64, bool)
+	f func(Row) (float64, bool)
+}
+
+// float widens an INT subtree to float64, where the generic arm converts it.
+func (n numFn) float() func(Row) (float64, bool) {
+	if n.f != nil {
+		return n.f
+	}
+	i := n.i
+	return func(r Row) (float64, bool) { v, ok := i(r); return float64(v), ok }
+}
+
+// box returns n as an evaluator that runs generic for the rows n cannot
+// evaluate unboxed.
+func (n numFn) box(generic evalFn) evalFn {
+	i, f := n.i, n.f
+	return func(r Row) (Value, error) {
+		if i == nil {
+			if v, ok := f(r); ok {
+				return NewFloat(v), nil
+			}
+		} else if v, ok := i(r); ok {
+			return NewInt(v), nil
+		}
+		return generic(r)
+	}
+}
+
+// compileNum compiles e unboxed when its type is fixed at compile time: a
+// numeric literal-only subtree, a column whose Schema type is INT or FLOAT,
+// or unary minus and + - * / over such operands. A derived column's type is
+// inferType's guess, so each column leaf checks its tag on every row.
+func compileNum(e Expr, schema Schema) (numFn, bool) {
+	if literalOnly(e) {
+		f, err := compileExpr(e, nil, nil)
+		if err != nil {
+			return numFn{}, false
+		}
+		switch v, err := f(nil); {
+		case err != nil:
+		case v.T == TypeInt:
+			return numFn{i: func(Row) (int64, bool) { return v.I, true }}, true
+		case v.T == TypeFloat:
+			return numFn{f: func(Row) (float64, bool) { return v.F, true }}, true
+		}
+		return numFn{}, false
+	}
+	switch e := e.(type) {
+	case *ColumnRef:
+		switch idx, err := schema.Resolve(e.Table, e.Name); {
+		case err != nil:
+		case schema[idx].T == TypeInt:
+			return numFn{i: func(r Row) (int64, bool) { return r[idx].I, r[idx].T == TypeInt }}, true
+		case schema[idx].T == TypeFloat:
+			return numFn{f: func(r Row) (float64, bool) { return r[idx].F, r[idx].T == TypeFloat }}, true
+		}
+	case *UnaryExpr:
+		x, ok := compileNum(e.X, schema)
+		if !ok || e.Op != "-" {
+			break
+		}
+		if xi := x.i; xi != nil {
+			return numFn{i: func(r Row) (int64, bool) { v, ok := xi(r); return -v, ok }}, true
+		}
+		xf := x.f
+		return numFn{f: func(r Row) (float64, bool) { v, ok := xf(r); return -v, ok }}, true
+	case *BinaryExpr:
+		if _, ok := arithOps[e.Op]; !ok {
+			break
+		}
+		l, lok := compileNum(e.L, schema)
+		r, rok := compileNum(e.R, schema)
+		if lok && rok {
+			return numArith(e.Op, l, r), true
+		}
+	}
+	return numFn{}, false
+}
+
+// numArith binds an arithmetic operator to its unboxed arm: INT op INT stays
+// int64 and wraps as the generic arm does, except "/"; every other pair runs
+// in float64 after widening an INT side.
+func numArith(op string, l, r numFn) numFn {
+	if li, ri := l.i, r.i; li != nil && ri != nil {
+		switch op {
+		case "+":
+			return numFn{i: func(row Row) (int64, bool) { a, ok := li(row); b, ok2 := ri(row); return a + b, ok && ok2 }}
+		case "-":
+			return numFn{i: func(row Row) (int64, bool) { a, ok := li(row); b, ok2 := ri(row); return a - b, ok && ok2 }}
+		case "*":
+			return numFn{i: func(row Row) (int64, bool) { a, ok := li(row); b, ok2 := ri(row); return a * b, ok && ok2 }}
+		}
+	}
+	lf, rf := l.float(), r.float()
+	switch op {
+	case "+":
+		return numFn{f: func(row Row) (float64, bool) { a, ok := lf(row); b, ok2 := rf(row); return a + b, ok && ok2 }}
+	case "-":
+		return numFn{f: func(row Row) (float64, bool) { a, ok := lf(row); b, ok2 := rf(row); return a - b, ok && ok2 }}
+	case "*":
+		return numFn{f: func(row Row) (float64, bool) { a, ok := lf(row); b, ok2 := rf(row); return a * b, ok && ok2 }}
+	}
+	return numFn{f: func(row Row) (float64, bool) { a, ok := lf(row); b, ok2 := rf(row); return a / b, ok && ok2 && b != 0 }}
+}
+
+// compileGeneric compiles e with boxed operands, each operator bound to its
+// own closure; compileExpr wraps it with the folded and unboxed forms.
+func compileGeneric(e Expr, schema Schema, pc *planContext) (evalFn, error) {
 	switch e := e.(type) {
 	case *Literal:
 		v := e.V
@@ -68,7 +242,7 @@ func compileExpr(e Expr, schema Schema, pc *planContext) (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		return compileBinary(e.Op, l, r)
+		return compileBinary(e, l, r, schema)
 
 	case *FuncCall:
 		if isAggregateName(e.Name) {
@@ -210,19 +384,15 @@ func compileExpr(e Expr, schema Schema, pc *planContext) (evalFn, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Uncorrelated: materialize the subquery once, lazily.
-		var set map[string]bool
-		var keyBuf []byte
-		var ints, floats int // the set's INT and FLOAT keys
-		probe := func(v Value) bool {
-			keyBuf = appendKey(keyBuf[:0], []Value{v})
-			return set[string(keyBuf)]
-		}
+		// Uncorrelated: materialize the subquery once, lazily, as canonical
+		// keys, so INT 3 is in {3.0} and 2^53+1 is not in {2^53}.
+		var set keyTable
+		key := make([]Value, 1)
 		not := e.Not
 		query := e.Query
 		planCtx := pc
 		return func(r Row) (Value, error) {
-			if set == nil {
+			if set.words == nil {
 				rows, rschema, err := planCtx.run(query)
 				if err != nil {
 					return Null, err
@@ -230,16 +400,11 @@ func compileExpr(e Expr, schema Schema, pc *planContext) (evalFn, error) {
 				if len(rschema) != 1 {
 					return Null, fmt.Errorf("engine: IN subquery must return one column, got %d", len(rschema))
 				}
-				set = make(map[string]bool, len(rows))
+				set = newKeyTable()
 				for _, row := range rows {
-					switch row[0].T {
-					case TypeInt:
-						ints++
-					case TypeFloat:
-						floats++
+					if key[0] = canonicalKeyValue(row[0]); set.find(key) < 0 {
+						set.add(key)
 					}
-					keyBuf = appendKey(keyBuf[:0], row[:1])
-					set[string(keyBuf)] = true
 				}
 			}
 			v, err := x(r)
@@ -249,117 +414,108 @@ func compileExpr(e Expr, schema Schema, pc *planContext) (evalFn, error) {
 			if v.IsNull() {
 				return Null, nil
 			}
-			// Match integer keys against float sets and vice versa by
-			// probing the other encoding too, when the set holds any: a float
-			// converts only when it is integral and inside the int64 range.
-			hit := probe(v)
-			if !hit {
-				if v.T == TypeInt && floats > 0 {
-					hit = probe(NewFloat(float64(v.I)))
-				} else if c := canonicalKeyValue(v); v.T == TypeFloat && c.T == TypeInt && ints > 0 {
-					hit = probe(c)
-				}
-			}
-			return NewBool(hit != not), nil
+			key[0] = canonicalKeyValue(v)
+			return NewBool((set.find(key) >= 0) != not), nil
 		}, nil
 	}
 	return nil, fmt.Errorf("engine: cannot compile expression %T", e)
 }
 
-func compileBinary(op string, l, r evalFn) (evalFn, error) {
-	switch op {
-	case "AND":
-		return func(row Row) (Value, error) {
-			lv, err := l(row)
-			if err != nil {
+// arithOps holds the generic arm's int64 and float64 operations; "/" always
+// divides as float.
+var arithOps = map[string]struct {
+	i func(a, b int64) int64
+	f func(a, b float64) float64
+}{
+	"+": {func(a, b int64) int64 { return a + b }, func(a, b float64) float64 { return a + b }},
+	"-": {func(a, b int64) int64 { return a - b }, func(a, b float64) float64 { return a - b }},
+	"*": {func(a, b int64) int64 { return a * b }, func(a, b float64) float64 { return a * b }},
+	"/": {nil, func(a, b float64) float64 { return a / b }},
+}
+
+// cmpMasks has bit c+1 set when the operator holds for Compare's result c.
+var cmpMasks = map[string]uint8{"<": 1, "=": 2, "<=": 3, ">": 4, "<>": 5, ">=": 6}
+
+func compileBinary(e *BinaryExpr, l, r evalFn, schema Schema) (evalFn, error) {
+	op := e.Op
+	if mask, ok := cmpMasks[op]; ok {
+		generic := func(row Row) (Value, error) {
+			lv, rv, null, err := evalPair(l, r, row)
+			if null || err != nil {
 				return Null, err
-			}
-			if lv.T == TypeBool && !lv.B {
-				return NewBool(false), nil
-			}
-			rv, err := r(row)
-			if err != nil {
-				return Null, err
-			}
-			if rv.T == TypeBool && !rv.B {
-				return NewBool(false), nil
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return Null, nil
-			}
-			if lv.T != TypeBool || rv.T != TypeBool {
-				return Null, fmt.Errorf("engine: AND expects booleans")
-			}
-			return NewBool(true), nil
-		}, nil
-	case "OR":
-		return func(row Row) (Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return Null, err
-			}
-			if lv.T == TypeBool && lv.B {
-				return NewBool(true), nil
-			}
-			rv, err := r(row)
-			if err != nil {
-				return Null, err
-			}
-			if rv.T == TypeBool && rv.B {
-				return NewBool(true), nil
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return Null, nil
-			}
-			if lv.T != TypeBool || rv.T != TypeBool {
-				return Null, fmt.Errorf("engine: OR expects booleans")
-			}
-			return NewBool(false), nil
-		}, nil
-	case "=", "<>", "<", "<=", ">", ">=":
-		return func(row Row) (Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return Null, err
-			}
-			rv, err := r(row)
-			if err != nil {
-				return Null, err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return Null, nil
 			}
 			c, err := Compare(lv, rv)
 			if err != nil {
 				return Null, err
 			}
-			switch op {
-			case "=":
-				return NewBool(c == 0), nil
-			case "<>":
-				return NewBool(c != 0), nil
-			case "<":
-				return NewBool(c < 0), nil
-			case "<=":
-				return NewBool(c <= 0), nil
-			case ">":
-				return NewBool(c > 0), nil
-			default:
-				return NewBool(c >= 0), nil
+			return NewBool(mask>>(c+1)&1 != 0), nil
+		}
+		ln, lok := compileNum(e.L, schema)
+		rn, rok := compileNum(e.R, schema)
+		switch {
+		case !lok || !rok:
+			return generic, nil
+		case ln.i != nil && rn.i != nil:
+			return cmpArm(ln.i, rn.i, cmp.Compare[int64], mask, generic), nil
+		case ln.i != nil:
+			return cmpArm(ln.i, rn.f, cmpIntFloat, mask, generic), nil
+		case rn.i != nil:
+			return cmpArm(ln.f, rn.i, cmpFloatInt, mask, generic), nil
+		}
+		return cmpArm(ln.f, rn.f, cmpFloat, mask, generic), nil
+	}
+	if arm, ok := arithOps[op]; ok {
+		fi, ff := arm.i, arm.f
+		return func(row Row) (Value, error) {
+			lv, rv, null, err := evalPair(l, r, row)
+			if null || err != nil {
+				return Null, err
 			}
+			if lv.T == TypeInt && rv.T == TypeInt && fi != nil {
+				return NewInt(fi(lv.I, rv.I)), nil
+			}
+			af, lerr := lv.AsFloat()
+			bf, rerr := rv.AsFloat()
+			switch {
+			case lerr != nil || rerr != nil:
+				return Null, fmt.Errorf("engine: %s requires numeric operands (%s, %s)", op, lv.T, rv.T)
+			case fi == nil && bf == 0:
+				return Null, fmt.Errorf("engine: division by zero")
+			}
+			return NewFloat(ff(af, bf)), nil
 		}, nil
-	case "LIKE":
+	}
+	switch op {
+	case "AND", "OR":
+		and := op == "AND" // the operand value that leaves the answer open
 		return func(row Row) (Value, error) {
 			lv, err := l(row)
 			if err != nil {
 				return Null, err
 			}
+			if lv.T == TypeBool && lv.B != and {
+				return NewBool(!and), nil
+			}
 			rv, err := r(row)
 			if err != nil {
 				return Null, err
 			}
+			if rv.T == TypeBool && rv.B != and {
+				return NewBool(!and), nil
+			}
 			if lv.IsNull() || rv.IsNull() {
 				return Null, nil
+			}
+			if lv.T != TypeBool || rv.T != TypeBool {
+				return Null, fmt.Errorf("engine: %s expects booleans", op)
+			}
+			return NewBool(and), nil
+		}, nil
+	case "LIKE":
+		return func(row Row) (Value, error) {
+			lv, rv, null, err := evalPair(l, r, row)
+			if null || err != nil {
+				return Null, err
 			}
 			if lv.T != TypeString || rv.T != TypeString {
 				return Null, fmt.Errorf("engine: LIKE expects strings")
@@ -368,70 +524,38 @@ func compileBinary(op string, l, r evalFn) (evalFn, error) {
 		}, nil
 	case "||":
 		return func(row Row) (Value, error) {
-			lv, err := l(row)
-			if err != nil {
+			lv, rv, null, err := evalPair(l, r, row)
+			if null || err != nil {
 				return Null, err
-			}
-			rv, err := r(row)
-			if err != nil {
-				return Null, err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return Null, nil
 			}
 			return NewString(lv.String() + rv.String()), nil
-		}, nil
-	case "+", "-", "*", "/":
-		return func(row Row) (Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return Null, err
-			}
-			rv, err := r(row)
-			if err != nil {
-				return Null, err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return Null, nil
-			}
-			return arith(op, lv, rv)
 		}, nil
 	}
 	return nil, fmt.Errorf("engine: unknown operator %q", op)
 }
 
-func arith(op string, a, b Value) (Value, error) {
-	ai, bi, af, bf, isInt, err := numericPair(a, b)
-	if err != nil {
-		return Null, fmt.Errorf("engine: %s requires numeric operands (%s, %s)", op, a.T, b.T)
+// evalPair evaluates l, then r; null reports that either is NULL.
+func evalPair(l, r evalFn, row Row) (lv, rv Value, null bool, err error) {
+	if lv, err = l(row); err != nil {
+		return
 	}
-	if isInt && op != "/" {
-		switch op {
-		case "+":
-			return NewInt(ai + bi), nil
-		case "-":
-			return NewInt(ai - bi), nil
-		case "*":
-			return NewInt(ai * bi), nil
+	if rv, err = r(row); err != nil {
+		return
+	}
+	return lv, rv, lv.IsNull() || rv.IsNull(), nil
+}
+
+// cmpArm is a comparison over two typed operands, ordered unboxed by order;
+// a row either operand cannot evaluate goes to the generic arm.
+func cmpArm[A, B int64 | float64](l func(Row) (A, bool), r func(Row) (B, bool), order func(A, B) int, mask uint8, generic evalFn) evalFn {
+	return func(row Row) (Value, error) {
+		a, ok := l(row)
+		b, ok2 := r(row)
+		if ok && ok2 {
+			return NewBool(mask>>(order(a, b)+1)&1 != 0), nil
 		}
+		return generic(row)
 	}
-	if isInt {
-		af, bf = float64(ai), float64(bi)
-	}
-	switch op {
-	case "+":
-		return NewFloat(af + bf), nil
-	case "-":
-		return NewFloat(af - bf), nil
-	case "*":
-		return NewFloat(af * bf), nil
-	case "/":
-		if bf == 0 {
-			return Null, fmt.Errorf("engine: division by zero")
-		}
-		return NewFloat(af / bf), nil
-	}
-	return Null, fmt.Errorf("engine: unknown arithmetic operator %q", op)
 }
 
 // compileScalarCall compiles the supported scalar functions.
@@ -492,7 +616,8 @@ func compileScalarCall(e *FuncCall, schema Schema, pc *planContext) (evalFn, err
 		if err := need(1); err != nil {
 			return nil, err
 		}
-		name := e.Name
+		fn := map[string]func(float64) float64{"sqrt": math.Sqrt, "floor": math.Floor, "ceil": math.Ceil}[e.Name]
+		sqrt := e.Name == "sqrt"
 		return func(r Row) (Value, error) {
 			vs, err := evalArgs(r)
 			if err != nil || vs[0].IsNull() {
@@ -502,17 +627,10 @@ func compileScalarCall(e *FuncCall, schema Schema, pc *planContext) (evalFn, err
 			if err != nil {
 				return Null, err
 			}
-			switch name {
-			case "sqrt":
-				if f < 0 {
-					return Null, fmt.Errorf("engine: sqrt of negative value")
-				}
-				return NewFloat(math.Sqrt(f)), nil
-			case "floor":
-				return NewFloat(math.Floor(f)), nil
-			default:
-				return NewFloat(math.Ceil(f)), nil
+			if sqrt && f < 0 {
+				return Null, fmt.Errorf("engine: sqrt of negative value")
 			}
+			return NewFloat(fn(f)), nil
 		}, nil
 	case "mod":
 		if err := need(2); err != nil {

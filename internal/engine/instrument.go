@@ -80,7 +80,7 @@ type opActuals interface {
 }
 
 func (j *hashJoinOp) actuals() string {
-	return fmt.Sprintf("Hash Build: rows=%d buckets=%d", j.buildRows, len(j.table))
+	return fmt.Sprintf("Hash Build: rows=%d buckets=%d", len(j.rows), j.keys.len())
 }
 
 func (j *crossJoinOp) actuals() string {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -182,6 +183,61 @@ func TestInSubqueryCrossTypeRange(t *testing.T) {
 	} {
 		if got := queryStrings(t, db, c.sql); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s = %v, want %v", c.sql, got, c.want)
+		}
+	}
+}
+
+// TestIntFloatEqualityPlanIndependent: INT = FLOAT is exact whichever plan
+// decides it. 2^53+1 does not equal 2^53.0 (the float nearest to it), and
+// 2^53 does, under a hash join, a nested loop with a filter, an IN-subquery
+// set, a plain filter and a hash index alike.
+func TestIntFloatEqualityPlanIndependent(t *testing.T) {
+	db := NewDB()
+	for _, sql := range []string{
+		"CREATE TABLE a (i INT)",
+		"CREATE TABLE b (f FLOAT)",
+		"CREATE TABLE plain (k INT)",
+		"CREATE TABLE indexed (k INT)",
+		"INSERT INTO a VALUES (9007199254740993), (9007199254740992)",
+		"INSERT INTO b VALUES (9007199254740992.0)",
+		"INSERT INTO plain VALUES (9007199254740992), (9007199254740993)",
+		"INSERT INTO indexed VALUES (9007199254740992), (9007199254740993)",
+		"CREATE INDEX indexed_k ON indexed (k)",
+	} {
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	for _, c := range []struct{ sql, plan, want string }{
+		{"SELECT count(*) FROM a, b WHERE a.i = b.f", "HashJoin", "1"},
+		{"SELECT count(*) FROM a, b WHERE a.i = b.f OR a.i < 0", "NestedLoop", "1"},
+		{"SELECT count(*) FROM a WHERE i IN (SELECT f FROM b)", "SeqScan on a", "1"},
+		{"SELECT count(*) FROM a WHERE i = 9007199254740992.0", "Filter", "1"},
+		{"SELECT count(*) FROM a WHERE i IN (9007199254740992.0, -1)", "Filter", "1"},
+		{"SELECT count(*) FROM plain WHERE k = 9007199254740992.0", "SeqScan on plain", "1"},
+		{"SELECT count(*) FROM indexed WHERE k = 9007199254740992.0", "IndexScan", "1"},
+	} {
+		plan := strings.Join(planLines(t, db, "EXPLAIN "+c.sql), "\n")
+		if !strings.Contains(plan, c.plan) {
+			t.Errorf("%s: plan %s has no %s", c.sql, plan, c.plan)
+		}
+		if got := queryStrings(t, db, c.sql); !reflect.DeepEqual(got, [][]string{{c.want}}) {
+			t.Errorf("%s = %v, want %s", c.sql, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		a, b Value
+		want int
+	}{
+		{NewInt(1<<53 + 1), NewFloat(1 << 53), 1},
+		{NewFloat(1 << 53), NewInt(1<<53 + 1), -1},
+		{NewInt(math.MaxInt64), NewFloat(exactInt64Bound), -1},
+		{NewInt(math.MinInt64), NewFloat(-exactInt64Bound), 0},
+		{NewInt(-3), NewFloat(-3.5), 1},
+		{NewInt(3), NewFloat(math.NaN()), 0},
+	} {
+		if got, err := Compare(c.a, c.b); err != nil || got != c.want {
+			t.Errorf("Compare(%v, %v) = %d, %v; want %d", c.a, c.b, got, err, c.want)
 		}
 	}
 }

@@ -63,7 +63,7 @@ func TestRowRetainContract(t *testing.T) {
 	values := func(alias string) operator { return &valuesOp{rows: rows, sch: sch.Qualify(alias)} }
 	// join matches every row of left with its id twin in right.
 	join := func(left, right operator) operator {
-		return newHashJoinOp(left, right, []evalFn{col(0)}, []evalFn{col(0)}, nil, qc)
+		return newHashJoinOp(left, right, []operand{{col: 0}}, []operand{{col: 0}}, nil, qc)
 	}
 	// tripled is row i of a join of three values sources.
 	tripled := func(i int) Row {

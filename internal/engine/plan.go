@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // planContext carries the catalog and SGB configuration through planning,
@@ -167,18 +168,18 @@ func (pc *planContext) lowerSelect(stmt *SelectStmt) (operator, error) {
 	cur := sources[0]
 	prunedJoin := false
 	for _, next := range sources[1:] {
-		var leftKeys, rightKeys []evalFn
+		var leftKeys, rightKeys []operand
 		var rest []Expr
 		for _, c := range conjuncts {
 			be, ok := c.(*BinaryExpr)
 			if ok && be.Op == "=" {
 				switch {
 				case refsResolvable(be.L, cur.schema()) && refsResolvable(be.R, next.schema()):
-					lf, err := compileExpr(be.L, cur.schema(), pc)
+					lf, err := compileOperand(be.L, cur.schema(), pc)
 					if err != nil {
 						return nil, err
 					}
-					rf, err := compileExpr(be.R, next.schema(), pc)
+					rf, err := compileOperand(be.R, next.schema(), pc)
 					if err != nil {
 						return nil, err
 					}
@@ -186,11 +187,11 @@ func (pc *planContext) lowerSelect(stmt *SelectStmt) (operator, error) {
 					rightKeys = append(rightKeys, rf)
 					continue
 				case refsResolvable(be.R, cur.schema()) && refsResolvable(be.L, next.schema()):
-					lf, err := compileExpr(be.R, cur.schema(), pc)
+					lf, err := compileOperand(be.R, cur.schema(), pc)
 					if err != nil {
 						return nil, err
 					}
-					rf, err := compileExpr(be.L, next.schema(), pc)
+					rf, err := compileOperand(be.L, next.schema(), pc)
 					if err != nil {
 						return nil, err
 					}
@@ -289,7 +290,7 @@ func substAliases(e Expr, items []SelectItem) Expr {
 	case *ColumnRef:
 		if e.Table == "" {
 			for _, it := range items {
-				if it.Alias != "" && equalFold(it.Alias, e.Name) {
+				if it.Alias != "" && strings.EqualFold(it.Alias, e.Name) {
 					return it.Expr
 				}
 			}
@@ -329,25 +330,6 @@ func substAliases(e Expr, items []SelectItem) Expr {
 		return out
 	}
 	return e
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }
 
 // buildSort compiles ORDER BY items against a schema (optionally routing
@@ -440,10 +422,10 @@ func (pc *planContext) planAggregate(stmt *SelectStmt, child operator, orderBy [
 	}
 
 	// Compile the grouping expressions and the internal schema.
-	groupFns := make([]evalFn, len(groupExprs))
+	groupFns := make([]operand, len(groupExprs))
 	internal := make(Schema, 0, len(groupExprs)+len(rw.calls))
 	for i, g := range groupExprs {
-		f, err := compileExpr(g, child.schema(), pc)
+		f, err := compileOperand(g, child.schema(), pc)
 		if err != nil {
 			return nil, err
 		}
@@ -606,12 +588,12 @@ func (rw *aggRewriter) rewrite(e Expr) (Expr, error) {
 				return &ColumnRef{Name: "$agg" + strconv.Itoa(j)}, nil
 			}
 		}
-		args := make([]evalFn, len(e.Args))
+		args := make([]operand, len(e.Args))
 		for i, a := range e.Args {
 			if containsAggregate(a) {
 				return nil, fmt.Errorf("engine: nested aggregate in %s()", e.Name)
 			}
-			f, err := compileExpr(a, rw.input, rw.pc)
+			f, err := compileOperand(a, rw.input, rw.pc)
 			if err != nil {
 				return nil, err
 			}
@@ -765,8 +747,10 @@ func outputName(it SelectItem, i int) string {
 	return "col" + strconv.Itoa(i+1)
 }
 
-// inferType best-effort-infers the output type of an expression; it is used
-// only for display and derived-table schemas, never for correctness.
+// inferType best-effort-infers the output type of an expression, for display
+// and derived-table schemas. It is a guess (sum(int) is INT until it
+// overflows to FLOAT): the expression compiler reads it only behind a
+// run-time tag check (see compileNum).
 func inferType(e Expr, sch Schema) Type {
 	switch e := e.(type) {
 	case *Literal:

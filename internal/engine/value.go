@@ -11,6 +11,7 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -146,23 +147,10 @@ func (v Value) String() string {
 	}
 }
 
-// numericPair coerces both operands to a common numeric representation,
-// preferring integer arithmetic when both sides are integers.
-func numericPair(a, b Value) (ai, bi int64, af, bf float64, isInt bool, err error) {
-	if a.T == TypeInt && b.T == TypeInt {
-		return a.I, b.I, 0, 0, true, nil
-	}
-	af, err = a.AsFloat()
-	if err != nil {
-		return
-	}
-	bf, err = b.AsFloat()
-	return
-}
-
 // Compare orders two values: -1, 0 or +1. NULL sorts before everything.
-// Cross-type numeric comparisons coerce to float; other cross-type
-// comparisons are errors.
+// INT against FLOAT compares exactly, without rounding the int to float;
+// other cross-type comparisons are errors. A NaN compares equal to every
+// number.
 func Compare(a, b Value) (int, error) {
 	if a.IsNull() || b.IsNull() {
 		switch {
@@ -175,6 +163,14 @@ func Compare(a, b Value) (int, error) {
 		}
 	}
 	switch {
+	case a.T == TypeInt && b.T == TypeInt:
+		return cmp.Compare(a.I, b.I), nil
+	case a.T == TypeFloat && b.T == TypeFloat:
+		return cmpFloat(a.F, b.F), nil
+	case a.T == TypeInt && b.T == TypeFloat:
+		return cmpIntFloat(a.I, b.F), nil
+	case a.T == TypeFloat && b.T == TypeInt:
+		return cmpFloatInt(a.F, b.I), nil
 	case a.T == TypeString && b.T == TypeString:
 		return strings.Compare(a.S, b.S), nil
 	case a.T == TypeBool && b.T == TypeBool:
@@ -187,29 +183,39 @@ func Compare(a, b Value) (int, error) {
 			return 1, nil
 		}
 	}
-	ai, bi, af, bf, isInt, err := numericPair(a, b)
-	if err != nil {
-		return 0, fmt.Errorf("engine: cannot compare %s and %s", a.T, b.T)
-	}
-	if isInt {
-		switch {
-		case ai < bi:
-			return -1, nil
-		case ai > bi:
-			return 1, nil
-		default:
-			return 0, nil
-		}
-	}
-	switch {
-	case af < bf:
-		return -1, nil
-	case af > bf:
-		return 1, nil
-	default:
-		return 0, nil
-	}
+	return 0, fmt.Errorf("engine: cannot compare %s and %s", a.T, b.T)
 }
+
+// cmpFloat orders two floats; a NaN is equal to everything.
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// cmpIntFloat orders i against f exactly: f's integral part, saturated at
+// ±2^63, against i, then f's fraction. A NaN is equal to every int.
+func cmpIntFloat(i int64, f float64) int {
+	switch {
+	case f != f:
+		return 0
+	case f >= exactInt64Bound:
+		return -1
+	case f < -exactInt64Bound:
+		return 1
+	}
+	t := math.Trunc(f)
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmpFloat(t, f)
+}
+
+func cmpFloatInt(f float64, i int64) int { return -cmpIntFloat(i, f) }
 
 // Row is one tuple.
 type Row []Value
