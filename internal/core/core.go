@@ -159,6 +159,20 @@ func checkFinite(p geom.Point) error {
 	return nil
 }
 
+// hint is the storage a grouper's Reserve announced: points and groups in
+// all.
+type hint struct{ points, groups int }
+
+// reserve returns s with room for n elements in all. It allocates exactly
+// that, unlike slices.Grow, which under the race detector also allocates
+// the zeroed tail it appends.
+func reserve[T any](s []T, n int) []T {
+	if n > cap(s) {
+		return append(make([]T, 0, n), s...)
+	}
+	return s
+}
+
 // Group is one output group, identified by the indexes of its member points
 // in input order.
 type Group struct {

@@ -104,16 +104,16 @@ func servedCheckins(n int, seed int64) []geom.Point {
 // once per point, register each of its 871 groups once, and rect-test
 // exactly 33,259 groups (51,836 through the R-tree it replaced). One grouping
 // allocates within 10 % of the 156 objects measured since a group became an
-// id into struct-of-arrays state (157 under the race detector); it was 12,791
-// while every group was a heap object with its own member, column and MBR
-// slices (13,662 under race), and 46,238 on the R-tree. Budgets only ratchet
-// down.
+// id into struct-of-arrays state (157 under the race detector), and 124 (125)
+// since core.SGBAll reserves its per-point storage once; it was 12,791 while
+// every group was a heap object with its own member, column and MBR slices
+// (13,662 under race), and 46,238 on the R-tree. Budgets only ratchet down.
 func TestAllGridBudget(t *testing.T) {
 	const (
 		n         = 5000
 		groups    = 871
 		rectTests = 33259
-		allocs    = 156
+		allocs    = 124
 	)
 	pts := servedCheckins(n, 1)
 	opt := core.Options{Metric: geom.LInf, Eps: 0.05, Overlap: core.JoinAny, Algorithm: core.IndexBounds}
@@ -157,12 +157,15 @@ func TestAllGridBudget(t *testing.T) {
 // boxed accumulator; 382 and 3.00 MB since both are ids into columns; 382 →
 // 380 and 3.00 → 2.92 MB since the engine feeds the grouper one point at a
 // time instead of transposing the input into columns (389 and 3.12 MB under
-// the race detector, which the bytes budget admits). Budgets only ratchet
-// down.
+// the race detector); 372 → 240 and 2.92 → 1.86 MB since the statement
+// reserves its buffers once, from the exact point count and the planner's
+// group estimate (248 and 2.05 MB under the race detector, which the bytes
+// budget admits: there slices.Grow also allocates the tail it appends).
+// Budgets only ratchet down.
 func TestServeReadStatementAllocBudget(t *testing.T) {
 	const (
-		objects = 380
-		mbytes  = 3.02
+		objects = 240
+		mbytes  = 1.97
 		sql     = "SELECT count(*), min(lat), max(lat), min(lon), max(lon) FROM checkins " +
 			"GROUP BY lat, lon DISTANCE-TO-ALL LINF WITHIN 0.05 ON-OVERLAP JOIN-ANY"
 	)
@@ -236,8 +239,12 @@ func BenchmarkAnyIndexCheckin(b *testing.B) {
 // and 2,161 under the race detector) since the union-find forest hands out
 // its sets ordered and carved from one array, and 2,123 → 268 and 2,152 → 299
 // (274 and 309 under the race detector) since the grid's cells keep their members as a chain of point ids, their
-// boxes in one slab and their neighbours in lists carved from shared chunks.
-// Budgets only ratchet down.
+// boxes in one slab and their neighbours in lists carved from shared chunks,
+// and 267 → 190 and 295 → 219 (194 and 227 under the race detector) since
+// the statement reserves its buffers once from the exact point count. The
+// second, any_hotspot, also keeps its bytes within 5 %: 2.07 MB, and 0.96
+// since that reservation (0.97 under the race detector). Budgets only
+// ratchet down.
 func TestAnyStatementAllocBudget(t *testing.T) {
 	db := engine.NewDB()
 	if err := checkin.Load(db, "checkins", checkin.Generate(checkin.Config{N: 8000, Seed: 1})); err != nil {
@@ -246,19 +253,27 @@ func TestAnyStatementAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		sql    string
 		budget float64
+		mbytes float64 // 0: bytes unchecked
 	}{
-		{"SELECT lat, lon, count(*) FROM checkins GROUP BY lat, lon DISTANCE-TO-ANY L2 WITHIN 0.25", 282},
-		{"SELECT count(*), avg(lat), avg(lon) FROM checkins GROUP BY lat, lon DISTANCE-TO-ANY L2 WITHIN 0.25", 314},
-		{"SELECT user_id, count(*), avg(lat) FROM checkins WHERE lon > -96 GROUP BY user_id", 645},
+		{"SELECT lat, lon, count(*) FROM checkins GROUP BY lat, lon DISTANCE-TO-ANY L2 WITHIN 0.25", 200, 0},
+		{"SELECT count(*), avg(lat), avg(lon) FROM checkins GROUP BY lat, lon DISTANCE-TO-ANY L2 WITHIN 0.25", 230, 0.96},
+		{"SELECT user_id, count(*), avg(lat) FROM checkins WHERE lon > -96 GROUP BY user_id", 645, 0},
 	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		allocs := testing.AllocsPerRun(5, func() {
 			if _, err := db.Exec(c.sql); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%.0f allocs: %s", allocs, c.sql)
+		runtime.ReadMemStats(&after)
+		mb := float64(after.TotalAlloc-before.TotalAlloc) / 6 / 1e6 // AllocsPerRun runs once more to warm up
+		t.Logf("%.0f allocs, %.2f MB: %s", allocs, mb, c.sql)
 		if allocs > c.budget {
 			t.Errorf("%.0f allocs, budget %.0f: %s", allocs, c.budget, c.sql)
+		}
+		if c.mbytes > 0 && mb > 1.05*c.mbytes {
+			t.Errorf("%.2f MB, budget %.2f MB: %s", mb, 1.05*c.mbytes, c.sql)
 		}
 	}
 }

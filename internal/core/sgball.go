@@ -65,6 +65,7 @@ type AllGrouper struct {
 	stats    Stats
 	useHull  bool
 	finished bool
+	hint     hint
 
 	// ctx, when set via WithContext, lets a canceled or deadline-expired
 	// query abort the grouping mid-stream; ctxTick strides the polls.
@@ -85,6 +86,37 @@ func NewAllGrouper(opt Options) (*AllGrouper, error) {
 func (g *AllGrouper) WithContext(ctx context.Context) *AllGrouper {
 	g.ctx = ctx
 	return g
+}
+
+// Reserve sizes the grouper's storage for about points points and groups
+// groups in all: per point the coordinates and the member chain, per group
+// the rectangles, hulls, chain ends and MBR arena, and Groups_IX's cells and
+// marks. The storage is reserved when the first Add fixes the
+// dimensionality, or at once after it. A hint never bounds growth and never
+// changes an answer, a counter or an order; zero reserves nothing.
+func (g *AllGrouper) Reserve(points, groups int) {
+	g.hint = hint{points, groups}
+	if g.dim > 0 {
+		g.reserve()
+	}
+}
+
+func (g *AllGrouper) reserve() {
+	points, groups := g.hint.points, g.hint.groups
+	g.coords = reserve(g.coords, points*g.dim)
+	g.next = reserve(g.next, points)
+	g.rects = reserve(g.rects, groups)
+	g.head = reserve(g.head, groups)
+	g.tail = reserve(g.tail, groups)
+	if g.useHull {
+		g.hulls = reserve(g.hulls, groups)
+	}
+	if n := (groups - len(g.rects)) * 2 * g.dim; cap(g.arena)-len(g.arena) < n {
+		g.arena = make([]float64, 0, n)
+	}
+	if g.regions != nil {
+		g.regions.Reserve(groups)
+	}
 }
 
 // checkCtx polls the context every ctxCheckStride calls.
@@ -130,6 +162,7 @@ func (g *AllGrouper) Add(p geom.Point) (int, error) {
 		if g.opt.Algorithm == IndexBounds && grid.BlockCells(geom.LInf, g.dim) <= gridBlockCap {
 			g.regions = grid.NewRegions(g.opt.Eps, g.dim)
 		}
+		g.reserve()
 	} else if len(p) != g.dim {
 		return 0, ErrDimensionMismatch
 	}
@@ -233,6 +266,7 @@ func (g *AllGrouper) Snapshot() (*Result, error) {
 			return nil, err
 		}
 		sub.ctx = g.ctx
+		sub.Reserve(len(g.deferred), 0)
 		for _, id := range g.deferred {
 			if _, err := sub.Add(g.point(id)); err != nil {
 				return nil, err
@@ -563,6 +597,7 @@ func SGBAll(points []geom.Point, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	g.Reserve(len(points), 0)
 	for _, p := range points {
 		if _, err := g.Add(p); err != nil {
 			return nil, err

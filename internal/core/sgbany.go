@@ -41,6 +41,7 @@ type AnyGrouper struct {
 
 	stats    Stats
 	finished bool
+	hint     hint
 
 	// trackLinks arms AddLinked's merge recording: union appends the prior
 	// group's id to links whenever a union actually joins two components.
@@ -82,6 +83,27 @@ func (g *AnyGrouper) WithContext(ctx context.Context) *AnyGrouper {
 	return g
 }
 
+// Reserve sizes the grouper's storage for about points points in all: the
+// coordinates, the union-find forest and the ε-grid's member chain. SGB-Any
+// keeps no per-group state (a group is a forest root), so groups sizes
+// nothing. The storage is reserved when the first Add fixes the
+// dimensionality, or at once after it. A hint never bounds growth and never
+// changes an answer, a counter or an order; zero reserves nothing.
+func (g *AnyGrouper) Reserve(points, groups int) {
+	g.hint = hint{points, groups}
+	if g.dim > 0 {
+		g.reserve()
+	}
+}
+
+func (g *AnyGrouper) reserve() {
+	g.coords = reserve(g.coords, g.hint.points*g.dim)
+	g.uf.Reserve(g.hint.points)
+	if g.grid != nil {
+		g.grid.Reserve(g.hint.points)
+	}
+}
+
 // checkCtx polls the context every ctxCheckStride calls.
 func (g *AnyGrouper) checkCtx() error {
 	if g.ctx == nil {
@@ -119,6 +141,7 @@ func (g *AnyGrouper) Add(p geom.Point) (int, error) {
 		default:
 			g.tree = rtree.New(g.dim)
 		}
+		g.reserve()
 	} else if len(p) != g.dim {
 		return 0, ErrDimensionMismatch
 	}
@@ -288,6 +311,7 @@ func SGBAny(points []geom.Point, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	g.Reserve(len(points), 0)
 	for _, p := range points {
 		if _, err := g.Add(p); err != nil {
 			return nil, err

@@ -26,12 +26,33 @@ type operator interface {
 	stableRows() bool
 }
 
+// exactRows reports how many rows op will produce when that is known before
+// it runs: a scan's or a values list's row count, passed up through the
+// operators that map rows one to one. Estimates (a filter's, a join's) are
+// not exact and report false.
+func exactRows(op operator) (int, bool) {
+	switch o := op.(type) {
+	case *scanOp:
+		return len(o.table.Rows), true
+	case *valuesOp:
+		return len(o.rows), true
+	case *projectOp:
+		return exactRows(o.child)
+	case *renameOp:
+		return exactRows(o.child)
+	case *instrumentedOp:
+		return exactRows(o.child)
+	}
+	return 0, false
+}
+
 // materialize runs an operator to completion and buffers its output, copying
-// borrowed rows into an arena. Once per cancelCheckStride rows (and once for
-// the remainder at end of stream) it polls for cancellation and charges the new
-// rows against the statement's row and memory budgets; the copies are covered
-// by that per-row charge, so the arena charges nothing itself. qc may be nil
-// (no limits, no cancellation).
+// borrowed rows into an arena; the buffer is sized once when exactRows knows
+// the count. Once per cancelCheckStride rows (and once for the remainder at
+// end of stream) it polls for cancellation and charges the new rows against
+// the statement's row and memory budgets; the copies are covered by that
+// per-row charge, so the arena charges nothing itself. qc may be nil (no
+// limits, no cancellation).
 func materialize(op operator, qc *queryCtx) ([]Row, error) {
 	if err := op.open(); err != nil {
 		return nil, err
@@ -42,6 +63,9 @@ func materialize(op operator, qc *queryCtx) ([]Row, error) {
 		arena = &rowArena{}
 	}
 	var rows []Row
+	if n, ok := exactRows(op); ok {
+		rows = make([]Row, 0, n)
+	}
 	charged := 0
 	charge := func() error {
 		n := len(rows) - charged
@@ -331,6 +355,9 @@ func (j *hashJoinOp) open() error {
 	}
 	j.keys = newKeyTable()
 	j.rows, j.chain, j.head, j.tail = j.rows[:0], j.chain[:0], j.head[:0], j.tail[:0]
+	if n, ok := exactRows(j.right); ok && n > cap(j.rows) { // a bound: NULL keys build no row
+		j.rows, j.chain = make([]Row, 0, n), make([]int32, 0, n)
+	}
 	// The chains keep the build rows, so borrowed ones are copied (and
 	// charged) here.
 	var arena *rowArena
@@ -838,12 +865,15 @@ func (a *sgbAggOp) stableRows() bool { return true }
 // core grouper matching the spec's mode and the session's algorithm. Each
 // tuple's grouping expressions are evaluated into one reused point, which Add
 // copies into the grouper's own storage; that copy is what growMem charges.
+// The grouper reserves its storage once: for exactly len(tuples) points, and
+// for the planner's group estimate, which cannot exceed them.
 func (a *sgbAggOp) group(tuples []Row, opt core.Options) (*core.Result, error) {
 	dim := len(a.groupExprs)
 	if err := a.qc.growMem(int64(dim) * int64(len(tuples)) * 8); err != nil {
 		return nil, err
 	}
 	var g interface {
+		Reserve(points, groups int)
 		Add(geom.Point) (int, error)
 		Finish() (*core.Result, error)
 	}
@@ -863,6 +893,11 @@ func (a *sgbAggOp) group(tuples []Row, opt core.Options) (*core.Result, error) {
 		}
 		g = anyG.WithContext(a.qc.context())
 	}
+	groups := 0
+	if est := a.EstRows(); est > 0 {
+		groups = int(min(est, float64(len(tuples))))
+	}
+	g.Reserve(len(tuples), groups)
 	p := make(geom.Point, dim)
 	for _, r := range tuples {
 		for i, e := range a.groupExprs {
@@ -920,6 +955,9 @@ func (a *sgbAggOp) open() error {
 		c.grow(len(res.Groups))
 	}
 	all := make([]Value, 0, len(res.Groups)*outWidth)
+	if len(res.Groups) > cap(a.rows) {
+		a.rows = make([]Row, 0, len(res.Groups))
+	}
 	for i, grp := range res.Groups {
 		for _, id := range grp.IDs {
 			if err := foldRow(a.calls, i, tuples[id]); err != nil {

@@ -119,19 +119,48 @@ func (t *table) add(cs []int64, slot int) int {
 	t.slots[slot] = int32(i + 1)
 	t.coords = append(t.coords, cs...)
 	if 2*t.n > len(t.slots) {
-		// Rehash: the cells are distinct, so each takes the first empty slot
-		// of its probe sequence, as find would return it, without comparing.
-		t.slots = make([]int32, 2*len(t.slots))
-		mask := len(t.slots) - 1
-		for j := 0; j < t.n; j++ {
-			s := int(hash(t.coords[j*t.dim:(j+1)*t.dim])) & mask
-			for t.slots[s] != 0 {
-				s = (s + 1) & mask
-			}
-			t.slots[s] = int32(j + 1)
-		}
+		t.rehash(2 * len(t.slots))
 	}
 	return i
+}
+
+// rehash moves the cells to a slot array of the given power-of-two length.
+// The cells are distinct, so each takes the first empty slot of its probe
+// sequence, as find would return it, without comparing.
+func (t *table) rehash(size int) {
+	t.slots = make([]int32, size)
+	mask := size - 1
+	for j := 0; j < t.n; j++ {
+		s := int(hash(t.coords[j*t.dim:(j+1)*t.dim])) & mask
+		for t.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		t.slots[s] = int32(j + 1)
+	}
+}
+
+// reserve sizes the table for n cells, so that add neither rehashes nor
+// reallocates before it holds them. Which slot a cell takes never shows:
+// find and existing answer in cell indexes and creation order.
+func (t *table) reserve(n int) {
+	t.coords = reserve(t.coords, n*t.dim)
+	size := len(t.slots)
+	for size < 2*n {
+		size *= 2
+	}
+	if size > len(t.slots) {
+		t.rehash(size)
+	}
+}
+
+// reserve returns s with room for n elements in all. It allocates exactly
+// that, unlike slices.Grow, which under the race detector also allocates
+// the zeroed tail it appends.
+func reserve[T any](s []T, n int) []T {
+	if n > cap(s) {
+		return append(make([]T, 0, n), s...)
+	}
+	return s
 }
 
 // setCur sets cur to the coordinates of p's cell.
@@ -286,6 +315,11 @@ func New(m geom.Metric, eps float64, dim int) *Index {
 	return &Index{table: newTable(side(m, eps, dim), eps, dim), metric: m, eps: eps,
 		reach: r, span: math.Pow(float64(2*r+1), float64(dim))}
 }
+
+// Reserve makes room for n points in all, so that Insert does not grow the
+// per-point member chain before the grid holds them. It changes no answer,
+// and the grid still grows past n.
+func (ix *Index) Reserve(n int) { ix.next = reserve(ix.next, n) }
 
 // Len reports the number of cells.
 func (ix *Index) Len() int { return len(ix.cells) }
@@ -447,6 +481,16 @@ type Regions struct {
 // dim-dimensional points. eps must be positive and finite.
 func NewRegions(eps float64, dim int) *Regions {
 	return &Regions{table: newTable(eps, eps, dim)}
+}
+
+// Reserve makes room for n group ids in all, and for n cells: about one per
+// group where groups crowd. Sparse groups cover more cells, up to 3^dim
+// each, and the table grows past n as it does unreserved. Reserve changes
+// no answer.
+func (r *Regions) Reserve(n int) {
+	r.mark = reserve(r.mark, n)
+	r.ids = reserve(r.ids, n)
+	r.reserve(n)
 }
 
 // Register records id in every cell that the candidate region of a group

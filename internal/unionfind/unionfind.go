@@ -32,6 +32,15 @@ func (f *Forest) Grow(n int) int {
 	return first
 }
 
+// Reserve makes room for n elements in all, so that MakeSet does not
+// reallocate before the forest holds n. It changes no set, and the forest
+// still grows past n.
+func (f *Forest) Reserve(n int) {
+	if n > cap(f.parent) {
+		f.parent = append(make([]int32, 0, n), f.parent...)
+	}
+}
+
 // MakeSet creates a new singleton set and returns its element id.
 func (f *Forest) MakeSet() int { return f.Grow(1) }
 
