@@ -54,7 +54,7 @@ func hotspotPoints(r *rand.Rand, n, dim int) []geom.Point {
 //	go test -run '^$' -bench AnyIndexSweep -benchtime 2x ./internal/core/
 func BenchmarkAnyIndexSweep(b *testing.B) {
 	const eps, uniformN = 0.25, 20000
-	for _, m := range []geom.Metric{geom.L2, geom.LInf, geom.L1} {
+	for _, m := range []geom.Metric{geom.L2, geom.LInf} {
 		for dim := 1; dim <= 6; dim++ {
 			box := 2 * eps * math.Pow(uniformN/3, 1/float64(dim))
 			for _, data := range []struct {

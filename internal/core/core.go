@@ -122,7 +122,7 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: similarity threshold must be positive, got %v", o.Eps)
 	}
 	switch o.Metric {
-	case geom.L2, geom.LInf, geom.L1:
+	case geom.L2, geom.LInf:
 	default:
 		return fmt.Errorf("core: unknown metric %v", o.Metric)
 	}

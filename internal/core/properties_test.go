@@ -24,7 +24,7 @@ type pointCloud struct {
 func (c pointCloud) materialize() ([]geom.Point, geom.Metric, float64) {
 	dim := int(c.Dim)%3 + 1
 	eps := 0.2 + mod1(c.Eps)*1.5
-	metric := []geom.Metric{geom.L2, geom.LInf, geom.L1}[int(c.Metric)%3]
+	metric := []geom.Metric{geom.L2, geom.LInf}[int(c.Metric)%2]
 	// Clamp the cloud size and spread.
 	coords := c.Coords
 	if len(coords) > 600 {

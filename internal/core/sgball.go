@@ -150,12 +150,9 @@ func (g *AllGrouper) Add(p geom.Point) (int, error) {
 		}
 		g.dim = len(p)
 		// The convex-hull refinement (Procedure 6) applies to the 2-D L2
-		// case — and equally to L1, whose distance-to-a-fixed-probe is
-		// also convex, so the farthest member from any probe is a hull
-		// vertex. Elsewhere the rectangle test is exact (L∞, or 1-D where
+		// case. Elsewhere the rectangle test is exact (L∞, or 1-D where
 		// the metrics coincide) or we fall back to exact member scans.
-		g.useHull = (g.opt.Metric == geom.L2 || g.opt.Metric == geom.L1) &&
-			g.dim == 2 && !g.opt.disableHullRefine
+		g.useHull = g.opt.Metric == geom.L2 && g.dim == 2 && !g.opt.disableHullRefine
 		// Group regions sit on cells of side ε whatever the metric, so a
 		// probe block is 3^d cells: the grid serves while that stays under
 		// SGB-Any's cap (d ≤ 6).

@@ -94,7 +94,7 @@ func TestFigure2FormNewGroup(t *testing.T) {
 // under ε=3, with an L2 check that the same set groups together.
 func TestFigure1Clique(t *testing.T) {
 	pts := []geom.Point{{1, 2}, {2, 3}, {3, 2.5}, {2, 1}, {3, 1.5}}
-	for _, m := range []geom.Metric{geom.LInf, geom.L2, geom.L1} {
+	for _, m := range []geom.Metric{geom.LInf, geom.L2} {
 		for _, alg := range allAlgorithms() {
 			res, err := SGBAll(pts, Options{Metric: m, Eps: 3, Overlap: JoinAny, Algorithm: alg})
 			if err != nil {
@@ -300,7 +300,7 @@ func agreeOK(t *testing.T, pts []geom.Point, m geom.Metric, ov Overlap, eps floa
 func TestAlgorithmsAgree(t *testing.T) {
 	r := rand.New(rand.NewSource(50))
 	adv := rand.New(rand.NewSource(55))
-	for _, m := range []geom.Metric{geom.LInf, geom.L2, geom.L1} {
+	for _, m := range []geom.Metric{geom.LInf, geom.L2} {
 		for _, ov := range []Overlap{JoinAny, Eliminate, FormNewGroup} {
 			for _, dim := range []int{1, 2, 3} {
 				for trial := 0; trial < 8; trial++ {
@@ -449,8 +449,23 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := SGBAll(nil, Options{Metric: geom.L2, Eps: -1}); err == nil {
 		t.Error("accepted negative eps")
 	}
-	if _, err := SGBAll(nil, Options{Metric: geom.Metric(7), Eps: 1}); err == nil {
-		t.Error("accepted unknown metric")
+	// Metric(2) is the retired L1 value: every entry point must refuse it,
+	// not panic in Within.
+	pts := []geom.Point{{0, 0}, {0.5, 0}}
+	for _, m := range []geom.Metric{geom.Metric(2), geom.Metric(7)} {
+		opt := Options{Metric: m, Eps: 1}
+		if _, err := SGBAll(pts, opt); err == nil {
+			t.Errorf("SGBAll accepted unknown metric %v", m)
+		}
+		if _, err := SGBAny(pts, opt); err == nil {
+			t.Errorf("SGBAny accepted unknown metric %v", m)
+		}
+		if _, err := NewAllGrouper(opt); err == nil {
+			t.Errorf("NewAllGrouper accepted unknown metric %v", m)
+		}
+		if _, err := NewAnyGrouper(opt); err == nil {
+			t.Errorf("NewAnyGrouper accepted unknown metric %v", m)
+		}
 	}
 	if _, err := SGBAll(nil, Options{Metric: geom.L2, Eps: 1, Algorithm: Algorithm(9)}); err == nil {
 		t.Error("accepted unknown algorithm")
@@ -579,19 +594,19 @@ func TestManyRoundsFormNewGroup(t *testing.T) {
 // FuzzSGBAllAgree: Index, Bounds-Checking and All-Pairs return one and the
 // same partition into ε-cliques. raw holds two bytes per coordinate — a
 // multiple of ε/4 (as int8) and a nudge selector — and mode picks the metric
-// (mode%3), the ON-OVERLAP clause (mode/3%3) and the dimensionality
-// (1+mode/9%3). The first seeds are the ε-boundary counterexample of
+// (mode%2), the ON-OVERLAP clause (mode/2%3) and the dimensionality
+// (1+mode/6%3); the random seeds cover all 18 modes. The first seeds are the ε-boundary counterexample of
 // TestEpsBoundaryCounterexample under every clause, in both arrival orders:
 // -12·ε/4 - 1e-9 and 6·ε/4, then -16·ε/4 - 1e-9 and 4·ε/4, with ε = 0.25, in
 // 2-D L∞.
 func FuzzSGBAllAgree(f *testing.F) {
 	p, q := []byte{0xf4, 2, 6, 0}, []byte{0xf0, 2, 4, 0}
-	for _, mode := range []uint8{9, 12, 15} {
+	for _, mode := range []uint8{6, 8, 10} {
 		f.Add(append(slices.Clone(p), q...), mode, 0.25)
 		f.Add(append(slices.Clone(q), p...), mode, 0.25)
 	}
 	r := rand.New(rand.NewSource(56))
-	for mode := uint8(0); mode < 27; mode += 4 {
+	for mode := uint8(0); mode < 18; mode++ {
 		raw := make([]byte, 2*60*3)
 		r.Read(raw)
 		f.Add(raw, mode, []float64{0.25, 1, 1.7}[mode%3])
@@ -600,9 +615,9 @@ func FuzzSGBAllAgree(f *testing.F) {
 		if !(eps >= 1e-6 && eps <= 1e6) {
 			t.Skip("ε outside [1e-6, 1e6]")
 		}
-		m := []geom.Metric{geom.LInf, geom.L2, geom.L1}[mode%3]
-		ov := []Overlap{JoinAny, Eliminate, FormNewGroup}[mode/3%3]
-		dim := 1 + int(mode/9%3)
+		m := []geom.Metric{geom.LInf, geom.L2}[mode%2]
+		ov := []Overlap{JoinAny, Eliminate, FormNewGroup}[mode/2%3]
+		dim := 1 + int(mode/6%3)
 		pts := make([]geom.Point, min(len(raw)/(2*dim), 64))
 		for i := range pts {
 			p := make(geom.Point, dim)
@@ -619,13 +634,13 @@ func FuzzSGBAllAgree(f *testing.F) {
 // FuzzSGBAnyAgree: the ε-grid, the R-tree of points and All-Pairs return one
 // and the same SGB-Any grouping. raw holds two bytes per coordinate — a
 // multiple of ε/4 (as int8) and a selector — and mode picks the metric
-// (mode%3) and the dimensionality (1+mode/3%4). The selector's nudge (k%5)
+// (mode%2) and the dimensionality (1+mode/2%4). The selector's nudge (k%5)
 // puts the coordinate on or an ulp or 1e-9 off a grid wall; selectors from
 // 240 up also shift it by a far value (k%4), out of the range whose cell
 // indexes are exact, up to ±MaxFloat64, where cells clamp.
 func FuzzSGBAnyAgree(f *testing.F) {
 	r := rand.New(rand.NewSource(57))
-	for mode := uint8(0); mode < 12; mode++ {
+	for mode := uint8(0); mode < 12; mode++ { // every metric × dimension, 1–2-D twice
 		raw := make([]byte, 2*60*4)
 		r.Read(raw)
 		f.Add(raw, mode, []float64{0.25, 1, 1.7}[mode%3])
@@ -635,8 +650,8 @@ func FuzzSGBAnyAgree(f *testing.F) {
 		if !(eps >= 1e-6 && eps <= 1e6) {
 			t.Skip("ε outside [1e-6, 1e6]")
 		}
-		m := []geom.Metric{geom.LInf, geom.L2, geom.L1}[mode%3]
-		dim := 1 + int(mode/3%4)
+		m := []geom.Metric{geom.LInf, geom.L2}[mode%2]
+		dim := 1 + int(mode/2%4)
 		pts := make([]geom.Point, min(len(raw)/(2*dim), 64))
 		for i := range pts {
 			p := make(geom.Point, dim)

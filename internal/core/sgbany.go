@@ -14,9 +14,9 @@ import (
 // gridBlockCap is the largest nominal probe block (grid.BlockCells) for which
 // IndexBounds runs SGB-Any on the ε-grid; above it the block enumeration costs
 // more than an R-tree window query and Points_IX stays an R-tree. SGB-All's
-// group grid serves under the same cap. The value
-// sits in the measured gap of BenchmarkAnyIndexSweep (DESIGN.md,
-// "Substitutions"): it admits L2 up to 4-D, L∞ up to 6-D and L1 up to 3-D.
+// group grid serves under the same cap. The value sits in the measured gap of
+// BenchmarkAnyIndexSweep (DESIGN.md, "Substitutions"): it admits L2 up to 4-D
+// and L∞ up to 6-D.
 const gridBlockCap = 1024
 
 // AnyGrouper is a streaming SGB-Any operator instance (Procedure 7). Group

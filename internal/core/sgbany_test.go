@@ -33,7 +33,7 @@ func TestFigure1Chain(t *testing.T) {
 	pts := []geom.Point{
 		{1, 1}, {3.5, 1}, {6, 1}, {8.5, 1}, {11, 1}, {13.5, 1}, {16, 1}, {18.5, 1},
 	}
-	for _, m := range []geom.Metric{geom.LInf, geom.L2, geom.L1} {
+	for _, m := range []geom.Metric{geom.LInf, geom.L2} {
 		for _, alg := range []Algorithm{AllPairs, IndexBounds} {
 			res, err := SGBAny(pts, Options{Metric: m, Eps: 3, Algorithm: alg})
 			if err != nil {
@@ -144,10 +144,11 @@ func checkAnyAgainstOracle(t *testing.T, label string, pts []geom.Point, m geom.
 // TestAnyMatchesConnectedComponents is the defining SGB-Any property: the
 // output must equal the connected components of the ε-neighbourhood graph,
 // independent of insertion order and algorithm. Dimensions 1–6 cross
-// gridBlockCap in both directions for L2 and L1.
+// gridBlockCap in both directions for L2 (the grid up to 4-D, the R-tree in
+// 5–6-D).
 func TestAnyMatchesConnectedComponents(t *testing.T) {
 	r := rand.New(rand.NewSource(60))
-	for _, m := range []geom.Metric{geom.LInf, geom.L2, geom.L1} {
+	for _, m := range []geom.Metric{geom.LInf, geom.L2} {
 		for dim := 1; dim <= 6; dim++ {
 			for trial := 0; trial < 6; trial++ {
 				n := 30 + r.Intn(200)
@@ -164,7 +165,7 @@ func TestAnyMatchesConnectedComponents(t *testing.T) {
 // the probe block is within gridBlockCap, the R-tree of points — and nothing
 // else reaches internal/rtree — above it.
 func TestAnyIndexChoice(t *testing.T) {
-	wantGrid := map[geom.Metric]int{geom.L2: 4, geom.LInf: 6, geom.L1: 3} // highest grid dimension
+	wantGrid := map[geom.Metric]int{geom.L2: 4, geom.LInf: 6} // highest grid dimension
 	for m, top := range wantGrid {
 		for dim := 1; dim <= 8; dim++ {
 			g, err := NewAnyGrouper(Options{Metric: m, Eps: 1, Algorithm: IndexBounds})
@@ -227,7 +228,7 @@ func TestAnyGridEdgeCases(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		for _, m := range []geom.Metric{geom.L2, geom.LInf, geom.L1} {
+		for _, m := range []geom.Metric{geom.L2, geom.LInf} {
 			checkAnyAgainstOracle(t, c.name, c.pts, m, eps)
 		}
 	}
@@ -238,7 +239,7 @@ func TestAnyGridEdgeCases(t *testing.T) {
 // at an ε below and above the cells' side.
 func TestParallelColsMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(78))
-	for _, m := range []geom.Metric{geom.L2, geom.LInf, geom.L1} {
+	for _, m := range []geom.Metric{geom.L2, geom.LInf} {
 		for _, e := range []float64{0.25, 1.5} {
 			pts := adversarialPoints(r, 120+r.Intn(80), 2, e)
 			checkAnyAgainstOracle(t, fmt.Sprintf("cell walls/eps%g", e), pts, m, e)
@@ -256,7 +257,7 @@ func TestAnyGridCertificateFailure(t *testing.T) {
 		{1e30, 1e30}, {2e30, 1e30}, {3e30, 1e30}, // later members are scanned one by one
 		{0.1, 0}, {0.3, 0}, // an ordinary certified cell next to it
 	}
-	for _, m := range []geom.Metric{geom.L2, geom.LInf, geom.L1} {
+	for _, m := range []geom.Metric{geom.L2, geom.LInf} {
 		g, err := NewAnyGrouper(Options{Metric: m, Eps: 1, Algorithm: IndexBounds})
 		if err != nil {
 			t.Fatal(err)
@@ -293,7 +294,7 @@ func TestAnyGridCertificateFailure(t *testing.T) {
 // prefix.
 func TestAddLinkedMatchesReplay(t *testing.T) {
 	r := rand.New(rand.NewSource(62))
-	for _, m := range []geom.Metric{geom.L2, geom.LInf, geom.L1} {
+	for _, m := range []geom.Metric{geom.L2, geom.LInf} {
 		for _, dim := range []int{1, 2, 3, 5} {
 			for _, blockCap := range []float64{gridBlockCap, math.Inf(1), 0} {
 				eps := 0.4 + r.Float64()/2

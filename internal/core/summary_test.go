@@ -49,7 +49,7 @@ func TestSummarizeBasics(t *testing.T) {
 // the grouping metric.
 func TestSummarizeDiameterBound(t *testing.T) {
 	r := rand.New(rand.NewSource(120))
-	for _, m := range []geom.Metric{geom.L2, geom.LInf, geom.L1} {
+	for _, m := range []geom.Metric{geom.L2, geom.LInf} {
 		pts := randomPoints(r, 300, 2, 8)
 		eps := 1.2
 		res, err := SGBAll(pts, Options{Metric: m, Eps: eps, Overlap: JoinAny, Algorithm: IndexBounds})

@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 
@@ -89,10 +87,11 @@ type aggCall struct {
 	best  []Value        // min, max: the extreme so far, NULL before the first row
 	items [][]string     // array_agg: the rendered values
 	pts   [][]geom.Point // st_polygon: the points
-	// seen holds, under DISTINCT, the group id and argument key of every row
-	// folded, so each distinct argument tuple counts once per group.
-	seen   map[string]struct{}
-	keyBuf []byte
+	// seen holds, under DISTINCT, the group id and arguments of every row
+	// folded, so each distinct argument tuple counts once per group; key is
+	// the scratch tuple probed.
+	seen keyTable
+	key  []Value
 }
 
 // reset empties every column for a new execution, keeping its capacity.
@@ -100,10 +99,11 @@ func (c *aggCall) reset() {
 	c.n, c.i, c.f, c.m2, c.bits = c.n[:0], c.i[:0], c.f[:0], c.m2[:0], c.bits[:0]
 	c.best, c.items, c.pts = c.best[:0], c.items[:0], c.pts[:0]
 	if c.distinct {
-		if c.seen == nil {
-			c.seen = make(map[string]struct{})
+		if c.seen.words == nil {
+			c.seen = newKeyTable()
 		}
-		clear(c.seen)
+		clear(c.seen.words)
+		clear(c.seen.enc)
 	}
 }
 
@@ -127,9 +127,14 @@ func (c *aggCall) grow(n int) {
 	}
 }
 
-// extend appends n zero values to s, growing it geometrically.
+// extend appends n zero values to s. When s must grow, its capacity at least
+// doubles, to no fewer than 8 elements, and only the new array is allocated:
+// slices.Grow, under the race detector, also allocates the tail it appends.
 func extend[T any](s []T, n int) []T {
-	s = slices.Grow(s, n)[:len(s)+n]
+	if len(s)+n > cap(s) {
+		s = append(make([]T, 0, max(len(s)+n, 2*cap(s), 8)), s...)
+	}
+	s = s[:len(s)+n]
 	clear(s[len(s)-n:])
 	return s
 }
@@ -137,11 +142,11 @@ func extend[T any](s []T, n int) []T {
 // add folds one row's arguments into group g. It does not retain args.
 func (c *aggCall) add(g int, args []Value) error {
 	if c.distinct {
-		c.keyBuf = appendKey(binary.LittleEndian.AppendUint64(c.keyBuf[:0], uint64(g)), args)
-		if _, dup := c.seen[string(c.keyBuf)]; dup {
+		c.key = append(append(c.key[:0], NewInt(int64(g))), args...)
+		if c.seen.find(c.key) >= 0 {
 			return nil
 		}
-		c.seen[string(c.keyBuf)] = struct{}{}
+		c.seen.add(c.key)
 	}
 	if c.kind == aggCount {
 		if c.star || !args[0].IsNull() {

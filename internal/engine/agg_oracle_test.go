@@ -365,6 +365,10 @@ func FuzzAggColumns(f *testing.F) {
 	f.Add([]byte{0})
 	// NULLs, NaN, ±0 and a STRING in one stream over three groups.
 	f.Add(slices.Concat([]byte{2}, row(0, 0, 0, 1, 1), row(1, 7, 0, 4, 4), row(2, 5, 0, 6, 0), row(1, 6, 0, 7, 0), row(0, 8, 1, 8, 2)))
+	// DISTINCT keys: INT 3 against FLOAT 3.0 in either argument, repeated
+	// pairs, -0 against +0, NULLs, and a group that sees the same pair.
+	f.Add(slices.Concat([]byte{1}, row(0, 1, 3, 4, 12), row(0, 4, 12, 1, 3), row(0, 1, 3, 4, 12), row(1, 6, 0, 5, 0),
+		row(1, 5, 0, 6, 0), row(1, 0, 0, 0, 0), row(1, 0, 0, 0, 0), row(1, 1, 3, 4, 12), row(0, 1, 3, 1, 3)))
 	names := []string{"count", "sum", "avg", "average", "min", "max",
 		"array_agg", "list_id", "st_polygon", "stddev", "variance"}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -29,11 +29,9 @@ var analyzerQueries = []string{
 	"SELECT n.id, d.label, e.label FROM nums n, dim d, dim e WHERE n.k = d.k AND e.k = d.k + 1 AND n.v > e.k * 40 ORDER BY n.id, e.label",
 	"SELECT k, count(*), sum(v) FROM nums GROUP BY k ORDER BY k",
 	"SELECT x, y, count(*) FROM nums GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 12",
-	"SELECT x, y, count(*) FROM nums GROUP BY x, y DISTANCE-TO-ANY L1 WITHIN 5",
 	"SELECT x, y, count(*) FROM nums WHERE v > 100 GROUP BY x, y DISTANCE-TO-ANY LINF WITHIN 8",
 	"SELECT count(*), avg(v) FROM nums GROUP BY x, y DISTANCE-TO-ALL L2 WITHIN 40 ON-OVERLAP JOIN-ANY",
 	"SELECT count(*) FROM nums GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 25 ON-OVERLAP ELIMINATE",
-	"SELECT count(*) FROM nums GROUP BY x, y DISTANCE-TO-ALL L1 WITHIN 60 ON-OVERLAP FORM-NEW-GROUP",
 }
 
 // analyzerDB builds the property-test fixture: a 3000-row numeric table with

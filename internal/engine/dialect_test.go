@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -21,6 +22,32 @@ func TestDistinct(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v", got)
 	}
+	// Rows compare by type and bits, in first-occurrence order: INT 3 and
+	// FLOAT 3.0 stay apart, as do -0.0 and 0.0, and NULLs are one row.
+	mustExec(t, db, "CREATE TABLE m (a INT, b FLOAT)")
+	mustExec(t, db, "INSERT INTO m VALUES (3, 3.0), (3, -0.0), (NULL, 0.0), (NULL, NULL), (3, 3), (NULL, -0.0)")
+	for _, c := range []struct{ sql, want string }{
+		{"SELECT DISTINCT a FROM m", "[[INT 3] [NULL NULL]]"},
+		{"SELECT DISTINCT b FROM m", "[[FLOAT 3] [FLOAT -0] [FLOAT 0] [NULL NULL]]"},
+		{"SELECT DISTINCT CASE WHEN b > 0 THEN b ELSE a END FROM m", "[[FLOAT 3] [INT 3] [NULL NULL]]"},
+		{"SELECT DISTINCT a, b FROM m", "[[INT 3 FLOAT 3] [INT 3 FLOAT -0] [NULL NULL FLOAT 0] [NULL NULL NULL NULL] [NULL NULL FLOAT -0]]"},
+	} {
+		if got := typedRows(queryRows(t, db, c.sql)); got != c.want {
+			t.Errorf("%s = %s, want %s", c.sql, got, c.want)
+		}
+	}
+}
+
+// typedRows renders rows with each value's type, so that INT 3 and FLOAT 3
+// read differently.
+func typedRows(rows []Row) string {
+	out := make([][]string, len(rows))
+	for i, r := range rows {
+		for _, v := range r {
+			out[i] = append(out[i], v.T.String(), v.String())
+		}
+	}
+	return fmt.Sprint(out)
 }
 
 func TestDistinctWithLimit(t *testing.T) {
@@ -337,6 +364,15 @@ func TestAggregateDistinct(t *testing.T) {
 	got = queryStrings(t, db, "SELECT array_agg(DISTINCT v) FROM d WHERE g = 2")
 	if got[0][0] != "{9}" {
 		t.Fatalf("got %v", got)
+	}
+	// Arguments compare by type and bits, per group: INT 3 and FLOAT 3.0
+	// count twice, as do -0.0 and 0.0, and NULL not at all.
+	mustExec(t, db, "CREATE TABLE m (a INT, b FLOAT)")
+	mustExec(t, db, "INSERT INTO m VALUES (3, 3.0), (3, -0.0), (NULL, 0.0), (NULL, NULL), (3, 3), (NULL, -0.0)")
+	got = queryStrings(t, db, `SELECT a, count(DISTINCT b), count(DISTINCT CASE WHEN b > 0 THEN b ELSE a END)
+		FROM m GROUP BY a ORDER BY a`)
+	if want := [][]string{{"NULL", "2", "0"}, {"3", "2", "2"}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("per-group DISTINCT over mixed keys = %v, want %v", got, want)
 	}
 }
 

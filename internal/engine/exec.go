@@ -995,15 +995,14 @@ func (a *sgbAggOp) next() (Row, error) {
 // first occurrence order.
 type distinctOp struct {
 	planEst
-	child  operator
-	seen   map[string]bool
-	keyBuf []byte
+	child operator
+	seen  keyTable
 }
 
 func (d *distinctOp) schema() Schema { return d.child.schema() }
 
 func (d *distinctOp) open() error {
-	d.seen = make(map[string]bool)
+	d.seen = newKeyTable()
 	return d.child.open()
 }
 
@@ -1016,11 +1015,10 @@ func (d *distinctOp) next() (Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.keyBuf = appendKey(d.keyBuf[:0], r)
-		if d.seen[string(d.keyBuf)] {
+		if d.seen.find(r) >= 0 {
 			continue
 		}
-		d.seen[string(d.keyBuf)] = true
+		d.seen.add(r)
 		return r, nil
 	}
 }

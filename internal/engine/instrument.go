@@ -92,7 +92,7 @@ func (s *sortOp) actuals() string {
 }
 
 func (d *distinctOp) actuals() string {
-	return fmt.Sprintf("Distinct Set: keys=%d", len(d.seen))
+	return fmt.Sprintf("Distinct Set: keys=%d", d.seen.len())
 }
 
 func (a *hashAggOp) actuals() string {

@@ -27,9 +27,9 @@ var reserved = map[string]bool{
 // parser is a recursive-descent parser for the engine's SQL dialect,
 // including the paper's similarity grouping grammar:
 //
-//	GROUP BY e1, e2 DISTANCE-TO-ALL [L1|L2|LINF] WITHIN eps
+//	GROUP BY e1, e2 DISTANCE-TO-ALL [L2|LINF] WITHIN eps
 //	         [USING lone|ltwo] [ON[-]OVERLAP JOIN-ANY|ELIMINATE|FORM-NEW-GROUP]
-//	GROUP BY e1, e2 DISTANCE-TO-ANY [L1|L2|LINF] WITHIN eps [USING lone|ltwo]
+//	GROUP BY e1, e2 DISTANCE-TO-ANY [L2|LINF] WITHIN eps [USING lone|ltwo]
 //
 // The DISTANCE-ALL / DISTANCE-ANY shorthand from the paper's Table 2 is also
 // accepted.
@@ -661,12 +661,14 @@ func (p *parser) parseGroupBy() (*GroupByClause, error) {
 	default:
 		return nil, fmt.Errorf("engine: expected ALL or ANY in DISTANCE clause, found %q", word)
 	}
-	// Optional inline metric.
-	if t := p.peek(); t.kind == tokIdent {
-		if m, err := geom.ParseMetric(t.text); err == nil {
-			spec.Metric = m
-			p.pos++
+	// Optional inline metric: any word but WITHIN must name one.
+	if t := p.peek(); t.kind == tokIdent && t.upper() != "WITHIN" {
+		m, err := geom.ParseMetric(t.text)
+		if err != nil {
+			return nil, err
 		}
+		spec.Metric = m
+		p.pos++
 	}
 	if err := p.expectKeyword("WITHIN"); err != nil {
 		return nil, err

@@ -1,6 +1,10 @@
 package engine
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"sgb/internal/core"
@@ -256,5 +260,57 @@ func TestParseNullBoolLiterals(t *testing.T) {
 	}
 	if !s.Select[1].Expr.(*Literal).V.B || s.Select[2].Expr.(*Literal).V.B {
 		t.Error("bool literals wrong")
+	}
+}
+
+// TestParseAllocBudget is the parser's row of the counter budgets: the objects
+// and bytes one Parse of a served statement allocates, for serve_read's
+// SGB-All SELECT and for an 8-row INSERT shaped like the ingest workload's
+// (id, cell and two %v-formatted float coordinates per row, drawn as its
+// generator draws them). Both must stay within 5 % of the figures below:
+// the objects measured (the same under the race detector) and the bytes the
+// race detector measured (6,144 and 12,340 B without it). Budgets only
+// ratchet down.
+func TestParseAllocBudget(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var ins strings.Builder
+	ins.WriteString("INSERT INTO pts VALUES ")
+	for j := 0; j < 8; j++ {
+		cell := r.Intn(20 * 20)
+		x := float64(cell%20)*5 + r.NormFloat64()*0.5
+		y := float64(cell/20)*5 + r.NormFloat64()*0.5
+		if j > 0 {
+			ins.WriteString(", ")
+		}
+		fmt.Fprintf(&ins, "(%d, %d, %v, %v)", 4000+j, cell, x, y)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, c := range []struct {
+		name, sql string
+		objects   float64
+		bytes     float64
+	}{
+		{"serve_read", "SELECT count(*), min(lat), max(lat), min(lon), max(lon) FROM checkins " +
+			"GROUP BY lat, lon DISTANCE-TO-ALL LINF WITHIN 0.05 ON-OVERLAP JOIN-ANY", 79, 6600},
+		{"insert8", ins.String(), 116, 12904},
+	} {
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := Parse(c.sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		objects := float64(after.Mallocs-before.Mallocs) / runs
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%s: %.0f allocs, %.0f B per Parse", c.name, objects, bytes)
+		if objects > 1.05*c.objects {
+			t.Errorf("%s: %.0f allocs per Parse, budget %.0f", c.name, objects, 1.05*c.objects)
+		}
+		if bytes > 1.05*c.bytes {
+			t.Errorf("%s: %.0f B per Parse, budget %.0f", c.name, bytes, 1.05*c.bytes)
+		}
 	}
 }

@@ -296,8 +296,6 @@ func neighborArea(m geom.Metric, eps float64) float64 {
 	switch m {
 	case geom.L2:
 		return math.Pi * eps * eps
-	case geom.L1:
-		return 2 * eps * eps
 	default: // LInf: a (2ε)² square
 		return 4 * eps * eps
 	}

@@ -19,7 +19,7 @@ func BenchmarkDistWithin(b *testing.B) {
 		ps[i] = Point{rng.Float64(), rng.Float64()}
 		qs[i] = Point{rng.Float64(), rng.Float64()}
 	}
-	for _, m := range []Metric{L2, LInf, L1} {
+	for _, m := range []Metric{L2, LInf} {
 		b.Run("Dist/"+m.String(), func(b *testing.B) {
 			var sink float64
 			for i := 0; i < b.N; i++ {
@@ -44,7 +44,7 @@ func BenchmarkDistWithin(b *testing.B) {
 // the distance (the boundary must stay inclusive under the squared compare).
 func TestWithinMatchesDist(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, m := range []Metric{L2, LInf, L1} {
+	for _, m := range []Metric{L2, LInf} {
 		for i := 0; i < 2000; i++ {
 			p := Point{rng.Float64() * 10, rng.Float64() * 10}
 			q := Point{rng.Float64() * 10, rng.Float64() * 10}

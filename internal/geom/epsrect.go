@@ -13,15 +13,13 @@ package geom
 //
 //   - Under L∞ the test is Within against every member, bit for bit, so the
 //     rectangle test alone decides group membership in O(d) time.
-//   - Under L1 and L2 it never rejects a point Within accepts against every
-//     member. Within(L1) sums non-negative rounded terms, and a rounded sum is
-//     at least each term, so |p_i - q_i| ≤ ε. Within(L2) compares the rounded
-//     sum of squares with fl(ε²); each fl(d²) is at most that sum, and x ↦
-//     fl(x²) is strictly increasing over floats whose squares are normal (two
-//     adjacent floats' squares lie more than 1.4 ulps apart), so again
-//     |p_i - q_i| ≤ ε. (When ε² under- or overflows, Within itself stops
-//     meaning δ ≤ ε.) The filter is refined by the convex hull test or exact
-//     member checks.
+//   - Under L2 it never rejects a point Within accepts against every
+//     member. Within(L2) compares the rounded sum of squares with fl(ε²);
+//     each fl(d²) is at most that sum, and x ↦ fl(x²) is strictly increasing
+//     over floats whose squares are normal (two adjacent floats' squares lie
+//     more than 1.4 ulps apart), so |p_i - q_i| ≤ ε. (When ε² under- or
+//     overflows, Within itself stops meaning δ ≤ ε.) The filter is refined
+//     by the convex hull test or exact member checks.
 //
 // The rectangle only shrinks as points join; it never shrinks below an
 // ε-sided box because the members of a clique span at most ε per axis.

@@ -1,7 +1,6 @@
 // Package geom provides the geometric substrate for the similarity group-by
 // operators: multi-dimensional points, axis-aligned rectangles, and the
-// Minkowski distance metrics — L2 and L∞ from the paper, plus L1 as an
-// extension.
+// paper's two Minkowski distance metrics, L2 and L∞.
 //
 // Points are plain float64 slices so that callers can work in any number of
 // dimensions; the operators in internal/core are dimension-agnostic, with the
@@ -23,11 +22,6 @@ const (
 	L2 Metric = iota
 	// LInf is the maximum (Chebyshev) distance δ∞(p,q) = max_i |p_i-q_i|.
 	LInf
-	// L1 is the Manhattan distance δ1(p,q) = Σ |p_i-q_i|. The paper
-	// restricts itself to L2 and L∞; L1 is supported as an extension
-	// (every filter in the operators is conservative for it because
-	// δ∞ ≤ δ1).
-	L1
 )
 
 // String returns the SQL spelling of the metric.
@@ -37,23 +31,19 @@ func (m Metric) String() string {
 		return "L2"
 	case LInf:
 		return "LINF"
-	case L1:
-		return "L1"
 	default:
 		return fmt.Sprintf("Metric(%d)", uint8(m))
 	}
 }
 
 // ParseMetric maps the SQL spellings used by the paper's grammar
-// ("L2"/"LTWO", "LINF"/"LONE") plus the "L1" extension onto a Metric.
+// ("L2"/"LTWO", "LINF"/"LONE") onto a Metric.
 func ParseMetric(s string) (Metric, error) {
 	switch strings.ToUpper(s) {
 	case "L2", "LTWO":
 		return L2, nil
 	case "LINF", "LONE", "L∞":
 		return LInf, nil
-	case "L1", "MANHATTAN":
-		return L1, nil
 	default:
 		return 0, fmt.Errorf("geom: unknown metric %q", s)
 	}
@@ -109,12 +99,6 @@ func Dist(m Metric, p, q Point) float64 {
 			}
 		}
 		return mx
-	case L1:
-		var s float64
-		for i := range p {
-			s += math.Abs(p[i] - q[i])
-		}
-		return s
 	default:
 		panic("geom: unknown metric")
 	}
@@ -190,24 +174,6 @@ func Within(m Metric, p, q Point, eps float64) bool {
 			}
 		}
 		return true
-	case L1:
-		var s float64
-		if len(p) <= withinSmallDim {
-			for i := range p {
-				s += math.Abs(p[i] - q[i])
-			}
-			return s <= eps
-		}
-		for i := range p {
-			s += math.Abs(p[i] - q[i])
-			if s > eps {
-				return false
-			}
-		}
-		// Not `return true`: s may be NaN (a NaN coordinate never trips the
-		// early exit because NaN compares false), and NaN ≤ ε must reject
-		// just as Dist(p,q) <= eps does.
-		return s <= eps
 	default:
 		panic("geom: unknown metric")
 	}

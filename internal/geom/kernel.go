@@ -59,9 +59,9 @@ func (c Cols) Len() int {
 
 // cmpEps maps the similarity threshold ε onto the comparable-distance scale
 // used by distsSquared: ε² under L2 (squared-distance compares), ε itself
-// under L1/L∞. A negative ε can match nothing — squaring would flip its
-// sign, so it maps to -Inf, which no comparable distance (non-negative or
-// NaN) satisfies. A NaN ε propagates and also matches nothing.
+// under L∞. A negative ε can match nothing — squaring would flip its sign,
+// so it maps to -Inf, which no comparable distance (non-negative or NaN)
+// satisfies. A NaN ε propagates and also matches nothing.
 func cmpEps(m Metric, eps float64) float64 {
 	if m == L2 {
 		if eps < 0 {
@@ -74,9 +74,8 @@ func cmpEps(m Metric, eps float64) float64 {
 
 // distsSquared computes the comparable distance from q to every point of c
 // into out (len(out) must equal c.Len()): the squared Euclidean distance
-// under L2, the sum of absolute differences under L1, and the maximum
-// absolute difference under L∞. Compare against cmpEps(m, eps) to evaluate
-// the predicate; take sqrt under L2 to recover δ2.
+// under L2 and the maximum absolute difference under L∞. Compare against
+// cmpEps(m, eps) to evaluate the predicate; take sqrt under L2 to recover δ2.
 func distsSquared(m Metric, c Cols, q Point, out []float64) {
 	if len(q) != len(c.dims) {
 		panic("geom: distsSquared dimension mismatch")
@@ -87,8 +86,6 @@ func distsSquared(m Metric, c Cols, q Point, out []float64) {
 		distsSqL2(c, q, out)
 	case LInf:
 		distsMaxAbs(c, q, out)
-	case L1:
-		distsSumAbs(c, q, out)
 	default:
 		panic("geom: unknown metric")
 	}
@@ -158,45 +155,6 @@ func distsSqL2(c Cols, q Point, out []float64) {
 			for i, v := range col {
 				t := v - qd
 				out[i] += t * t
-			}
-		}
-	}
-}
-
-// distsSumAbs fills out[i] = Σ_d |c[d][i]-q[d]| in ascending dimension
-// order.
-func distsSumAbs(c Cols, q Point, out []float64) {
-	n := len(out)
-	switch len(q) {
-	case 1:
-		xs := c.dims[0][:n]
-		qx := q[0]
-		for i, x := range xs {
-			out[i] = math.Abs(x - qx)
-		}
-	case 2:
-		xs, ys := c.dims[0][:n], c.dims[1][:n]
-		qx, qy := q[0], q[1]
-		for i := range xs {
-			out[i] = math.Abs(xs[i]-qx) + math.Abs(ys[i]-qy)
-		}
-	case 3:
-		xs, ys, zs := c.dims[0][:n], c.dims[1][:n], c.dims[2][:n]
-		qx, qy, qz := q[0], q[1], q[2]
-		for i := range xs {
-			out[i] = math.Abs(xs[i]-qx) + math.Abs(ys[i]-qy) + math.Abs(zs[i]-qz)
-		}
-	default:
-		xs := c.dims[0][:n]
-		q0 := q[0]
-		for i, x := range xs {
-			out[i] = math.Abs(x - q0)
-		}
-		for d := 1; d < len(q); d++ {
-			col := c.dims[d][:n]
-			qd := q[d]
-			for i, v := range col {
-				out[i] += math.Abs(v - qd)
 			}
 		}
 	}

@@ -35,7 +35,7 @@ func TestWithinEquivalenceSpecialValues(t *testing.T) {
 		}
 	}
 
-	for _, m := range []Metric{L2, LInf, L1} {
+	for _, m := range []Metric{L2, LInf} {
 		// Exhaustive special-value pairs in 1-D and 2-D.
 		for _, a := range specials {
 			for _, b := range specials {
@@ -82,7 +82,6 @@ func TestWithinExactBoundary(t *testing.T) {
 		{L2, Point{0, 0}, Point{3, 4}, 5},
 		{L2, Point{0, 0}, Point{0.25, 0}, 0.25},
 		{LInf, Point{1, 2}, Point{1.25, 2.125}, 0.25},
-		{L1, Point{0, 0}, Point{0.125, 0.125}, 0.25},
 	}
 	for _, c := range cases {
 		if !Within(c.m, c.p, c.q, c.eps) {
@@ -103,7 +102,7 @@ func TestWithinExactBoundary(t *testing.T) {
 func TestKernelMatchesWithin(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	epsVals := []float64{0, 1e-9, 0.25, 1, 100, -1, math.NaN(), math.Inf(1)}
-	for _, m := range []Metric{L2, LInf, L1} {
+	for _, m := range []Metric{L2, LInf} {
 		for dim := 1; dim <= 6; dim++ {
 			const n = 257 // odd, larger than typical vector widths
 			pts := make([]Point, n)
@@ -217,7 +216,7 @@ func kernelBenchData(n int) (Cols, Point, []float64, []bool) {
 func BenchmarkKernelWithinMask(b *testing.B) {
 	const n = 4096
 	cols, q, dists, mask := kernelBenchData(n)
-	for _, m := range []Metric{L2, LInf, L1} {
+	for _, m := range []Metric{L2, LInf} {
 		b.Run(m.String(), func(b *testing.B) {
 			b.SetBytes(int64(n * 16))
 			var sink int
@@ -233,7 +232,7 @@ func BenchmarkKernelWithinMask(b *testing.B) {
 func BenchmarkKernelDistsSquared(b *testing.B) {
 	const n = 4096
 	cols, q, dists, _ := kernelBenchData(n)
-	for _, m := range []Metric{L2, LInf, L1} {
+	for _, m := range []Metric{L2, LInf} {
 		b.Run(m.String(), func(b *testing.B) {
 			b.SetBytes(int64(n * 16))
 			for i := 0; i < b.N; i++ {
@@ -252,7 +251,7 @@ func BenchmarkScalarWithinColumn(b *testing.B) {
 	for i := range pts {
 		pts[i] = Point{cols.dims[0][i], cols.dims[1][i]}
 	}
-	for _, m := range []Metric{L2, LInf, L1} {
+	for _, m := range []Metric{L2, LInf} {
 		b.Run(m.String(), func(b *testing.B) {
 			b.SetBytes(int64(n * 16))
 			var sink int

@@ -5,11 +5,11 @@
 // one open-addressing table of cells keyed by integer cell coordinates.
 //
 // Index cells are sized so that, geometrically, all points of one cell are
-// mutually within ε: side ε/√d under L2, ε under L∞, ε/d under L1. SGB-Any
-// only needs to know which connected components touch a new point, so a cell
-// whose members form a clique is one union-find node: the caller joins a point
-// to its own cell for free, skips neighbour cells already in its component,
-// and looks for a single witnessing pair in the others.
+// mutually within ε: side ε/√d under L2, ε under L∞. SGB-Any only needs to
+// know which connected components touch a new point, so a cell whose members
+// form a clique is one union-find node: the caller joins a point to its own
+// cell for free, skips neighbour cells already in its component, and looks
+// for a single witnessing pair in the others.
 //
 // Two properties are certified in floating point rather than assumed:
 //
@@ -24,7 +24,7 @@
 //     whose per-axis index lies in [cell(p-ε′), cell(p+ε′)] with
 //     ε′ = ε(1+2⁻²⁰). The cell function is monotone non-decreasing, and
 //     every q the predicate accepts has p-ε′ ≤ q ≤ p+ε′ on every axis
-//     (δ∞ ≤ δ for all three metrics; the pad dwarfs the rounding of the
+//     (δ∞ ≤ δ for both metrics; the pad dwarfs the rounding of the
 //     distance chain), so q's cell is in the block.
 //
 // Once the grid holds (2r+1)^dim cells, r = ⌈ε/side⌉, an Index cell lists
@@ -283,8 +283,6 @@ func side(m geom.Metric, eps float64, dim int) float64 {
 	switch m {
 	case geom.L2:
 		return eps / math.Sqrt(float64(dim))
-	case geom.L1:
-		return eps / float64(dim)
 	default:
 		return eps
 	}
@@ -308,8 +306,8 @@ func Reach(eps float64) float64 { return eps * (1 + 1.0/(1<<20)) }
 // New returns an empty grid for the predicate δ(p,q) ≤ eps over dim-dimensional
 // points. eps must be positive and finite.
 func New(m geom.Metric, eps float64, dim int) *Index {
-	r := int64(1) // ⌈ε/side⌉ exactly: ⌈√dim⌉ under L2, dim under L1, 1 under L∞
-	for m == geom.L2 && r*r < int64(dim) || m == geom.L1 && r < int64(dim) {
+	r := int64(1) // ⌈ε/side⌉ exactly: ⌈√dim⌉ under L2, 1 under L∞
+	for m == geom.L2 && r*r < int64(dim) {
 		r++
 	}
 	return &Index{table: newTable(side(m, eps, dim), eps, dim), metric: m, eps: eps,

@@ -9,13 +9,12 @@ import (
 	"sgb/internal/geom"
 )
 
-var metrics = []geom.Metric{geom.L2, geom.LInf, geom.L1}
+var metrics = []geom.Metric{geom.L2, geom.LInf}
 
 func TestBlockCells(t *testing.T) {
 	want := map[geom.Metric][]float64{ // dims 1..4
 		geom.L2:   {3, 16, 125, 625},
 		geom.LInf: {3, 9, 27, 81},
-		geom.L1:   {3, 25, 343, 6561},
 	}
 	for m, ws := range want {
 		for i, w := range ws {
@@ -30,7 +29,7 @@ func TestBlockCells(t *testing.T) {
 // metric's grid, in cells straddling the origin, mixed with far-away and
 // out-of-range ones.
 func wallPoints(r *rand.Rand, n, dim int, eps float64) []geom.Point {
-	sides := []float64{eps, eps / math.Sqrt(float64(dim)), eps / float64(dim)}
+	sides := []float64{eps, eps / math.Sqrt(float64(dim))}
 	far := []float64{0, 0, 0, 0, 1e15, -1e18, 1e300, -math.MaxFloat64}
 	pts := make([]geom.Point, n)
 	for i := range pts {
@@ -140,10 +139,10 @@ func TestOutOfRangeCoordinatesShareACell(t *testing.T) {
 		t.Fatalf("Block at the clamp = %v, want [%d]", got, a)
 	}
 
-	ix = New(geom.L1, 5e-324, 3) // side ε/3 rounds to 0
-	far := ix.Insert(geom.Point{-1, -1, -1}, 0)
-	origin := ix.Insert(geom.Point{0, 0, 0}, 1)
-	if got := ix.Block(geom.Point{0, 0, 0}, origin); !slices.Equal(got, []int{far, origin}) {
+	ix = New(geom.L2, 5e-324, 4) // side ε/2 rounds to 0 (ties to even)
+	far := ix.Insert(geom.Point{-1, -1, -1, -1}, 0)
+	origin := ix.Insert(geom.Point{0, 0, 0, 0}, 1)
+	if got := ix.Block(geom.Point{0, 0, 0, 0}, origin); !slices.Equal(got, []int{far, origin}) {
 		t.Fatalf("Block at the origin of a zero-side grid = %v, want [%d %d]", got, far, origin)
 	}
 	if ix.Fallbacks() != 1 {

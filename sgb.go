@@ -6,7 +6,7 @@
 //
 //   - The operator API: GroupAll and GroupAny group multi-dimensional points
 //     directly, with the paper's DISTANCE-TO-ALL and DISTANCE-TO-ANY
-//     semantics, the Minkowski metrics (L2, LInf, plus L1 as an extension),
+//     semantics, the paper's two Minkowski metrics (L2 and LInf),
 //     the three ON-OVERLAP arbitration clauses, and a choice of physical
 //     algorithm (All-Pairs, Bounds-Checking, on-the-fly Index).
 //
@@ -42,9 +42,6 @@ const (
 	L2 = geom.L2
 	// LInf is the maximum (Chebyshev) distance.
 	LInf = geom.LInf
-	// L1 is the Manhattan distance (an extension beyond the paper's
-	// L2/L∞ pair).
-	L1 = geom.L1
 )
 
 // Overlap is the SGB-All ON-OVERLAP arbitration clause.

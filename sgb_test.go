@@ -119,8 +119,8 @@ func TestFacadeEnumsRoundTrip(t *testing.T) {
 // Options.Algorithm say — and to their cancelled-context contract.
 func TestFacadeParallelMatchesSequential(t *testing.T) {
 	points := []Point{{0, 0}, {1, 0}, {2, 0}, {9, 9}, {9.5, 9.5}}
-	opt := Options{Metric: L1, Eps: 1.5, Algorithm: AllPairs}
-	seq, err := GroupAny(points, Options{Metric: L1, Eps: 1.5, Algorithm: IndexBounds})
+	opt := Options{Metric: L2, Eps: 1.5, Algorithm: AllPairs}
+	seq, err := GroupAny(points, Options{Metric: L2, Eps: 1.5, Algorithm: IndexBounds})
 	if err != nil {
 		t.Fatal(err)
 	}
