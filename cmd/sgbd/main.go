@@ -25,8 +25,6 @@
 //	-slowlog-size N  slow-query ring buffer capacity
 //	-trace-sample N  collect per-operator EXPLAIN ANALYZE actuals on every
 //	                 Nth statement (1 = every statement, 0 = never)
-//	-auto-analyze    re-ANALYZE tables in the background when a write pushes
-//	                 their statistics past the staleness threshold (default on)
 //	-mem-budget N    process-wide query memory budget (suffix K/M/G; 0 = off).
 //	                 Queries are admitted against it and shed with a typed
 //	                 retryable error under sustained pressure
@@ -111,7 +109,6 @@ func main() {
 		slowQuery    = flag.Duration("slow-query", 100*time.Millisecond, "slowlog threshold (0 logs every statement, negative disables)")
 		slowlogSize  = flag.Int("slowlog-size", 128, "slow-query ring buffer capacity")
 		traceSample  = flag.Int("trace-sample", engine.DefaultTraceSampling, "collect EXPLAIN ANALYZE actuals every Nth statement (1 = always, 0 = never)")
-		autoAnalyze  = flag.Bool("auto-analyze", true, "re-ANALYZE tables in the background when their statistics go stale")
 		memBudget    = flag.String("mem-budget", "", "process-wide query memory budget, e.g. 256M or 2G (empty/0 = unlimited)")
 		maxActive    = flag.Int("max-active-queries", 0, "max statements executing concurrently (0 = unlimited)")
 		admitQueue   = flag.Int("admission-queue", 0, "max statements waiting for an execution slot (0 = default 64)")
@@ -131,8 +128,7 @@ func main() {
 		idleTimeout: *idleTimeout, maxRows: *maxRows, maxTime: *maxTime,
 		drainTimeout: *drainTimeout, slowQuery: *slowQuery,
 		slowlogSize: *slowlogSize, traceSample: *traceSample,
-		autoAnalyze: *autoAnalyze,
-		maxActive:   *maxActive, admitQueue: *admitQueue,
+		maxActive: *maxActive, admitQueue: *admitQueue,
 		probeInterval: *probeEvery, faultDiskBudget: *faultBudget,
 	}
 	var err error
@@ -160,7 +156,6 @@ type daemonConfig struct {
 	slowQuery          time.Duration
 	slowlogSize        int
 	traceSample        int
-	autoAnalyze        bool
 	memBudget          int64
 	maxActive          int
 	admitQueue         int
@@ -280,7 +275,6 @@ func run(cfg daemonConfig) error {
 
 	db.SetLimits(engine.Limits{MaxRowsMaterialized: cfg.maxRows, MaxExecutionTime: cfg.maxTime})
 	db.SetTraceSampling(cfg.traceSample)
-	db.SetAutoAnalyze(cfg.autoAnalyze)
 	// The budget arms only after recovery: boot-time WAL replay must never be
 	// subject to admission control.
 	db.SetMemoryBudget(cfg.memBudget)

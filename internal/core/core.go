@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"sgb/internal/geom"
 )
@@ -37,8 +36,8 @@ import (
 type Overlap uint8
 
 const (
-	// JoinAny inserts the overlapping point into one arbitrarily chosen
-	// candidate group.
+	// JoinAny inserts the overlapping point into one candidate group: the
+	// lowest-numbered, so runs are deterministic.
 	JoinAny Overlap = iota
 	// Eliminate discards overlapping points (the Oset of Definition 4).
 	Eliminate
@@ -106,10 +105,6 @@ type Options struct {
 	// Algorithm selects the implementation variant. SGB-Any accepts
 	// AllPairs and IndexBounds.
 	Algorithm Algorithm
-	// Rand supplies the randomness used by the JOIN-ANY arbitration. When
-	// nil, the first candidate group (in discovery order) is chosen, which
-	// makes runs deterministic.
-	Rand *rand.Rand
 	// disableHullRefine turns off the convex-hull refinement of the L2
 	// bounds-checking filter (Procedure 6) and falls back to exact member
 	// scans, the reference the package's tests check the hull against.
@@ -206,7 +201,7 @@ func (r *Result) Sizes() []int {
 
 // Stats collects the cost counters the paper's analysis section reasons
 // about. They are measured, not sampled, and are deterministic for a given
-// input and option set (modulo JOIN-ANY randomness).
+// input and option set.
 type Stats struct {
 	// Points is the number of input points processed.
 	Points int

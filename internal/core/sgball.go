@@ -246,9 +246,7 @@ func byFirstID(a, b Group) int { return cmp.Compare(a.IDs[0], b.IDs[0]) }
 // array. A non-empty deferred set S′ is FORM-NEW-GROUP's next round: the
 // points in S′ form new groups among themselves (Procedures 1 and 3), so a
 // scratch grouper is fed them in order and its Finish runs the rest of the
-// recursion without touching this grouper's state. (Only FORM-NEW-GROUP
-// defers points, and that mode never consults opt.Rand, so the scratch run
-// has no side effects.)
+// recursion without touching this grouper's state.
 func (g *AllGrouper) Snapshot() (*Result, error) {
 	if g.finished {
 		return nil, fmt.Errorf("core: Snapshot after Finish")
@@ -333,11 +331,7 @@ func (g *AllGrouper) processPoint(id int) {
 	default:
 		switch g.opt.Overlap {
 		case JoinAny:
-			pick := candidates[0]
-			if g.opt.Rand != nil {
-				pick = candidates[g.opt.Rand.Intn(len(candidates))]
-			}
-			g.insert(pick, id)
+			g.insert(candidates[0], id)
 		case Eliminate:
 			g.dropped = append(g.dropped, id)
 		case FormNewGroup:

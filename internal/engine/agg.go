@@ -99,11 +99,7 @@ func (c *aggCall) reset() {
 	c.n, c.i, c.f, c.m2, c.bits = c.n[:0], c.i[:0], c.f[:0], c.m2[:0], c.bits[:0]
 	c.best, c.items, c.pts = c.best[:0], c.items[:0], c.pts[:0]
 	if c.distinct {
-		if c.seen.words == nil {
-			c.seen = newKeyTable()
-		}
-		clear(c.seen.words)
-		clear(c.seen.enc)
+		c.seen.reset()
 	}
 }
 

@@ -4,71 +4,60 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 )
 
-// waitForStats polls the table's statistics until cond holds or the deadline
-// passes — the auto-ANALYZE worker is asynchronous by design.
-func waitForStats(t *testing.T, db *DB, table string, cond func(*TableStats) bool) *TableStats {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		s := db.StatsSnapshot(table)
-		if cond(s) {
-			return s
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("stats never reached expected state; last = %+v", s)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
+// seedRows is the table size both tests grow to before the first ANALYZE.
+const seedRows = 256
 
-// TestAutoAnalyzeSeedsAndRefreshes drives the two trigger edges: a
-// never-analyzed table crossing the seeding floor gets its first ANALYZE, and
-// churning more than half the analyzed rows gets a refresh.
+// TestAutoAnalyzeSeedsAndRefreshes pins that statistics change only when a
+// client runs ANALYZE: writes keep the row count and staleness counter, an
+// ANALYZE seeds fresh statistics, churn past half the analyzed rows makes
+// them stale, and the next ANALYZE refreshes them.
 func TestAutoAnalyzeSeedsAndRefreshes(t *testing.T) {
 	db := NewDB()
-	db.SetAutoAnalyze(true)
-	defer db.SetAutoAnalyze(false)
 	mustExec(t, db, "CREATE TABLE pts (id INT, x FLOAT, y FLOAT)")
 
-	// Stay below the seeding floor: no ANALYZE may trigger.
-	insertN(t, db, 0, autoAnalyzeMinRows-1)
-	time.Sleep(20 * time.Millisecond)
-	if s := db.StatsSnapshot("pts"); s != nil && s.AnalyzedRows != 0 {
-		t.Fatalf("analyzed below the seeding floor: %+v", s)
+	insertN(t, db, 0, seedRows)
+	s := db.StatsSnapshot("pts")
+	if s == nil || s.AnalyzedRows != 0 || s.Stale != seedRows || s.RowCount != seedRows || s.Fresh() {
+		t.Fatalf("stats after %d inserted rows: %+v", seedRows, s)
 	}
 
-	// Crossing the floor seeds the first ANALYZE in the background.
-	insertN(t, db, autoAnalyzeMinRows-1, autoAnalyzeMinRows)
-	s := waitForStats(t, db, "pts", func(s *TableStats) bool {
-		return s != nil && s.AnalyzedRows == autoAnalyzeMinRows && s.Stale == 0
-	})
-	if !s.Fresh() {
-		t.Fatalf("seeded stats not fresh: %+v", s)
+	mustExec(t, db, "ANALYZE pts")
+	s = db.StatsSnapshot("pts")
+	if s.AnalyzedRows != seedRows || s.Stale != 0 || !s.Fresh() || s.Sketch == nil {
+		t.Fatalf("seeded stats: %+v", s)
 	}
 
-	// Churn past half the analyzed rows: Fresh() flips false and the worker
-	// refreshes. The refresh may run at any point of the churn — an ANALYZE
-	// that lands mid-stream leaves statistics the policy itself calls fresh,
-	// and nothing re-triggers — so the postcondition is the policy's, not
-	// "every row analyzed": fresh statistics, newer than the seed, that
-	// account for every inserted row.
-	insertN(t, db, autoAnalyzeMinRows, 2*autoAnalyzeMinRows)
-	waitForStats(t, db, "pts", func(s *TableStats) bool {
-		return s.Fresh() && s.AnalyzedRows > autoAnalyzeMinRows && s.AnalyzedRows+s.Stale == 2*autoAnalyzeMinRows
-	})
+	// Half the analyzed rows churned is still fresh; one more row is not.
+	insertN(t, db, seedRows, seedRows+seedRows/2)
+	if s = db.StatsSnapshot("pts"); !s.Fresh() || s.AnalyzedRows != seedRows {
+		t.Fatalf("stats after churning half the analyzed rows: %+v", s)
+	}
+	insertN(t, db, seedRows+seedRows/2, 2*seedRows)
+	s = db.StatsSnapshot("pts")
+	if s.Fresh() || s.AnalyzedRows != seedRows || s.Stale != seedRows || s.RowCount != 2*seedRows {
+		t.Fatalf("stats after churning every analyzed row: %+v", s)
+	}
+
+	mustExec(t, db, "ANALYZE pts")
+	s = db.StatsSnapshot("pts")
+	if s.AnalyzedRows != 2*seedRows || s.Stale != 0 || !s.Fresh() || s.Sketch.N != 2*seedRows {
+		t.Fatalf("refreshed stats: %+v", s)
+	}
 }
 
-// TestAutoAnalyzeDisabled pins that the default-off state never analyzes.
+// TestAutoAnalyzeDisabled pins that no write analyzes a table, however far
+// it churns: INSERT, UPDATE and DELETE only count.
 func TestAutoAnalyzeDisabled(t *testing.T) {
 	db := NewDB()
 	mustExec(t, db, "CREATE TABLE pts (id INT, x FLOAT, y FLOAT)")
-	insertN(t, db, 0, 2*autoAnalyzeMinRows)
-	time.Sleep(20 * time.Millisecond)
-	if s := db.StatsSnapshot("pts"); s != nil && s.AnalyzedRows != 0 {
-		t.Fatalf("auto-ANALYZE ran while disabled: %+v", s)
+	insertN(t, db, 0, 2*seedRows)
+	mustExec(t, db, "UPDATE pts SET x = x + 1")
+	mustExec(t, db, fmt.Sprintf("DELETE FROM pts WHERE id >= %d", seedRows))
+	s := db.StatsSnapshot("pts")
+	if s == nil || s.AnalyzedRows != 0 || s.Sketch != nil || s.RowCount != seedRows || s.Stale != 5*seedRows {
+		t.Fatalf("a write analyzed the table: %+v", s)
 	}
 }
 

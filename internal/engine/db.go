@@ -56,13 +56,6 @@ type DB struct {
 	// gov is the process-wide memory governor: statement admission and
 	// scratch-memory accounting. See SetMemoryBudget.
 	gov memGovernor
-
-	// aaMu guards the auto-ANALYZE trigger state: aaCh is the pending-table
-	// queue (nil = disabled), aaPending dedups queued tables by lowercased
-	// name. See autoanalyze.go.
-	aaMu      sync.Mutex
-	aaCh      chan string
-	aaPending map[string]struct{}
 }
 
 // NewDB returns an empty database whose default session has the zero
@@ -271,12 +264,6 @@ func (s *Session) execTraced(ctx context.Context, stmt Statement, tr *obs.Trace,
 						err = &DurabilityError{Err: herr}
 					}
 				}
-			}
-			// With the write committed (and durable), check whether it pushed
-			// the table's statistics past the staleness threshold; if so, queue
-			// a background re-ANALYZE. Non-blocking — see autoanalyze.go.
-			if err == nil {
-				db.maybeAutoAnalyze(stmt)
 			}
 			db.mu.Unlock()
 		}

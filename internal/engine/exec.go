@@ -517,6 +517,15 @@ func (t *keyTable) add(vals []Value) int32 {
 
 func (t *keyTable) len() int32 { return int32(len(t.words) + len(t.enc)) }
 
+// reset empties the table for reuse, keeping its maps' storage.
+func (t *keyTable) reset() {
+	if t.words == nil {
+		*t = newKeyTable()
+	}
+	clear(t.words)
+	clear(t.enc)
+}
+
 // ---- nested-loop cross join (fallback when no equi predicate exists) ----
 
 type crossJoinOp struct {

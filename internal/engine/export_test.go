@@ -26,8 +26,8 @@ func (db *DB) SetMemoryAdmissionQueue(n int) { db.gov.setQueueCap(n) }
 
 // StatsSnapshot returns a copy of the table's statistics entry taken under
 // the statement read lock, or nil when the table is unknown or has no
-// statistics yet — a race-free probe for tests and monitoring (the live
-// *TableStats is mutated by concurrent writers and ANALYZE).
+// statistics yet. DML and ANALYZE change the live *TableStats under the
+// exclusive lock, so a test reads a copy.
 func (db *DB) StatsSnapshot(table string) *TableStats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

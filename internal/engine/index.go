@@ -8,24 +8,43 @@ import (
 )
 
 // Index is a single-column hash index supporting equality lookups. The
-// bucket map is built lazily and invalidated by DML, so persistence
+// buckets are built lazily and invalidated by DML, so persistence
 // round-trips only the metadata.
 type Index struct {
 	Name   string
 	Column string
 
-	// mu guards the lazily built bucket map: read-only statements share the
+	// mu guards the lazily built buckets: read-only statements share the
 	// DB statement lock, so two concurrent SELECTs may race to (re)build the
-	// buckets without it.
+	// buckets without it. keys numbers the column's distinct values and
+	// buckets[id] lists the row positions holding value id; keys.words is
+	// nil while the index is stale. key is the scratch tuple probed.
 	mu      sync.Mutex
-	buckets map[string][]int // value key -> row positions; nil = stale
+	keys    keyTable
+	buckets [][]int
+	key     [1]Value
 }
 
-// indexKey normalizes a value the same way the hash join does (see
-// canonicalKeyValue), so integer predicates hit float columns and vice versa
-// without rounding distinct int keys above 2^53 together.
-func indexKey(v Value) string {
-	return string(appendKey(nil, []Value{canonicalKeyValue(v)}))
+// find returns v's bucket id, or -1. Values key the way the hash join's do
+// (see canonicalKeyValue), so integer predicates hit float columns and vice
+// versa without rounding distinct int keys above 2^53 together.
+func (ix *Index) find(v Value) int32 {
+	ix.key[0] = canonicalKeyValue(v)
+	return ix.keys.find(ix.key[:])
+}
+
+// note files row position pos under its indexed value v. A NULL equals
+// nothing, so it is not filed, and no lookup finds a bucket for it.
+func (ix *Index) note(v Value, pos int) {
+	if v.IsNull() {
+		return
+	}
+	id := ix.find(v)
+	if id < 0 {
+		id = ix.keys.add(ix.key[:])
+		ix.buckets = append(ix.buckets, nil)
+	}
+	ix.buckets[id] = append(ix.buckets[id], pos)
 }
 
 // CreateIndex registers a hash index over the named column.
@@ -68,54 +87,45 @@ func (t *Table) indexOn(column string) *Index {
 func (t *Table) invalidateIndexes() {
 	for _, ix := range t.Indexes {
 		ix.mu.Lock()
-		ix.buckets = nil
+		ix.keys, ix.buckets = keyTable{}, nil
 		ix.mu.Unlock()
 	}
 }
 
 // lookup returns the row positions whose indexed column equals v,
-// (re)building the bucket map if necessary.
+// (re)building the buckets if necessary.
 func (ix *Index) lookup(t *Table, v Value) ([]int, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.buckets == nil {
+	if ix.keys.words == nil {
 		col, err := t.Schema.Resolve("", ix.Column)
 		if err != nil {
 			return nil, err
 		}
-		ix.buckets = make(map[string][]int, len(t.Rows))
+		ix.keys = newKeyTable()
 		for pos, row := range t.Rows {
-			if row[col].IsNull() {
-				continue
-			}
-			k := indexKey(row[col])
-			ix.buckets[k] = append(ix.buckets[k], pos)
+			ix.note(row[col], pos)
 		}
 	}
-	if v.IsNull() {
-		return nil, nil // NULL never equals anything
+	if id := ix.find(v); id >= 0 {
+		return ix.buckets[id], nil
 	}
-	return ix.buckets[indexKey(v)], nil
+	return nil, nil
 }
 
-// addRow maintains a live bucket map on insert (no-op when stale).
+// addRow maintains live buckets on insert (no-op when stale).
 func (ix *Index) addRow(t *Table, pos int) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.buckets == nil {
+	if ix.keys.words == nil {
 		return
 	}
 	col, err := t.Schema.Resolve("", ix.Column)
 	if err != nil {
-		ix.buckets = nil
+		ix.keys, ix.buckets = keyTable{}, nil
 		return
 	}
-	v := t.Rows[pos][col]
-	if v.IsNull() {
-		return
-	}
-	k := indexKey(v)
-	ix.buckets[k] = append(ix.buckets[k], pos)
+	ix.note(t.Rows[pos][col], pos)
 }
 
 // CreateIndexStmt is a parsed CREATE INDEX name ON table (column).

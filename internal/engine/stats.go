@@ -173,11 +173,10 @@ func (t *Table) Analyze() *TableStats {
 		AnalyzedRows: int64(len(t.Rows)),
 		Columns:      make([]ColumnStats, len(t.Schema)),
 	}
-	distinct := make([]map[string]struct{}, len(t.Schema))
+	distinct := make([]keyTable, len(t.Schema))
 	for i := range distinct {
-		distinct[i] = make(map[string]struct{})
+		distinct[i] = newKeyTable()
 	}
-	var keyBuf []byte
 	for _, r := range t.Rows {
 		for i, v := range r {
 			if i >= len(s.Columns) {
@@ -188,29 +187,26 @@ func (t *Table) Analyze() *TableStats {
 				c.NullCount++
 				continue
 			}
-			keyBuf = appendKey(keyBuf[:0], r[i:i+1])
-			if _, ok := distinct[i][string(keyBuf)]; !ok {
-				distinct[i][string(keyBuf)] = struct{}{}
+			if d := &distinct[i]; d.find(r[i:i+1]) < 0 {
+				d.add(r[i : i+1])
 			}
-			if t.Schema[i].T == TypeInt || t.Schema[i].T == TypeFloat {
-				f, err := v.AsFloat()
-				if err == nil {
-					if !c.HasRange {
-						c.Min, c.Max, c.HasRange = f, f, true
-					} else {
-						if f < c.Min {
-							c.Min = f
-						}
-						if f > c.Max {
-							c.Max = f
-						}
-					}
-				}
+			if t.Schema[i].T != TypeInt && t.Schema[i].T != TypeFloat {
+				continue
+			}
+			f, err := v.AsFloat()
+			switch {
+			case err != nil:
+			case !c.HasRange:
+				c.Min, c.Max, c.HasRange = f, f, true
+			case f < c.Min:
+				c.Min = f
+			case f > c.Max:
+				c.Max = f
 			}
 		}
 	}
 	for i := range s.Columns {
-		s.Columns[i].DistinctEst = int64(len(distinct[i]))
+		s.Columns[i].DistinctEst = int64(distinct[i].len())
 	}
 	s.Sketch = t.buildSketch(s)
 	t.Stats = s

@@ -49,8 +49,8 @@ type Overlap = core.Overlap
 
 // Overlap clauses.
 const (
-	// JoinAny places an overlapping tuple into one arbitrary candidate
-	// group.
+	// JoinAny places an overlapping tuple into the lowest-numbered
+	// candidate group.
 	JoinAny = core.JoinAny
 	// Eliminate discards overlapping tuples.
 	Eliminate = core.Eliminate
