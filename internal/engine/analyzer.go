@@ -204,7 +204,7 @@ func (rs *refSet) addExpr(e Expr) {
 }
 
 // optimizeTree runs the tree-level rules on a lowered plan to fixpoint, then
-// stamps cost estimates on every node. With the optimizer disabled only the
+// stamps row estimates on every node. With the optimizer disabled only the
 // estimates are stamped (EXPLAIN still shows them for the naive plan).
 func (pc *planContext) optimizeTree(root operator) operator {
 	if pc.qc.optimize() {

@@ -1,93 +1,35 @@
 package engine
 
-import (
-	"math"
+import "math"
 
-	"sgb/internal/core"
-)
-
-// This file is the planner's cost model. Every physical operator embeds a
-// planEst and exposes Cost()/EstRows(); estimateTree stamps the whole tree
+// This file is the planner's row estimator. Every physical operator embeds a
+// planEst and exposes EstRows(); estimateTree stamps the whole tree
 // bottom-up from the statistics catalog (stats.go). No planning decision
-// reads the estimates: they price EXPLAIN. The SGB cost formulas follow the
-// paper's complexity analysis — All-Pairs O(n·g), Bounds-Checking O(n·g)
-// rectangle tests plus O(n·k) distances — and, for the on-the-fly Index,
-// what its ε-grids count: a flat probe per point, plus O(n·k) distances
-// under SGB-All. One cost unit is one distance computation (≈ 10 ns
-// on the reference host when the constants were first calibrated against
-// the wall-clock probe snapshot committed with this cost model, now in git
-// history).
-const (
-	// costScanRow is the per-row cost of producing a stored row from a scan.
-	costScanRow = 0.5
-	// costPredEval is the per-row cost of evaluating one compiled expression.
-	costPredEval = 1.0
-	// costHashRow is the per-row cost of hashing into a join or group table.
-	costHashRow = 2.0
-	// costCompare is the per-comparison cost of sorting.
-	costCompare = 0.5
-	// costDistComp is the cost of one point-to-point distance computation —
-	// the unit the SGB constants below are expressed in.
-	costDistComp = 1.0
-	// costRectTest is one bounds-checking rectangle (MBR) containment test:
-	// cheaper than a distance because it short-circuits per dimension.
-	costRectTest = 0.7
-	// costWindowQuery is one SGB-All point through its on-the-fly index, the
-	// ε-grid of group regions: hash the point's cell (JOIN-ANY) or gather its
-	// 3^d-cell block, plus its share of registering new groups in their cells.
-	// Measured against geom.Within on serve_read's input (5000 check-ins,
-	// L∞, ε = 0.05): an own-cell probe costs 1.6 distance comps, a block
-	// about nine times that, and registering one group 54; check-ins found
-	// 0.1–0.2 groups per point, so a point costs 7–30 units.
-	costWindowQuery = 16.0
-	// costRegionTests is how many registered groups one such probe
-	// rect-tests: 0.2–7.4 per point under JOIN-ANY, which tests p's own cell,
-	// and 0.9–18.7 under the other clauses, which test its block, across
-	// 200–5000 check-ins at ε 0.01–1, L∞ and L2; the median is about 4.
-	costRegionTests = 4.0
-	// costGridProbe is one SGB-Any point through its on-the-fly point index,
-	// the ε-grid: hash the point's cell, join it, walk the cell's list of
-	// the cells around it (a new cell looks them up once and enters itself
-	// in their lists) and search the few listed cells of the point's ε-block
-	// not yet in its component. The grid counts one window query per point
-	// and 0.1–0.4 verified pairs per point on clustered data whatever the
-	// ε-neighbour count k, so the curve is linear in n and has no k term.
-	// The constant is the index's wall time per point over All-Pairs' wall
-	// time per distance comparison, sgb.GroupAny on check-ins (seed 2, L2,
-	// ε = 0.25), GOMAXPROCS 1, 2 vCPU, the median of 8 alternating reps in
-	// each of three runs: n = 200 reads 54.9 / 60.2 / 48.3, n = 1000
-	// 49.1 / 47.4 / 40.1, n = 5000 39.5 / 42.9 / 36.2. The median of the
-	// nine is 47.4.
-	costGridProbe = 47.4
-)
+// reads the estimates: EXPLAIN prints them, and the SGB operator sizes its
+// grouper's storage from its own (sgbAggOp.group), which changes no answer.
 
-// planEst holds an operator's planner estimates. Every physical operator
+// planEst holds an operator's planner estimate. Every physical operator
 // embeds one; estimateTree fills it in and EXPLAIN renders it.
 type planEst struct {
 	estRows float64
-	estCost float64
 	estDone bool
 }
 
 // EstRows is the estimated output cardinality.
 func (e *planEst) EstRows() float64 { return e.estRows }
 
-// Cost is the estimated total cost of running the operator to completion,
-// including its children.
-func (e *planEst) Cost() float64 { return e.estCost }
-
-func (e *planEst) setEst(rows, cost float64) {
-	e.estRows, e.estCost, e.estDone = rows, cost, true
-}
-
-// costed is implemented by every operator carrying planner estimates.
-type costed interface {
-	EstRows() float64
-	Cost() float64
-	estimated() bool
+func (e *planEst) setEst(rows float64) {
+	e.estRows, e.estDone = rows, true
 }
 
 func (e *planEst) estimated() bool { return e.estDone }
+
+// estimator is implemented by every operator carrying a planner estimate.
+type estimator interface {
+	EstRows() float64
+	estimated() bool
+	setEst(rows float64)
+}
 
 // underlyingTable walks a predicate-only pipeline down to its base table, the
 // source of the statistics the selectivity and SGB estimators consume. It
@@ -110,100 +52,70 @@ func underlyingTable(op operator) *Table {
 	}
 }
 
-// estimateTree computes (and stamps) rows/cost estimates for op's subtree,
-// returning op's own. The planner calls it once, on the final root; no
-// planning decision reads its figures, which price EXPLAIN.
-func (pc *planContext) estimateTree(op operator) (rows, cost float64) {
+// estimateTree computes (and stamps) row estimates for op's subtree,
+// returning op's own. The planner calls it once, on the final root.
+func (pc *planContext) estimateTree(op operator) float64 {
+	var rows float64
 	switch op := op.(type) {
 	case *scanOp:
-		n := float64(len(op.table.Rows))
-		op.setEst(n, n*costScanRow)
+		rows = float64(len(op.table.Rows))
 
 	case *indexScanOp:
 		n := float64(len(op.table.Rows))
-		out := n / 10
+		rows = n / 10
 		if s := op.table.Stats; s.Fresh() {
 			if i, err := op.table.Schema.Resolve("", op.ix.Column); err == nil {
 				if c := s.Col(i); c != nil && c.DistinctEst > 0 {
-					out = n / float64(c.DistinctEst)
+					rows = n / float64(c.DistinctEst)
 				}
 			}
 		}
-		out = clampEst(out, 0, n)
-		op.setEst(out, out*costScanRow)
+		rows = clampEst(rows, 0, n)
 
 	case *valuesOp:
-		n := float64(len(op.rows))
-		op.setEst(n, n*costScanRow)
+		rows = float64(len(op.rows))
 
 	case *renameOp:
-		r, c := pc.estimateTree(op.child)
-		op.setEst(r, c)
+		rows = pc.estimateTree(op.child)
 
 	case *filterOp:
-		r, c := pc.estimateTree(op.child)
-		sel := pc.selectivity(op.srcExpr, op.child)
-		op.setEst(r*sel, c+r*costPredEval)
+		rows = pc.estimateTree(op.child) * pc.selectivity(op.srcExpr, op.child)
 
 	case *projectOp:
-		r, c := pc.estimateTree(op.child)
-		op.setEst(r, c+r*float64(len(op.fns))*costPredEval)
+		rows = pc.estimateTree(op.child)
 
 	case *hashJoinOp:
-		lr, lc := pc.estimateTree(op.left)
-		rr, rc := pc.estimateTree(op.right)
 		// Foreign-key-ish heuristic: an equi-join rarely exceeds the larger
 		// input when keys are near-unique on one side.
-		out := math.Max(lr, rr)
-		op.setEst(out, lc+rc+(lr+rr)*costHashRow)
+		rows = math.Max(pc.estimateTree(op.left), pc.estimateTree(op.right))
 
 	case *crossJoinOp:
-		lr, lc := pc.estimateTree(op.left)
-		rr, rc := pc.estimateTree(op.right)
-		out := lr * rr
-		op.setEst(out, lc+rc+out*costScanRow)
+		rows = pc.estimateTree(op.left) * pc.estimateTree(op.right)
 
 	case *sortOp:
-		r, c := pc.estimateTree(op.child)
-		op.setEst(r, c+r*math.Log2(r+2)*costCompare)
+		rows = pc.estimateTree(op.child)
 
 	case *limitOp:
-		r, c := pc.estimateTree(op.child)
-		consumed := r
-		out := math.Max(r-float64(op.offset), 0)
+		rows = math.Max(pc.estimateTree(op.child)-float64(op.offset), 0)
 		if op.n >= 0 {
-			out = math.Min(out, float64(op.n))
-			consumed = math.Min(r, float64(op.n+op.offset))
+			rows = math.Min(rows, float64(op.n))
 		}
-		// A limit stops pulling once satisfied, so it pays only the consumed
-		// fraction of a streaming child's cost. (Blocking children — sorts,
-		// aggregations — still pay in full; the fraction is a best case.)
-		frac := 1.0
-		if r > 0 {
-			frac = consumed / r
-		}
-		op.setEst(out, c*frac)
 
 	case *distinctOp:
-		r, c := pc.estimateTree(op.child)
-		op.setEst(r, c+r*costHashRow)
+		rows = pc.estimateTree(op.child)
 
 	case *hashAggOp:
-		r, c := pc.estimateTree(op.child)
-		groups := pc.estGroups(op.astGroups, op.child, r)
-		op.setEst(groups, c+r*costHashRow+groups*math.Log2(groups+2)*costCompare)
+		rows = pc.estGroups(op.astGroups, op.child, pc.estimateTree(op.child))
 
 	case *sgbAggOp:
-		r, c := pc.estimateTree(op.child)
-		g, k := sgbShape(op.child, &op.spec, r)
-		op.setEst(g, c+r*costHashRow+sgbCost(op.spec.Mode, op.algorithm, r, g, k))
+		rows = sgbGroups(op.child, &op.spec, pc.estimateTree(op.child))
 
 	default:
 		// Unknown operator (tests may wrap operators): pass through zero.
-		return 0, 0
+		return 0
 	}
-	co := op.(costed)
-	return co.EstRows(), co.Cost()
+	op.(estimator).setEst(rows)
+	return rows
 }
 
 // estGroups estimates a hash aggregation's group count: 1 for a global
@@ -244,60 +156,21 @@ func (pc *planContext) estGroups(groupExprs []Expr, child operator, inRows float
 	return clampEst(distinct, 1, math.Max(inRows, 1))
 }
 
-// sgbShape estimates what the SGB cost formulas need beside the n input
-// points of a similarity aggregation over child: g (groups — how many
-// ε-sized clusters the data sustains, from the density sketch's occupied
-// area) and k (expected ε-neighbors per point, from the sketch's density
-// moment). Without fresh statistics it falls back to fixed fractions.
-func sgbShape(child operator, spec *SimilaritySpec, n float64) (g, k float64) {
-	area := neighborArea(spec.Metric, spec.Eps)
+// sgbGroups estimates how many groups a similarity aggregation forms over
+// the n input points of child: how many ε-sized clusters the data sustains,
+// from the density sketch's occupied area. Without fresh statistics it falls
+// back to a fixed fraction.
+func sgbGroups(child operator, spec *SimilaritySpec, n float64) float64 {
+	var g float64
 	if t := underlyingTable(child); t != nil && t.Stats.Fresh() && t.Stats.Sketch != nil {
-		sk := t.Stats.Sketch
-		scale := 1.0
-		if sk.N > 0 {
-			scale = n / float64(sk.N)
-		}
-		k = sk.ExpectedNeighbors(area) * scale
-		if occ := sk.OccupiedArea(); occ > 0 && area > 0 {
+		if occ, area := t.Stats.Sketch.OccupiedArea(), neighborArea(spec.Metric, spec.Eps); occ > 0 && area > 0 {
 			g = occ / area
 		}
 	}
 	if g <= 0 {
 		g = n / 4
 	}
-	g = clampEst(g, 1, math.Max(n, 1))
-	if k <= 0 {
-		k = 4
-	}
-	k = clampEst(k, 0, math.Max(n, 1))
-	return g, k
-}
-
-// sgbCost is the grouping cost of one SGB execution, per physical algorithm.
-// The formulas mirror the operators' actual counters: All-Pairs compares
-// every point against every group, Bounds-Checking filters those comparisons
-// through per-group MBR rectangle tests, and both on-the-fly indexes are
-// ε-grids that pay a flat probe per point — SGB-All's plus the rect tests of
-// the groups registered where it probes and, like Bounds-Checking, the
-// distance comparisons against the k neighbors.
-func sgbCost(mode SGBMode, alg core.Algorithm, n, g, k float64) float64 {
-	if mode == SGBAnyMode {
-		// SGB-Any merges groups transitively: All-Pairs degenerates to
-		// point-vs-point comparison (n²/2); Bounds-Checking has no Any
-		// variant and executes as the index (see sgbAggOp.group).
-		if alg == core.AllPairs {
-			return 0.5 * n * n * costDistComp
-		}
-		return n * costGridProbe
-	}
-	switch alg {
-	case core.AllPairs:
-		return n * g * costDistComp
-	case core.BoundsChecking:
-		return n*g*costRectTest + n*k*costDistComp
-	default: // core.IndexBounds
-		return n*(costWindowQuery+costRegionTests*costRectTest) + n*k*costDistComp
-	}
+	return clampEst(g, 1, math.Max(n, 1))
 }
 
 // selectivity estimates the fraction of rows a predicate passes, using fresh

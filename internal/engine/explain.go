@@ -82,12 +82,12 @@ func explainPlan(root operator) []string {
 		label, children, _ := describeOp(op)
 		indent := strings.Repeat("  ", depth)
 		line := indent + label
-		// Planner estimates, when the node carries them (estimateTree runs on
-		// every planned statement). EXPLAIN ANALYZE then shows the estimates
-		// and the actuals side by side, so the cost model itself can be
-		// regressed against real runs.
-		if c, ok := op.(costed); ok && c.estimated() {
-			line += fmt.Sprintf(" (est_rows=%.0f est_cost=%.1f)", c.EstRows(), c.Cost())
+		// The planner's row estimate, when the node carries one (estimateTree
+		// runs on every planned statement). EXPLAIN ANALYZE then shows it
+		// beside the actual rows. A space or the end of the line follows the
+		// number: readers take the first field after "est_rows=".
+		if e, ok := op.(estimator); ok && e.estimated() {
+			line += fmt.Sprintf(" est_rows=%.0f", e.EstRows())
 		}
 		if inst != nil {
 			line += fmt.Sprintf(" (actual rows=%d loops=%d time=%.3f ms)",

@@ -56,76 +56,76 @@ func TestExplainGolden(t *testing.T) {
 			name: "values",
 			sql:  "EXPLAIN SELECT 1",
 			want: []string{
-				"Project (col1) (est_rows=1 est_cost=1.5)",
-				"  Values (1 rows) (est_rows=1 est_cost=0.5)",
+				"Project (col1) est_rows=1",
+				"  Values (1 rows) est_rows=1",
 			},
 		},
 		{
 			name: "index scan",
 			sql:  "EXPLAIN SELECT name FROM emp WHERE dept = 10",
 			want: []string{
-				"Project (name) (est_rows=0 est_cost=0.6)",
-				"  IndexScan on emp using emp_dept (dept = const) (est_rows=0 est_cost=0.2)",
+				"Project (name) est_rows=0",
+				"  IndexScan on emp using emp_dept (dept = const) est_rows=0",
 			},
 		},
 		{
 			name: "seq scan with filter",
 			sql:  "EXPLAIN SELECT name FROM emp WHERE salary > 150",
 			want: []string{
-				"Project (name) (est_rows=1 est_cost=7.3)",
-				"  Filter (est_rows=1 est_cost=6.0)",
-				"    SeqScan on emp (4 rows) (est_rows=4 est_cost=2.0)",
+				"Project (name) est_rows=1",
+				"  Filter est_rows=1",
+				"    SeqScan on emp (4 rows) est_rows=4",
 			},
 		},
 		{
 			name: "hash join",
 			sql:  "EXPLAIN SELECT e.name, d.dname FROM emp e, dept d WHERE e.dept = d.dno",
 			want: []string{
-				"Project (name, dname) (est_rows=4 est_cost=23.0)",
-				"  HashJoin (1 key(s)) (est_rows=4 est_cost=15.0)",
-				"    SeqScan on emp (4 rows) (est_rows=4 est_cost=2.0)",
-				"    SeqScan on dept (2 rows) (est_rows=2 est_cost=1.0)",
+				"Project (name, dname) est_rows=4",
+				"  HashJoin (1 key(s)) est_rows=4",
+				"    SeqScan on emp (4 rows) est_rows=4",
+				"    SeqScan on dept (2 rows) est_rows=2",
 			},
 		},
 		{
 			name: "cross join",
 			sql:  "EXPLAIN SELECT e.name FROM emp e, dept d",
 			want: []string{
-				"Project (name) (est_rows=8 est_cost=15.0)",
-				"  NestedLoop (cross) (est_rows=8 est_cost=7.0)",
-				"    SeqScan on emp (4 rows) (est_rows=4 est_cost=2.0)",
-				"    SeqScan on dept (2 rows) (est_rows=2 est_cost=1.0)",
+				"Project (name) est_rows=8",
+				"  NestedLoop (cross) est_rows=8",
+				"    SeqScan on emp (4 rows) est_rows=4",
+				"    SeqScan on dept (2 rows) est_rows=2",
 			},
 		},
 		{
 			name: "sort distinct limit",
 			sql:  "EXPLAIN SELECT DISTINCT dept FROM emp ORDER BY dept LIMIT 2",
 			want: []string{
-				"Limit 2 (est_rows=2 est_cost=9.6)",
-				"  Distinct (est_rows=4 est_cost=19.2)",
-				"    Project (dept) (est_rows=4 est_cost=11.2)",
-				"      Sort (1 key(s)) (est_rows=4 est_cost=7.2)",
-				"        SeqScan on emp (4 rows) (est_rows=4 est_cost=2.0)",
+				"Limit 2 est_rows=2",
+				"  Distinct est_rows=4",
+				"    Project (dept) est_rows=4",
+				"      Sort (1 key(s)) est_rows=4",
+				"        SeqScan on emp (4 rows) est_rows=4",
 			},
 		},
 		{
 			name: "hash aggregate",
 			sql:  "EXPLAIN SELECT dept, count(*) FROM emp GROUP BY dept",
 			want: []string{
-				"Project (dept, count) (est_rows=1 est_cost=13.8)",
-				"  HashAggregate (1 group key(s), 1 aggregate(s)) (est_rows=1 est_cost=11.2)",
-				"    SeqScan on emp (4 rows) (est_rows=4 est_cost=2.0)",
+				"Project (dept, count) est_rows=1",
+				"  HashAggregate (1 group key(s), 1 aggregate(s)) est_rows=1",
+				"    SeqScan on emp (4 rows) est_rows=4",
 			},
 		},
 		{
 			name: "subquery scan",
 			sql:  "EXPLAIN SELECT s.c FROM (SELECT count(*) AS c FROM emp) s",
 			want: []string{
-				"Project (c) (est_rows=1 est_cost=12.8)",
-				"  SubqueryScan as s (est_rows=1 est_cost=11.8)",
-				"    Project (c) (est_rows=1 est_cost=11.8)",
-				"      HashAggregate (0 group key(s), 1 aggregate(s)) (est_rows=1 est_cost=10.8)",
-				"        SeqScan on emp (4 rows) (est_rows=4 est_cost=2.0)",
+				"Project (c) est_rows=1",
+				"  SubqueryScan as s est_rows=1",
+				"    Project (c) est_rows=1",
+				"      HashAggregate (0 group key(s), 1 aggregate(s)) est_rows=1",
+				"        SeqScan on emp (4 rows) est_rows=4",
 			},
 		},
 		{
@@ -135,9 +135,9 @@ func TestExplainGolden(t *testing.T) {
 			sql:  "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL L2 WITHIN 3 ON-OVERLAP JOIN-ANY",
 			alg:  SGBAllPairs,
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=20.0)",
-				"  SimilarityGroupBy DISTANCE-TO-ALL JOIN-ANY L2 WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=18.8)",
-				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5)",
+				"Project (count) est_rows=1",
+				"  SimilarityGroupBy DISTANCE-TO-ALL JOIN-ANY L2 WITHIN 3 [All-Pairs] (1 aggregate(s)) est_rows=1",
+				"    SeqScan on pts (5 rows) est_rows=5",
 			},
 		},
 		{
@@ -145,9 +145,9 @@ func TestExplainGolden(t *testing.T) {
 			sql:  "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 3 ON-OVERLAP ELIMINATE",
 			alg:  SGBAllPairs,
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=20.0)",
-				"  SimilarityGroupBy DISTANCE-TO-ALL ELIMINATE LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=18.8)",
-				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5)",
+				"Project (count) est_rows=1",
+				"  SimilarityGroupBy DISTANCE-TO-ALL ELIMINATE LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) est_rows=1",
+				"    SeqScan on pts (5 rows) est_rows=5",
 			},
 		},
 		{
@@ -155,9 +155,9 @@ func TestExplainGolden(t *testing.T) {
 			sql:  "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 3 ON-OVERLAP FORM-NEW-GROUP",
 			alg:  SGBAllPairs,
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=20.0)",
-				"  SimilarityGroupBy DISTANCE-TO-ALL FORM-NEW-GROUP LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=18.8)",
-				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5)",
+				"Project (count) est_rows=1",
+				"  SimilarityGroupBy DISTANCE-TO-ALL FORM-NEW-GROUP LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) est_rows=1",
+				"    SeqScan on pts (5 rows) est_rows=5",
 			},
 		},
 		{
@@ -165,9 +165,9 @@ func TestExplainGolden(t *testing.T) {
 			sql:  "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1.5",
 			alg:  SGBAllPairs,
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=26.2)",
-				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=25.0)",
-				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5)",
+				"Project (count) est_rows=1",
+				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [All-Pairs] (1 aggregate(s)) est_rows=1",
+				"    SeqScan on pts (5 rows) est_rows=5",
 			},
 		},
 		{
@@ -175,9 +175,9 @@ func TestExplainGolden(t *testing.T) {
 			name: "sgb manual index override",
 			sql:  "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1.5",
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=250.8)",
-				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [on-the-fly Index] (1 aggregate(s)) (est_rows=1 est_cost=249.5)",
-				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5)",
+				"Project (count) est_rows=1",
+				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [on-the-fly Index] (1 aggregate(s)) est_rows=1",
+				"    SeqScan on pts (5 rows) est_rows=5",
 			},
 		},
 	}
@@ -230,9 +230,9 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			name: "filter scan",
 			sql:  "EXPLAIN ANALYZE SELECT name FROM emp WHERE salary > 150",
 			want: []string{
-				"Project (name) (est_rows=1 est_cost=7.3) (actual rows=3 loops=1 time=X ms)",
-				"  Filter (est_rows=1 est_cost=6.0) (actual rows=3 loops=1 time=X ms)",
-				"    SeqScan on emp (4 rows) (est_rows=4 est_cost=2.0) (actual rows=4 loops=1 time=X ms)",
+				"Project (name) est_rows=1 (actual rows=3 loops=1 time=X ms)",
+				"  Filter est_rows=1 (actual rows=3 loops=1 time=X ms)",
+				"    SeqScan on emp (4 rows) est_rows=4 (actual rows=4 loops=1 time=X ms)",
 				"Planning Time: X ms",
 				"Execution Time: X ms",
 			},
@@ -241,11 +241,11 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			name: "hash join",
 			sql:  "EXPLAIN ANALYZE SELECT e.name, d.dname FROM emp e, dept d WHERE e.dept = d.dno",
 			want: []string{
-				"Project (name, dname) (est_rows=4 est_cost=23.0) (actual rows=4 loops=1 time=X ms)",
-				"  HashJoin (1 key(s)) (est_rows=4 est_cost=15.0) (actual rows=4 loops=1 time=X ms)",
+				"Project (name, dname) est_rows=4 (actual rows=4 loops=1 time=X ms)",
+				"  HashJoin (1 key(s)) est_rows=4 (actual rows=4 loops=1 time=X ms)",
 				"    Hash Build: rows=2 buckets=2",
-				"    SeqScan on emp (4 rows) (est_rows=4 est_cost=2.0) (actual rows=4 loops=1 time=X ms)",
-				"    SeqScan on dept (2 rows) (est_rows=2 est_cost=1.0) (actual rows=2 loops=1 time=X ms)",
+				"    SeqScan on emp (4 rows) est_rows=4 (actual rows=4 loops=1 time=X ms)",
+				"    SeqScan on dept (2 rows) est_rows=2 (actual rows=2 loops=1 time=X ms)",
 				"Planning Time: X ms",
 				"Execution Time: X ms",
 			},
@@ -254,13 +254,13 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			name: "sort distinct limit",
 			sql:  "EXPLAIN ANALYZE SELECT DISTINCT dept FROM emp ORDER BY dept LIMIT 2",
 			want: []string{
-				"Limit 2 (est_rows=2 est_cost=9.6) (actual rows=2 loops=1 time=X ms)",
-				"  Distinct (est_rows=4 est_cost=19.2) (actual rows=2 loops=1 time=X ms)",
+				"Limit 2 est_rows=2 (actual rows=2 loops=1 time=X ms)",
+				"  Distinct est_rows=4 (actual rows=2 loops=1 time=X ms)",
 				"    Distinct Set: keys=2",
-				"    Project (dept) (est_rows=4 est_cost=11.2) (actual rows=3 loops=1 time=X ms)",
-				"      Sort (1 key(s)) (est_rows=4 est_cost=7.2) (actual rows=3 loops=1 time=X ms)",
+				"    Project (dept) est_rows=4 (actual rows=3 loops=1 time=X ms)",
+				"      Sort (1 key(s)) est_rows=4 (actual rows=3 loops=1 time=X ms)",
 				"        Sort Buffer: rows=4",
-				"        SeqScan on emp (4 rows) (est_rows=4 est_cost=2.0) (actual rows=4 loops=1 time=X ms)",
+				"        SeqScan on emp (4 rows) est_rows=4 (actual rows=4 loops=1 time=X ms)",
 				"Planning Time: X ms",
 				"Execution Time: X ms",
 			},
@@ -269,10 +269,10 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			name: "hash aggregate",
 			sql:  "EXPLAIN ANALYZE SELECT dept, count(*) FROM emp GROUP BY dept",
 			want: []string{
-				"Project (dept, count) (est_rows=1 est_cost=13.8) (actual rows=2 loops=1 time=X ms)",
-				"  HashAggregate (1 group key(s), 1 aggregate(s)) (est_rows=1 est_cost=11.2) (actual rows=2 loops=1 time=X ms)",
+				"Project (dept, count) est_rows=1 (actual rows=2 loops=1 time=X ms)",
+				"  HashAggregate (1 group key(s), 1 aggregate(s)) est_rows=1 (actual rows=2 loops=1 time=X ms)",
 				"    Hash Table: groups=2 input rows=4",
-				"    SeqScan on emp (4 rows) (est_rows=4 est_cost=2.0) (actual rows=4 loops=1 time=X ms)",
+				"    SeqScan on emp (4 rows) est_rows=4 (actual rows=4 loops=1 time=X ms)",
 				"Planning Time: X ms",
 				"Execution Time: X ms",
 			},
@@ -286,10 +286,10 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			sql:  "EXPLAIN ANALYZE SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 3 ON-OVERLAP JOIN-ANY",
 			alg:  SGBAllPairs,
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=20.0) (actual rows=2 loops=1 time=X ms)",
-				"  SimilarityGroupBy DISTANCE-TO-ALL JOIN-ANY LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=18.8) (actual rows=2 loops=1 time=X ms)",
+				"Project (count) est_rows=1 (actual rows=2 loops=1 time=X ms)",
+				"  SimilarityGroupBy DISTANCE-TO-ALL JOIN-ANY LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) est_rows=1 (actual rows=2 loops=1 time=X ms)",
 				"    SGB Stats: points=5 distance_comps=8 rect_tests=0 hull_tests=0 window_queries=0 index_updates=0 rounds=1 merged=0 dropped=0",
-				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5) (actual rows=5 loops=1 time=X ms)",
+				"    SeqScan on pts (5 rows) est_rows=5 (actual rows=5 loops=1 time=X ms)",
 				"Planning Time: X ms",
 				"Execution Time: X ms",
 			},
@@ -299,10 +299,10 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			sql:  "EXPLAIN ANALYZE SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ALL LINF WITHIN 3 ON-OVERLAP ELIMINATE",
 			alg:  SGBAllPairs,
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=20.0) (actual rows=2 loops=1 time=X ms)",
-				"  SimilarityGroupBy DISTANCE-TO-ALL ELIMINATE LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=18.8) (actual rows=2 loops=1 time=X ms)",
+				"Project (count) est_rows=1 (actual rows=2 loops=1 time=X ms)",
+				"  SimilarityGroupBy DISTANCE-TO-ALL ELIMINATE LINF WITHIN 3 [All-Pairs] (1 aggregate(s)) est_rows=1 (actual rows=2 loops=1 time=X ms)",
 				"    SGB Stats: points=5 distance_comps=10 rect_tests=0 hull_tests=0 window_queries=0 index_updates=0 rounds=1 merged=0 dropped=1",
-				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5) (actual rows=5 loops=1 time=X ms)",
+				"    SeqScan on pts (5 rows) est_rows=5 (actual rows=5 loops=1 time=X ms)",
 				"Planning Time: X ms",
 				"Execution Time: X ms",
 			},
@@ -312,10 +312,10 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 			sql:  "EXPLAIN ANALYZE SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 1.5",
 			alg:  SGBAllPairs,
 			want: []string{
-				"Project (count) (est_rows=1 est_cost=26.2) (actual rows=3 loops=1 time=X ms)",
-				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [All-Pairs] (1 aggregate(s)) (est_rows=1 est_cost=25.0) (actual rows=3 loops=1 time=X ms)",
+				"Project (count) est_rows=1 (actual rows=3 loops=1 time=X ms)",
+				"  SimilarityGroupBy DISTANCE-TO-ANY L2 WITHIN 1.5 [All-Pairs] (1 aggregate(s)) est_rows=1 (actual rows=3 loops=1 time=X ms)",
 				"    SGB Stats: points=5 distance_comps=10 rect_tests=0 hull_tests=0 window_queries=0 index_updates=0 rounds=1 merged=2 dropped=0",
-				"    SeqScan on pts (5 rows) (est_rows=5 est_cost=2.5) (actual rows=5 loops=1 time=X ms)",
+				"    SeqScan on pts (5 rows) est_rows=5 (actual rows=5 loops=1 time=X ms)",
 				"Planning Time: X ms",
 				"Execution Time: X ms",
 			},

@@ -2,15 +2,6 @@ package engine
 
 import "context"
 
-// The planner's SGB cost constants, for the external planner-cost test, which
-// prices the work a run counted in the cost model's own units.
-const (
-	CostDistComp    = costDistComp
-	CostRectTest    = costRectTest
-	CostWindowQuery = costWindowQuery
-	CostGridProbe   = costGridProbe
-)
-
 // ExecStmt executes an already parsed statement.
 func (db *DB) ExecStmt(stmt Statement) (*Result, error) {
 	return db.ExecStmtContext(context.Background(), stmt)

@@ -54,7 +54,7 @@ func (r *renameOp) stableRows() bool   { return r.child.stableRows() }
 // statement (copy-on-write), lowerSelect produces the operator tree —
 // sources → pushed-down filters → left-deep (hash) joins → residual filter →
 // aggregation (standard or SGB) → HAVING → projection → ORDER BY → LIMIT —
-// and the analyzer's tree rules plus the cost estimator finish the plan.
+// and the analyzer's tree rules plus the row estimator finish the plan.
 func (pc *planContext) planSelect(stmt *SelectStmt) (operator, error) {
 	stmt = pc.rewriteStmt(stmt)
 	out, err := pc.lowerSelect(stmt)

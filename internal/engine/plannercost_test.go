@@ -10,17 +10,28 @@ import (
 	"sgb/internal/engine"
 )
 
-// pricedWork is what one SGB run counted, priced with the constants sgbCost
-// charges each algorithm: a distance computation, a rectangle test, and a
-// window query — a probe of the point grid under SGB-Any, of the group grid
-// under SGB-All.
+// The weights pricedWork charges, in distance computations: a rectangle test
+// short-circuits per dimension, a window query under SGB-All hashes or gathers
+// the group grid's cells, and one under SGB-Any walks the point grid's cell
+// lists. They were fitted on check-ins as wall time per counted operation
+// over the wall time of one geom.Within.
+const (
+	weightDistComp    = 1.0
+	weightRectTest    = 0.7
+	weightWindowQuery = 16.0
+	weightGridProbe   = 47.4
+)
+
+// pricedWork is what one SGB run counted, priced per counter: a distance
+// computation, a rectangle test, and a window query — a probe of the point
+// grid under SGB-Any, of the group grid under SGB-All.
 func pricedWork(s core.Stats, sgbAny bool) float64 {
-	window := engine.CostWindowQuery
+	window := weightWindowQuery
 	if sgbAny {
-		window = engine.CostGridProbe
+		window = weightGridProbe
 	}
-	return float64(s.DistanceComps)*engine.CostDistComp +
-		float64(s.RectTests)*engine.CostRectTest +
+	return float64(s.DistanceComps)*weightDistComp +
+		float64(s.RectTests)*weightRectTest +
 		float64(s.WindowQueries)*window
 }
 

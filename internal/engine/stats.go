@@ -42,12 +42,10 @@ type ColumnStats struct {
 	NullCount int64
 }
 
-// DensitySketch is a 2-D grid histogram over two FLOAT columns: the planner's
-// stand-in for the paper's n/ε/skew regimes. Cell counts answer two questions
-// an SGB cost model needs: the expected number of ε-neighbors of a random
-// point (how much distance work per tuple) and the occupied area (how many
-// ε-sized groups the data can sustain). Cells are sized from the data's
-// bounding box at ANALYZE time; estimates for a query ε rescale analytically.
+// DensitySketch is a 2-D grid histogram over two FLOAT columns. Its occupied
+// area bounds how many ε-sized groups the data can sustain, which is the SGB
+// node's row estimate. Cells are sized from the data's bounding box at
+// ANALYZE time; the estimate for a query ε rescales analytically.
 type DensitySketch struct {
 	// ColX, ColY are the sketched columns' schema positions.
 	ColX, ColY int
@@ -295,26 +293,6 @@ func neighborArea(m geom.Metric, eps float64) float64 {
 	default: // LInf: a (2ε)² square
 		return 4 * eps * eps
 	}
-}
-
-// ExpectedNeighbors estimates how many ε-neighbors a random point has: the
-// population-weighted local density times the neighborhood area,
-// E[k] = Σ_cells (n_c/N)·(n_c/cellArea)·A_ε. This is the density sketch's
-// expected-neighbors-per-cell figure the SGB cost model consumes.
-func (sk *DensitySketch) ExpectedNeighbors(area float64) float64 {
-	if sk == nil || sk.N == 0 {
-		return 0
-	}
-	cell := sk.CellW * sk.CellH
-	var sumSq float64
-	for _, c := range sk.Counts {
-		sumSq += float64(c) * float64(c)
-	}
-	k := sumSq / float64(sk.N) / cell * area
-	if k > float64(sk.N) {
-		k = float64(sk.N)
-	}
-	return k
 }
 
 // OccupiedArea is the total area of non-empty sketch cells: the footprint the

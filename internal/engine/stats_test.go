@@ -177,8 +177,8 @@ func TestStatsSurviveSnapshot(t *testing.T) {
 	}
 }
 
-// TestDensitySketchEstimates sanity-checks the two sketch estimators on a
-// uniform grid, where both have closed-form expectations.
+// TestDensitySketchEstimates sanity-checks the sketch's occupied area on a
+// uniform grid, where it has a closed-form expectation.
 func TestDensitySketchEstimates(t *testing.T) {
 	db := NewDB()
 	mustExec(t, db, "CREATE TABLE grid (x FLOAT, y FLOAT)")
@@ -200,12 +200,7 @@ func TestDensitySketchEstimates(t *testing.T) {
 	if sk == nil {
 		t.Fatal("no sketch over a two-float table")
 	}
-	// One point per cell (modulo the shrunken boundary cells): a neighborhood
-	// of area A should contain about A/cellArea ≈ A points.
 	cell := sk.CellW * sk.CellH
-	if k := sk.ExpectedNeighbors(9 * cell); k < 6 || k > 30 {
-		t.Errorf("ExpectedNeighbors(9 cells) = %.1f on a uniform grid, want ≈9-ish", k)
-	}
 	occ := sk.OccupiedArea()
 	total := float64(sketchGridSide*sketchGridSide) * cell
 	if occ < total*0.5 || occ > total*1.01 {

@@ -370,13 +370,14 @@ func (s *Store) tryPromote() bool {
 }
 
 // loggedStatement reports whether stmt belongs in the WAL: the catalog- and
-// data-mutating statements. Plain views are session-scoped query definitions
+// data-mutating statements, and ANALYZE, whose statistics snapshots carry
+// and replay must rebuild. Plain views are session-scoped query definitions
 // and are not persisted (matching snapshots), so their DDL is not logged;
 // materialized views are durable catalog objects, so theirs is.
 func loggedStatement(stmt engine.Statement) bool {
 	switch stmt.(type) {
 	case *engine.InsertStmt, *engine.UpdateStmt, *engine.DeleteStmt, *engine.CopyStmt,
-		*engine.CreateTableStmt, *engine.DropTableStmt,
+		*engine.AnalyzeStmt, *engine.CreateTableStmt, *engine.DropTableStmt,
 		*engine.CreateIndexStmt, *engine.DropIndexStmt,
 		*engine.CreateMaterializedViewStmt, *engine.DropMaterializedViewStmt:
 		return true

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -66,6 +68,60 @@ func TestStoreRecoversFromWALOnly(t *testing.T) {
 	}
 	if got := s2.DB().Metrics().Counter("wal_replayed_records_total").Value(); got != 13 {
 		t.Errorf("wal_replayed_records_total = %d", got)
+	}
+}
+
+// explainEstRows reads est_rows from row 0 of sql's EXPLAIN.
+func explainEstRows(t *testing.T, db *engine.DB, sql string) float64 {
+	t.Helper()
+	res, err := db.Exec("EXPLAIN " + sql)
+	if err != nil {
+		t.Fatalf("EXPLAIN %s: %v", sql, err)
+	}
+	line := res.Rows[0][0].S
+	_, rest, ok := strings.Cut(line, "est_rows=")
+	if !ok {
+		t.Fatalf("EXPLAIN row 0 has no est_rows=: %q", line)
+	}
+	v, err := strconv.ParseFloat(strings.Fields(rest)[0], 64)
+	if err != nil {
+		t.Fatalf("EXPLAIN row 0 est_rows is not a number: %q", line)
+	}
+	return v
+}
+
+// TestStoreReplaysAnalyze: ANALYZE is a logged write, so statistics taken
+// before a crash (no Close, no checkpoint) are the statistics after recovery,
+// and the plan's row estimates read the same.
+func TestStoreReplaysAnalyze(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := OpenStore(StoreOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, s1.DB(), "CREATE TABLE pts (id INT, x FLOAT, y FLOAT)")
+	for i := 0; i < 10; i++ {
+		mustExec(t, s1.DB(), fmt.Sprintf("INSERT INTO pts VALUES (%d, %d.5, %d.5)", i, i, i))
+	}
+	const q = "SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.1"
+	unanalyzed := explainEstRows(t, s1.DB(), q)
+	mustExec(t, s1.DB(), "ANALYZE")
+	before := explainEstRows(t, s1.DB(), q)
+	if before == unanalyzed {
+		t.Fatalf("ANALYZE left est_rows at %v: the statistics move no estimate to lose", before)
+	}
+	// Crash: no Close, no checkpoint.
+
+	s2, err := OpenStore(StoreOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := s2.ReplayedRecords(); got != 12 {
+		t.Errorf("replayed %d records, want 12", got)
+	}
+	if after := explainEstRows(t, s2.DB(), q); after != before {
+		t.Errorf("est_rows %v before the crash, %v after recovery", before, after)
 	}
 }
 

@@ -14,22 +14,44 @@ import (
 // The tests in this file pin behaviour the benchmark of record
 // (benchmark/layers.go) depends on and no compiler checks.
 
-// TestTrapExplainEstRows: row 0 of EXPLAIN carries est_rows=<number>.
-func TestTrapExplainEstRows(t *testing.T) {
-	db := NewDB()
-	if _, err := db.Exec("CREATE TABLE pts (id INT, x FLOAT, y FLOAT)"); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := db.Exec("EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.25")
+// rowZeroEstRows parses est_rows from row 0 of an EXPLAIN answer the way the
+// benchmark's rootEstRows does: the first field after "est_rows=".
+func rowZeroEstRows(t *testing.T, db *DB, sql string) float64 {
+	t.Helper()
+	plan, err := db.Exec(sql)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", sql, err)
 	}
 	_, rest, ok := strings.Cut(plan.Rows[0][0].S, "est_rows=")
 	if !ok {
-		t.Fatalf("EXPLAIN row 0 has no est_rows=: %q", plan.Rows[0][0].S)
+		t.Fatalf("%s: row 0 has no est_rows=: %q", sql, plan.Rows[0][0].S)
 	}
-	if _, err := strconv.ParseFloat(strings.Fields(rest)[0], 64); err != nil {
-		t.Fatalf("EXPLAIN row 0 est_rows is not a number: %q", plan.Rows[0][0].S)
+	v, err := strconv.ParseFloat(strings.Fields(rest)[0], 64)
+	if err != nil {
+		t.Fatalf("%s: row 0 est_rows is not a number: %q", sql, plan.Rows[0][0].S)
+	}
+	return v
+}
+
+// TestTrapExplainEstRows: row 0 of EXPLAIN carries est_rows=<number>, the
+// parse reads the estimate itself, and EXPLAIN ANALYZE reads the same.
+func TestTrapExplainEstRows(t *testing.T) {
+	db := NewDB()
+	for _, q := range []string{
+		"CREATE TABLE pts (id INT, x FLOAT, y FLOAT)",
+		"CREATE TABLE t (x INT)",
+		"INSERT INTO t VALUES (1), (2), (3)",
+	} {
+		if _, err := db.Exec(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	rowZeroEstRows(t, db, "EXPLAIN SELECT count(*) FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 0.25")
+	if got := rowZeroEstRows(t, db, "EXPLAIN SELECT x FROM t"); got != 3 {
+		t.Errorf("EXPLAIN over a 3-row table parses to est_rows %v, want 3", got)
+	}
+	if got := rowZeroEstRows(t, db, "EXPLAIN ANALYZE SELECT x FROM t"); got != 3 {
+		t.Errorf("EXPLAIN ANALYZE over a 3-row table parses to est_rows %v, want EXPLAIN's 3", got)
 	}
 }
 
