@@ -192,37 +192,24 @@ type DeleteStmt struct {
 
 func (*DeleteStmt) stmt() {}
 
-// CreateViewStmt is a parsed CREATE VIEW name AS SELECT ...
+// CreateViewStmt is a parsed CREATE [MATERIALIZED] VIEW name AS SELECT ...
+// A materialized view is a similarity-group view whose group state is
+// maintained incrementally from committed writes (see internal/stream).
+// QuerySQL is the definition's original SELECT text, captured so the view
+// can be persisted in snapshots and re-parsed on load.
 type CreateViewStmt struct {
-	Name  string
-	Query *SelectStmt
+	Name         string
+	Query        *SelectStmt
+	QuerySQL     string
+	Materialized bool
 }
 
 func (*CreateViewStmt) stmt() {}
 
-// DropViewStmt is a parsed DROP VIEW.
+// DropViewStmt is a parsed DROP [MATERIALIZED] VIEW.
 type DropViewStmt struct {
-	Name string
+	Name         string
+	Materialized bool
 }
 
 func (*DropViewStmt) stmt() {}
-
-// CreateMaterializedViewStmt is a parsed CREATE MATERIALIZED VIEW name AS
-// SELECT ... — a similarity-group view whose group state is maintained
-// incrementally from committed writes (see internal/stream). QuerySQL is the
-// definition's original SELECT text, captured so the view can be persisted in
-// snapshots and re-parsed on load.
-type CreateMaterializedViewStmt struct {
-	Name     string
-	Query    *SelectStmt
-	QuerySQL string
-}
-
-func (*CreateMaterializedViewStmt) stmt() {}
-
-// DropMaterializedViewStmt is a parsed DROP MATERIALIZED VIEW.
-type DropMaterializedViewStmt struct {
-	Name string
-}
-
-func (*DropMaterializedViewStmt) stmt() {}

@@ -18,123 +18,101 @@ type Table struct {
 	Stats *TableStats
 }
 
-// MatView is a registered materialized similarity-group view: its parsed
-// definition, the original SELECT text (persisted in snapshots and re-parsed
-// on load), and the streamable shape extracted at creation time.
-type MatView struct {
+// View is a named SELECT. Both kinds read by re-planning Query; a
+// materialized view (Shape != nil) also has its similarity groups maintained
+// from the base table's committed rows (see internal/stream). SQL is the
+// definition's original SELECT text, which snapshots store and re-parse.
+type View struct {
 	Name  string
 	Query *SelectStmt
 	SQL   string
 	Shape *MatViewShape
 }
 
+// viewKind names a view kind in error messages.
+func viewKind(materialized bool) string {
+	if materialized {
+		return "materialized view"
+	}
+	return "view"
+}
+
 // Catalog maps table and view names (case-insensitive) to their
-// definitions. Tables, views, and materialized views share one namespace.
+// definitions. Tables and views share one namespace.
 type Catalog struct {
-	tables   map[string]*Table
-	views    map[string]*SelectStmt
-	matviews map[string]*MatView
+	tables map[string]*Table
+	views  map[string]*View
 }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{
-		tables:   make(map[string]*Table),
-		views:    make(map[string]*SelectStmt),
-		matviews: make(map[string]*MatView),
-	}
+	return &Catalog{tables: make(map[string]*Table), views: make(map[string]*View)}
 }
 
-// CreateView registers a named view over a SELECT definition.
-func (c *Catalog) CreateView(name string, query *SelectStmt) error {
+// free reports an error when name is already a table or a view.
+func (c *Catalog) free(name string) error {
 	key := strings.ToLower(name)
 	if _, ok := c.tables[key]; ok {
 		return fmt.Errorf("engine: a table named %q already exists", name)
 	}
-	if _, ok := c.views[key]; ok {
-		return fmt.Errorf("engine: view %q already exists", name)
+	if v, ok := c.views[key]; ok {
+		return fmt.Errorf("engine: a %s named %q already exists", viewKind(v.Shape != nil), name)
 	}
-	if _, ok := c.matviews[key]; ok {
-		return fmt.Errorf("engine: a materialized view named %q already exists", name)
-	}
-	c.views[key] = query
 	return nil
 }
 
-// CreateMatView registers a materialized view definition.
-func (c *Catalog) CreateMatView(mv *MatView) error {
-	key := strings.ToLower(mv.Name)
-	if _, ok := c.tables[key]; ok {
-		return fmt.Errorf("engine: a table named %q already exists", mv.Name)
+// CreateView registers a view definition.
+func (c *Catalog) CreateView(v *View) error {
+	if err := c.free(v.Name); err != nil {
+		return err
 	}
-	if _, ok := c.views[key]; ok {
-		return fmt.Errorf("engine: a view named %q already exists", mv.Name)
-	}
-	if _, ok := c.matviews[key]; ok {
-		return fmt.Errorf("engine: materialized view %q already exists", mv.Name)
-	}
-	c.matviews[key] = mv
+	c.views[strings.ToLower(v.Name)] = v
 	return nil
 }
 
-// MatView looks a materialized view up by name.
-func (c *Catalog) MatView(name string) (*MatView, bool) {
-	mv, ok := c.matviews[strings.ToLower(name)]
-	return mv, ok
+// View looks a view of either kind up by name.
+func (c *Catalog) View(name string) (*View, bool) {
+	v, ok := c.views[strings.ToLower(name)]
+	return v, ok
 }
 
-// DropMatView removes a materialized view; it reports whether one existed.
-func (c *Catalog) DropMatView(name string) bool {
+// DropView removes the named view of the given kind; a missing view, or one
+// of the other kind, is an error.
+func (c *Catalog) DropView(name string, materialized bool) error {
 	key := strings.ToLower(name)
-	if _, ok := c.matviews[key]; !ok {
-		return false
+	if v, ok := c.views[key]; !ok || (v.Shape != nil) != materialized {
+		return fmt.Errorf("engine: unknown %s %q", viewKind(materialized), name)
 	}
-	delete(c.matviews, key)
-	return true
+	delete(c.views, key)
+	return nil
 }
 
 // MatViews lists every materialized view, sorted by name, so snapshots and
 // debug endpoints render deterministically.
-func (c *Catalog) MatViews() []*MatView {
-	out := make([]*MatView, 0, len(c.matviews))
-	for _, mv := range c.matviews {
-		out = append(out, mv)
+func (c *Catalog) MatViews() []*View {
+	return c.sortedViews(true)
+}
+
+// sortedViews lists the views of one kind, sorted by name.
+func (c *Catalog) sortedViews(materialized bool) []*View {
+	var out []*View
+	for _, v := range c.views {
+		if (v.Shape != nil) == materialized {
+			out = append(out, v)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// View looks a view definition up by name.
-func (c *Catalog) View(name string) (*SelectStmt, bool) {
-	v, ok := c.views[strings.ToLower(name)]
-	return v, ok
-}
-
-// DropView removes a view; it reports whether one existed.
-func (c *Catalog) DropView(name string) bool {
-	key := strings.ToLower(name)
-	if _, ok := c.views[key]; !ok {
-		return false
-	}
-	delete(c.views, key)
-	return true
-}
-
 // Create registers a new empty table. Column qualifiers are forced to the
 // table name.
 func (c *Catalog) Create(name string, schema Schema) (*Table, error) {
-	key := strings.ToLower(name)
-	if _, ok := c.tables[key]; ok {
-		return nil, fmt.Errorf("engine: table %q already exists", name)
-	}
-	if _, ok := c.views[key]; ok {
-		return nil, fmt.Errorf("engine: a view named %q already exists", name)
-	}
-	if _, ok := c.matviews[key]; ok {
-		return nil, fmt.Errorf("engine: a materialized view named %q already exists", name)
+	if err := c.free(name); err != nil {
+		return nil, err
 	}
 	t := &Table{Name: name, Schema: schema.Qualify(name)}
-	c.tables[key] = t
+	c.tables[strings.ToLower(name)] = t
 	return t, nil
 }
 

@@ -182,6 +182,8 @@ type Result struct {
 // isReadOnly reports whether stmt cannot mutate the catalog or table data,
 // and may therefore share the statement lock with other readers. EXPLAIN
 // ANALYZE executes its query but discards the rows, so it is a reader too.
+// It is the engine's one statement classification: every other statement
+// takes the exclusive lock and reaches the commit hook, which logs it.
 func isReadOnly(stmt Statement) bool {
 	switch stmt.(type) {
 	case *SelectStmt, *ExplainStmt:
@@ -341,44 +343,29 @@ func (db *DB) execStmt(stmt Statement, tr *obs.Trace, qc *queryCtx) (*Result, er
 		return &Result{}, nil
 
 	case *CreateViewStmt:
-		// Validate the definition eagerly so broken views fail at
-		// creation, not first use.
+		// Validate the definition eagerly so a broken view fails at creation,
+		// not first use: it must plan, and a materialized view must also
+		// match the incremental shape (see matViewShape).
 		pc := &planContext{db: db}
 		if _, err := pc.planSelect(stmt.Query); err != nil {
-			return nil, fmt.Errorf("engine: invalid view definition: %w", err)
+			return nil, fmt.Errorf("engine: invalid %s definition: %w", viewKind(stmt.Materialized), err)
 		}
-		if err := db.cat.CreateView(stmt.Name, stmt.Query); err != nil {
+		v := &View{Name: stmt.Name, Query: stmt.Query, SQL: stmt.QuerySQL}
+		if stmt.Materialized {
+			shape, err := db.matViewShape(stmt.Query)
+			if err != nil {
+				return nil, err
+			}
+			v.Shape = shape
+		}
+		if err := db.cat.CreateView(v); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
 
 	case *DropViewStmt:
-		if !db.cat.DropView(stmt.Name) {
-			return nil, fmt.Errorf("engine: unknown view %q", stmt.Name)
-		}
-		return &Result{}, nil
-
-	case *CreateMaterializedViewStmt:
-		// Validate both ways a definition can be broken: as a query (it must
-		// plan) and as a maintainable stream (it must match the incremental
-		// shape — see matViewShape).
-		pc := &planContext{db: db}
-		if _, err := pc.planSelect(stmt.Query); err != nil {
-			return nil, fmt.Errorf("engine: invalid materialized view definition: %w", err)
-		}
-		shape, err := db.matViewShape(stmt.Query)
-		if err != nil {
+		if err := db.cat.DropView(stmt.Name, stmt.Materialized); err != nil {
 			return nil, err
-		}
-		mv := &MatView{Name: stmt.Name, Query: stmt.Query, SQL: stmt.QuerySQL, Shape: shape}
-		if err := db.cat.CreateMatView(mv); err != nil {
-			return nil, err
-		}
-		return &Result{}, nil
-
-	case *DropMaterializedViewStmt:
-		if !db.cat.DropMatView(stmt.Name) {
-			return nil, fmt.Errorf("engine: unknown materialized view %q", stmt.Name)
 		}
 		return &Result{}, nil
 

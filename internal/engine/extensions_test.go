@@ -160,13 +160,13 @@ func TestLoadOldShapeSnapshot(t *testing.T) {
 		Tables    []*Table
 		SGBAlg    uint8
 		SGBManual bool
-		MatViews  []SavedMatView
+		MatViews  []savedView
 	}{
 		Version:   snapshotVersion,
 		Tables:    []*Table{pts},
 		SGBAlg:    1, // Bounds-Checking, forced
 		SGBManual: true,
-		MatViews:  []SavedMatView{{Name: "near", SQL: src.cat.MatViews()[0].SQL}},
+		MatViews:  []savedView{{Name: "near", SQL: src.cat.MatViews()[0].SQL}},
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
@@ -183,7 +183,7 @@ func TestLoadOldShapeSnapshot(t *testing.T) {
 	if got, want := queryStrings(t, loaded, q), queryStrings(t, src, q); !reflect.DeepEqual(got, want) {
 		t.Errorf("restored rows %v, want %v", got, want)
 	}
-	if mv, ok := loaded.Catalog().MatView("near"); !ok || mv.SQL != old.MatViews[0].SQL {
+	if mv, ok := loaded.Catalog().View("near"); !ok || mv.Shape == nil || mv.SQL != old.MatViews[0].SQL {
 		t.Errorf("materialized view not restored: %+v", mv)
 	}
 }

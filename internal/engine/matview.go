@@ -32,11 +32,9 @@ func (db *DB) matViewShape(q *SelectStmt) (*MatViewShape, error) {
 		return nil, fmt.Errorf("engine: materialized view must select FROM exactly one base table")
 	}
 	from := q.From[0]
-	if _, ok := db.cat.View(from.Table); ok {
-		return nil, fmt.Errorf("engine: materialized view cannot be defined over view %q", from.Table)
-	}
-	if _, ok := db.cat.MatView(from.Table); ok {
-		return nil, fmt.Errorf("engine: materialized view cannot be defined over materialized view %q", from.Table)
+	if v, ok := db.cat.View(from.Table); ok {
+		return nil, fmt.Errorf("engine: materialized view cannot be defined over %s %q",
+			viewKind(v.Shape != nil), from.Table)
 	}
 	t, err := db.cat.Get(from.Table)
 	if err != nil {

@@ -36,7 +36,7 @@ var reserved = map[string]bool{
 type parser struct {
 	toks []token
 	pos  int
-	src  string // original statement text, for raw-SQL capture (matviews)
+	src  string // original statement text, for raw-SQL capture (views)
 }
 
 // Parse parses a single SQL statement (an optional trailing ';' is allowed).
@@ -229,7 +229,7 @@ func (p *parser) parseDelete() (Statement, error) {
 
 func (p *parser) parseCreateTable() (Statement, error) {
 	p.next() // CREATE
-	if p.acceptKeyword("MATERIALIZED") {
+	if materialized := p.acceptKeyword("MATERIALIZED"); materialized || p.peekKeyword("VIEW") {
 		if err := p.expectKeyword("VIEW"); err != nil {
 			return nil, err
 		}
@@ -247,23 +247,8 @@ func (p *parser) parseCreateTable() (Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		end := p.peek().pos
-		sql := strings.TrimSpace(p.src[start:end])
-		return &CreateMaterializedViewStmt{Name: name, Query: sel, QuerySQL: sql}, nil
-	}
-	if p.acceptKeyword("VIEW") {
-		name, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("AS"); err != nil {
-			return nil, err
-		}
-		sel, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		return &CreateViewStmt{Name: name, Query: sel}, nil
+		sql := strings.TrimSpace(p.src[start:p.peek().pos])
+		return &CreateViewStmt{Name: name, Query: sel, QuerySQL: sql, Materialized: materialized}, nil
 	}
 	if p.acceptKeyword("INDEX") {
 		name, err := p.expectIdent()
@@ -375,7 +360,7 @@ func (p *parser) parseInsert() (Statement, error) {
 
 func (p *parser) parseDropTable() (Statement, error) {
 	p.next() // DROP
-	if p.acceptKeyword("MATERIALIZED") {
+	if materialized := p.acceptKeyword("MATERIALIZED"); materialized || p.peekKeyword("VIEW") {
 		if err := p.expectKeyword("VIEW"); err != nil {
 			return nil, err
 		}
@@ -383,14 +368,7 @@ func (p *parser) parseDropTable() (Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &DropMaterializedViewStmt{Name: name}, nil
-	}
-	if p.acceptKeyword("VIEW") {
-		name, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		return &DropViewStmt{Name: name}, nil
+		return &DropViewStmt{Name: name, Materialized: materialized}, nil
 	}
 	if p.acceptKeyword("INDEX") {
 		name, err := p.expectIdent()

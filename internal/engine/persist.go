@@ -9,22 +9,22 @@ import (
 // snapshot is the gob-encoded durable form of a database: the full catalog.
 // The engine is an in-memory system like the paper's prototype; snapshot
 // persistence lets long-lived datasets (generated benchmarks, loaded CSVs) be
-// saved and reopened without regeneration. Views are session-scoped query
-// definitions and are not persisted; materialized views are durable catalog
-// objects and are. Session settings are not data and are not stored either:
-// gob skips the SGBAlg and SGBManual fields older snapshots still carry, and
-// a loaded DB starts from the default settings.
+// saved and reopened without regeneration. Views of both kinds are catalog
+// objects and are stored as their name plus the original SELECT text. Session
+// settings are not data and are not stored: gob skips the SGBAlg and
+// SGBManual fields older snapshots still carry, and a loaded DB starts from
+// the default settings.
 type snapshot struct {
 	Version int
 	Tables  []*Table
-	// MatViews stores each materialized view as its name plus the original
-	// SELECT text, re-parsed on load. The field is additive: snapshots from
-	// before materialized views existed decode it empty.
-	MatViews []SavedMatView
+	// MatViews and Views are additive fields: snapshots from before each kind
+	// was persisted decode them empty.
+	MatViews []savedView
+	Views    []savedView
 }
 
-// SavedMatView is the persisted form of one materialized view definition.
-type SavedMatView struct {
+// savedView is the persisted form of one view definition.
+type savedView struct {
 	Name string
 	SQL  string
 }
@@ -54,8 +54,11 @@ func (db *DB) SaveLocked(w io.Writer, locked func()) error {
 		}
 		snap.Tables = append(snap.Tables, t)
 	}
-	for _, mv := range db.cat.MatViews() {
-		snap.MatViews = append(snap.MatViews, SavedMatView{Name: mv.Name, SQL: mv.SQL})
+	for _, v := range db.cat.sortedViews(true) {
+		snap.MatViews = append(snap.MatViews, savedView{Name: v.Name, SQL: v.SQL})
+	}
+	for _, v := range db.cat.sortedViews(false) {
+		snap.Views = append(snap.Views, savedView{Name: v.Name, SQL: v.SQL})
 	}
 	return gob.NewEncoder(w).Encode(&snap)
 }
@@ -83,25 +86,38 @@ func Load(r io.Reader) (*DB, error) {
 		created.Indexes = t.Indexes
 		created.Stats = t.Stats
 	}
-	// Materialized views restore after tables so their base tables resolve;
-	// re-parsing the stored SELECT re-derives the validated shape.
+	// Views restore after tables so a materialized view's base table
+	// resolves; re-parsing its stored SELECT re-derives the validated shape.
+	// A plain view is parsed, not planned, so one whose table was dropped
+	// still loads and fails on use, as it does live.
 	for _, saved := range snap.MatViews {
-		stmt, err := Parse(saved.SQL)
-		if err != nil {
-			return nil, fmt.Errorf("engine: snapshot matview %s: %w", saved.Name, err)
+		if err := db.loadView(saved, true); err != nil {
+			return nil, fmt.Errorf("engine: snapshot materialized view %s: %w", saved.Name, err)
 		}
-		sel, ok := stmt.(*SelectStmt)
-		if !ok {
-			return nil, fmt.Errorf("engine: snapshot matview %s: definition is not a SELECT", saved.Name)
-		}
-		shape, err := db.matViewShape(sel)
-		if err != nil {
-			return nil, fmt.Errorf("engine: snapshot matview %s: %w", saved.Name, err)
-		}
-		mv := &MatView{Name: saved.Name, Query: sel, SQL: saved.SQL, Shape: shape}
-		if err := db.cat.CreateMatView(mv); err != nil {
-			return nil, err
+	}
+	for _, saved := range snap.Views {
+		if err := db.loadView(saved, false); err != nil {
+			return nil, fmt.Errorf("engine: snapshot view %s: %w", saved.Name, err)
 		}
 	}
 	return db, nil
+}
+
+// loadView re-parses one saved view definition into the catalog.
+func (db *DB) loadView(saved savedView, materialized bool) error {
+	stmt, err := Parse(saved.SQL)
+	if err != nil {
+		return err
+	}
+	sel, ok := stmt.(*SelectStmt)
+	if !ok {
+		return fmt.Errorf("definition is not a SELECT")
+	}
+	v := &View{Name: saved.Name, Query: sel, SQL: saved.SQL}
+	if materialized {
+		if v.Shape, err = db.matViewShape(sel); err != nil {
+			return err
+		}
+	}
+	return db.cat.CreateView(v)
 }

@@ -82,23 +82,16 @@ func (pc *planContext) lowerSelect(stmt *SelectStmt) (operator, error) {
 			}
 			src = &renameOp{child: sub, sch: sub.schema().Qualify(item.Alias)}
 		default:
-			view, ok := pc.db.cat.View(item.Table)
-			if !ok {
-				// A materialized view reads like a plain view: its definition
-				// is re-planned over the base table. (The incrementally
-				// maintained group state serves SUBSCRIBE streams; one-shot
-				// queries recompute, keeping the two paths independently
-				// checkable against each other.)
-				if mv, mok := pc.db.cat.MatView(item.Table); mok {
-					view, ok = mv.Query, true
-				}
-			}
-			if ok {
+			// A view of either kind is re-planned over its base tables. (A
+			// materialized view's incrementally maintained group state serves
+			// SUBSCRIBE streams; one-shot queries recompute, keeping the two
+			// paths independently checkable against each other.)
+			if view, ok := pc.db.cat.View(item.Table); ok {
 				if pc.viewDepth >= 16 {
 					return nil, fmt.Errorf("engine: view nesting too deep (cycle through %q?)", item.Table)
 				}
 				pc.viewDepth++
-				sub, err := pc.planSelect(view)
+				sub, err := pc.planSelect(view.Query)
 				pc.viewDepth--
 				if err != nil {
 					return nil, fmt.Errorf("engine: view %s: %w", item.Table, err)

@@ -87,8 +87,15 @@ var Null = Value{T: TypeNull}
 // NewInt returns an integer value.
 func NewInt(v int64) Value { return Value{T: TypeInt, I: v} }
 
-// NewFloat returns a float value.
-func NewFloat(v float64) Value { return Value{T: TypeFloat, F: v} }
+// NewFloat returns a float value. Every NaN is stored as math.NaN(): Go
+// leaves a NaN result's sign and payload unspecified, so two evaluations of
+// one expression could otherwise disagree bit for bit.
+func NewFloat(v float64) Value {
+	if v != v {
+		v = math.NaN()
+	}
+	return Value{T: TypeFloat, F: v}
+}
 
 // NewString returns a string value.
 func NewString(v string) Value { return Value{T: TypeString, S: v} }

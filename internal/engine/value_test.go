@@ -165,7 +165,7 @@ func TestKeyPartition(t *testing.T) {
 		{"equal strings", []Value{NewString("x|1:2")}, []Value{NewString("x|1:2")}, true},
 		{"zero vs negative zero", []Value{NewFloat(0)}, []Value{NewFloat(math.Copysign(0, -1))}, false},
 		{"NaN equals its own bits", []Value{NewFloat(nan)}, []Value{NewFloat(nan)}, true},
-		{"NaN payloads differ", []Value{NewFloat(nan)}, []Value{NewFloat(math.Float64frombits(math.Float64bits(nan) ^ 1))}, false},
+		{"NaN payloads differ", []Value{NewFloat(nan)}, []Value{{T: TypeFloat, F: math.Float64frombits(math.Float64bits(nan) ^ 1)}}, false},
 		{"max int64", []Value{NewInt(math.MaxInt64)}, []Value{NewInt(math.MaxInt64)}, true},
 		{"max int64 neighbours", []Value{NewInt(math.MaxInt64)}, []Value{NewInt(math.MaxInt64 - 1)}, false},
 		{"min int64 vs max", []Value{NewInt(math.MinInt64)}, []Value{NewInt(math.MaxInt64)}, false},

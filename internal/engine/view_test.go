@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"reflect"
 	"strings"
 	"testing"
@@ -94,6 +95,47 @@ func TestViewErrors(t *testing.T) {
 	}
 	if _, err := db.Exec("DROP VIEW v"); err == nil {
 		t.Error("double drop succeeded")
+	}
+}
+
+// TestViewKindsAndSnapshot: each DROP names one view kind, and a snapshot
+// restores both. A plain view is parsed, not planned, on load, so one whose
+// table was dropped loads and fails on use, as it does live.
+func TestViewKindsAndSnapshot(t *testing.T) {
+	db := sgbDB(t)
+	mustExec(t, db, "CREATE VIEW near AS SELECT id, x FROM pts WHERE x < 5")
+	mustExec(t, db, "CREATE MATERIALIZED VIEW groups AS SELECT x, y FROM pts GROUP BY x, y DISTANCE-TO-ANY L2 WITHIN 3")
+	if _, err := db.Exec("DROP VIEW groups"); err == nil {
+		t.Error("DROP VIEW dropped a materialized view")
+	}
+	if _, err := db.Exec("DROP MATERIALIZED VIEW near"); err == nil {
+		t.Error("DROP MATERIALIZED VIEW dropped a plain view")
+	}
+	if _, err := db.Exec("CREATE MATERIALIZED VIEW over_near AS SELECT x, id FROM near GROUP BY x, id DISTANCE-TO-ANY L2 WITHIN 3"); err == nil ||
+		!strings.Contains(err.Error(), `cannot be defined over view "near"`) {
+		t.Errorf("materialized view over a plain view: %v", err)
+	}
+	mustExec(t, db, "CREATE TABLE gone (a INT)")
+	mustExec(t, db, "CREATE VIEW orphan AS SELECT a FROM gone")
+	mustExec(t, db, "DROP TABLE gone")
+
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT id, x FROM near ORDER BY id"
+	if got, want := queryStrings(t, loaded, q), queryStrings(t, db, q); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored view answers %v, want %v", got, want)
+	}
+	if v, ok := loaded.Catalog().View("groups"); !ok || v.Shape == nil {
+		t.Errorf("materialized view not restored with its shape: %+v", v)
+	}
+	if _, err := loaded.Query("SELECT a FROM orphan"); err == nil {
+		t.Error("view over a dropped table answers after load")
 	}
 }
 

@@ -86,8 +86,9 @@ type StoreOptions struct {
 }
 
 // CommitObserver follows the store's committed statement stream — both the
-// statements replayed from the WAL during recovery and every statement logged
-// live afterwards — with each statement's WAL sequence number. Because the
+// statements replayed from the WAL during recovery and every write logged
+// live afterwards (each statement but SELECT and EXPLAIN, view DDL of both
+// kinds included) — with each statement's WAL sequence number. Because the
 // delta stream an observer derives is a deterministic function of the
 // statement stream, replay regenerates exactly the history a crash lost.
 //
@@ -225,10 +226,9 @@ func OpenStore(opts StoreOptions) (*Store, error) {
 	s.updateSegmentGauge()
 	s.updateLagGauges()
 
+	// The engine calls the hook for every statement that takes the exclusive
+	// lock, and each of them belongs in the log.
 	db.SetCommitHook(func(stmt engine.Statement, sql string, tr *obs.Trace) error {
-		if !loggedStatement(stmt) {
-			return nil
-		}
 		if sql == "" {
 			return errors.New("server: cannot log a pre-parsed statement; execute SQL text")
 		}
@@ -367,22 +367,6 @@ func (s *Store) tryPromote() bool {
 	m.Gauge("server_degraded").Set(0)
 	m.Counter("server_degraded_recoveries_total").Inc()
 	return true
-}
-
-// loggedStatement reports whether stmt belongs in the WAL: the catalog- and
-// data-mutating statements, and ANALYZE, whose statistics snapshots carry
-// and replay must rebuild. Plain views are session-scoped query definitions
-// and are not persisted (matching snapshots), so their DDL is not logged;
-// materialized views are durable catalog objects, so theirs is.
-func loggedStatement(stmt engine.Statement) bool {
-	switch stmt.(type) {
-	case *engine.InsertStmt, *engine.UpdateStmt, *engine.DeleteStmt, *engine.CopyStmt,
-		*engine.AnalyzeStmt, *engine.CreateTableStmt, *engine.DropTableStmt,
-		*engine.CreateIndexStmt, *engine.DropIndexStmt,
-		*engine.CreateMaterializedViewStmt, *engine.DropMaterializedViewStmt:
-		return true
-	}
-	return false
 }
 
 // DB returns the recovered database. Its commit hook is owned by the store;
@@ -578,10 +562,7 @@ func (s *Store) Close() error {
 	s.closeOnce.Do(func() {
 		close(s.stop)
 		s.wg.Wait()
-		s.db.SetCommitHook(func(stmt engine.Statement, _ string, _ *obs.Trace) error {
-			if !loggedStatement(stmt) {
-				return nil
-			}
+		s.db.SetCommitHook(func(engine.Statement, string, *obs.Trace) error {
 			return ErrStoreClosed
 		})
 		var err error

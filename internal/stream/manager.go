@@ -61,7 +61,7 @@ func (m *Manager) Bootstrap(db *engine.DB, seq uint64) {
 }
 
 // bootstrapView registers mv and feeds it the base table without emitting.
-func (m *Manager) bootstrapView(mv *engine.MatView, seq uint64) {
+func (m *Manager) bootstrapView(mv *engine.View, seq uint64) {
 	v, err := newView(mv.Name, mv.Shape, m.ringCap)
 	if err == nil {
 		_, err = v.applyAppend(m.db)
@@ -92,9 +92,10 @@ func (m *Manager) AttachEngine(db *engine.DB) {
 	})
 }
 
-// Commit observes one committed statement: registration DDL updates the view
-// set, appends feed groupers incrementally, and mutating statements trigger a
-// rebuild-and-diff. It is infallible by contract; see Manager.
+// Commit observes one committed statement: materialized view DDL updates the
+// view set (plain view DDL passes through), appends feed groupers
+// incrementally, and mutating statements trigger a rebuild-and-diff. It is
+// infallible by contract; see Manager.
 func (m *Manager) Commit(stmt engine.Statement, seq uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -102,14 +103,14 @@ func (m *Manager) Commit(stmt engine.Statement, seq uint64) {
 		return
 	}
 	switch st := stmt.(type) {
-	case *engine.CreateMaterializedViewStmt:
-		if mv, ok := m.db.Catalog().MatView(st.Name); ok {
+	case *engine.CreateViewStmt:
+		if mv, ok := m.db.Catalog().View(st.Name); ok && st.Materialized {
 			m.bootstrapView(mv, seq)
 			m.metrics().Gauge("stream_views").Set(float64(len(m.views)))
 		}
-	case *engine.DropMaterializedViewStmt:
+	case *engine.DropViewStmt:
 		key := strings.ToLower(st.Name)
-		if v, ok := m.views[key]; ok {
+		if v, ok := m.views[key]; ok && st.Materialized {
 			m.dropViewLocked(key, v)
 			m.metrics().Gauge("stream_views").Set(float64(len(m.views)))
 		}

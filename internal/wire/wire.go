@@ -678,7 +678,9 @@ func (d *decoder) value() engine.Value {
 	case engine.TypeInt:
 		return engine.NewInt(int64(d.uint64()))
 	case engine.TypeFloat:
-		return engine.NewFloat(math.Float64frombits(d.uint64()))
+		// Not NewFloat: the wire carries a float's bits exactly, NaN payload
+		// included.
+		return engine.Value{T: engine.TypeFloat, F: math.Float64frombits(d.uint64())}
 	case engine.TypeString:
 		return engine.NewString(d.string())
 	case engine.TypeBool:

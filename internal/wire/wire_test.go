@@ -69,7 +69,7 @@ func TestRoundTripFloatBits(t *testing.T) {
 		math.Float64bits(math.Inf(1)), math.Float64bits(1e-308),
 	}
 	for _, b := range bits {
-		m := &RowBatch{Rows: []engine.Row{{engine.NewFloat(math.Float64frombits(b))}}}
+		m := &RowBatch{Rows: []engine.Row{{{T: engine.TypeFloat, F: math.Float64frombits(b)}}}}
 		var buf bytes.Buffer
 		if err := WriteMessage(&buf, m); err != nil {
 			t.Fatal(err)
